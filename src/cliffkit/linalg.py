@@ -1,16 +1,20 @@
 """Exact rational matrices with fraction-free elimination.
 
-Elimination follows the one-step Bareiss scheme on integer rows (each
-row is pre-scaled by the lcm of its denominators, which changes neither
-rank nor kernel).  Pivoting is deterministic: columns left to right,
-first row with a nonzero entry.  A reversed column sweep is available
-as an independent route for rank cross-checks.
+Every exact matrix in the package is built and eliminated here.
+`RationalMatrix.from_columns` builds the matrix of a linear map from the
+coordinates of its basis images; it makes both the Psi matrices on the
+blade basis and the field operator matrices on coefficient spaces.  A
+single one-step Bareiss kernel on integer rows (each row pre-scaled by
+the lcm of its denominators, which changes neither rank nor kernel)
+gives rank, kernel basis and determinant.  Pivoting is deterministic:
+columns left to right, first row with a nonzero entry.  A reversed
+column sweep is available as an independent route for rank cross-checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 Vector = list[Fraction]
@@ -20,20 +24,23 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators; returns (integer rows, scales)."""
+    out, scales = [], []
     for row in rows:
         scale = 1
         for x in row:
             scale = _lcm(scale, Fraction(x).denominator)
         out.append([int(Fraction(x) * scale) for x in row])
-    return out
+        scales.append(scale)
+    return out, scales
 
 
-def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free row echelon form; returns (rows, pivot columns)."""
+def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """In-place fraction-free row echelon form; returns (rows, pivot columns, row swaps)."""
     nrows = len(rows)
     pivot_cols: list[int] = []
+    swaps = 0
     prev = 1
     r = 0
     for c in range(ncols):
@@ -42,6 +49,7 @@ def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]]
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
         pc = rows[r][c]
         for i in range(r + 1, nrows):
             ric = rows[i][c]
@@ -59,7 +67,7 @@ def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]]
         r += 1
         if r == nrows:
             break
-    return rows, pivot_cols
+    return rows, pivot_cols, swaps
 
 
 class RationalMatrix:
@@ -90,16 +98,20 @@ class RationalMatrix:
         return cls([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
 
     @classmethod
-    def stack(cls, matrices: Sequence["RationalMatrix"]) -> "RationalMatrix":
-        if not matrices:
-            raise ValueError("nothing to stack")
-        ncols = matrices[0].ncols
+    def from_columns(cls, columns: Sequence[Sequence[Fraction]], nrows: int) -> "RationalMatrix":
+        """Matrix of a linear map whose column j holds the coordinates of basis image j."""
+        if any(len(col) != nrows for col in columns):
+            raise ValueError(f"every column needs {nrows} coordinates")
+        return cls([[col[r] for col in columns] for r in range(nrows)], ncols=len(columns))
+
+    @classmethod
+    def stack(cls, matrices: Sequence["RationalMatrix"], ncols: int) -> "RationalMatrix":
+        """The rows of `matrices` in order; no matrices give the 0 x ncols matrix."""
         if any(mat.ncols != ncols for mat in matrices):
             raise ValueError("column counts differ")
-        rows: list[list[Fraction]] = []
-        for mat in matrices:
-            rows.extend([row[:] for row in mat.rows])
-        return cls(rows, ncols=ncols)
+        if len(matrices) == 1:
+            return matrices[0]
+        return cls([row for mat in matrices for row in mat.rows], ncols=ncols)
 
     def mat_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.ncols:
@@ -115,12 +127,10 @@ class RationalMatrix:
 
     def rank(self, reverse_columns: bool = False) -> int:
         """Exact rank; `reverse_columns` runs an independent elimination order."""
-        if self.nrows == 0 or self.ncols == 0:
-            return 0
-        rows = _integer_rows(self.rows)
+        rows, _ = _integer_rows(self.rows)
         if reverse_columns:
             rows = [row[::-1] for row in rows]
-        _, pivots = _bareiss_echelon(rows, self.ncols)
+        _, pivots, _ = _bareiss_echelon(rows, self.ncols)
         return len(pivots)
 
     def nullspace(self) -> list[Vector]:
@@ -130,13 +140,8 @@ class RationalMatrix:
         soundness guard before the basis is handed back.
         """
         n = self.ncols
-        if n == 0:
-            return []
-        if self.nrows == 0:
-            basis = [[Fraction(1 if j == f else 0) for j in range(n)] for f in range(n)]
-            return basis
-        rows = _integer_rows(self.rows)
-        ech, pivot_cols = _bareiss_echelon(rows, n)
+        rows, _ = _integer_rows(self.rows)
+        ech, pivot_cols, _ = _bareiss_echelon(rows, n)
         pivot_set = set(pivot_cols)
         free_cols = [c for c in range(n) if c not in pivot_set]
         basis: list[Vector] = []
@@ -160,24 +165,13 @@ class RationalMatrix:
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by rational Gaussian elimination with partial pivoting."""
+    """Determinant: the last Bareiss pivot, signed by the row swaps, over the row scales."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    a = [[Fraction(x) for x in row] for row in rows]
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                factor = a[i][c] * inv
-                for j in range(c, n):
-                    a[i][j] -= factor * a[c][j]
-    return result
+    ints, scales = _integer_rows(rows)
+    ech, pivot_cols, swaps = _bareiss_echelon(ints, n)
+    if len(pivot_cols) < n:
+        return Fraction(0)
+    last = ech[n - 1][n - 1] if n else 1
+    return Fraction(-last if swaps & 1 else last, prod(scales))

@@ -140,7 +140,6 @@ class _Parser:
             indices: list[int] = []
             if not self._take("]"):
                 while True:
-                    idx_at = self.pos
                     indices.append(self._integer())
                     if self._take("]"):
                         break

@@ -199,12 +199,8 @@ def psi_matrix(op: PsiOperator) -> RationalMatrix:
     """Matrix of the operator on the 2^m blade basis (canonical blade order)."""
     m = op.phi.m
     order = blade_order(m)
-    columns = []
-    for mask in order:
-        image = op.apply(Multivector(m, {mask: Fraction(1)}))
-        columns.append(image.coefficients(order))
-    n = len(order)
-    return RationalMatrix([[columns[c][r] for c in range(n)] for r in range(n)])
+    columns = [op.apply(Multivector(m, {mask: Fraction(1)})).coefficients(order) for mask in order]
+    return RationalMatrix.from_columns(columns, len(order))
 
 
 def is_bijective(op: PsiOperator) -> bool:

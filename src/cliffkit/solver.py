@@ -17,7 +17,7 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .algebra import Multivector, blade_order, check_dimension
-from .classify import INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, RegionLabel, classify
+from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, RegionLabel, classify
 from .fields import MultiIndex, PolyField, dirac_left, dirac_right, laplacian, sandwich
 from .linalg import RationalMatrix, Vector
 from .structural import StructuralSet
@@ -138,14 +138,12 @@ class OperatorMatrix:
 
 
 def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatrix:
-    m = space.m
     target_degree = space.degree - op.order
     if target_degree < 0:
-        return OperatorMatrix(RationalMatrix([], ncols=space.size), space, None, True)
-    target = CoefficientSpace(m, target_degree)
+        return OperatorMatrix(RationalMatrix.zero(0, space.size), space, None, True)
+    target = CoefficientSpace(space.m, target_degree)
     columns = [target.field_to_vector(op.apply(space.basis_field(i))) for i in range(space.size)]
-    rows = [[columns[c][r] for c in range(space.size)] for r in range(target.size)]
-    return OperatorMatrix(RationalMatrix(rows, ncols=space.size), space, target, False)
+    return OperatorMatrix(RationalMatrix.from_columns(columns, target.size), space, target, False)
 
 
 @dataclass(frozen=True)
@@ -165,12 +163,16 @@ def nullspace(opmat: OperatorMatrix) -> NullspaceBasis:
     return NullspaceBasis(opmat.source, opmat.matrix.nullspace())
 
 
-def _class_operators(phi: StructuralSet, psi: StructuralSet) -> dict[str, FieldOperator]:
-    return {
+def _class_matrices(
+    phi: StructuralSet, psi: StructuralSet, space: CoefficientSpace, names: Sequence[str]
+) -> dict[str, RationalMatrix]:
+    """Matrices of the named class operators on `space`, keyed by class name in `names` order."""
+    ops = {
         HARMONIC: FieldOperator.laplacian(),
         TWO_SET_HARMONIC: FieldOperator.left_left(phi, psi),
         INFRAMONOGENIC: FieldOperator.sandwich(phi, psi),
     }
+    return {name: operator_matrix(ops[name], space).matrix for name in names}
 
 
 @dataclass(frozen=True)
@@ -204,12 +206,10 @@ def class_dimensions(phi: StructuralSet, psi: StructuralSet, m: int, d: int) -> 
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
     space = CoefficientSpace(m, d)
-    ops = _class_operators(phi, psi)
-    mats = {name: operator_matrix(op, space).matrix for name, op in ops.items()}
+    mats = _class_matrices(phi, psi, space, _CLASS_ORDER)
 
     def dim_of(names: tuple[str, ...]) -> int:
-        stacked = RationalMatrix.stack([mats[n] for n in names]) if len(names) > 1 else mats[names[0]]
-        return space.size - stacked.rank() if stacked.nrows else space.size
+        return space.size - RationalMatrix.stack([mats[n] for n in names], space.size).rank()
 
     return ClassDimensions(
         m=m,
@@ -228,14 +228,8 @@ def class_dimensions(phi: StructuralSet, psi: StructuralSet, m: int, d: int) -> 
 def class_nullspace(phi: StructuralSet, psi: StructuralSet, d: int, names: Sequence[str]) -> NullspaceBasis:
     """Joint kernel basis of the named class operators at homogeneity degree d."""
     space = CoefficientSpace(phi.m, d)
-    ops = _class_operators(phi, psi)
-    mats = [operator_matrix(ops[name], space).matrix for name in names]
-    nonempty = [mat for mat in mats if mat.nrows]
-    if not nonempty:
-        identity_basis = [[Fraction(1 if j == i else 0) for j in range(space.size)] for i in range(space.size)]
-        return NullspaceBasis(space, identity_basis)
-    stacked = RationalMatrix.stack(nonempty) if len(nonempty) > 1 else nonempty[0]
-    return NullspaceBasis(space, stacked.nullspace())
+    mats = _class_matrices(phi, psi, space, names)
+    return NullspaceBasis(space, RationalMatrix.stack(list(mats.values()), space.size).nullspace())
 
 
 _SMALL_RATIONALS = [
@@ -259,18 +253,13 @@ def find_region_witness(
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
     space = CoefficientSpace(m, d)
-    ops = _class_operators(phi, psi)
-    mats = {name: operator_matrix(op, space).matrix for name, op in ops.items()}
-    wanted = sorted(target.classes)
-    excluded = [name for name in ops if name not in target.classes]
-
-    if wanted:
-        pool = class_nullspace(phi, psi, d, wanted).vectors
-    else:
-        pool = [[Fraction(1 if j == i else 0) for j in range(space.size)] for i in range(space.size)]
+    mats = _class_matrices(phi, psi, space, _CLASS_ORDER)
+    wanted = [mats[name] for name in sorted(target.classes)]
+    excluded = [mat for name, mat in mats.items() if name not in target.classes]
+    pool = RationalMatrix.stack(wanted, space.size).nullspace()
 
     def escapes_all(vec: Vector) -> bool:
-        return all(any(mats[name].mat_vec(vec)) if mats[name].nrows else False for name in excluded)
+        return all(any(mat.mat_vec(vec)) for mat in excluded)
 
     def confirmed(vec: Vector) -> PolyField | None:
         f = space.vector_to_field(vec)

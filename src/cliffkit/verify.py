@@ -159,6 +159,16 @@ def _field_trials(cfg: VerifyConfig, m: int) -> int:
     return cfg.trials if m <= 4 else max(10, cfg.trials // 5)
 
 
+def _pair_fields(cfg: VerifyConfig, rng: random.Random, odd_only: bool = False):
+    """For each m and field trial, a random structural pair and then a random field."""
+    for m in cfg.m_values:
+        if odd_only and not m & 1:
+            continue
+        for _ in range(_field_trials(cfg, m)):
+            phi, psi = rand_structural_pair(rng, m)
+            yield phi, psi, rand_polyfield(rng, m, max_degree=cfg.degree)
+
+
 # -- individual checks -------------------------------------------------------
 
 
@@ -174,16 +184,12 @@ def _check_dirac_factorization(cfg, run):
 
 
 def _check_sandwich_order(cfg, run):
-    rng = _rng_for(cfg, run.name)
-    for m in cfg.m_values:
-        for _ in range(_field_trials(cfg, m)):
-            phi, psi = rand_structural_pair(rng, m)
-            f = rand_polyfield(rng, m, max_degree=cfg.degree)
-            run.equal(
-                "sandwich-order-agreement",
-                dirac_right(dirac_left(phi, f), psi),
-                dirac_left(phi, dirac_right(f, psi)),
-            )
+    for phi, psi, f in _pair_fields(cfg, _rng_for(cfg, run.name)):
+        run.equal(
+            "sandwich-order-agreement",
+            dirac_right(dirac_left(phi, f), psi),
+            dirac_left(phi, dirac_right(f, psi)),
+        )
 
 
 def _check_subset_level1_rank(cfg, run):
@@ -271,35 +277,23 @@ def _check_plus_conjugation(cfg, run):
 
 
 def _check_parity_split_commutation(cfg, run):
-    rng = _rng_for(cfg, run.name)
-    for m in cfg.m_values:
-        for _ in range(_field_trials(cfg, m)):
-            phi, psi = rand_structural_pair(rng, m)
-            f = rand_polyfield(rng, m, max_degree=cfg.degree)
-            sw = sandwich(phi, f, psi)
-            run.equal("sandwich-even-part", sw.even_part(), sandwich(phi, f.even_part(), psi))
-            run.equal("sandwich-odd-part", sw.odd_part(), sandwich(phi, f.odd_part(), psi))
-            ll = dirac_left(phi, dirac_left(psi, f))
-            run.equal("left-left-even-part", ll.even_part(), dirac_left(phi, dirac_left(psi, f.even_part())))
-            run.equal("left-left-odd-part", ll.odd_part(), dirac_left(phi, dirac_left(psi, f.odd_part())))
+    for phi, psi, f in _pair_fields(cfg, _rng_for(cfg, run.name)):
+        sw = sandwich(phi, f, psi)
+        run.equal("sandwich-even-part", sw.even_part(), sandwich(phi, f.even_part(), psi))
+        run.equal("sandwich-odd-part", sw.odd_part(), sandwich(phi, f.odd_part(), psi))
+        ll = dirac_left(phi, dirac_left(psi, f))
+        run.equal("left-left-even-part", ll.even_part(), dirac_left(phi, dirac_left(psi, f.even_part())))
+        run.equal("left-left-odd-part", ll.odd_part(), dirac_left(phi, dirac_left(psi, f.odd_part())))
 
 
 def _check_even_odd_split_membership(cfg, run):
-    rng = _rng_for(cfg, run.name)
-    for m in cfg.m_values:
-        for _ in range(_field_trials(cfg, m)):
-            phi, psi = rand_structural_pair(rng, m)
-            f = rand_polyfield(rng, m, max_degree=cfg.degree)
-            run.add(check_even_odd_split_membership(phi, psi, f))
+    for phi, psi, f in _pair_fields(cfg, _rng_for(cfg, run.name)):
+        run.add(check_even_odd_split_membership(phi, psi, f))
 
 
 def _check_dirac_psi1(cfg, run, which: str):
-    rng = _rng_for(cfg, run.name)
-    for m in cfg.m_values:
-        for _ in range(_field_trials(cfg, m)):
-            phi, psi = rand_structural_pair(rng, m)
-            f = rand_polyfield(rng, m, max_degree=cfg.degree)
-            run.add(check_dirac_psi1_identities(phi, psi, f, which))
+    for phi, psi, f in _pair_fields(cfg, _rng_for(cfg, run.name)):
+        run.add(check_dirac_psi1_identities(phi, psi, f, which))
 
 
 def _members_for(m: int, phi: StructuralSet, psi: StructuralSet, names, degrees=(2, 3), limit=4):
@@ -311,14 +305,8 @@ def _members_for(m: int, phi: StructuralSet, psi: StructuralSet, names, degrees=
 
 
 def _check_inframonogenic_equivalence(cfg, run):
-    rng = _rng_for(cfg, run.name)
-    for m in cfg.m_values:
-        if not m & 1:
-            continue
-        for _ in range(_field_trials(cfg, m)):
-            phi, psi = rand_structural_pair(rng, m)
-            f = rand_polyfield(rng, m, max_degree=cfg.degree)
-            run.add(check_inframonogenic_psi1_equivalence(phi, psi, f))
+    for phi, psi, f in _pair_fields(cfg, _rng_for(cfg, run.name), odd_only=True):
+        run.add(check_inframonogenic_psi1_equivalence(phi, psi, f))
     if 3 in cfg.m_values:
         phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
         for f in _members_for(3, phi, psi, (INFRAMONOGENIC,)):
@@ -326,14 +314,8 @@ def _check_inframonogenic_equivalence(cfg, run):
 
 
 def _check_second_order_criterion(cfg, run):
-    rng = _rng_for(cfg, run.name)
-    for m in cfg.m_values:
-        if not m & 1:
-            continue
-        for _ in range(_field_trials(cfg, m)):
-            phi, psi = rand_structural_pair(rng, m)
-            f = rand_polyfield(rng, m, max_degree=cfg.degree)
-            run.add(check_second_order_criterion(phi, psi, f))
+    for phi, psi, f in _pair_fields(cfg, _rng_for(cfg, run.name), odd_only=True):
+        run.add(check_second_order_criterion(phi, psi, f))
     if 3 in cfg.m_values:
         phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
         for f in _members_for(3, phi, psi, (TWO_SET_HARMONIC,)):
@@ -341,12 +323,8 @@ def _check_second_order_criterion(cfg, run):
 
 
 def _check_parts_sandwich(cfg, run):
-    rng = _rng_for(cfg, run.name)
-    for m in cfg.m_values:
-        for _ in range(_field_trials(cfg, m)):
-            phi, psi = rand_structural_pair(rng, m)
-            f = rand_polyfield(rng, m, max_degree=cfg.degree)
-            run.add(check_parts_sandwich(phi, psi, f))
+    for phi, psi, f in _pair_fields(cfg, _rng_for(cfg, run.name)):
+        run.add(check_parts_sandwich(phi, psi, f))
 
 
 def _check_recursion(cfg, run):

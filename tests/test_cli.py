@@ -1,5 +1,6 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -160,3 +161,25 @@ def test_matrix_set_spec_error_cases(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", "--m", "2", "--expr", "x1",
                            "--phi", f"matrix:{bad}")
     assert code == 2
+
+
+GOLDEN_STDOUT_SHA256 = {
+    ("verify", "--m", "2,3", "--trials", "2", "--seed", "0", "--format", "json"):
+        "9f1ec594a18858c4658b851d8892245b491580cf8eb3f57646520eee7d139e31",
+    # degree 1: every class matrix has zero rows
+    ("solve", "--m", "3", "--degree", "1"):
+        "fe989ad2f4aefcd676595f07d4c6d15954760d11efb437fd301c907dcb7f7802",
+    # region none: the witness pool is the whole space
+    ("solve", "--m", "3", "--degree", "2", "--region", "none"):
+        "d3c922c9ef2796f1de327931a20ea17495d219c8d2ca919eb90a5587d3daaa0b",
+    ("solve", "--m", "3", "--degree", "2", "--phi", "standard", "--psi", "reversed",
+     "--region", "H,Hpp,I", "--format", "json"):
+        "94039cd3cb306376d230da4a0cd8c164c7aabc9aae6cd53566e07a496f71113e",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT_SHA256), ids=" ".join)
+def test_golden_stdout(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]

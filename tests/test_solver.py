@@ -62,6 +62,61 @@ def test_det_values():
     assert det([[Fraction(0)]]) == 0
 
 
+def _laplace_det(rows):
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * rows[0][j] * _laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def test_det_matches_cofactor_expansion():
+    rng = random.Random(3)
+    seen_singular = seen_swap = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            rows[0] = [Fraction(0)] + rows[0][1:]  # first column pivot must come from a swap
+        if rng.random() < 0.2 and n > 1:
+            rows[-1] = [2 * x for x in rows[0]]  # dependent rows
+        want = _laplace_det(rows)
+        assert det(rows) == want, rows
+        seen_singular += want == 0
+        seen_swap += rows[0][0] == 0 and want != 0
+    assert seen_singular >= 20 and seen_swap >= 20
+
+
+def test_stack_of_nothing_is_zero_rows_with_identity_kernel():
+    mat = RationalMatrix.stack([], 3)
+    assert (mat.nrows, mat.ncols) == (0, 3)
+    assert mat.rank() == 0
+    assert mat.nullspace() == RationalMatrix.identity(3).rows
+
+
+def test_stack_of_one_matrix_is_that_matrix():
+    mat = RationalMatrix([[Fraction(1), Fraction(2)]])
+    assert RationalMatrix.stack([mat], 2) is mat
+    with pytest.raises(ValueError):
+        RationalMatrix.stack([mat], 3)
+
+
+def test_from_columns_holds_image_coordinates():
+    space = CoefficientSpace(2, 2)
+    op = FieldOperator.sandwich(StructuralSet.standard(2), StructuralSet.reversed_standard(2))
+    opmat = operator_matrix(op, space)
+    target = opmat.target
+    images = [target.field_to_vector(op.apply(space.basis_field(j))) for j in range(space.size)]
+    mat = RationalMatrix.from_columns(images, target.size)
+    assert mat == opmat.matrix
+    for j, image in enumerate(images):
+        assert [row[j] for row in mat.rows] == image
+    assert RationalMatrix.from_columns([], 2).rows == [[], []]
+    with pytest.raises(ValueError):
+        RationalMatrix.from_columns([[Fraction(1)]], 2)
+
+
 # -- coefficient spaces ------------------------------------------------------------
 
 
