@@ -54,10 +54,6 @@ def indices_to_mask(indices: Iterable[int], m: int) -> int:
     return mask
 
 
-def grade_of(mask: int) -> int:
-    return mask.bit_count()
-
-
 def blade_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """Canonical blade order: by grade, then lexicographically by indices."""
     return (mask.bit_count(), blade_indices(mask))

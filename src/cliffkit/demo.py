@@ -1,10 +1,11 @@
 """Bundled worked examples with their expected outcomes.
 
 Five reference polynomials in R^3 (with the standard and the reversed
-structural sets) hit every individually named membership region, and a
-handful of closed-form operator values plus the two 2D transition
-families round out the tour.  `run_demo` recomputes everything and
-reports expected against actual.
+structural sets) hit every individually named membership region.  A
+handful of closed-form operator values, the Psi aggregates on the 2D
+rotation and reflection sets, and the same-set aggregate counterexample
+round out the tour.  `run_demo` recomputes everything and reports
+expected against actual.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .algebra import Multivector
 from .classify import INFRAMONOGENIC, HARMONIC, RegionLabel, classify
 from .fields import laplacian
 from .parser import format_field, parse_field
-from .psi import apply_psi_k, apply_psi_minus, apply_psi_plus
-from .solver import class_nullspace, converse_counterexample
+from .psi import _two_dimensional_aggregates, apply_psi_k, apply_psi_plus
+from .solver import _counterexample_check, class_nullspace
 from .structural import StructuralSet
 
 REFERENCE_FIELDS = [
@@ -84,31 +85,10 @@ def _two_dimensional_items() -> list[DemoItem]:
         ("rotation", StructuralSet.rotation_2d(c1, c2), "even"),
         ("reflection", StructuralSet.reflection_2d(c1, c2), "odd"),
     ):
-        f0, f1, f2, f12 = comps
-        p1, p2 = psi[1], psi[2]
-        f = f0 + f1 * p1 + f2 * p2 + f12 * (p1 * p2)
-        plus = apply_psi_plus(phi, psi, f)
-        minus = apply_psi_minus(phi, psi, f)
-        if form == "rotation":
-            want_plus = f0 * 2 + f12 * (p1 * p2) * 2
-            want_minus = (c1 * f0 + c2 * f12) * (-2) + (c1 * f12 - c2 * f0) * (p1 * p2) * 2
-        else:
-            want_plus = f1 * p1 * 2 + f2 * p2 * 2
-            want_minus = (c1 * f1 + c2 * f2) * p1 * (-2) + (c1 * f2 - c2 * f1) * p2 * 2
-        items.append(
-            DemoItem(
-                f"2d {form}: even aggregate on a sample field",
-                format_field(want_plus),
-                format_field(plus),
+        for kind, (actual, want) in zip(("even", "odd"), _two_dimensional_aggregates(phi, psi, comps)):
+            items.append(
+                DemoItem(f"2d {form}: {kind} aggregate on a sample field", format_field(want), format_field(actual))
             )
-        )
-        items.append(
-            DemoItem(
-                f"2d {form}: odd aggregate on a sample field",
-                format_field(want_minus),
-                format_field(minus),
-            )
-        )
         # Parity consequence on actual kernel members.
         for names, label in (((HARMONIC,), "harmonic"), ((INFRAMONOGENIC,), "inframonogenic")):
             member = class_nullspace(phi, psi, 2, names).fields()[0]
@@ -130,14 +110,7 @@ def _counterexample_items() -> list[DemoItem]:
     items = []
     for m in (2, 3):
         phi = StructuralSet.standard(m)
-        f = converse_counterexample(phi)
-        mem_f = classify(phi, phi, f)
-        image = apply_psi_plus(phi, phi, f)
-        mem_image = classify(phi, phi, image)
-        ok = (
-            not mem_f.harmonic and not mem_f.inframonogenic
-            and mem_image.harmonic and mem_image.inframonogenic
-        )
+        f, mem_f, mem_image, ok = _counterexample_check(phi)
         items.append(
             DemoItem(
                 f"aggregate counterexample m={m}: {format_field(f)}",

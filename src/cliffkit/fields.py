@@ -11,7 +11,7 @@ in exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import DimensionMismatch, Multivector, Scalar, check_dimension
 from .structural import StructuralSet
@@ -100,9 +100,6 @@ class PolyField:
     def degree(self) -> int:
         """Total degree; -1 for the zero field."""
         return max((sum(a) for a in self._terms), default=-1)
-
-    def degrees(self) -> set[int]:
-        return {sum(a) for a in self._terms}
 
     def homogeneous_component(self, d: int) -> "PolyField":
         return PolyField(self.m, {a: mv for a, mv in self._terms.items() if sum(a) == d})
@@ -199,9 +196,15 @@ class PolyField:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"field exponent must be a non-negative integer, got {n!r}")
+        # Square and multiply; powers of one field commute, so this is f*f*...*f.
         out = PolyField.scalar_constant(self.m, 1)
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -262,9 +265,6 @@ class PolyField:
             for mask, coef in mv.terms():
                 out.append({"alpha": list(alpha), "blade": list(blade_indices(mask)), "coef": str(coef)})
         return out
-
-
-FieldLike = Union[PolyField, Multivector]
 
 
 def _require_field_set(sset: StructuralSet, f: PolyField) -> None:

@@ -166,7 +166,11 @@ def _as_nonzero_rational(f: PolyField) -> Fraction | None:
 
 def parse_field(text: str, m: int) -> PolyField:
     """Parse a field expression in dimension m."""
-    return _Parser(text, m).parse()
+    parser = _Parser(text, m)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", parser.pos) from None
 
 
 def parse_multivector(text: str, m: int) -> Multivector:

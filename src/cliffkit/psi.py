@@ -27,7 +27,7 @@ from typing import Iterable, Sequence, Union
 from .algebra import Multivector, blade_order
 from .fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from .linalg import RationalMatrix
-from .structural import StructuralSet
+from .structural import StructuralSet, transition
 from .verdict import Verdict, compare, merge
 
 Element = Union[Multivector, PolyField]
@@ -95,6 +95,27 @@ def apply_psi_minus(phi: StructuralSet, psi: StructuralSet, a: Element) -> Eleme
     for k in range(1, phi.m + 1, 2):
         total = total + apply_psi_k(phi, psi, k, a)
     return total
+
+
+def _two_dimensional_aggregates(phi: StructuralSet, psi: StructuralSet, comps: Sequence[PolyField]):
+    """((Psi^+ f, its closed form), (Psi^- f, its closed form)) for m = 2.
+
+    f = f0 + f1 psi_1 + f2 psi_2 + f12 psi_1 psi_2 with scalar fields
+    `comps` = (f0, f1, f2, f12); (c1, c2) is the first column of the
+    transition matrix, a rotation or a reflection.
+    """
+    t = transition(phi, psi)
+    c1, c2 = t.entries[0][0], t.entries[1][0]
+    f0, f1, f2, f12 = comps
+    p1, p2 = psi[1], psi[2]
+    f = f0 + f1 * p1 + f2 * p2 + f12 * (p1 * p2)
+    if t.form_2d() == "rotation":
+        want_plus = f0 * 2 + f12 * (p1 * p2) * 2
+        want_minus = (c1 * f0 + c2 * f12) * (-2) + (c1 * f12 - c2 * f0) * (p1 * p2) * 2
+    else:
+        want_plus = f1 * p1 * 2 + f2 * p2 * 2
+        want_minus = (c1 * f1 + c2 * f2) * p1 * (-2) + (c1 * f2 - c2 * f1) * p2 * 2
+    return (apply_psi_plus(phi, psi, f), want_plus), (apply_psi_minus(phi, psi, f), want_minus)
 
 
 # -- same-set scalar action -------------------------------------------------

@@ -28,9 +28,9 @@ def rotation_pair(t: Fraction) -> tuple[Fraction, Fraction]:
     return (1 - t * t) / denom, 2 * t / denom
 
 
-def rand_fraction(rng: random.Random, max_num: int = 6, max_den: int = 4, nonzero: bool = False) -> Fraction:
+def rand_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
     while True:
-        q = Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+        q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         if q or not nonzero:
             return q
 
@@ -53,18 +53,18 @@ def rand_multi_index(rng: random.Random, m: int, max_degree: int) -> tuple[int, 
     return tuple(alpha)
 
 
-def rand_polyfield(rng: random.Random, m: int, max_degree: int = 3, max_terms: int = 4) -> PolyField:
+def rand_polyfield(rng: random.Random, m: int, max_degree: int = 3) -> PolyField:
     f = PolyField.zero(m)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 4)):
         alpha = rand_multi_index(rng, m, max_degree)
         f = f + PolyField.monomial(m, alpha, rand_multivector(rng, m, max_terms=2))
     return f
 
 
-def rand_scalar_polyfield(rng: random.Random, m: int, max_degree: int = 3, max_terms: int = 3) -> PolyField:
+def rand_scalar_polyfield(rng: random.Random, m: int) -> PolyField:
     f = PolyField.zero(m)
-    for _ in range(rng.randint(1, max_terms)):
-        alpha = rand_multi_index(rng, m, max_degree)
+    for _ in range(rng.randint(1, 3)):
+        alpha = rand_multi_index(rng, m, 3)
         f = f + PolyField.monomial(m, alpha, Multivector.scalar(m, rand_fraction(rng, nonzero=True)))
     return f
 
@@ -76,11 +76,11 @@ def rand_signed_permutation(rng: random.Random, m: int) -> StructuralSet:
     return StructuralSet.signed_permutation(m, signed)
 
 
-def rand_rational_structural_set(rng: random.Random, m: int, rotations: int = 2) -> StructuralSet:
-    """Signed permutation composed with exact rational plane rotations."""
+def rand_rational_structural_set(rng: random.Random, m: int) -> StructuralSet:
+    """Signed permutation composed with two exact rational plane rotations."""
     rows = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
     if m >= 2:
-        for _ in range(rotations):
+        for _ in range(2):
             i, j = rng.sample(range(m), 2)
             c, s = rotation_pair(rng.choice(HALF_ANGLE_POOL))
             row_i = [c * a - s * b for a, b in zip(rows[i], rows[j])]

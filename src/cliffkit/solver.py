@@ -17,9 +17,10 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .algebra import Multivector, blade_order, check_dimension
-from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, RegionLabel, classify
+from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
 from .fields import MultiIndex, PolyField, dirac_left, dirac_right, laplacian, sandwich
 from .linalg import RationalMatrix, Vector
+from .psi import apply_psi_plus
 from .structural import StructuralSet
 
 
@@ -258,28 +259,17 @@ def find_region_witness(
     excluded = [mat for name, mat in mats.items() if name not in target.classes]
     pool = RationalMatrix.stack(wanted, space.size).nullspace()
 
-    def escapes_all(vec: Vector) -> bool:
-        return all(any(mat.mat_vec(vec)) for mat in excluded)
+    def candidates():
+        yield from pool
+        for vi, vj in combinations(pool, 2):
+            for t in _SMALL_RATIONALS:
+                yield [a + t * b for a, b in zip(vi, vj)]
 
-    def confirmed(vec: Vector) -> PolyField | None:
-        f = space.vector_to_field(vec)
-        if classify(phi, psi, f).region == target:
-            return f
-        return None
-
-    for vec in pool:
-        if escapes_all(vec):
-            found = confirmed(vec)
-            if found is not None:
-                return found
-    for i, j in combinations(range(len(pool)), 2):
-        vi, vj = pool[i], pool[j]
-        for t in _SMALL_RATIONALS:
-            vec = [a + t * b for a, b in zip(vi, vj)]
-            if escapes_all(vec):
-                found = confirmed(vec)
-                if found is not None:
-                    return found
+    for vec in candidates():
+        if all(any(mat.mat_vec(vec)) for mat in excluded):
+            f = space.vector_to_field(vec)
+            if classify(phi, psi, f).region == target:
+                return f
     return None
 
 
@@ -304,3 +294,19 @@ def converse_counterexample(phi: StructuralSet) -> PolyField:
     if membership.harmonic or membership.inframonogenic:
         raise ArithmeticError("construction failed to leave both classes")
     return f
+
+
+def _counterexample_check(phi: StructuralSet) -> tuple[PolyField, ClassMembership, ClassMembership, bool]:
+    """The aggregate statement on f = `converse_counterexample(phi)`.
+
+    Returns f, the (phi, phi) memberships of f and of its even-aggregate
+    image, and whether f is outside both kernels and the image inside both.
+    """
+    f = converse_counterexample(phi)
+    mem_f = classify(phi, phi, f)
+    mem_image = classify(phi, phi, apply_psi_plus(phi, phi, f))
+    holds = (
+        not mem_f.harmonic and not mem_f.inframonogenic
+        and mem_image.harmonic and mem_image.inframonogenic
+    )
+    return f, mem_f, mem_image, holds

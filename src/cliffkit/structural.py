@@ -1,10 +1,11 @@
 """Structural sets: orthonormal m-tuples of grade-1 elements of R_{0,m}.
 
 A tuple (v_1, ..., v_m) of grade-1 multivectors qualifies when
-v_i v_j + v_j v_i = -2 delta_ij, which is exactly decidable here because
-all coordinates are rational.  Irrational structural sets are out of
-scope; rational rotations (Pythagorean parametrizations such as 3/5,
-4/5) supply all the non-permutation examples we need.
+v_i v_j + v_j v_i = -2 delta_ij; for vectors the left side is the scalar
+-2 <v_i, v_j>, so this is one Gram-matrix test on the coordinate rows,
+exactly decidable because all coordinates are rational.  Irrational
+structural sets are out of scope; rational rotations (Pythagorean
+parametrizations such as 3/5, 4/5) supply the non-permutation examples.
 """
 
 from __future__ import annotations
@@ -28,10 +29,24 @@ class StructuralSetError(ValueError):
         self.relation = relation
 
 
-class StructuralSet:
-    """Validated structural set; construction is the validation."""
+def _gram_violation(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, Fraction] | None:
+    """The orthonormality test; None when the rows are orthonormal.
 
-    __slots__ = ("m", "vectors")
+    Otherwise the first (i, j, dot), 1-based with i <= j in row-major
+    order, whose row dot product is not delta_ij.
+    """
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            dot = sum(a * b for a, b in zip(row, rows[j]))
+            if dot != (1 if i == j else 0):
+                return i + 1, j + 1, dot
+    return None
+
+
+class StructuralSet:
+    """Validated structural set; construction is the validation and keeps the coordinate rows."""
+
+    __slots__ = ("m", "vectors", "_rows")
 
     def __init__(self, vectors: Sequence[Multivector]):
         vectors = tuple(vectors)
@@ -46,19 +61,19 @@ class StructuralSet:
                 raise StructuralSetError(f"vector {idx} has dimension {v.m}, expected {m}")
             if v.is_zero() or v.grades() != {1}:
                 raise StructuralSetError(f"vector {idx} is not pure grade 1: {v}")
-        minus_two = Multivector.scalar(m, -2)
-        for i in range(m):
-            for j in range(i, m):
-                anti = vectors[i] * vectors[j] + vectors[j] * vectors[i]
-                expected = minus_two if i == j else Multivector.zero(m)
-                if anti != expected:
-                    raise StructuralSetError(
-                        f"anticommutation relation ({i + 1},{j + 1}) violated: "
-                        f"v{i + 1}*v{j + 1} + v{j + 1}*v{i + 1} = {anti}",
-                        relation=(i + 1, j + 1),
-                    )
+        rows = tuple(tuple(v.coefficient(1 << j) for j in range(m)) for v in vectors)
+        violation = _gram_violation(rows)
+        if violation is not None:
+            # For vectors, v_i v_j + v_j v_i is the scalar -2 <v_i, v_j>.
+            i, j, dot = violation
+            raise StructuralSetError(
+                f"anticommutation relation ({i},{j}) violated: "
+                f"v{i}*v{j} + v{j}*v{i} = {Multivector.scalar(m, -2 * dot)}",
+                relation=(i, j),
+            )
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("StructuralSet is immutable")
@@ -104,11 +119,10 @@ class StructuralSet:
         entries = [[Fraction(x) for x in row] for row in rows]
         if any(len(row) != m for row in entries):
             raise StructuralSetError("matrix must be square")
-        for i in range(m):
-            for j in range(i, m):
-                dot = sum(entries[i][k] * entries[j][k] for k in range(m))
-                if dot != (1 if i == j else 0):
-                    raise StructuralSetError(f"matrix is not orthogonal: row dot ({i + 1},{j + 1}) = {dot}")
+        violation = _gram_violation(entries)
+        if violation is not None:
+            i, j, dot = violation
+            raise StructuralSetError(f"matrix is not orthogonal: row dot ({i},{j}) = {dot}")
         vecs = [
             Multivector(m, {1 << j: entries[i][j] for j in range(m) if entries[i][j]})
             for i in range(m)
@@ -119,7 +133,7 @@ class StructuralSet:
 
     def coordinates(self) -> list[list[Fraction]]:
         """Rows of coordinates in the standard basis."""
-        return [[v.coefficient(1 << j) for j in range(self.m)] for v in self.vectors]
+        return [list(row) for row in self._rows]
 
     def to_json(self) -> list[list[str]]:
         """Matrix form with rational strings; `from_matrix` reads it back."""
@@ -168,13 +182,7 @@ class TransitionMatrix:
         return det(self.entries)
 
     def is_orthogonal(self) -> bool:
-        m = self.m
-        for i in range(m):
-            for j in range(i, m):
-                dot = sum(self.entries[i][k] * self.entries[j][k] for k in range(m))
-                if dot != (1 if i == j else 0):
-                    return False
-        return True
+        return _gram_violation(self.entries) is None
 
     def form_2d(self) -> str:
         """Classify a 2x2 orthogonal matrix: 'rotation' (det +1) or 'reflection' (det -1)."""
@@ -201,12 +209,11 @@ class TransitionMatrix:
 def transition(phi: StructuralSet, psi: StructuralSet) -> TransitionMatrix:
     """Matrix C with psi_i = sum_j C_ij phi_j.
 
-    For grade-1 vectors u, v the inner product is -[uv]_0, so C is read
-    off from scalar parts of geometric products.
+    phi is orthonormal, so C_ij = <psi_i, phi_j>, the dot product of the
+    coordinate rows (for vectors this is -[psi_i phi_j]_0).
     """
     if phi.m != psi.m:
         raise ValueError(f"sets have different dimensions {phi.m} and {psi.m}")
-    m = phi.m
     return TransitionMatrix(
-        [[-(psi[i] * phi[j]).scalar_part() for j in range(1, m + 1)] for i in range(1, m + 1)]
+        [[sum(a * b for a, b in zip(u, v)) for v in phi._rows] for u in psi._rows]
     )

@@ -24,6 +24,7 @@ from .classify import (
 from .fields import dirac_left, dirac_right, laplacian, sandwich
 from .psi import (
     PsiOperator,
+    _two_dimensional_aggregates,
     apply_psi_k,
     apply_psi_minus,
     apply_psi_plus,
@@ -47,7 +48,7 @@ from .sampling import (
     rand_signed_permutation,
     rand_structural_pair,
 )
-from .solver import class_nullspace, converse_counterexample
+from .solver import _counterexample_check, class_nullspace
 from .structural import StructuralSet
 from .verdict import Verdict, compare
 
@@ -296,9 +297,9 @@ def _check_dirac_psi1(cfg, run, which: str):
         run.add(check_dirac_psi1_identities(phi, psi, f, which))
 
 
-def _members_for(m: int, phi: StructuralSet, psi: StructuralSet, names, degrees=(2, 3), limit=4):
+def _members_for(phi: StructuralSet, psi: StructuralSet, names, limit=4):
     out = []
-    for d in degrees:
+    for d in (2, 3):
         basis = class_nullspace(phi, psi, d, names)
         out.extend(basis.fields()[:limit])
     return out
@@ -309,7 +310,7 @@ def _check_inframonogenic_equivalence(cfg, run):
         run.add(check_inframonogenic_psi1_equivalence(phi, psi, f))
     if 3 in cfg.m_values:
         phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
-        for f in _members_for(3, phi, psi, (INFRAMONOGENIC,)):
+        for f in _members_for(phi, psi, (INFRAMONOGENIC,)):
             run.add(check_inframonogenic_psi1_equivalence(phi, psi, f))
 
 
@@ -318,7 +319,7 @@ def _check_second_order_criterion(cfg, run):
         run.add(check_second_order_criterion(phi, psi, f))
     if 3 in cfg.m_values:
         phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
-        for f in _members_for(3, phi, psi, (TWO_SET_HARMONIC,)):
+        for f in _members_for(phi, psi, (TWO_SET_HARMONIC,)):
             run.add(check_second_order_criterion(phi, psi, f))
 
 
@@ -344,7 +345,7 @@ def _check_aggregates_map_into_intersection(cfg, run, source: str):
         run.truth("skipped", True)
         return
     phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
-    for f in _members_for(3, phi, psi, (source,), degrees=(2, 3), limit=6):
+    for f in _members_for(phi, psi, (source,), limit=6):
         for op in (apply_psi_plus, apply_psi_minus):
             image = op(phi, psi, f)
             mem = classify(phi, psi, image)
@@ -363,25 +364,14 @@ def _check_2d_components(cfg, run, form: str):
     c1, c2 = Fraction(3, 5), Fraction(4, 5)
     phi = StructuralSet.standard(2)
     psi = StructuralSet.rotation_2d(c1, c2) if form == "rotation" else StructuralSet.reflection_2d(c1, c2)
-    p1, p2 = psi[1], psi[2]
     for _ in range(cfg.trials):
         comps = [rand_scalar_polyfield(rng, 2) for _ in range(4)]
-        f0, f1, f2, f12 = comps
-        f = f0 + f1 * p1 + f2 * p2 + f12 * (p1 * p2)
-        plus = apply_psi_plus(phi, psi, f)
-        minus = apply_psi_minus(phi, psi, f)
-        if form == "rotation":
-            want_plus = f0 * 2 + f12 * (p1 * p2) * 2
-            want_minus = (c1 * f0 + c2 * f12) * (-2) + (c1 * f12 - c2 * f0) * (p1 * p2) * 2
-        else:
-            want_plus = f1 * p1 * 2 + f2 * p2 * 2
-            want_minus = (c1 * f1 + c2 * f2) * p1 * (-2) + (c1 * f2 - c2 * f1) * p2 * 2
-        run.equal(f"2d-{form}-even-aggregate", plus, want_plus)
-        run.equal(f"2d-{form}-odd-aggregate", minus, want_minus)
+        for kind, (actual, want) in zip(("even", "odd"), _two_dimensional_aggregates(phi, psi, comps)):
+            run.equal(f"2d-{form}-{kind}-aggregate", actual, want)
     # Stated consequence: the indicated parity part of a harmonic or
     # inframonogenic field lands in the intersection of both kernels.
     for names in ((HARMONIC,), (INFRAMONOGENIC,)):
-        for f in _members_for(2, phi, psi, names, degrees=(2, 3), limit=4):
+        for f in _members_for(phi, psi, names):
             part = f.even_part() if form == "rotation" else f.odd_part()
             mem = classify(phi, psi, part)
             run.truth(
@@ -397,14 +387,10 @@ def _check_aggregate_counterexample(cfg, run):
         if m < 2:
             continue
         for phi in (StructuralSet.standard(m), rand_rational_structural_set(rng, m)):
-            f = converse_counterexample(phi)
-            mem_f = classify(phi, phi, f)
-            image = apply_psi_plus(phi, phi, f)
-            mem_image = classify(phi, phi, image)
+            _, mem_f, mem_image, holds = _counterexample_check(phi)
             run.truth(
                 f"aggregate-counterexample[m={m}]",
-                not mem_f.harmonic and not mem_f.inframonogenic
-                and mem_image.harmonic and mem_image.inframonogenic,
+                holds,
                 detail=f"field {mem_f.to_json()}, image {mem_image.to_json()}",
             )
 

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import cliffkit
 from cliffkit.cli import main, parse_region_spec, parse_set_spec
 from cliffkit.structural import StructuralSet
 
@@ -175,6 +180,16 @@ GOLDEN_STDOUT_SHA256 = {
     ("solve", "--m", "3", "--degree", "2", "--phi", "standard", "--psi", "reversed",
      "--region", "H,Hpp,I", "--format", "json"):
         "94039cd3cb306376d230da4a0cd8c164c7aabc9aae6cd53566e07a496f71113e",
+    ("demo",):
+        "e93b8075d2a00c53220a6e17b5b8294cc3a86c54270cacdc4ee64d49b44a5103",
+    ("demo", "--format", "json"):
+        "dfdb5cf9b393c048714f65355175d29d23827030830bb8da49cff08799159bed",
+    ("classify", "--m", "2", "--phi", "rot2:1/2", "--psi", "refl2:2/3",
+     "--expr", "(x1^2 - x2^2)*e[1] + x1*x2*e[1,2]"):
+        "332212e232ed71bef1ce4d9c509020274317ef89cb81b1db560327438f2030aa",
+    ("classify", "--m", "3", "--phi", "signedperm:2,-3,1", "--psi", "reversed",
+     "--expr", "x1*x3*e[1] + x2*e[2]", "--format", "json"):
+        "3d065ebdd0cd5bbc9264b659c87278753ca172eb499fdf7dde36119c8107714b",
 }
 
 
@@ -183,3 +198,34 @@ def test_golden_stdout(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+def test_non_orthogonal_matrix_spec_message(tmp_path, capsys):
+    path = tmp_path / "shear.json"
+    path.write_text(json.dumps([["1", "1"], ["0", "1"]]))
+    code, out, err = run_cli(capsys, "classify", "--m", "2", "--expr", "x1", "--phi", f"matrix:{path}")
+    assert code == 2
+    assert out == ""
+    assert err == "error: matrix is not orthogonal: row dot (1,1) = 2\n"
+
+
+@pytest.mark.parametrize("expr", ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1"],
+                         ids=["2000 nested parentheses", "5000 leading minus signs"])
+def test_deeply_nested_expression_is_a_parse_error(capsys, expr):
+    code, _, err = run_cli(capsys, "classify", "--m", "2", f"--expr={expr}")
+    assert code == 2
+    assert "position" in err
+    assert "Traceback" not in err
+
+
+def test_huge_power_of_one_variable_answers():
+    # A subprocess with a timeout, so that a regression to n successive
+    # multiplications fails instead of hanging the suite.
+    src = pathlib.Path(cliffkit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cliffkit", "classify", "--m", "2", "--expr", "x1^100000000"],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "harmonic: False" in proc.stdout.splitlines()

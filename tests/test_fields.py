@@ -194,3 +194,14 @@ def test_json_terms_are_canonical():
         {"alpha": [0, 1], "blade": [2], "coef": "1"},
         {"alpha": [2, 0], "blade": [1, 2], "coef": "1"},
     ]
+
+
+def test_power_equals_repeated_product():
+    rng = random.Random(17)
+    for m in (1, 2, 3):
+        for _ in range(4):
+            f = rand_polyfield(rng, m, max_degree=2)
+            product = PolyField.scalar_constant(m, 1)
+            for n in range(7):
+                assert f ** n == product
+                product = product * f

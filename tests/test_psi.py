@@ -11,6 +11,7 @@ from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandw
 from cliffkit.parser import parse_field
 from cliffkit.psi import (
     PsiOperator,
+    _two_dimensional_aggregates,
     apply_psi_k,
     apply_psi_minus,
     apply_psi_plus,
@@ -33,10 +34,11 @@ from cliffkit.sampling import (
     rand_multivector,
     rand_polyfield,
     rand_rational_structural_set,
+    rand_scalar_polyfield,
     rand_signed_permutation,
     rand_structural_pair,
 )
-from cliffkit.structural import StructuralSet
+from cliffkit.structural import StructuralSet, transition
 
 
 def brute_psi_k(phi, psi, k, a):
@@ -361,3 +363,16 @@ def test_equivalences_odd_dimension():
         assert check_second_order_criterion(phi, psi, g).holds
     with pytest.raises(ValueError):
         check_second_order_criterion(StructuralSet.standard(2), StructuralSet.standard(2), PolyField.zero(2))
+
+
+def test_two_dimensional_aggregate_closed_forms_for_random_pairs():
+    rng = random.Random(29)
+    forms = set()
+    for _ in range(20):
+        phi, psi = rand_rational_structural_set(rng, 2), rand_rational_structural_set(rng, 2)
+        forms.add(transition(phi, psi).form_2d())
+        comps = [rand_scalar_polyfield(rng, 2) for _ in range(4)]
+        (plus, want_plus), (minus, want_minus) = _two_dimensional_aggregates(phi, psi, comps)
+        assert plus == want_plus
+        assert minus == want_minus
+    assert forms == {"rotation", "reflection"}

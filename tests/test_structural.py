@@ -133,3 +133,92 @@ def test_json_matrix_round_trip():
     payload = s.to_json()
     assert all(isinstance(x, str) for row in payload for x in row)
     assert StructuralSet.from_matrix([[Fraction(x) for x in row] for row in payload]) == s
+
+
+def _anticommutator_violation(vectors):
+    """Reference oracle: first pair (i, j), 1-based, i <= j, whose geometric-product
+    anticommutator is not -2 delta_ij, with that anticommutator; None if all hold."""
+    m = len(vectors)
+    for i in range(m):
+        for j in range(i, m):
+            anti = vectors[i] * vectors[j] + vectors[j] * vectors[i]
+            if anti != Multivector.scalar(m, -2 if i == j else 0):
+                return i + 1, j + 1, anti
+    return None
+
+
+def _candidate_rows(rng, m):
+    """Valid rational sets, the same with one entry perturbed, and random rows."""
+    pool = [Fraction(x) for x in ("0", "0", "1", "-1", "1/2", "3/5", "-4/5", "4/5", "12/13", "-5/13")]
+    for _ in range(40):
+        rows = rand_rational_structural_set(rng, m).coordinates()
+        yield [list(row) for row in rows]
+        i, j = rng.randrange(m), rng.randrange(m)
+        rows[i][j] += Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 5))
+        yield rows
+        yield [[rng.choice(pool) for _ in range(m)] for _ in range(m)]
+
+
+def test_gram_validation_agrees_with_anticommutator_oracle():
+    rng = random.Random(2024)
+    seen = {"accepted": 0, "diagonal": 0, "off-diagonal": 0, "zero-row": 0}
+    for m in range(1, 6):
+        for rows in _candidate_rows(rng, m):
+            vectors = [Multivector(m, {1 << j: x for j, x in enumerate(row) if x}) for row in rows]
+            violation = _anticommutator_violation(vectors)
+            if violation is None:
+                seen["accepted"] += 1
+                s = StructuralSet(vectors)
+                assert StructuralSet.from_matrix(rows) == s
+                assert s.coordinates() == rows
+                continue
+            i, j, anti = violation
+            seen["diagonal" if i == j else "off-diagonal"] += 1
+            # The anticommutator of two vectors is the scalar -2 <v_i, v_j>.
+            assert anti == Multivector.scalar(m, anti.scalar_part())
+            with pytest.raises(StructuralSetError) as exc:
+                StructuralSet.from_matrix(rows)
+            assert str(exc.value) == f"matrix is not orthogonal: row dot ({i},{j}) = {-anti.scalar_part() / 2}"
+            assert exc.value.relation is None
+            with pytest.raises(StructuralSetError) as exc:
+                StructuralSet(vectors)
+            zero_rows = [idx for idx, v in enumerate(vectors, start=1) if v.is_zero()]
+            if zero_rows:
+                seen["zero-row"] += 1
+                assert str(exc.value) == f"vector {zero_rows[0]} is not pure grade 1: {vectors[zero_rows[0] - 1]}"
+                assert exc.value.relation is None
+            else:
+                assert str(exc.value) == f"anticommutation relation ({i},{j}) violated: v{i}*v{j} + v{j}*v{i} = {anti}"
+                assert exc.value.relation == (i, j)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_invalid_set_messages():
+    with pytest.raises(StructuralSetError) as exc:
+        StructuralSet.from_matrix([["1", "1"], ["0", "1"]])
+    assert str(exc.value) == "matrix is not orthogonal: row dot (1,1) = 2"
+    u = Multivector(2, {1: Fraction(3, 5), 2: Fraction(4, 5)})
+    v = Multivector(2, {1: Fraction(4, 5), 2: Fraction(3, 5)})
+    with pytest.raises(StructuralSetError) as exc:
+        StructuralSet([u, v])
+    assert str(exc.value) == "anticommutation relation (1,2) violated: v1*v2 + v2*v1 = -48/25"
+    assert exc.value.relation == (1, 2)
+
+
+def test_transition_entries_match_geometric_products():
+    rng = random.Random(5)
+    for m in range(1, 6):
+        for _ in range(6):
+            phi, psi = rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m)
+            t = transition(phi, psi)
+            assert t.entries == tuple(
+                tuple(-(psi[i] * phi[j]).scalar_part() for j in range(1, m + 1)) for i in range(1, m + 1)
+            )
+            assert t.is_orthogonal()
+
+
+def test_is_orthogonal_rejects_each_failing_pair():
+    assert not TransitionMatrix([[1, 0], [0, 2]]).is_orthogonal()
+    assert not TransitionMatrix([[1, 0], [1, 1]]).is_orthogonal()
+    assert not TransitionMatrix([[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(3, 5)]]).is_orthogonal()
+    assert TransitionMatrix([[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]).is_orthogonal()
