@@ -26,7 +26,7 @@ from .classify import RegionLabel, classify
 from .demo import run_demo
 from .parser import ParseError, format_field, parse_field
 from .sampling import rotation_pair
-from .solver import class_dimensions, find_region_witness
+from .solver import CoefficientSpace, class_dimensions, class_matrices, find_region_witness
 from .structural import StructuralSet, StructuralSetError
 from .verify import VerifyConfig, check_names, run_suite
 
@@ -146,13 +146,14 @@ def cmd_solve(args) -> int:
     d = args.degree
     phi = parse_set_spec(args.phi, m)
     psi = parse_set_spec(args.psi, m)
-    dims = class_dimensions(phi, psi, m, d)
+    matrices = class_matrices(phi, psi, CoefficientSpace(m, d))
+    dims = class_dimensions(phi, psi, m, d, matrices=matrices)
     witnesses: list[str] = []
     region_str = None
     if args.region is not None:
         target = parse_region_spec(args.region)
         region_str = str(target)
-        witness = find_region_witness(phi, psi, m, d, target)
+        witness = find_region_witness(phi, psi, m, d, target, matrices=matrices)
         if witness is not None:
             witnesses.append(format_field(witness))
     payload = {

@@ -3,106 +3,130 @@
 Every exact matrix in the package is built and eliminated here.
 `RationalMatrix.from_columns` builds the matrix of a linear map from the
 coordinates of its basis images; it makes both the Psi matrices on the
-blade basis and the field operator matrices on coefficient spaces.  A
-single one-step Bareiss kernel on integer rows (each row pre-scaled by
-the lcm of its denominators, which changes neither rank nor kernel)
-gives rank, kernel basis and determinant.  Pivoting is deterministic:
-columns left to right, first row with a nonzero entry.  A reversed
-column sweep is available as an independent route for rank cross-checks.
+blade basis and the field operator matrices on coefficient spaces.
+
+A matrix keeps each row once, sparse and in integers: the nonzero
+entries times the lcm of their denominators, as (column, int) pairs, plus
+that lcm as the row scale.  Scaling a row changes neither rank nor
+kernel, so a single one-step Bareiss kernel starts from these integer
+rows, keeps them sparse while it eliminates, and gives rank, kernel
+basis and determinant; matrix-vector products read only the nonzeros.
+Pivoting is deterministic: columns left to right, first row with a
+nonzero entry.  A reversed column sweep is available as an independent
+route for rank cross-checks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
-from math import gcd, prod
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 Vector = list[Fraction]
+# The nonzero (column, integer) entries of a row times its scale, and that scale.
+IntegerRow = tuple[tuple[tuple[int, int], ...], int]
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def _integer_row(entries: Iterable[tuple[int, Fraction]]) -> IntegerRow:
+    """(column, value) entries as the nonzero (column, int) pairs times the lcm of their denominators."""
+    nonzero = [(j, x) for j, x in entries if x]
+    scale = lcm(*(x.denominator for _, x in nonzero))
+    return tuple((j, x.numerator * (scale // x.denominator)) for j, x in nonzero), scale
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators; returns (integer rows, scales)."""
-    out, scales = [], []
-    for row in rows:
-        scale = 1
-        for x in row:
-            scale = _lcm(scale, Fraction(x).denominator)
-        out.append([int(Fraction(x) * scale) for x in row])
-        scales.append(scale)
-    return out, scales
+def _bareiss_echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[dict[int, int]], list[int], int]:
+    """In-place fraction-free row echelon form of sparse rows ({column: int}, no zeros).
 
-
-def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
-    """In-place fraction-free row echelon form; returns (rows, pivot columns, row swaps)."""
+    Returns (rows, pivot columns, row swaps); row r of the result is the
+    r-th pivot row, for r below the rank.  A step with pivot p multiplies
+    each row it does not eliminate by p over the previous pivot.  These
+    factors telescope, so such a row keeps the step it is current for and
+    is brought up to date, by one exact division, when a step uses it.
+    """
     nrows = len(rows)
+    pivots = [1]  # pivots[s]: the pivot of step s
+    current = [0] * nrows  # rows[i] holds its values after step current[i]
     pivot_cols: list[int] = []
     swaps = 0
-    prev = 1
-    r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        r = len(pivot_cols)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if c in rows[i]), None)
         if piv is None:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            current[r], current[piv] = current[piv], current[r]
             swaps += 1
-        pc = rows[r][c]
+        prev = pivots[r]
+        for i in range(r, nrows):
+            if c in rows[i] and current[i] != r:
+                old = pivots[current[i]]
+                rows[i] = {j: a * prev // old for j, a in rows[i].items()}
+        row_r = rows[r]
+        pc = row_r[c]
+        tail = [(j, a) for j, a in row_r.items() if j != c]
         for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            if ric:
-                row_i, row_r = rows[i], rows[r]
-                for j in range(c + 1, ncols):
-                    row_i[j] = (pc * row_i[j] - ric * row_r[j]) // prev
-            else:
-                row_i = rows[i]
-                for j in range(c + 1, ncols):
-                    row_i[j] = (pc * row_i[j]) // prev
-            rows[i][c] = 0
-        prev = pc
+            row_i = rows[i]
+            if c not in row_i:
+                continue
+            ric = row_i.pop(c)
+            new = {j: pc * a for j, a in row_i.items()}
+            for j, a in tail:
+                new[j] = new.get(j, 0) - ric * a
+            rows[i] = {j: a // prev for j, a in new.items() if a}
+            current[i] = r + 1
+        pivots.append(pc)
         pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
     return rows, pivot_cols, swaps
 
 
 class RationalMatrix:
-    """Dense matrix over the rationals; immutable by convention."""
+    """Matrix over the rationals kept as sparse integer rows; immutable by convention."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "_int_rows")
 
     def __init__(self, rows: Iterable[Iterable[Fraction]], ncols: int | None = None):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
+        rows = [[Fraction(x) for x in row] for row in rows]
+        if rows:
+            if any(len(r) != len(rows[0]) for r in rows):
                 raise ValueError("ragged rows")
-            if ncols is not None and ncols != self.ncols:
+            if ncols is not None and ncols != len(rows[0]):
                 raise ValueError("ncols disagrees with row length")
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.ncols = ncols
+            ncols = len(rows[0])
+        elif ncols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        self.nrows, self.ncols = len(rows), ncols
+        self._int_rows = [_integer_row(enumerate(row)) for row in rows]
+
+    @classmethod
+    def _of(cls, int_rows: list[IntegerRow], ncols: int) -> "RationalMatrix":
+        """The matrix with these integer rows, taken as they are."""
+        mat = cls.__new__(cls)
+        mat.nrows, mat.ncols, mat._int_rows = len(int_rows), ncols, int_rows
+        return mat
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
+        return cls._of([(((i, 1),), 1) for i in range(n)], n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._of([((), 1)] * nrows, ncols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction]], nrows: int) -> "RationalMatrix":
         """Matrix of a linear map whose column j holds the coordinates of basis image j."""
         if any(len(col) != nrows for col in columns):
             raise ValueError(f"every column needs {nrows} coordinates")
-        return cls([[col[r] for col in columns] for r in range(nrows)], ncols=len(columns))
+        entries: list[list[tuple[int, Fraction]]] = [[] for _ in range(nrows)]
+        for j, col in enumerate(columns):
+            for r, x in enumerate(col):
+                if x:
+                    entries[r].append((j, Fraction(x)))
+        return cls._of([_integer_row(row) for row in entries], len(columns))
 
     @classmethod
     def stack(cls, matrices: Sequence["RationalMatrix"], ncols: int) -> "RationalMatrix":
@@ -111,50 +135,70 @@ class RationalMatrix:
             raise ValueError("column counts differ")
         if len(matrices) == 1:
             return matrices[0]
-        return cls([row for mat in matrices for row in mat.rows], ncols=ncols)
+        return cls._of([row for mat in matrices for row in mat._int_rows], ncols)
+
+    @property
+    def rows(self) -> list[Vector]:
+        """Dense rows of `Fraction` entries, built on each access."""
+        out = []
+        for pairs, scale in self._int_rows:
+            row = [Fraction(0)] * self.ncols
+            for j, a in pairs:
+                row[j] = Fraction(a, scale)
+            out.append(row)
+        return out
 
     def mat_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.ncols:
             raise ValueError(f"vector length {len(v)} does not match {self.ncols} columns")
-        return [sum((row[j] * v[j] for j in range(self.ncols)), Fraction(0)) for row in self.rows]
+        den = lcm(*(x.denominator for x in v))
+        ints = [x.numerator * (den // x.denominator) for x in v]
+        return [Fraction(sum(a * ints[j] for j, a in pairs), scale * den) for pairs, scale in self._int_rows]
 
     def __eq__(self, other):
         if isinstance(other, RationalMatrix):
-            return self.nrows == other.nrows and self.ncols == other.ncols and self.rows == other.rows
+            return self.ncols == other.ncols and self._int_rows == other._int_rows
         return NotImplemented
 
     __hash__ = None
 
+    def _echelon(self, reverse_columns: bool = False) -> tuple[list[dict[int, int]], list[int], int]:
+        """The Bareiss kernel on the integer rows, the row scales left out."""
+        last = self.ncols - 1
+        rows = [{last - j if reverse_columns else j: a for j, a in pairs} for pairs, _ in self._int_rows]
+        return _bareiss_echelon(rows, self.ncols)
+
     def rank(self, reverse_columns: bool = False) -> int:
         """Exact rank; `reverse_columns` runs an independent elimination order."""
-        rows, _ = _integer_rows(self.rows)
-        if reverse_columns:
-            rows = [row[::-1] for row in rows]
-        _, pivots, _ = _bareiss_echelon(rows, self.ncols)
-        return len(pivots)
+        return len(self._echelon(reverse_columns)[1])
 
     def nullspace(self) -> list[Vector]:
         """Exact kernel basis, one vector per free column, echelon-derived.
 
-        Every returned vector is re-multiplied through the matrix as a
-        soundness guard before the basis is handed back.
+        Bareiss pivot k is the determinant of the first k rows (after the
+        swaps) in the first k pivot columns, and the kernel vector of free
+        column f solves that block for k the number of pivot columns left
+        of f.  By Cramer's rule pivot k (1 when k = 0) times the vector is
+        integral, so back-substitution runs in integers and every division
+        is exact.  Every returned vector is re-multiplied through the
+        matrix as a soundness guard before the basis is handed back.
         """
         n = self.ncols
-        rows, _ = _integer_rows(self.rows)
-        ech, pivot_cols, _ = _bareiss_echelon(rows, n)
+        ech, pivot_cols, _ = self._echelon()
+        pivots = [ech[r][c] for r, c in enumerate(pivot_cols)]
+        tails = [[(j, a) for j, a in row.items() if j != c] for row, c in zip(ech, pivot_cols)]
         pivot_set = set(pivot_cols)
-        free_cols = [c for c in range(n) if c not in pivot_set]
         basis: list[Vector] = []
-        for f in free_cols:
-            x: Vector = [Fraction(0)] * n
-            x[f] = Fraction(1)
-            for r in range(len(pivot_cols) - 1, -1, -1):
-                pc = pivot_cols[r]
-                if pc > f:
-                    continue
-                s = sum((Fraction(ech[r][j]) * x[j] for j in range(pc + 1, n) if x[j]), Fraction(0))
-                x[pc] = -s / ech[r][pc]
-            basis.append(x)
+        for f in range(n):
+            if f in pivot_set:
+                continue
+            k = bisect(pivot_cols, f)
+            den = pivots[k - 1] if k else 1
+            y = [0] * n
+            y[f] = den
+            for r in range(k - 1, -1, -1):
+                y[pivot_cols[r]] = -sum(a * y[j] for j, a in tails[r]) // pivots[r]
+            basis.append([Fraction(a, den) if a else Fraction(0) for a in y])
         for x in basis:
             if any(self.mat_vec(x)):
                 raise ArithmeticError("nullspace vector failed verification")
@@ -169,9 +213,9 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    ints, scales = _integer_rows(rows)
-    ech, pivot_cols, swaps = _bareiss_echelon(ints, n)
+    mat = RationalMatrix(rows, ncols=n)
+    ech, pivot_cols, swaps = mat._echelon()
     if len(pivot_cols) < n:
         return Fraction(0)
     last = ech[n - 1][n - 1] if n else 1
-    return Fraction(-last if swaps & 1 else last, prod(scales))
+    return Fraction(-last if swaps & 1 else last, prod(scale for _, scale in mat._int_rows))

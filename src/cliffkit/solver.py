@@ -164,8 +164,8 @@ def nullspace(opmat: OperatorMatrix) -> NullspaceBasis:
     return NullspaceBasis(opmat.source, opmat.matrix.nullspace())
 
 
-def _class_matrices(
-    phi: StructuralSet, psi: StructuralSet, space: CoefficientSpace, names: Sequence[str]
+def class_matrices(
+    phi: StructuralSet, psi: StructuralSet, space: CoefficientSpace, names: Sequence[str] = _CLASS_ORDER
 ) -> dict[str, RationalMatrix]:
     """Matrices of the named class operators on `space`, keyed by class name in `names` order."""
     ops = {
@@ -201,13 +201,20 @@ class ClassDimensions:
         }
 
 
-def class_dimensions(phi: StructuralSet, psi: StructuralSet, m: int, d: int) -> ClassDimensions:
+def class_dimensions(
+    phi: StructuralSet, psi: StructuralSet, m: int, d: int, *, matrices: dict[str, RationalMatrix] | None = None
+) -> ClassDimensions:
     """Kernel dimensions of the three class operators and all intersections
-    on the degree-d homogeneous space."""
+    on the degree-d homogeneous space.
+
+    `matrices`, when given, are the three `class_matrices` of (phi, psi)
+    on that space, so a caller that also searches for witnesses builds
+    them once.
+    """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
     space = CoefficientSpace(m, d)
-    mats = _class_matrices(phi, psi, space, _CLASS_ORDER)
+    mats = class_matrices(phi, psi, space) if matrices is None else matrices
 
     def dim_of(names: tuple[str, ...]) -> int:
         return space.size - RationalMatrix.stack([mats[n] for n in names], space.size).rank()
@@ -229,7 +236,7 @@ def class_dimensions(phi: StructuralSet, psi: StructuralSet, m: int, d: int) -> 
 def class_nullspace(phi: StructuralSet, psi: StructuralSet, d: int, names: Sequence[str]) -> NullspaceBasis:
     """Joint kernel basis of the named class operators at homogeneity degree d."""
     space = CoefficientSpace(phi.m, d)
-    mats = _class_matrices(phi, psi, space, names)
+    mats = class_matrices(phi, psi, space, names)
     return NullspaceBasis(space, RationalMatrix.stack(list(mats.values()), space.size).nullspace())
 
 
@@ -241,35 +248,64 @@ _SMALL_RATIONALS = [
 ]
 
 
+def _escaping_steps(image_i: list[Vector], image_j: list[Vector]) -> list[Fraction]:
+    """The t in `_SMALL_RATIONALS`, in order, with a + t*b nonzero for every image pair (a, b).
+
+    a + t*b vanishes for every t when a and b do, for no t when only a
+    is nonzero, and otherwise at most for t = -a_r/b_r, r the first
+    coordinate with b_r nonzero.
+    """
+    steps = _SMALL_RATIONALS
+    for a, b in zip(image_i, image_j):
+        r = next((r for r, x in enumerate(b) if x), None)
+        if r is None:
+            if not any(a):
+                return []
+            continue
+        t = -a[r] / b[r]
+        if not any(x + t * y for x, y in zip(a, b)):
+            steps = [s for s in steps if s != t]
+    return steps
+
+
 def find_region_witness(
-    phi: StructuralSet, psi: StructuralSet, m: int, d: int, target: RegionLabel
+    phi: StructuralSet, psi: StructuralSet, m: int, d: int, target: RegionLabel,
+    *, matrices: dict[str, RationalMatrix] | None = None,
 ) -> PolyField | None:
     """Search for a homogeneous degree-d field lying in exactly the target region.
 
     Candidates are drawn from the joint kernel of the required classes
     (or the whole space when none is required): single basis vectors
     first, then pairwise combinations v_i + t*v_j with small rational t.
-    None means the bounded search was exhausted, not that no witness exists.
+    A candidate escapes the excluded classes when its image under each
+    excluded matrix is nonzero.  By linearity the image of v_i + t*v_j is
+    image_i + t*image_j, so each excluded matrix is applied once to each
+    pool vector, each pair of images rules out at most one t per matrix,
+    and a candidate is built only when it escapes; `classify` then
+    confirms it.  `matrices` is as in `class_dimensions`.  None means the
+    bounded search was exhausted, not that no witness exists.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
     space = CoefficientSpace(m, d)
-    mats = _class_matrices(phi, psi, space, _CLASS_ORDER)
+    mats = class_matrices(phi, psi, space) if matrices is None else matrices
     wanted = [mats[name] for name in sorted(target.classes)]
     excluded = [mat for name, mat in mats.items() if name not in target.classes]
     pool = RationalMatrix.stack(wanted, space.size).nullspace()
+    images = [[mat.mat_vec(v) for mat in excluded] for v in pool]
 
-    def candidates():
-        yield from pool
-        for vi, vj in combinations(pool, 2):
-            for t in _SMALL_RATIONALS:
+    def escaped():
+        for v, image in zip(pool, images):
+            if all(any(a) for a in image):
+                yield v
+        for (vi, image_i), (vj, image_j) in combinations(zip(pool, images), 2):
+            for t in _escaping_steps(image_i, image_j):
                 yield [a + t * b for a, b in zip(vi, vj)]
 
-    for vec in candidates():
-        if all(any(mat.mat_vec(vec)) for mat in excluded):
-            f = space.vector_to_field(vec)
-            if classify(phi, psi, f).region == target:
-                return f
+    for vec in escaped():
+        f = space.vector_to_field(vec)
+        if classify(phi, psi, f).region == target:
+            return f
     return None
 
 
@@ -281,6 +317,11 @@ def converse_counterexample(phi: StructuralSet) -> PolyField:
     under the even aggregate) are both.  Needs m >= 2 so that a middle
     grade exists to spoil f itself.
     """
+    return _classified_counterexample(phi)[0]
+
+
+def _classified_counterexample(phi: StructuralSet) -> tuple[PolyField, ClassMembership]:
+    """`converse_counterexample(phi)` and its (phi, phi) membership, which guards the construction."""
     m = phi.m
     if m < 2:
         raise ValueError("need dimension at least 2, no middle grade exists below that")
@@ -293,7 +334,7 @@ def converse_counterexample(phi: StructuralSet) -> PolyField:
     membership = classify(phi, phi, f)
     if membership.harmonic or membership.inframonogenic:
         raise ArithmeticError("construction failed to leave both classes")
-    return f
+    return f, membership
 
 
 def _counterexample_check(phi: StructuralSet) -> tuple[PolyField, ClassMembership, ClassMembership, bool]:
@@ -302,8 +343,7 @@ def _counterexample_check(phi: StructuralSet) -> tuple[PolyField, ClassMembershi
     Returns f, the (phi, phi) memberships of f and of its even-aggregate
     image, and whether f is outside both kernels and the image inside both.
     """
-    f = converse_counterexample(phi)
-    mem_f = classify(phi, phi, f)
+    f, mem_f = _classified_counterexample(phi)
     mem_image = classify(phi, phi, apply_psi_plus(phi, phi, f))
     holds = (
         not mem_f.harmonic and not mem_f.inframonogenic

@@ -44,11 +44,15 @@ def _gram_violation(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, Fract
 
 
 class StructuralSet:
-    """Validated structural set; construction is the validation and keeps the coordinate rows."""
+    """Validated structural set; construction is the validation and keeps the coordinate rows.
+
+    `_gram_checked` is for `from_matrix`, which has already run the Gram
+    test on the same rows to report it in matrix terms.
+    """
 
     __slots__ = ("m", "vectors", "_rows")
 
-    def __init__(self, vectors: Sequence[Multivector]):
+    def __init__(self, vectors: Sequence[Multivector], *, _gram_checked: bool = False):
         vectors = tuple(vectors)
         if not vectors:
             raise StructuralSetError("a structural set needs at least one vector")
@@ -62,7 +66,7 @@ class StructuralSet:
             if v.is_zero() or v.grades() != {1}:
                 raise StructuralSetError(f"vector {idx} is not pure grade 1: {v}")
         rows = tuple(tuple(v.coefficient(1 << j) for j in range(m)) for v in vectors)
-        violation = _gram_violation(rows)
+        violation = None if _gram_checked else _gram_violation(rows)
         if violation is not None:
             # For vectors, v_i v_j + v_j v_i is the scalar -2 <v_i, v_j>.
             i, j, dot = violation
@@ -127,7 +131,7 @@ class StructuralSet:
             Multivector(m, {1 << j: entries[i][j] for j in range(m) if entries[i][j]})
             for i in range(m)
         ]
-        return cls(vecs)
+        return cls(vecs, _gram_checked=True)
 
     # -- views ------------------------------------------------------------
 

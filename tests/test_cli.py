@@ -190,6 +190,14 @@ GOLDEN_STDOUT_SHA256 = {
     ("classify", "--m", "3", "--phi", "signedperm:2,-3,1", "--psi", "reversed",
      "--expr", "x1*x3*e[1] + x2*e[2]", "--format", "json"):
         "3d065ebdd0cd5bbc9264b659c87278753ca172eb499fdf7dde36119c8107714b",
+    # exhausted witness searches: phi = psi makes Hpp = H, so no H,I field escapes Hpp
+    ("solve", "--m", "3", "--degree", "2", "--phi", "standard", "--psi", "standard", "--region", "H,I"):
+        "d1901ad5d080568a18209568279541527bab0f209e599877225464ecbbfa0670",
+    ("solve", "--m", "2", "--degree", "6", "--region", "H,I"):
+        "d94eeb5f317f6c7a35f7e290b3a9784163d3aae5bc827722871e66070859e620",
+    ("solve", "--m", "3", "--degree", "3", "--phi", "standard", "--psi", "signedperm:2,-3,1",
+     "--region", "Hpp", "--format", "json"):
+        "78c7f00228bf8e18ac5eee0909f54db0ce3004542bda5edeac7a7ce0855c4054",
 }
 
 

@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from itertools import combinations
+
+from cliffkit import linalg
 from cliffkit.algebra import Multivector
-from cliffkit.classify import RegionLabel, classify
+from cliffkit.classify import _CLASS_ORDER, RegionLabel, classify
+from cliffkit.cli import parse_region_spec, parse_set_spec
 from cliffkit.fields import PolyField, laplacian
 from cliffkit.linalg import RationalMatrix, det
 from cliffkit.parser import parse_field
@@ -15,6 +19,9 @@ from cliffkit.solver import (
     CoefficientSpace,
     FieldOperator,
     class_dimensions,
+    _SMALL_RATIONALS,
+    _escaping_steps,
+    class_matrices,
     converse_counterexample,
     find_region_witness,
     monomials_of_degree,
@@ -115,6 +122,86 @@ def test_from_columns_holds_image_coordinates():
     assert RationalMatrix.from_columns([], 2).rows == [[], []]
     with pytest.raises(ValueError):
         RationalMatrix.from_columns([[Fraction(1)]], 2)
+
+
+def _dense_mat_vec(rows, v):
+    return [sum((a * x for a, x in zip(row, v) if a), Fraction(0)) for row in rows]
+
+
+def _dense_kernel(rows, ncols):
+    """Reduced row echelon form over Fractions; one kernel vector per free column."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            x[pc] = -row[f]
+        basis.append(x)
+    return basis
+
+
+def _random_sparse_rows(rng, nr, nc):
+    zero_share = rng.choice([0.2, 0.6, 0.9])
+    rows = [[Fraction(0) if rng.random() < zero_share else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+             for _ in range(nc)] for _ in range(nr)]
+    if nr and rng.random() < 0.3:
+        rows[rng.randrange(nr)] = [Fraction(0)] * nc
+    if nc and rng.random() < 0.3:
+        j = rng.randrange(nc)
+        for row in rows:
+            row[j] = Fraction(0)
+    if nr > 1 and rng.random() < 0.3:
+        rows[-1] = [Fraction(rng.randint(-3, 3), rng.randint(1, 7)) * x for x in rows[0]]
+    return rows
+
+
+def test_sparse_rows_agree_with_dense_reference():
+    rng = random.Random(7)
+    seen = {"0xn": 0, "nx0": 0, "zero row": 0, "zero column": 0, "deficient": 0}
+    for _ in range(400):
+        nr, nc = rng.randint(0, 10), rng.randint(0, 10)
+        rows = _random_sparse_rows(rng, nr, nc)
+        mat = RationalMatrix(rows, ncols=nc)
+        assert mat.rows == rows
+        v = [Fraction(0) if rng.random() < 0.3 else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+             for _ in range(nc)]
+        assert mat.mat_vec(v) == _dense_mat_vec(rows, v)
+        kernel = _dense_kernel(rows, nc)
+        assert mat.nullspace() == kernel
+        assert mat.rank() == mat.rank(reverse_columns=True) == nc - len(kernel)
+        seen["0xn"] += nr == 0
+        seen["nx0"] += nc == 0 and nr > 0
+        seen["zero row"] += any(not any(row) for row in rows)
+        seen["zero column"] += nr > 0 and any(not any(row[j] for row in rows) for j in range(nc))
+        seen["deficient"] += len(kernel) > max(nc - nr, 0)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_nullspace_guard_rejects_a_corrupted_echelon(monkeypatch):
+    original = linalg._bareiss_echelon
+
+    def corrupted(rows, ncols):
+        ech, pivot_cols, swaps = original(rows, ncols)
+        ech[0][1] += 1
+        return ech, pivot_cols, swaps
+
+    monkeypatch.setattr(linalg, "_bareiss_echelon", corrupted)
+    mat = RationalMatrix([[Fraction(1), Fraction(2), Fraction(3)]])
+    with pytest.raises(ArithmeticError, match="failed verification"):
+        mat.nullspace()
 
 
 # -- coefficient spaces ------------------------------------------------------------
@@ -299,6 +386,79 @@ def test_witness_single_class_regions():
         witness = find_region_witness(PHI, PSI, 3, 2, target)
         if witness is not None:
             assert classify(PHI, PSI, witness).region == target
+
+
+def _dense_candidate_witness(phi, psi, m, d, target):
+    """The witness search written out densely: build every candidate, multiply it through."""
+    space = CoefficientSpace(m, d)
+    mats = {name: mat.rows for name, mat in class_matrices(phi, psi, space).items()}
+    wanted = [row for name in sorted(target.classes) for row in mats[name]]
+    excluded = [rows for name, rows in mats.items() if name not in target.classes]
+    pool = _dense_kernel(wanted, space.size)
+
+    def candidates():
+        yield from pool
+        for vi, vj in combinations(pool, 2):
+            for t in _SMALL_RATIONALS:
+                yield [a + t * b for a, b in zip(vi, vj)]
+
+    for vec in candidates():
+        if all(any(_dense_mat_vec(rows, vec)) for rows in excluded):
+            f = space.vector_to_field(vec)
+            if classify(phi, psi, f).region == target:
+                return f
+    return None
+
+
+def test_escaping_steps_match_every_combination():
+    rng = random.Random(11)
+    seen_one_step_removed = seen_none_left = 0
+    for _ in range(500):
+        n, k = rng.randint(0, 4), rng.randint(0, 3)
+        image_i, image_j = [], []
+        for _ in range(k):
+            b = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.5 else Fraction(0)
+                 for _ in range(n)]
+            kind = rng.random()
+            if kind < 0.4:  # a = -t*b for a small t, so that t must go
+                a = [-rng.choice(_SMALL_RATIONALS) * x for x in b]
+            elif kind < 0.6:
+                a = [Fraction(0)] * n
+            else:
+                a = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+            image_i.append(a)
+            image_j.append(b)
+        want = [t for t in _SMALL_RATIONALS
+                if all(any(x + t * y for x, y in zip(a, b)) for a, b in zip(image_i, image_j))]
+        assert _escaping_steps(image_i, image_j) == want
+        seen_one_step_removed += 0 < len(want) < len(_SMALL_RATIONALS)
+        seen_none_left += not want
+    assert seen_one_step_removed >= 50 and seen_none_left >= 50
+
+
+@pytest.mark.parametrize("m, d, phi, psi, region", [
+    (2, 6, "standard", "standard", "H,I"),
+    (3, 2, "standard", "standard", "H,I"),
+    (3, 3, "standard", "reversed", "H,Hpp,I"),
+    (3, 3, "standard", "signedperm:2,-3,1", "Hpp"),
+    (3, 2, "standard", "reversed", "none"),
+    (2, 5, "standard", "reversed", "H,Hpp,I"),
+    (2, 4, "rot2:1/2", "refl2:2/3", "Hpp,I"),
+    (3, 2, "reversed", "signedperm:-1,3,2", "I"),
+])
+def test_find_region_witness_matches_dense_candidate_loop(m, d, phi, psi, region):
+    phi, psi = parse_set_spec(phi, m), parse_set_spec(psi, m)
+    target = parse_region_spec(region)
+    assert find_region_witness(phi, psi, m, d, target) == _dense_candidate_witness(phi, psi, m, d, target)
+
+
+def test_shared_class_matrices_give_the_same_answers():
+    space = CoefficientSpace(3, 2)
+    mats = class_matrices(PHI, PSI, space)
+    assert list(mats) == list(_CLASS_ORDER)
+    assert class_dimensions(PHI, PSI, 3, 2, matrices=mats) == class_dimensions(PHI, PSI, 3, 2)
+    target = RegionLabel.from_classes(("H", "I"))
+    assert find_region_witness(PHI, PSI, 3, 2, target, matrices=mats) == find_region_witness(PHI, PSI, 3, 2, target)
 
 
 def test_converse_counterexample():
