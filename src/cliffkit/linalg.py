@@ -1,9 +1,10 @@
 """Exact rational matrices with fraction-free elimination.
 
-Every exact matrix in the package is built and eliminated here.
+Every exact matrix in the package is eliminated here.
 `RationalMatrix.from_columns` builds the matrix of a linear map from the
-coordinates of its basis images; it makes both the Psi matrices on the
-blade basis and the field operator matrices on coefficient spaces.
+coordinates of its basis images, as for the Psi matrices on the blade
+basis; the solver fills the sparse integer rows of its operator matrices
+from their symbols directly.
 
 A matrix keeps each row once, sparse and in integers: the nonzero
 entries times the lcm of their denominators, as (column, int) pairs, plus

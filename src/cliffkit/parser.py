@@ -12,7 +12,10 @@
 
 Whitespace is ignored everywhere.  '/' requires a nonzero constant
 rational divisor, which makes literals like 3/5 work and nothing more
-exotic.  `parse(format(f)) == f` holds for every field f.
+exotic.  Parentheses and unary signs nest at most `MAX_NESTING` deep
+together; the opening of level MAX_NESTING + 1 is a parse error at its
+own offset, so the limit does not move with the caller's stack depth.
+`parse(format(f)) == f` holds for every field f.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ from fractions import Fraction
 
 from .algebra import Multivector, blade_indices, format_blade_term, indices_to_mask, join_terms
 from .fields import PolyField
+
+# Each level costs at most five parser frames, so this stays well below
+# Python's default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -36,6 +43,7 @@ class _Parser:
         self.text = text
         self.m = m
         self.pos = 0
+        self.depth = 0
 
     # -- lexing helpers ----------------------------------------------
 
@@ -56,6 +64,12 @@ class _Parser:
     def _expect(self, ch: str) -> None:
         if not self._take(ch):
             raise ParseError(f"expected {ch!r}", self.pos)
+
+    def _enter(self) -> None:
+        """Open one nesting level at the current offset."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nests too deeply", self.pos)
 
     def _integer(self) -> int:
         self._skip_ws()
@@ -101,11 +115,14 @@ class _Parser:
                 return value
 
     def factor(self) -> PolyField:
-        if self._take("-"):
-            return -self.factor()
-        if self._take("+"):
-            return self.factor()
-        return self.power()
+        sign = self._peek()
+        if sign not in ("-", "+"):
+            return self.power()
+        self._enter()
+        self.pos += 1
+        value = self.factor()
+        self.depth -= 1
+        return -value if sign == "-" else value
 
     def power(self) -> PolyField:
         base = self.atom()
@@ -122,9 +139,11 @@ class _Parser:
         ch = self._peek()
         at = self.pos
         if ch == "(":
+            self._enter()
             self.pos += 1
             value = self.expr()
             self._expect(")")
+            self.depth -= 1
             return value
         if ch.isdigit():
             return PolyField.scalar_constant(self.m, self._integer())
@@ -166,11 +185,7 @@ def _as_nonzero_rational(f: PolyField) -> Fraction | None:
 
 def parse_field(text: str, m: int) -> PolyField:
     """Parse a field expression in dimension m."""
-    parser = _Parser(text, m)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise ParseError("expression nests too deeply", parser.pos) from None
+    return _Parser(text, m).parse()
 
 
 def parse_multivector(text: str, m: int) -> Multivector:

@@ -3,9 +3,11 @@
 The differential operators drop homogeneity degree by one (one-sided
 Dirac) or two (Laplacian, compositions), so membership questions
 decompose degree by degree and each degree gives a finite exact linear
-problem.  Matrices are built column by column by running the actual
-field operators on basis monomials; kernels come from fraction-free
-elimination in `linalg`.
+problem.  Every operator has constant coefficients, so its matrix is
+filled straight from its symbol: a derivative of a monomial is a scaled
+monomial, and the multivector coefficients act on each basis blade by a
+fixed blade map.  Kernels come from fraction-free elimination in
+`linalg`.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, perm, prod
 from typing import Callable, Sequence
 
-from .algebra import Multivector, blade_order, check_dimension
+from .algebra import DimensionMismatch, Multivector, blade_order, blade_product, check_dimension
 from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
-from .fields import MultiIndex, PolyField, dirac_left, dirac_right, laplacian, sandwich
-from .linalg import RationalMatrix, Vector
+from .fields import MultiIndex, PolyField
+from .linalg import RationalMatrix, Vector, _integer_row
 from .psi import apply_psi_plus
 from .structural import StructuralSet
 
@@ -89,36 +91,86 @@ class CoefficientSpace:
         return f"CoefficientSpace(m={self.m}, degree={self.degree}, size={self.size})"
 
 
+# One term (gamma, a, b) of a symbol: the operator a * d^gamma(f) * b.
+SymbolTerm = tuple[MultiIndex, Multivector, Multivector]
+
+
 @dataclass(frozen=True)
 class FieldOperator:
-    """A named linear differential operator together with its order."""
+    """A constant-coefficient homogeneous operator P f = sum_gamma a_gamma * d^gamma(f) * b_gamma.
+
+    Every |gamma| equals `order`, and a_gamma, b_gamma are multivectors
+    built from `sets`.  `terms(axes, one)` lists the symbol in dimension
+    m = len(axes) as (axes of gamma, a, b) triples, with `one` the unit
+    multivector:
+
+    - laplacian: ((i, i), 1, 1);
+    - left-left: ((i, j), phi_i psi_j, 1);
+    - sandwich: ((i, j), phi_i, psi_j);
+    - dirac-left: ((j,), psi_j, 1);
+    - dirac-right: ((j,), 1, psi_j).
+    """
 
     name: str
     order: int
-    fn: Callable[[PolyField], PolyField]
+    sets: tuple[StructuralSet, ...]
+    terms: Callable[[range, Multivector], list[tuple[tuple[int, ...], Multivector, Multivector]]]
+
+    def symbol(self, m: int) -> list[SymbolTerm]:
+        """The (gamma, a, b) terms in dimension m; sets of another dimension raise `DimensionMismatch`."""
+        for sset in self.sets:
+            if sset.m != m:
+                raise DimensionMismatch(f"structural set dimension {sset.m} does not match field dimension {m}")
+        axes = range(1, m + 1)
+        terms = self.terms(axes, Multivector.scalar(m, 1))
+        return [(tuple(map(term_axes.count, axes)), a, b) for term_axes, a, b in terms]
 
     def apply(self, f: PolyField) -> PolyField:
-        return self.fn(f)
+        out = PolyField.zero(f.m)
+        for gamma, a, b in self.symbol(f.m):
+            g = f
+            for i, k in enumerate(gamma, start=1):
+                for _ in range(k):
+                    g = g.partial(i)
+            out = out + a * g * b
+        return out
 
     @classmethod
     def laplacian(cls) -> "FieldOperator":
-        return cls("laplacian", 2, laplacian)
+        return cls("laplacian", 2, (), lambda axes, one: [((i, i), one, one) for i in axes])
 
     @classmethod
     def left_left(cls, phi: StructuralSet, psi: StructuralSet) -> "FieldOperator":
-        return cls("left-left", 2, lambda f: dirac_left(phi, dirac_left(psi, f)))
+        return cls("left-left", 2, (phi, psi),
+                   lambda axes, one: [((i, j), phi[i] * psi[j], one) for i in axes for j in axes])
 
     @classmethod
     def sandwich(cls, phi: StructuralSet, psi: StructuralSet) -> "FieldOperator":
-        return cls("sandwich", 2, lambda f: sandwich(phi, f, psi))
+        return cls("sandwich", 2, (phi, psi), lambda axes, one: [((i, j), phi[i], psi[j]) for i in axes for j in axes])
 
     @classmethod
     def dirac_left(cls, psi: StructuralSet) -> "FieldOperator":
-        return cls("dirac-left", 1, lambda f: dirac_left(psi, f))
+        return cls("dirac-left", 1, (psi,), lambda axes, one: [((j,), psi[j], one) for j in axes])
 
     @classmethod
     def dirac_right(cls, psi: StructuralSet) -> "FieldOperator":
-        return cls("dirac-right", 1, lambda f: dirac_right(f, psi))
+        return cls("dirac-right", 1, (psi,), lambda axes, one: [((j,), one, psi[j]) for j in axes])
+
+
+def _blade_maps(symbol: list[SymbolTerm], m: int) -> dict[MultiIndex, list[list[tuple[int, Fraction]]]]:
+    """S_gamma for each gamma of the symbol: S_gamma[A] lists the nonzero (B, c)
+    with sum a * e_A * b = sum c * e_B over the terms (gamma, a, b)."""
+    acc: dict[MultiIndex, list[dict[int, Fraction]]] = {}
+    for gamma, a, b in symbol:
+        images = acc.setdefault(gamma, [{} for _ in range(1 << m)])
+        for ma, ca in a.terms():
+            for mb, cb in b.terms():
+                c = ca * cb
+                for mask, image in enumerate(images):
+                    s1, left = blade_product(ma, mask)
+                    s2, out = blade_product(left, mb)
+                    image[out] = image.get(out, 0) + (c if s1 == s2 else -c)
+    return {gamma: [[(out, c) for out, c in image.items() if c] for image in images] for gamma, images in acc.items()}
 
 
 @dataclass(frozen=True)
@@ -139,12 +191,30 @@ class OperatorMatrix:
 
 
 def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatrix:
+    """The matrix of `op` on `space`, filled from the symbol of `op`.
+
+    Since d^gamma x^alpha = alpha!/(alpha-gamma)! * x^(alpha-gamma), column
+    (alpha, e_A) is the sum over gamma <= alpha of alpha!/(alpha-gamma)!
+    times monomial alpha-gamma tensor S_gamma(e_A), with S_gamma the blade
+    map of `_blade_maps`.
+    """
+    symbol = op.symbol(space.m)
     target_degree = space.degree - op.order
     if target_degree < 0:
         return OperatorMatrix(RationalMatrix.zero(0, space.size), space, None, True)
     target = CoefficientSpace(space.m, target_degree)
-    columns = [target.field_to_vector(op.apply(space.basis_field(i))) for i in range(space.size)]
-    return OperatorMatrix(RationalMatrix.from_columns(columns, target.size), space, target, False)
+    maps = _blade_maps(symbol, space.m)
+    entries: list[list[tuple[int, Fraction]]] = [[] for _ in range(target.size)]
+    for col, (alpha, mask) in enumerate(space.basis):
+        for gamma, blade_map in maps.items():
+            lift = prod(perm(a, g) for a, g in zip(alpha, gamma))
+            if not lift:
+                continue
+            beta = tuple(a - g for a, g in zip(alpha, gamma))
+            for out, c in blade_map[mask]:
+                entries[target._index[(beta, out)]].append((col, lift * c))
+    matrix = RationalMatrix._of([_integer_row(row) for row in entries], space.size)
+    return OperatorMatrix(matrix, space, target, False)
 
 
 @dataclass(frozen=True)

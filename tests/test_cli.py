@@ -198,6 +198,15 @@ GOLDEN_STDOUT_SHA256 = {
     ("solve", "--m", "3", "--degree", "3", "--phi", "standard", "--psi", "signedperm:2,-3,1",
      "--region", "Hpp", "--format", "json"):
         "78c7f00228bf8e18ac5eee0909f54db0ce3004542bda5edeac7a7ce0855c4054",
+    # rational sets: multi-term structural vectors, whose symbol terms partly cancel
+    ("solve", "--m", "2", "--degree", "4", "--phi", "rot2:1/2", "--psi", "refl2:2/3",
+     "--region", "H,I", "--format", "json"):
+        "508e47b8438d557be0217a144c5cfa2439f1cf8c801ae19ba6eae31e6be5a46c",
+    ("solve", "--m", "2", "--degree", "5", "--phi", "rot2:3/4", "--psi", "rot2:1/3"):
+        "adf1c80470dc8f90f61f16d1cfd6988a680ab505fbd108f6e7f9820e8ce5b2a3",
+    # degree 4: the derivative factors alpha!/(alpha-gamma)! reach 12
+    ("solve", "--m", "3", "--degree", "4", "--phi", "standard", "--psi", "reversed", "--region", "H,Hpp,I"):
+        "6e9a66ea2669817b85c8f6640d52dc4653e474865ad0963d783ab689963675ea",
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from cliffkit.algebra import Multivector
 from cliffkit.fields import PolyField
-from cliffkit.parser import ParseError, format_field, parse_field, parse_multivector
+from cliffkit.parser import MAX_NESTING, ParseError, format_field, parse_field, parse_multivector
 from cliffkit.sampling import rand_polyfield
 
 
@@ -100,6 +100,25 @@ def test_syntax_errors_carry_positions():
         parse_field("x1^x2", 2)
     with pytest.raises(ParseError):
         parse_field("", 2)
+
+
+def _nesting_error_position(text, frames):
+    """The ParseError position of `text`, parsed `frames` calls below this one."""
+    if frames:
+        return _nesting_error_position(text, frames - 1)
+    with pytest.raises(ParseError, match="nests too deeply") as exc:
+        parse_field(text, 2)
+    return exc.value.position
+
+
+@pytest.mark.parametrize("opening", ["(", "-", "+", "-("], ids=["parentheses", "minus", "plus", "mixed"])
+def test_nesting_limit_is_a_fixed_position(opening):
+    closing = ")" * opening.count("(")
+    depth = MAX_NESTING // len(opening)
+    assert parse_field(opening * depth + "x1" + closing * depth, 2)
+    text = opening * 2000 + "x1" + closing * 2000
+    # Every character of `opening` opens one level, so level MAX_NESTING + 1 opens at offset MAX_NESTING.
+    assert _nesting_error_position(text, 0) == _nesting_error_position(text, 300) == MAX_NESTING
 
 
 def test_format_round_trips_random_fields():

@@ -2,16 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from itertools import combinations
 
 from cliffkit import linalg
-from cliffkit.algebra import Multivector
+from cliffkit.algebra import DimensionMismatch, Multivector
 from cliffkit.classify import _CLASS_ORDER, RegionLabel, classify
 from cliffkit.cli import parse_region_spec, parse_set_spec
-from cliffkit.fields import PolyField, laplacian
+from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from cliffkit.linalg import RationalMatrix, det
 from cliffkit.parser import parse_field
 from cliffkit.sampling import rand_rational_structural_set, rand_structural_pair
@@ -309,6 +310,78 @@ def test_random_operator_matrices_soundness():
             assert not any(opmat.mat_vec(v))
         assert opmat.matrix.rank() + basis.dimension == opmat.matrix.ncols
         assert opmat.matrix.rank(reverse_columns=True) + basis.dimension == opmat.matrix.ncols
+
+
+_OPERATORS = {
+    "laplacian": lambda phi, psi: FieldOperator.laplacian(),
+    "left-left": FieldOperator.left_left,
+    "sandwich": FieldOperator.sandwich,
+    "dirac-left": lambda phi, psi: FieldOperator.dirac_left(psi),
+    "dirac-right": lambda phi, psi: FieldOperator.dirac_right(psi),
+}
+
+
+def _field_operator_matrix(name, phi, psi, space):
+    """The matrix of operator `name`, column by column from the field operators on each basis monomial."""
+    apply, order = {
+        "laplacian": (laplacian, 2),
+        "left-left": (lambda f: dirac_left(phi, dirac_left(psi, f)), 2),
+        "sandwich": (lambda f: sandwich(phi, f, psi), 2),
+        "dirac-left": (lambda f: dirac_left(psi, f), 1),
+        "dirac-right": (lambda f: dirac_right(f, psi), 1),
+    }[name]
+    if space.degree < order:
+        return RationalMatrix.zero(0, space.size)
+    target = CoefficientSpace(space.m, space.degree - order)
+    columns = [target.field_to_vector(apply(space.basis_field(i))) for i in range(space.size)]
+    return RationalMatrix.from_columns(columns, target.size)
+
+
+def _symbol_cases():
+    rng = random.Random(5)
+    for m in range(1, 5):
+        for d in range(5):
+            yield m, d, rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m)
+    yield 5, 2, StructuralSet.standard(5), StructuralSet.reversed_standard(5)
+
+
+@pytest.mark.parametrize("name", list(_OPERATORS))
+def test_symbol_matrix_equals_field_operator_matrix(name):
+    for m, d, phi, psi in _symbol_cases():
+        space = CoefficientSpace(m, d)
+        opmat = operator_matrix(_OPERATORS[name](phi, psi), space)
+        assert opmat.matrix == _field_operator_matrix(name, phi, psi, space), (m, d)
+
+
+@pytest.mark.parametrize("name", [name for name in _OPERATORS if name != "laplacian"])
+def test_set_of_another_dimension_raises(name):
+    op = _OPERATORS[name](StructuralSet.standard(2), StructuralSet.reversed_standard(2))
+    with pytest.raises(DimensionMismatch):
+        operator_matrix(op, CoefficientSpace(3, 2))
+    with pytest.raises(DimensionMismatch):
+        op.apply(PolyField.variable(3, 1))
+
+
+def test_harmonic_dimension_closed_form_at_m5_d3():
+    # 2^m * (C(d+m-1, m-1) - C(d+m-3, m-1))
+    mat = operator_matrix(FieldOperator.laplacian(), CoefficientSpace(5, 3)).matrix
+    assert mat.ncols - mat.rank() == 960 == 2 ** 5 * (comb(7, 4) - comb(5, 4))
+
+
+@pytest.mark.parametrize("m, d", [(4, 3), (5, 2)])
+def test_dirac_kernel_dimension_closed_form(m, d):
+    psi = rand_rational_structural_set(random.Random(m * 10 + d), m)
+    for op in (FieldOperator.dirac_left(psi), FieldOperator.dirac_right(psi)):
+        mat = operator_matrix(op, CoefficientSpace(m, d)).matrix
+        assert mat.ncols - mat.rank() == 2 ** m * comb(d + m - 2, m - 2)
+
+
+def test_same_set_left_left_is_negated_laplacian():
+    phi = rand_rational_structural_set(random.Random(11), 4)
+    space = CoefficientSpace(4, 3)
+    left_left = operator_matrix(FieldOperator.left_left(phi, phi), space).matrix
+    lap = operator_matrix(FieldOperator.laplacian(), space).matrix
+    assert left_left.rows == [[-x for x in row] for row in lap.rows]
 
 
 # -- dimensions and witnesses -----------------------------------------------------------
