@@ -7,6 +7,13 @@ a multivector is a sparse map from blade masks to rational coefficients.
 
 All values are immutable after construction and every operation returns
 a new object, so they can be shared freely between threads or tasks.
+
+`Multivector(m, terms)` validates its input: the dimension, every mask's
+range, and every coefficient, which it converts to a Fraction.  Results of
+operations on valid multivectors need none of that, so they are built by
+the trusted `Multivector._of`, which only puts the blades in canonical
+order, by a per-m blade-rank table.  `PolyField._of` in `fields` is the
+same for fields.
 """
 
 from __future__ import annotations
@@ -65,6 +72,20 @@ def blade_order(m: int) -> list[int]:
     return sorted(range(1 << m), key=blade_sort_key)
 
 
+_BLADE_RANK: dict[int, list[int]] = {}
+
+
+def _blade_rank(m: int) -> list[int]:
+    """Position of each mask in `blade_order(m)`; built on first use for each m."""
+    rank = _BLADE_RANK.get(m)
+    if rank is None:
+        rank = [0] * (1 << m)
+        for position, mask in enumerate(blade_order(m)):
+            rank[mask] = position
+        _BLADE_RANK[m] = rank
+    return rank
+
+
 def blade_product(a: int, b: int) -> tuple[int, int]:
     """Product of two blade masks in R_{0,m}: returns (sign, result mask).
 
@@ -116,6 +137,21 @@ class Multivector:
                 acc.pop(mask, None)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_terms", {k: acc[k] for k in sorted(acc, key=blade_sort_key)})
+
+    @classmethod
+    def _of(cls, m: int, terms: dict[int, Fraction]) -> "Multivector":
+        """Trusted constructor for results of operations on valid multivectors.
+
+        `terms` must map masks in range for m to nonzero Fractions; it is
+        only put into canonical order, and the new value takes it over.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "m", m)
+        if len(terms) > 1:
+            rank = _blade_rank(m)
+            terms = {k: terms[k] for k in sorted(terms, key=rank.__getitem__)}
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -186,8 +222,13 @@ class Multivector:
             self._require_same_dimension(other)
             acc = dict(self._terms)
             for mask, c in other._terms.items():
-                acc[mask] = acc.get(mask, Fraction(0)) + c
-            return Multivector(self.m, acc)
+                if mask in acc:
+                    c += acc[mask]
+                    if not c:
+                        del acc[mask]
+                        continue
+                acc[mask] = c
+            return Multivector._of(self.m, acc)
         if isinstance(other, (int, Fraction)):
             return self + Multivector.scalar(self.m, other)
         return NotImplemented
@@ -195,7 +236,7 @@ class Multivector:
     __radd__ = __add__
 
     def __neg__(self):
-        return Multivector(self.m, {mask: -c for mask, c in self._terms.items()})
+        return Multivector._of(self.m, {mask: -c for mask, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (Multivector, int, Fraction)):
@@ -215,15 +256,17 @@ class Multivector:
             for ma, ca in self._terms.items():
                 for mb, cb in other._terms.items():
                     sign, mr = blade_product(ma, mb)
-                    c = acc.get(mr, Fraction(0)) + (ca * cb if sign > 0 else -ca * cb)
-                    if c:
-                        acc[mr] = c
+                    c = ca * cb
+                    if mr in acc:
+                        acc[mr] = acc[mr] + c if sign > 0 else acc[mr] - c
                     else:
-                        acc.pop(mr, None)
-            return Multivector(self.m, acc)
+                        acc[mr] = c if sign > 0 else -c
+            return Multivector._of(self.m, {mask: c for mask, c in acc.items() if c})
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return Multivector._of(self.m, {})
             q = Fraction(other)
-            return Multivector(self.m, {mask: c * q for mask, c in self._terms.items()})
+            return Multivector._of(self.m, {mask: c * q for mask, c in self._terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -232,7 +275,9 @@ class Multivector:
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and other != 0:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("multivector division by zero")
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
@@ -251,23 +296,23 @@ class Multivector:
         """The grade-k component [a]_k."""
         if not 0 <= k <= self.m:
             raise ValueError(f"grade {k} out of range 0..{self.m}")
-        return Multivector(self.m, {mask: c for mask, c in self._terms.items() if mask.bit_count() == k})
+        return Multivector._of(self.m, {mask: c for mask, c in self._terms.items() if mask.bit_count() == k})
 
     def even_part(self) -> "Multivector":
-        return Multivector(self.m, {mask: c for mask, c in self._terms.items() if not mask.bit_count() & 1})
+        return Multivector._of(self.m, {mask: c for mask, c in self._terms.items() if not mask.bit_count() & 1})
 
     def odd_part(self) -> "Multivector":
-        return Multivector(self.m, {mask: c for mask, c in self._terms.items() if mask.bit_count() & 1})
+        return Multivector._of(self.m, {mask: c for mask, c in self._terms.items() if mask.bit_count() & 1})
 
     # -- involutions ---------------------------------------------------
 
     def conjugate(self) -> "Multivector":
         """Anti-automorphism sending each generator e_i to -e_i."""
-        return Multivector(self.m, {mask: c * _conjugate_sign(mask.bit_count()) for mask, c in self._terms.items()})
+        return Multivector._of(self.m, {mask: c if _conjugate_sign(mask.bit_count()) > 0 else -c for mask, c in self._terms.items()})
 
     def reverse(self) -> "Multivector":
         """Anti-automorphism fixing each generator e_i."""
-        return Multivector(self.m, {mask: c * _reverse_sign(mask.bit_count()) for mask, c in self._terms.items()})
+        return Multivector._of(self.m, {mask: c if _reverse_sign(mask.bit_count()) > 0 else -c for mask, c in self._terms.items()})
 
     # -- display --------------------------------------------------------
 

@@ -54,6 +54,21 @@ class PolyField:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_terms", {k: acc[k] for k in sorted(acc, key=_index_key)})
 
+    @classmethod
+    def _of(cls, m: int, terms: dict[MultiIndex, Multivector]) -> "PolyField":
+        """Trusted constructor for results of operations on valid fields.
+
+        `terms` must map multi-indices of length m to nonzero multivectors
+        of dimension m; it is only put into canonical order, and the new
+        value takes it over.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "m", m)
+        if len(terms) > 1:
+            terms = {k: terms[k] for k in sorted(terms, key=_index_key)}
+        object.__setattr__(out, "_terms", terms)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("PolyField is immutable")
 
@@ -102,7 +117,7 @@ class PolyField:
         return max((sum(a) for a in self._terms), default=-1)
 
     def homogeneous_component(self, d: int) -> "PolyField":
-        return PolyField(self.m, {a: mv for a, mv in self._terms.items() if sum(a) == d})
+        return PolyField._of(self.m, {a: mv for a, mv in self._terms.items() if sum(a) == d})
 
     def is_homogeneous(self, d: int) -> bool:
         return all(sum(a) == d for a in self._terms)
@@ -110,8 +125,13 @@ class PolyField:
     # -- pointwise value maps ---------------------------------------------
 
     def map_coefficients(self, fn) -> "PolyField":
-        """Apply a linear multivector map to every coefficient."""
-        return PolyField(self.m, {a: fn(mv) for a, mv in self._terms.items()})
+        """Apply a linear multivector map R_{0,m} -> R_{0,m} to every coefficient."""
+        out = {}
+        for a, mv in self._terms.items():
+            image = fn(mv)
+            if image:
+                out[a] = image
+        return PolyField._of(self.m, out)
 
     def even_part(self) -> "PolyField":
         return self.map_coefficients(lambda mv: mv.even_part())
@@ -133,9 +153,13 @@ class PolyField:
             self._require_same_dimension(other)
             acc = dict(self._terms)
             for a, mv in other._terms.items():
-                cur = acc.get(a)
-                acc[a] = mv if cur is None else cur + mv
-            return PolyField(self.m, acc)
+                if a in acc:
+                    mv = acc[a] + mv
+                    if not mv:
+                        del acc[a]
+                        continue
+                acc[a] = mv
+            return PolyField._of(self.m, acc)
         if isinstance(other, Multivector):
             return self + PolyField.constant(other)
         if isinstance(other, (int, Fraction)):
@@ -145,7 +169,7 @@ class PolyField:
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyField(self.m, {a: -mv for a, mv in self._terms.items()})
+        return PolyField._of(self.m, {a: -mv for a, mv in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (PolyField, Multivector)):
@@ -168,28 +192,28 @@ class PolyField:
                 for b, mvb in other._terms.items():
                     c = tuple(x + y for x, y in zip(a, b))
                     prod = mva * mvb
-                    cur = acc.get(c)
-                    total = prod if cur is None else cur + prod
-                    if total.is_zero():
-                        acc.pop(c, None)
-                    else:
-                        acc[c] = total
-            return PolyField(self.m, acc)
+                    acc[c] = acc[c] + prod if c in acc else prod
+            return PolyField._of(self.m, {c: mv for c, mv in acc.items() if mv})
         if isinstance(other, Multivector):
-            return PolyField(self.m, {a: mv * other for a, mv in self._terms.items()})
+            return self.map_coefficients(lambda mv: mv * other)
         if isinstance(other, (int, Fraction)):
-            return PolyField(self.m, {a: mv * Fraction(other) for a, mv in self._terms.items()})
+            if not other:
+                return PolyField._of(self.m, {})
+            q = Fraction(other)
+            return PolyField._of(self.m, {a: mv * q for a, mv in self._terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, Multivector):
-            return PolyField(self.m, {a: other * mv for a, mv in self._terms.items()})
+            return self.map_coefficients(lambda mv: other * mv)
         if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and other != 0:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("field division by zero")
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
@@ -223,17 +247,14 @@ class PolyField:
         """Partial derivative along x_i (1-based axis)."""
         if not 1 <= i <= self.m:
             raise ValueError(f"axis {i} out of range 1..{self.m}")
+        # Distinct monomials have distinct derivatives, so nothing accumulates.
         k = i - 1
-        acc: dict[MultiIndex, Multivector] = {}
+        out: dict[MultiIndex, Multivector] = {}
         for a, mv in self._terms.items():
             e = a[k]
-            if e == 0:
-                continue
-            b = a[:k] + (e - 1,) + a[k + 1:]
-            scaled = mv * e
-            cur = acc.get(b)
-            acc[b] = scaled if cur is None else cur + scaled
-        return PolyField(self.m, acc)
+            if e:
+                out[a[:k] + (e - 1,) + a[k + 1:]] = mv * e
+        return PolyField._of(self.m, out)
 
     def evaluate(self, point: Sequence[Scalar]) -> Multivector:
         """Exact evaluation at a rational point."""

@@ -33,21 +33,11 @@ from .verdict import Verdict, compare, merge
 Element = Union[Multivector, PolyField]
 
 
-def _set_product(sset: StructuralSet, indices: Sequence[int]) -> Multivector:
-    """Product of the set's vectors over `indices`, in the given order."""
-    out = Multivector.scalar(sset.m, 1)
-    for j in indices:
-        out = out * sset[j]
-    return out
-
-
 def _apply_terms(phi: StructuralSet, psi: StructuralSet, index_sets: Iterable[Sequence[int]], a: Element) -> Element:
     zero = PolyField.zero(a.m) if isinstance(a, PolyField) else Multivector.zero(a.m)
     total = zero
     for A in index_sets:
-        left = _set_product(phi, A)
-        right = _set_product(psi, A).reverse()
-        total = total + left * a * right
+        total = total + phi.product(A) * a * psi.reversed_product(A)
     return total
 
 

@@ -47,10 +47,12 @@ class StructuralSet:
     """Validated structural set; construction is the validation and keeps the coordinate rows.
 
     `_gram_checked` is for `from_matrix`, which has already run the Gram
-    test on the same rows to report it in matrix terms.
+    test on the same rows to report it in matrix terms.  The set is
+    immutable, so each product v_A it is asked for is computed once and
+    kept, with its reverse, in `_products`; equality ignores that memo.
     """
 
-    __slots__ = ("m", "vectors", "_rows")
+    __slots__ = ("m", "vectors", "_rows", "_products")
 
     def __init__(self, vectors: Sequence[Multivector], *, _gram_checked: bool = False):
         vectors = tuple(vectors)
@@ -78,6 +80,7 @@ class StructuralSet:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_products", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("StructuralSet is immutable")
@@ -151,6 +154,26 @@ class StructuralSet:
 
     def __iter__(self):
         return iter(self.vectors)
+
+    # -- products over index sets ------------------------------------------
+
+    def product(self, indices: Sequence[int]) -> Multivector:
+        """v_A = v_{i_1} * ... * v_{i_k} for A = (i_1, ..., i_k), 1-based, in the given order."""
+        return self._product_pair(tuple(indices))[0]
+
+    def reversed_product(self, indices: Sequence[int]) -> Multivector:
+        """reverse(v_A) = v_{i_k} * ... * v_{i_1}."""
+        return self._product_pair(tuple(indices))[1]
+
+    def _product_pair(self, indices: tuple[int, ...]) -> tuple[Multivector, Multivector]:
+        pair = self._products.get(indices)
+        if pair is None:
+            if indices:
+                prod = self._product_pair(indices[:-1])[0] * self[indices[-1]]
+            else:
+                prod = Multivector.scalar(self.m, 1)
+            pair = self._products[indices] = (prod, prod.reverse())
+        return pair
 
     def __eq__(self, other):
         if isinstance(other, StructuralSet):

@@ -13,8 +13,10 @@ from cliffkit.algebra import (
     blade_indices,
     blade_order,
     blade_product,
+    blade_sort_key,
     indices_to_mask,
 )
+from cliffkit.sampling import rand_multivector
 
 
 def slow_blade_mul(a_indices, b_indices):
@@ -222,3 +224,80 @@ def test_coefficient_vector_round_trip():
             terms = {rng.randrange(1 << m): Fraction(rng.randint(-5, 5)) for _ in range(3)}
             a = Multivector(m, terms)
             assert Multivector.from_coefficients(m, a.coefficients()) == a
+
+
+# -- trusted results against the validating constructor ------------------------
+
+# Copies of the operations as they were before the trusted constructor: each
+# result goes through `Multivector.__init__`, which validates and re-sorts.
+
+def validating_add(a, b):
+    acc = dict(a.terms())
+    for mask, c in b.terms():
+        acc[mask] = acc.get(mask, Fraction(0)) + c
+    return Multivector(a.m, acc)
+
+
+def validating_mul(a, b):
+    acc = {}
+    for ma, ca in a.terms():
+        for mb, cb in b.terms():
+            sign, mr = blade_product(ma, mb)
+            c = acc.get(mr, Fraction(0)) + (ca * cb if sign > 0 else -ca * cb)
+            if c:
+                acc[mr] = c
+            else:
+                acc.pop(mr, None)
+    return Multivector(a.m, acc)
+
+
+def validating_scale(a, q):
+    return Multivector(a.m, {mask: c * Fraction(q) for mask, c in a.terms()})
+
+
+def assert_same_terms(got, want):
+    assert got.m == want.m
+    assert list(got.terms()) == list(want.terms())
+    keys = [mask for mask, _ in got.terms()]
+    assert keys == sorted(keys, key=blade_sort_key)
+    assert all(c and isinstance(c, Fraction) for _, c in got.terms())
+
+
+def test_trusted_operations_match_the_validating_constructor():
+    rng = random.Random(2024)
+    for m in range(1, 7):
+        for _ in range(40):
+            a = rand_multivector(rng, m, max_terms=6)
+            b = rand_multivector(rng, m, max_terms=6)
+            q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            assert_same_terms(a + b, validating_add(a, b))
+            assert_same_terms(a - b, validating_add(a, validating_scale(b, -1)))
+            assert_same_terms(a + -a, Multivector(m))
+            assert_same_terms(a * b, validating_mul(a, b))
+            assert_same_terms(a * a.reverse(), validating_mul(a, a.reverse()))
+            assert_same_terms(a * q, validating_scale(a, q))
+            assert_same_terms(a * Fraction(0), Multivector(m))
+            assert_same_terms(-a, validating_scale(a, -1))
+            for k in range(m + 1):
+                assert_same_terms(a.grade_project(k), Multivector(m, {x: c for x, c in a.terms() if x.bit_count() == k}))
+            assert_same_terms(a.even_part() + a.odd_part(), a)
+            assert_same_terms(a.reverse().reverse(), a)
+            assert_same_terms(a.conjugate().conjugate(), a)
+
+
+def test_products_whose_terms_cancel():
+    e = [Multivector.basis_vector(3, i) for i in (1, 2, 3)]
+    pseudo = e[0] * e[1] * e[2]
+    one = Multivector.scalar(3, 1)
+    # The pseudoscalar of R_{0,3} squares to +1, so 1 +- e123 are zero divisors.
+    assert_same_terms((one + pseudo) * (one - pseudo), Multivector(3))
+    # Anticommuting cross terms cancel: (e1 + e2)^2 = -2.
+    assert_same_terms((e[0] + e[1]) * (e[0] + e[1]), Multivector.scalar(3, -2))
+
+
+def test_division_by_zero_raises_zero_division_error():
+    a = Multivector.scalar(2, 1)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
+    assert a / 2 == Multivector.scalar(2, Fraction(1, 2))

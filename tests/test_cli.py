@@ -171,6 +171,9 @@ def test_matrix_set_spec_error_cases(tmp_path, capsys):
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--m", "2,3", "--trials", "2", "--seed", "0", "--format", "json"):
         "9f1ec594a18858c4658b851d8892245b491580cf8eb3f57646520eee7d139e31",
+    # the benchmark's verify shape: the longest set products, random rational sets at m = 4, 5
+    ("verify", "--m", "2,3,4,5", "--degree", "3", "--trials", "3", "--seed", "12345", "--format", "json"):
+        "2473f5617aebda23502b13291883b02c471a1926557045950bf6727500c76a0d",
     # degree 1: every class matrix has zero rows
     ("solve", "--m", "3", "--degree", "1"):
         "fe989ad2f4aefcd676595f07d4c6d15954760d11efb437fd301c907dcb7f7802",

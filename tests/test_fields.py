@@ -7,9 +7,9 @@ import pytest
 import sympy
 
 from cliffkit.algebra import DimensionMismatch, Multivector
-from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
+from cliffkit.fields import PolyField, _index_key, dirac_left, dirac_right, laplacian, sandwich
 from cliffkit.parser import parse_field
-from cliffkit.sampling import rand_polyfield, rand_rational_structural_set, rand_structural_pair
+from cliffkit.sampling import rand_multivector, rand_polyfield, rand_rational_structural_set, rand_structural_pair
 from cliffkit.structural import StructuralSet
 
 
@@ -205,3 +205,95 @@ def test_power_equals_repeated_product():
             for n in range(7):
                 assert f ** n == product
                 product = product * f
+
+
+# -- trusted results against the validating constructor ------------------------
+# Copies of the operations as they were before the trusted constructor: each
+# result goes through `PolyField.__init__`, which validates and re-sorts.
+
+def validating_add(f, g):
+    acc = dict(f.terms())
+    for a, mv in g.terms():
+        cur = acc.get(a)
+        acc[a] = mv if cur is None else cur + mv
+    return PolyField(f.m, acc)
+
+
+def validating_mul(f, g):
+    acc = {}
+    for a, mva in f.terms():
+        for b, mvb in g.terms():
+            c = tuple(x + y for x, y in zip(a, b))
+            prod = mva * mvb
+            cur = acc.get(c)
+            total = prod if cur is None else cur + prod
+            if total.is_zero():
+                acc.pop(c, None)
+            else:
+                acc[c] = total
+    return PolyField(f.m, acc)
+
+
+def validating_partial(f, i):
+    k = i - 1
+    acc = {}
+    for a, mv in f.terms():
+        e = a[k]
+        if e == 0:
+            continue
+        b = a[:k] + (e - 1,) + a[k + 1:]
+        scaled = mv * e
+        cur = acc.get(b)
+        acc[b] = scaled if cur is None else cur + scaled
+    return PolyField(f.m, acc)
+
+
+def field_terms(f):
+    return [(a, list(mv.terms())) for a, mv in f.terms()]
+
+
+def assert_same_field(got, want):
+    assert got.m == want.m
+    assert field_terms(got) == field_terms(want)
+    keys = [a for a, _ in got.terms()]
+    assert keys == sorted(keys, key=_index_key)
+    assert all(len(a) == got.m and mv and mv.m == got.m for a, mv in got.terms())
+
+
+def test_trusted_operations_match_the_validating_constructor():
+    rng = random.Random(4051)
+    for m in range(1, 7):
+        for _ in range(12):
+            f = rand_polyfield(rng, m, max_degree=3)
+            g = rand_polyfield(rng, m, max_degree=3)
+            c = rand_multivector(rng, m, max_terms=3)
+            q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            assert_same_field(f + g, validating_add(f, g))
+            assert_same_field(f - g, validating_add(f, validating_mul(g, PolyField.scalar_constant(m, -1))))
+            assert_same_field(f - f, PolyField(m))
+            assert_same_field(f * g, validating_mul(f, g))
+            assert_same_field(f * c, validating_mul(f, PolyField.constant(c)))
+            assert_same_field(c * f, validating_mul(PolyField.constant(c), f))
+            assert_same_field(f * q, validating_mul(f, PolyField.scalar_constant(m, q)))
+            assert_same_field(f * Fraction(0), PolyField(m))
+            for i in range(1, m + 1):
+                assert_same_field(f.partial(i), validating_partial(f, i))
+            for k in range(m + 1):
+                assert_same_field(f.grade_project(k), PolyField(m, [(a, mv.grade_project(k)) for a, mv in f.terms()]))
+
+
+def test_field_products_whose_terms_cancel():
+    # 1 +- e123 are zero divisors in R_{0,3}; x1 + x2 times x1 - x2 cancels its cross terms.
+    pseudo = parse_field("e[1,2,3]", 3)
+    assert_same_field((1 + pseudo) * (1 - pseudo), PolyField(3))
+    f, g = parse_field("x1 + x2*e[1,2,3]", 3), parse_field("x1 - x2*e[1,2,3]", 3)
+    assert_same_field(f * g, parse_field("x1^2 - x2^2", 3))
+    assert_same_field(f * g, validating_mul(f, g))
+
+
+def test_division_by_zero_raises_zero_division_error():
+    f = parse_field("x1*e[1] + 2", 2)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            f / zero
+    assert f / 2 == parse_field("1/2*x1*e[1] + 1", 2)

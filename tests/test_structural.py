@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -222,3 +222,67 @@ def test_is_orthogonal_rejects_each_failing_pair():
     assert not TransitionMatrix([[1, 0], [1, 1]]).is_orthogonal()
     assert not TransitionMatrix([[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(3, 5)]]).is_orthogonal()
     assert TransitionMatrix([[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]).is_orthogonal()
+
+
+# -- products over index sets ------------------------------------------------
+
+def plain_product(vectors):
+    out = Multivector.scalar(vectors[0].m, 1)
+    for v in vectors:
+        out = out * v
+    return out
+
+
+def test_memoized_set_products_match_plain_products():
+    rng = random.Random(606)
+    for m in range(1, 6):
+        for _ in range(2):
+            s = rand_rational_structural_set(rng, m)
+            for k in range(1, m + 1):
+                for A in combinations(range(1, m + 1), k):
+                    vectors = [s[i] for i in A]
+                    assert s.product(A) == plain_product(vectors)
+                    assert s.reversed_product(A) == plain_product(vectors[::-1])
+                    assert s.reversed_product(A) == s.product(A).reverse()
+            # A second pass reads the memo and still agrees.
+            full = tuple(range(1, m + 1))
+            assert s.product(full) == plain_product(list(s))
+
+
+def test_distinct_sets_keep_their_own_products():
+    rng = random.Random(607)
+    for m in range(2, 6):
+        phi, psi = rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m)
+        while phi == psi:
+            psi = rand_rational_structural_set(rng, m)
+        differing = 0
+        for k in range(1, m + 1):
+            for A in combinations(range(1, m + 1), k):
+                want_phi, want_psi = plain_product([phi[i] for i in A]), plain_product([psi[i] for i in A])
+                assert phi.product(A) == want_phi
+                assert psi.product(A) == want_psi
+                assert psi.reversed_product(A) == want_psi.reverse()
+                assert phi.reversed_product(A) == want_phi.reverse()
+                differing += want_phi != want_psi
+        assert differing
+
+
+def test_memo_does_not_affect_equality():
+    rng = random.Random(608)
+    rows = rand_rational_structural_set(rng, 4).coordinates()
+    s, t = StructuralSet.from_matrix(rows), StructuralSet.from_matrix(rows)
+    for A in combinations(range(1, 5), 2):
+        s.product(A)
+    assert s == t and t == s
+    assert t.product((1, 2, 3)) == s.product((1, 2, 3))
+    with pytest.raises(AttributeError):
+        s.vectors = ()
+
+
+def test_set_product_index_validation():
+    s = StructuralSet.standard(3)
+    assert s.product(()) == Multivector.scalar(3, 1)
+    assert s.product((2, 1)) == -s.product((1, 2))
+    for bad in ((0,), (4,), (1, 4)):
+        with pytest.raises(IndexError):
+            s.product(bad)
