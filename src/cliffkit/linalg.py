@@ -15,6 +15,12 @@ basis and determinant; matrix-vector products read only the nonzeros.
 Pivoting is deterministic: columns left to right, first row with a
 nonzero entry.  A reversed column sweep is available as an independent
 route for rank cross-checks.
+
+Rank and kernel eliminate each connected block (rows linked by shared
+columns) on its own.  A Bareiss step multiplies every row it passes
+over by its pivot, a leading minor, so in one sweep the rows of a block
+would grow by the minors of all blocks before it; split, their entries
+stay minors of their own block.  `det` sweeps the whole matrix.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ def _integer_row(entries: Iterable[tuple[int, Fraction]]) -> IntegerRow:
     return tuple((j, x.numerator * (scale // x.denominator)) for j, x in nonzero), scale
 
 
-def _bareiss_echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[dict[int, int]], list[int], int]:
-    """In-place fraction-free row echelon form of sparse rows ({column: int}, no zeros).
+def _bareiss_echelon(rows: list[dict[int, int]], columns: Sequence[int]) -> tuple[list[dict[int, int]], list[int], int]:
+    """In-place fraction-free row echelon form of sparse rows ({column: int}, no zeros) over increasing `columns`.
 
     Returns (rows, pivot columns, row swaps); row r of the result is the
     r-th pivot row, for r below the rank.  A step with pivot p multiplies
@@ -50,7 +56,7 @@ def _bareiss_echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[dict[
     current = [0] * nrows  # rows[i] holds its values after step current[i]
     pivot_cols: list[int] = []
     swaps = 0
-    for c in range(ncols):
+    for c in columns:
         r = len(pivot_cols)
         if r == nrows:
             break
@@ -163,43 +169,82 @@ class RationalMatrix:
 
     __hash__ = None
 
-    def _echelon(self, reverse_columns: bool = False) -> tuple[list[dict[int, int]], list[int], int]:
-        """The Bareiss kernel on the integer rows, the row scales left out."""
+    def _blocks(self) -> list[list[int]]:
+        """Row indices of each connected block, by first row, zero rows left out.
+
+        A union-find over the columns joins the columns of each row.
+        """
+        parent = list(range(self.ncols))
+
+        def find(j: int) -> int:
+            while parent[j] != j:
+                parent[j] = parent[parent[j]]
+                j = parent[j]
+            return j
+
+        for pairs, _ in self._int_rows:
+            if pairs:
+                root = find(pairs[0][0])
+                for j, _ in pairs[1:]:
+                    parent[find(j)] = root
+        blocks: dict[int, list[int]] = {}
+        for i, (pairs, _) in enumerate(self._int_rows):
+            if pairs:
+                blocks.setdefault(find(pairs[0][0]), []).append(i)
+        return list(blocks.values())
+
+    def _echelon(self, block: Iterable[int], reverse_columns: bool = False) -> tuple[list[int], tuple]:
+        """The columns that rows `block` touch and the Bareiss kernel on those rows, the row scales left out."""
         last = self.ncols - 1
-        rows = [{last - j if reverse_columns else j: a for j, a in pairs} for pairs, _ in self._int_rows]
-        return _bareiss_echelon(rows, self.ncols)
+        rows = [{last - j if reverse_columns else j: a for j, a in self._int_rows[i][0]} for i in block]
+        columns = sorted({j for row in rows for j in row})
+        return columns, _bareiss_echelon(rows, columns)
 
     def rank(self, reverse_columns: bool = False) -> int:
-        """Exact rank; `reverse_columns` runs an independent elimination order."""
-        return len(self._echelon(reverse_columns)[1])
+        """Exact rank, summed over blocks; `reverse_columns` sweeps each block right to left, an independent order."""
+        return sum(len(self._echelon(block, reverse_columns)[1][1]) for block in self._blocks())
 
     def nullspace(self) -> list[Vector]:
-        """Exact kernel basis, one vector per free column, echelon-derived.
+        """Exact kernel basis, one vector per free column in increasing column order, echelon-derived.
 
-        Bareiss pivot k is the determinant of the first k rows (after the
-        swaps) in the first k pivot columns, and the kernel vector of free
-        column f solves that block for k the number of pivot columns left
-        of f.  By Cramer's rule pivot k (1 when k = 0) times the vector is
-        integral, so back-substitution runs in integers and every division
-        is exact.  Every returned vector is re-multiplied through the
-        matrix as a soundness guard before the basis is handed back.
+        A free column's vector lives in its block (a unit vector if no row
+        touches it), and is the reduced-echelon one a whole-matrix sweep
+        gives.  Bareiss pivot k of a block is the determinant of its first
+        k rows (after the swaps) in its first k pivot columns, and the
+        kernel vector of free column f solves that minor for k the number
+        of the block's pivot columns left of f.  By Cramer's rule pivot k
+        (1 when k = 0) times the vector is integral, so back-substitution
+        runs in integers and every division is exact.  Every returned
+        vector is re-multiplied through the matrix as a soundness guard
+        before the basis is handed back.
         """
         n = self.ncols
-        ech, pivot_cols, _ = self._echelon()
-        pivots = [ech[r][c] for r, c in enumerate(pivot_cols)]
-        tails = [[(j, a) for j, a in row.items() if j != c] for row, c in zip(ech, pivot_cols)]
-        pivot_set = set(pivot_cols)
-        basis: list[Vector] = []
+        kernel: dict[int, Vector] = {}
+        touched: set[int] = set()
+        for block in self._blocks():
+            columns, (ech, pivot_cols, _) = self._echelon(block)
+            touched.update(columns)
+            pivots = [ech[r][c] for r, c in enumerate(pivot_cols)]
+            tails = [[(j, a) for j, a in row.items() if j != c] for row, c in zip(ech, pivot_cols)]
+            pivot_set = set(pivot_cols)
+            for f in columns:
+                if f in pivot_set:
+                    continue
+                k = bisect(pivot_cols, f)
+                den = pivots[k - 1] if k else 1
+                y = {f: den}
+                for r in range(k - 1, -1, -1):
+                    y[pivot_cols[r]] = -sum(a * y.get(j, 0) for j, a in tails[r]) // pivots[r]
+                x = [Fraction(0)] * n
+                for j, a in y.items():
+                    if a:
+                        x[j] = Fraction(a, den)
+                kernel[f] = x
         for f in range(n):
-            if f in pivot_set:
-                continue
-            k = bisect(pivot_cols, f)
-            den = pivots[k - 1] if k else 1
-            y = [0] * n
-            y[f] = den
-            for r in range(k - 1, -1, -1):
-                y[pivot_cols[r]] = -sum(a * y[j] for j, a in tails[r]) // pivots[r]
-            basis.append([Fraction(a, den) if a else Fraction(0) for a in y])
+            if f not in touched:
+                kernel[f] = x = [Fraction(0)] * n
+                x[f] = Fraction(1)
+        basis = [kernel[f] for f in sorted(kernel)]
         for x in basis:
             if any(self.mat_vec(x)):
                 raise ArithmeticError("nullspace vector failed verification")
@@ -215,7 +260,7 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
     mat = RationalMatrix(rows, ncols=n)
-    ech, pivot_cols, swaps = mat._echelon()
+    _, (ech, pivot_cols, swaps) = mat._echelon(range(n))
     if len(pivot_cols) < n:
         return Fraction(0)
     last = ech[n - 1][n - 1] if n else 1

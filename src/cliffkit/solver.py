@@ -196,7 +196,8 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatri
     Since d^gamma x^alpha = alpha!/(alpha-gamma)! * x^(alpha-gamma), column
     (alpha, e_A) is the sum over gamma <= alpha of alpha!/(alpha-gamma)!
     times monomial alpha-gamma tensor S_gamma(e_A), with S_gamma the blade
-    map of `_blade_maps`.
+    map of `_blade_maps`.  The lift and alpha - gamma depend on the
+    monomial alone, so they are found once per alpha for all its blades.
     """
     symbol = op.symbol(space.m)
     target_degree = space.degree - op.order
@@ -205,14 +206,19 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatri
     target = CoefficientSpace(space.m, target_degree)
     maps = _blade_maps(symbol, space.m)
     entries: list[list[tuple[int, Fraction]]] = [[] for _ in range(target.size)]
-    for col, (alpha, mask) in enumerate(space.basis):
+    masks = blade_order(space.m)
+    col = 0  # `space.basis` is alpha-major: the blades of each alpha, in `masks` order
+    for alpha in monomials_of_degree(space.m, space.degree):
+        lifted = []
         for gamma, blade_map in maps.items():
             lift = prod(perm(a, g) for a, g in zip(alpha, gamma))
-            if not lift:
-                continue
-            beta = tuple(a - g for a, g in zip(alpha, gamma))
-            for out, c in blade_map[mask]:
-                entries[target._index[(beta, out)]].append((col, lift * c))
+            if lift:
+                lifted.append((lift, tuple(a - g for a, g in zip(alpha, gamma)), blade_map))
+        for mask in masks:
+            for lift, beta, blade_map in lifted:
+                for out, c in blade_map[mask]:
+                    entries[target._index[(beta, out)]].append((col, lift * c))
+            col += 1
     matrix = RationalMatrix._of([_integer_row(row) for row in entries], space.size)
     return OperatorMatrix(matrix, space, target, False)
 

@@ -210,6 +210,12 @@ GOLDEN_STDOUT_SHA256 = {
     # degree 4: the derivative factors alpha!/(alpha-gamma)! reach 12
     ("solve", "--m", "3", "--degree", "4", "--phi", "standard", "--psi", "reversed", "--region", "H,Hpp,I"):
         "6e9a66ea2669817b85c8f6640d52dc4653e474865ad0963d783ab689963675ea",
+    # every stack splits into 8 connected blocks at m = 4
+    ("solve", "--m", "4", "--degree", "5", "--phi", "standard", "--psi", "reversed", "--format", "json"):
+        "c9f4fec141f3b683b2e7a3e30c972de3b2f1b13b8a84b2c50a54937e3ba77bbf",
+    # a block-split kernel basis feeds the witness pool
+    ("solve", "--m", "4", "--degree", "3", "--phi", "standard", "--psi", "reversed", "--region", "H,I"):
+        "c471dfa68dbd7ca0840a2fccf9e533f050117618aa871091209d2f6591bc8378",
 }
 
 

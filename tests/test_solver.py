@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, perm, prod
 
 import pytest
 
@@ -18,6 +18,7 @@ from cliffkit.parser import parse_field
 from cliffkit.sampling import rand_rational_structural_set, rand_structural_pair
 from cliffkit.solver import (
     CoefficientSpace,
+    _blade_maps,
     FieldOperator,
     class_dimensions,
     _SMALL_RATIONALS,
@@ -205,6 +206,68 @@ def test_nullspace_guard_rejects_a_corrupted_echelon(monkeypatch):
         mat.nullspace()
 
 
+def test_blocks_of_a_hand_made_matrix():
+    # row 5 joins the blocks of rows 2 and 4; row 1 is zero; no row touches column 2
+    support = [(0, 3), (), (1,), (3, 4), (5,), (1, 5), (6,)]
+    rows = [[Fraction(j + 1) if j in cols else Fraction(0) for j in range(7)] for cols in support]
+    mat = RationalMatrix(rows)
+    assert mat._blocks() == [[0, 3], [2, 4, 5], [6]]
+    assert RationalMatrix.zero(2, 3)._blocks() == []
+    assert mat.rank() == mat.rank(reverse_columns=True) == 5  # row 5 is row 2 plus row 4
+    assert mat.nullspace() == [
+        [Fraction(int(j == 2)) for j in range(7)],
+        [Fraction(x) for x in (5, 0, 0, Fraction(-5, 4), 1, 0, 0)],
+    ]
+
+
+def _block_sum_rows(rng):
+    """A direct sum of 1-4 random blocks, rows and columns shuffled so that the blocks interleave.
+
+    Zero rows and columns no row touches are added; a block may repeat a
+    multiple of its first row.
+    """
+    shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+    nr = sum(r for r, _ in shapes) + rng.randint(0, 2)
+    nc = sum(c for _, c in shapes) + rng.randint(0, 2)
+    rows = [[Fraction(0)] * nc for _ in range(nr)]
+    r0 = c0 = 0
+    for br, bc in shapes:
+        for i in range(r0, r0 + br):
+            for j in range(c0, c0 + bc):
+                if rng.random() < 0.7:
+                    rows[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        if br > 1 and rng.random() < 0.4:
+            t = Fraction(rng.randint(-3, 3), rng.randint(1, 7))
+            rows[r0 + br - 1] = [t * x for x in rows[r0]]
+        r0, c0 = r0 + br, c0 + bc
+    row_order, col_order = rng.sample(range(nr), nr), rng.sample(range(nc), nc)
+    return [[rows[i][j] for j in col_order] for i in row_order], nc
+
+
+def test_block_split_elimination_matches_whole_matrix():
+    rng = random.Random(11)
+    seen = {"blocks": 0, "zero row": 0, "zero column": 0, "dependent": 0, "negative": 0}
+    for _ in range(300):
+        rows, nc = _block_sum_rows(rng)
+        mat = RationalMatrix(rows, ncols=nc)
+        kernel = _dense_kernel(rows, nc)
+        assert mat.nullspace() == kernel
+        assert mat.rank() == mat.rank(reverse_columns=True) == nc - len(kernel)
+        whole = [dict(pairs) for pairs, _ in mat._int_rows]
+        mirrored = [{nc - 1 - j: a for j, a in row.items()} for row in whole]
+        assert len(linalg._bareiss_echelon(mirrored, range(nc))[1]) == mat.rank()
+        _, pivot_cols, _ = linalg._bareiss_echelon(whole, range(nc))
+        # free column f is the last nonzero entry of its reduced-echelon kernel vector
+        free = {max(j for j, x in enumerate(v) if x) for v in kernel}
+        assert pivot_cols == [c for c in range(nc) if c not in free]
+        seen["blocks"] += len(mat._blocks()) > 1
+        seen["zero row"] += any(not any(row) for row in rows)
+        seen["zero column"] += any(not any(row[j] for row in rows) for j in range(nc))
+        seen["dependent"] += len(kernel) > max(nc - len(rows), 0)
+        seen["negative"] += any(x < 0 for row in rows for x in row)
+    assert min(seen.values()) >= 30, seen
+
+
 # -- coefficient spaces ------------------------------------------------------------
 
 
@@ -353,6 +416,39 @@ def test_symbol_matrix_equals_field_operator_matrix(name):
         assert opmat.matrix == _field_operator_matrix(name, phi, psi, space), (m, d)
 
 
+def _per_column_int_rows(op, space):
+    """The integer rows of `op` on `space`, each (monomial, blade) column finding its own derivative factors."""
+    symbol = op.symbol(space.m)
+    if space.degree < op.order:
+        return []
+    target = CoefficientSpace(space.m, space.degree - op.order)
+    maps = _blade_maps(symbol, space.m)
+    entries = [[] for _ in range(target.size)]
+    for col, (alpha, mask) in enumerate(space.basis):
+        for gamma, blade_map in maps.items():
+            lift = prod(perm(a, g) for a, g in zip(alpha, gamma))
+            if not lift:
+                continue
+            beta = tuple(a - g for a, g in zip(alpha, gamma))
+            for out, c in blade_map[mask]:
+                entries[target._index[(beta, out)]].append((col, lift * c))
+    return [linalg._integer_row(row) for row in entries]
+
+
+def test_assembly_matches_the_per_column_loop():
+    rng = random.Random(9)
+    for m in range(1, 6):
+        pairs = [(StructuralSet.standard(m), StructuralSet.reversed_standard(m)),
+                 (rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m))]
+        for d in range(5):
+            space = CoefficientSpace(m, d)
+            for phi, psi in pairs:
+                for op in (FieldOperator.laplacian(), FieldOperator.left_left(phi, psi),
+                           FieldOperator.sandwich(phi, psi)):
+                    want = _per_column_int_rows(op, space)
+                    assert operator_matrix(op, space).matrix._int_rows == want, (m, d, op.name)
+
+
 @pytest.mark.parametrize("name", [name for name in _OPERATORS if name != "laplacian"])
 def test_set_of_another_dimension_raises(name):
     op = _OPERATORS[name](StructuralSet.standard(2), StructuralSet.reversed_standard(2))
@@ -408,6 +504,25 @@ def test_class_dimensions_reference_configuration():
     for pair, singles in pairs.items():
         assert dims.triple <= pair
         assert all(pair <= single for single in singles)
+
+
+@pytest.mark.parametrize("m, d, pairs", [
+    (6, 3, (2880, 2942, 2818, 2622)),
+    (4, 5, (416, 478, 354, 318)),
+])
+def test_class_dimensions_standard_reversed_at_larger_points(m, d, pairs):
+    dims = class_dimensions(StructuralSet.standard(m), StructuralSet.reversed_standard(m), m, d)
+    closed_form = 2 ** m * (comb(d + m - 1, m - 1) - comb(d + m - 3, m - 1))
+    assert dims.harmonic == dims.two_set_harmonic == dims.inframonogenic == closed_form
+    assert (dims.harmonic_and_two_set, dims.harmonic_and_inframonogenic,
+            dims.two_set_and_inframonogenic, dims.triple) == pairs
+
+
+def test_triple_stack_rank_is_independent_of_column_order():
+    space = CoefficientSpace(4, 5)
+    mats = class_matrices(StructuralSet.standard(4), StructuralSet.reversed_standard(4), space)
+    stack = RationalMatrix.stack(list(mats.values()), space.size)
+    assert stack.rank() == stack.rank(reverse_columns=True) == space.size - 318
 
 
 def test_class_dimensions_2d_standard():
