@@ -1,14 +1,14 @@
 """The two-set Psi operators on R_{0,m} and their identities.
 
-For structural sets phi, psi and 0 <= k <= m, the level-k operator maps
+For structural sets phi, psi and a family of index sets, `PsiOperator` maps
 
-    a  |->  sum over index sets A of size k of  phi_A * a * reverse(psi_A)
+    a  |->  sum over A in the family of  phi_A * a * reverse(psi_A)
 
-where phi_A multiplies the set's vectors in increasing index order.
-Level 0 is the identity.  The even-level and odd-level aggregates are
-written `plus` and `minus`.  Operators act on polynomial fields
-coefficient-wise: they are constant-coefficient linear maps, so they
-commute with taking polynomial coefficients.
+where phi_A multiplies the set's vectors in increasing index order.  The
+families: the sets of size k for level k (level 0, the empty set alone,
+is the identity), of even or odd size for `plus` and `minus`, and the
+singletons {j}, j in J, for the level-1 subset operator.  Operators act
+on polynomial fields coefficient-wise, as constant-coefficient linear maps.
 
 The same-set case (phi == psi) collapses on pure-grade elements to a
 scalar: `scalar_action` computes it by a finite binomial sum and
@@ -33,58 +33,76 @@ from .verdict import Verdict, compare, merge
 Element = Union[Multivector, PolyField]
 
 
-def _apply_terms(phi: StructuralSet, psi: StructuralSet, index_sets: Iterable[Sequence[int]], a: Element) -> Element:
-    zero = PolyField.zero(a.m) if isinstance(a, PolyField) else Multivector.zero(a.m)
-    total = zero
-    for A in index_sets:
-        total = total + phi.product(A) * a * psi.reversed_product(A)
-    return total
+def _index_sets(m: int, sizes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    return tuple(A for k in sizes for A in combinations(range(1, m + 1), k))
 
 
-def _check_pair(phi: StructuralSet, psi: StructuralSet, a: Element) -> None:
-    if phi.m != psi.m or phi.m != a.m:
-        raise ValueError(f"dimension mismatch: sets {phi.m}/{psi.m}, operand {a.m}")
+@dataclass(frozen=True)
+class PsiOperator:
+    """The Psi operator of one family of index sets, built by `level`, `plus`, `minus` or `subset_level1`."""
+
+    phi: StructuralSet
+    psi: StructuralSet
+    index_sets: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if self.phi.m != self.psi.m:
+            raise ValueError("structural sets must share a dimension")
+
+    @classmethod
+    def level(cls, phi: StructuralSet, psi: StructuralSet, k: int) -> "PsiOperator":
+        if not 0 <= k <= phi.m:
+            raise ValueError(f"level {k} out of range 0..{phi.m}")
+        return cls(phi, psi, _index_sets(phi.m, (k,)))
+
+    @classmethod
+    def plus(cls, phi: StructuralSet, psi: StructuralSet) -> "PsiOperator":
+        return cls(phi, psi, _index_sets(phi.m, range(0, phi.m + 1, 2)))
+
+    @classmethod
+    def minus(cls, phi: StructuralSet, psi: StructuralSet) -> "PsiOperator":
+        return cls(phi, psi, _index_sets(phi.m, range(1, phi.m + 1, 2)))
+
+    @classmethod
+    def subset_level1(cls, phi: StructuralSet, psi: StructuralSet, subset: Iterable[int]) -> "PsiOperator":
+        J = sorted(set(subset))
+        if not J:
+            raise ValueError("subset must be non-empty")
+        if J[0] < 1 or J[-1] > phi.m:
+            raise ValueError(f"subset {J} not contained in 1..{phi.m}")
+        return cls(phi, psi, tuple((j,) for j in J))
+
+    def apply(self, a: Element) -> Element:
+        """The image of a multivector, or of a field coefficient by coefficient."""
+        if self.phi.m != a.m:
+            raise ValueError(f"dimension mismatch: sets {self.phi.m}/{self.psi.m}, operand {a.m}")
+        if isinstance(a, PolyField):
+            return a.map_coefficients(self.apply)
+        acc: dict[int, Fraction] = {}
+        for A in self.index_sets:
+            for mask, c in (self.phi.product(A) * a * self.psi.reversed_product(A)).terms():
+                acc[mask] = acc.get(mask, 0) + c
+        return Multivector._of(a.m, {mask: c for mask, c in acc.items() if c})
 
 
 def apply_psi_k(phi: StructuralSet, psi: StructuralSet, k: int, a: Element) -> Element:
     """Level-k operator; k = 0 is the identity."""
-    _check_pair(phi, psi, a)
-    m = phi.m
-    if not 0 <= k <= m:
-        raise ValueError(f"level {k} out of range 0..{m}")
-    if k == 0:
-        return a
-    return _apply_terms(phi, psi, combinations(range(1, m + 1), k), a)
+    return PsiOperator.level(phi, psi, k).apply(a)
 
 
 def apply_psi_subset1(phi: StructuralSet, psi: StructuralSet, subset: Iterable[int], a: Element) -> Element:
     """Level-1 operator restricted to a subset of indices: sum over j in J of phi_j a psi_j."""
-    _check_pair(phi, psi, a)
-    J = sorted(set(subset))
-    if not J:
-        raise ValueError("subset must be non-empty")
-    if J[0] < 1 or J[-1] > phi.m:
-        raise ValueError(f"subset {J} not contained in 1..{phi.m}")
-    return _apply_terms(phi, psi, [(j,) for j in J], a)
+    return PsiOperator.subset_level1(phi, psi, subset).apply(a)
 
 
 def apply_psi_plus(phi: StructuralSet, psi: StructuralSet, a: Element) -> Element:
     """Sum of all even-level operators (including level 0)."""
-    _check_pair(phi, psi, a)
-    total = a
-    for k in range(2, phi.m + 1, 2):
-        total = total + apply_psi_k(phi, psi, k, a)
-    return total
+    return PsiOperator.plus(phi, psi).apply(a)
 
 
 def apply_psi_minus(phi: StructuralSet, psi: StructuralSet, a: Element) -> Element:
     """Sum of all odd-level operators."""
-    _check_pair(phi, psi, a)
-    zero = PolyField.zero(a.m) if isinstance(a, PolyField) else Multivector.zero(a.m)
-    total = zero
-    for k in range(1, phi.m + 1, 2):
-        total = total + apply_psi_k(phi, psi, k, a)
-    return total
+    return PsiOperator.minus(phi, psi).apply(a)
 
 
 def _two_dimensional_aggregates(phi: StructuralSet, psi: StructuralSet, comps: Sequence[PolyField]):
@@ -156,54 +174,6 @@ def scalar_action_hypergeometric(m: int, j: int, k: int) -> Fraction:
 
 
 # -- matrix form --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PsiOperator:
-    """One of the Psi family: a fixed level, an even/odd aggregate, or a level-1 subset."""
-
-    phi: StructuralSet
-    psi: StructuralSet
-    kind: str  # "level" | "plus" | "minus" | "subset"
-    k: int | None = None
-    subset: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.phi.m != self.psi.m:
-            raise ValueError("structural sets must share a dimension")
-        if self.kind == "level":
-            if self.k is None or not 0 <= self.k <= self.phi.m:
-                raise ValueError(f"level {self.k} out of range 0..{self.phi.m}")
-        elif self.kind == "subset":
-            if not self.subset:
-                raise ValueError("subset kind needs a non-empty index set")
-        elif self.kind not in ("plus", "minus"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-    @classmethod
-    def level(cls, phi, psi, k):
-        return cls(phi, psi, "level", k=k)
-
-    @classmethod
-    def plus(cls, phi, psi):
-        return cls(phi, psi, "plus")
-
-    @classmethod
-    def minus(cls, phi, psi):
-        return cls(phi, psi, "minus")
-
-    @classmethod
-    def subset_level1(cls, phi, psi, subset):
-        return cls(phi, psi, "subset", subset=tuple(sorted(set(subset))))
-
-    def apply(self, a: Element) -> Element:
-        if self.kind == "level":
-            return apply_psi_k(self.phi, self.psi, self.k, a)
-        if self.kind == "plus":
-            return apply_psi_plus(self.phi, self.psi, a)
-        if self.kind == "minus":
-            return apply_psi_minus(self.phi, self.psi, a)
-        return apply_psi_subset1(self.phi, self.psi, self.subset, a)
 
 
 def psi_matrix(op: PsiOperator) -> RationalMatrix:

@@ -125,16 +125,6 @@ class FieldOperator:
         terms = self.terms(axes, Multivector.scalar(m, 1))
         return [(tuple(map(term_axes.count, axes)), a, b) for term_axes, a, b in terms]
 
-    def apply(self, f: PolyField) -> PolyField:
-        out = PolyField.zero(f.m)
-        for gamma, a, b in self.symbol(f.m):
-            g = f
-            for i, k in enumerate(gamma, start=1):
-                for _ in range(k):
-                    g = g.partial(i)
-            out = out + a * g * b
-        return out
-
     @classmethod
     def laplacian(cls) -> "FieldOperator":
         return cls("laplacian", 2, (), lambda axes, one: [((i, i), one, one) for i in axes])

@@ -174,6 +174,9 @@ GOLDEN_STDOUT_SHA256 = {
     # the benchmark's verify shape: the longest set products, random rational sets at m = 4, 5
     ("verify", "--m", "2,3,4,5", "--degree", "3", "--trials", "3", "--seed", "12345", "--format", "json"):
         "2473f5617aebda23502b13291883b02c471a1926557045950bf6727500c76a0d",
+    # m = 1, where the even aggregate is level 0 alone, and m = 6, with 64 Psi index sets
+    ("verify", "--m", "1,6", "--trials", "2", "--seed", "3", "--format", "json"):
+        "dadff01804bdf2cf6f2c2fa56ffbd81895736deb350073a149f43159366c50eb",
     # degree 1: every class matrix has zero rows
     ("solve", "--m", "3", "--degree", "1"):
         "fe989ad2f4aefcd676595f07d4c6d15954760d11efb437fd301c907dcb7f7802",

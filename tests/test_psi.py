@@ -255,6 +255,82 @@ def test_matrix_agrees_with_operator_on_random_values():
         assert mat.mat_vec(a.coefficients()) == image.coefficients()
 
 
+# -- index-set families -------------------------------------------------------------
+
+
+def _all_subsets(m):
+    return [tuple(i + 1 for i in range(m) if mask >> i & 1) for mask in range(1 << m)]
+
+
+def test_constructors_build_the_expected_index_set_families():
+    for m in range(1, 7):
+        s = StructuralSet.standard(m)
+        subsets = _all_subsets(m)
+        assert PsiOperator.level(s, s, 0).index_sets == ((),)
+        for k in range(m + 1):
+            family = PsiOperator.level(s, s, k).index_sets
+            assert len(family) == len(set(family))
+            assert set(family) == {A for A in subsets if len(A) == k}
+        plus = PsiOperator.plus(s, s).index_sets
+        minus = PsiOperator.minus(s, s).index_sets
+        assert all(len(A) % 2 == 0 for A in plus) and all(len(A) % 2 == 1 for A in minus)
+        assert len(plus) + len(minus) == 2 ** m
+        assert set(plus) | set(minus) == set(subsets)
+        assert PsiOperator.subset_level1(s, s, [m, 1, m]).index_sets == tuple((j,) for j in sorted({1, m}))
+        assert PsiOperator.subset_level1(s, s, range(1, m + 1)).index_sets == tuple((j,) for j in range(1, m + 1))
+
+
+def _brute_levels(phi, psi, levels, a):
+    return sum((brute_psi_k(phi, psi, k, a) for k in levels), Multivector.zero(phi.m))
+
+
+def _brute_subset1(phi, psi, subset, a):
+    total = Multivector.zero(phi.m)
+    for j in sorted(set(subset)):
+        total = total + phi[j] * a * psi[j]
+    return total
+
+
+def test_apply_matches_brute_sums_on_multivectors_and_fields():
+    rng = random.Random(30)
+    for m in range(1, 6):
+        phi, psi = rand_structural_pair(rng, m)
+        subset = rng.sample(range(1, m + 1), rng.randint(1, m))
+        cases = [
+            (PsiOperator.plus(phi, psi), lambda a: _brute_levels(phi, psi, range(0, m + 1, 2), a)),
+            (PsiOperator.minus(phi, psi), lambda a: _brute_levels(phi, psi, range(1, m + 1, 2), a)),
+            (PsiOperator.subset_level1(phi, psi, subset), lambda a: _brute_subset1(phi, psi, subset, a)),
+        ]
+        a = rand_multivector(rng, m)
+        f = rand_polyfield(rng, m, max_degree=2)
+        for op, brute in cases:
+            assert op.apply(a) == brute(a), (m, op.index_sets)
+            assert op.apply(f) == PolyField(m, {alpha: brute(mv) for alpha, mv in f.terms()}), (m, op.index_sets)
+
+
+def test_constructors_reject_bad_families_before_any_apply():
+    for m in (1, 3):
+        s = StructuralSet.standard(m)
+        with pytest.raises(ValueError, match=f"level {m + 1} out of range 0..{m}"):
+            PsiOperator.level(s, s, m + 1)
+        with pytest.raises(ValueError, match="subset must be non-empty"):
+            PsiOperator.subset_level1(s, s, [])
+        for bad in ([0], [m + 1]):
+            with pytest.raises(ValueError, match="not contained in"):
+                PsiOperator.subset_level1(s, s, bad)
+    with pytest.raises(ValueError, match="structural sets must share a dimension"):
+        PsiOperator.plus(StructuralSet.standard(2), StructuralSet.standard(3))
+
+
+def test_operand_of_another_dimension_raises():
+    s = StructuralSet.standard(3)
+    for op in (PsiOperator.level(s, s, 0), PsiOperator.plus(s, s), PsiOperator.subset_level1(s, s, [2])):
+        with pytest.raises(ValueError, match=r"dimension mismatch: sets 3/3, operand 2"):
+            op.apply(Multivector.scalar(2, 1))
+        with pytest.raises(ValueError, match=r"dimension mismatch: sets 3/3, operand 4"):
+            op.apply(PolyField.variable(4, 1))
+
+
 # -- identities -------------------------------------------------------------------
 
 

@@ -113,10 +113,10 @@ def test_stack_of_one_matrix_is_that_matrix():
 
 def test_from_columns_holds_image_coordinates():
     space = CoefficientSpace(2, 2)
-    op = FieldOperator.sandwich(StructuralSet.standard(2), StructuralSet.reversed_standard(2))
-    opmat = operator_matrix(op, space)
+    phi, psi = StructuralSet.standard(2), StructuralSet.reversed_standard(2)
+    opmat = operator_matrix(FieldOperator.sandwich(phi, psi), space)
     target = opmat.target
-    images = [target.field_to_vector(op.apply(space.basis_field(j))) for j in range(space.size)]
+    images = [target.field_to_vector(sandwich(phi, space.basis_field(j), psi)) for j in range(space.size)]
     mat = RationalMatrix.from_columns(images, target.size)
     assert mat == opmat.matrix
     for j, image in enumerate(images):
@@ -315,19 +315,14 @@ def test_dirac_matrix_annihilates_reference_degree_two_part():
 
 def test_matrix_agrees_with_operator_on_random_vectors():
     rng = random.Random(2)
-    for op in (
-        FieldOperator.laplacian(),
-        FieldOperator.left_left(PHI, PSI),
-        FieldOperator.sandwich(PHI, PSI),
-        FieldOperator.dirac_left(PSI),
-        FieldOperator.dirac_right(PSI),
-    ):
+    for name, make in _OPERATORS.items():
         space = CoefficientSpace(3, 2)
-        opmat = operator_matrix(op, space)
+        opmat = operator_matrix(make(PHI, PSI), space)
+        apply, _ = _field_function(name, PHI, PSI)
         for _ in range(3):
             vec = [Fraction(rng.randint(-3, 3)) for _ in range(space.size)]
             f = space.vector_to_field(vec)
-            image = op.apply(f)
+            image = apply(f)
             assert opmat.target is not None
             assert opmat.mat_vec(vec) == opmat.target.field_to_vector(image)
 
@@ -384,15 +379,20 @@ _OPERATORS = {
 }
 
 
-def _field_operator_matrix(name, phi, psi, space):
-    """The matrix of operator `name`, column by column from the field operators on each basis monomial."""
-    apply, order = {
+def _field_function(name, phi, psi):
+    """(apply, order) of operator `name`, with apply composed from the `fields` functions."""
+    return {
         "laplacian": (laplacian, 2),
         "left-left": (lambda f: dirac_left(phi, dirac_left(psi, f)), 2),
         "sandwich": (lambda f: sandwich(phi, f, psi), 2),
         "dirac-left": (lambda f: dirac_left(psi, f), 1),
         "dirac-right": (lambda f: dirac_right(f, psi), 1),
     }[name]
+
+
+def _field_operator_matrix(name, phi, psi, space):
+    """The matrix of operator `name`, column by column from the field operators on each basis monomial."""
+    apply, order = _field_function(name, phi, psi)
     if space.degree < order:
         return RationalMatrix.zero(0, space.size)
     target = CoefficientSpace(space.m, space.degree - order)
@@ -451,11 +451,12 @@ def test_assembly_matches_the_per_column_loop():
 
 @pytest.mark.parametrize("name", [name for name in _OPERATORS if name != "laplacian"])
 def test_set_of_another_dimension_raises(name):
-    op = _OPERATORS[name](StructuralSet.standard(2), StructuralSet.reversed_standard(2))
+    phi, psi = StructuralSet.standard(2), StructuralSet.reversed_standard(2)
     with pytest.raises(DimensionMismatch):
-        operator_matrix(op, CoefficientSpace(3, 2))
+        operator_matrix(_OPERATORS[name](phi, psi), CoefficientSpace(3, 2))
+    apply, _ = _field_function(name, phi, psi)
     with pytest.raises(DimensionMismatch):
-        op.apply(PolyField.variable(3, 1))
+        apply(PolyField.variable(3, 1))
 
 
 def test_harmonic_dimension_closed_form_at_m5_d3():
