@@ -87,13 +87,19 @@ class ClassMembership:
 
 
 def classify(phi: StructuralSet, psi: StructuralSet, f: PolyField) -> ClassMembership:
+    """Membership of f in each class, every one an exact zero test.
+
+    D_psi f is computed once and shared: the two-set-harmonic test
+    applies D_phi to it and the left-hyperholomorphic test reads it.
+    """
     if phi.m != f.m or psi.m != f.m:
         raise ValueError(f"dimension mismatch: sets {phi.m}/{psi.m}, field {f.m}")
+    left_psi = dirac_left(psi, f)
     return ClassMembership(
         harmonic=laplacian(f).is_zero(),
-        two_set_harmonic=dirac_left(phi, dirac_left(psi, f)).is_zero(),
+        two_set_harmonic=dirac_left(phi, left_psi).is_zero(),
         inframonogenic=sandwich(phi, f, psi).is_zero(),
-        hyperholomorphic_left=dirac_left(psi, f).is_zero(),
+        hyperholomorphic_left=left_psi.is_zero(),
         hyperholomorphic_right=dirac_right(f, psi).is_zero(),
     )
 

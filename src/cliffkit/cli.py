@@ -18,6 +18,7 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -198,7 +199,9 @@ def cmd_demo(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree; built on first call and kept for the process."""
     parser = argparse.ArgumentParser(prog="cliffkit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -241,8 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns its exit code.
+
+    The parser is built once per process, by the first call, and reused:
+    argparse keeps no state of a parse in the parser, so each call sees
+    the same parser a fresh `build_parser.__wrapped__()` would give.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (UsageError, ParseError, StructuralSetError, ValueError) as exc:

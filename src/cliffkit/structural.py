@@ -11,6 +11,8 @@ parametrizations such as 3/5, 4/5) supply the non-permutation examples.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .algebra import Multivector, Scalar, check_dimension
@@ -34,12 +36,24 @@ def _gram_violation(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, Fract
 
     Otherwise the first (i, j, dot), 1-based with i <= j in row-major
     order, whose row dot product is not delta_ij.
+
+    The test runs in integers: row i is n_i / d_i, with d_i > 0 the lcm
+    of its denominators and n_i an integer vector, so
+    <row_i, row_j> = n_i . n_j / (d_i d_j).  As d_i d_j > 0, that equals
+    delta_ij exactly when n_i . n_j == delta_ij d_i d_j: the same exact
+    predicate as the rational one, tested pair by pair in the same order,
+    without normalising a Fraction at each product.
     """
-    for i, row in enumerate(rows):
-        for j in range(i, len(rows)):
-            dot = sum(a * b for a, b in zip(row, rows[j]))
-            if dot != (1 if i == j else 0):
-                return i + 1, j + 1, dot
+    scaled = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        scaled.append((d, [x.numerator * (d // x.denominator) for x in row]))
+    for i, (d_i, n_i) in enumerate(scaled):
+        for j in range(i, len(scaled)):
+            d_j, n_j = scaled[j]
+            dot = sum(map(mul, n_i, n_j))
+            if dot != (d_i * d_j if i == j else 0):
+                return i + 1, j + 1, Fraction(dot, d_i * d_j)
     return None
 
 
@@ -89,15 +103,18 @@ class StructuralSet:
 
     @classmethod
     def standard(cls, m: int) -> "StructuralSet":
+        check_dimension(m)
         return cls([Multivector.basis_vector(m, i) for i in range(1, m + 1)])
 
     @classmethod
     def reversed_standard(cls, m: int) -> "StructuralSet":
+        check_dimension(m)
         return cls([Multivector.basis_vector(m, i) for i in range(m, 0, -1)])
 
     @classmethod
     def signed_permutation(cls, m: int, signed_indices: Sequence[int]) -> "StructuralSet":
         """Vectors +-e_{|p_k|}; `signed_indices` must be a signed permutation of 1..m."""
+        check_dimension(m)
         if sorted(abs(p) for p in signed_indices) != list(range(1, m + 1)):
             raise StructuralSetError(f"{signed_indices!r} is not a signed permutation of 1..{m}")
         vecs = []

@@ -9,15 +9,23 @@ from cliffkit.classify import (
     HARMONIC,
     INFRAMONOGENIC,
     TWO_SET_HARMONIC,
+    ClassMembership,
     RegionLabel,
     check_even_odd_split_membership,
     classify,
     region,
 )
-from cliffkit.fields import PolyField, dirac_left, laplacian, sandwich
+from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from cliffkit.parser import parse_field
-from cliffkit.sampling import rand_polyfield, rand_rational_structural_set, rand_structural_pair
-from cliffkit.solver import class_nullspace
+from cliffkit.sampling import (
+    rand_multi_index,
+    rand_multivector,
+    rand_polyfield,
+    rand_rational_structural_set,
+    rand_signed_permutation,
+    rand_structural_pair,
+)
+from cliffkit.solver import CoefficientSpace, FieldOperator, class_nullspace, nullspace, operator_matrix
 from cliffkit.structural import StructuralSet
 
 PHI = StructuralSet.standard(3)
@@ -137,3 +145,53 @@ def test_grade_components_same_set_versus_two_sets():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         classify(PHI, PSI, PolyField.zero(2))
+
+
+def _five_operator_membership(phi, psi, f):
+    """Reference: each class test applies its own operators to f, D_psi f twice."""
+    return ClassMembership(
+        harmonic=laplacian(f).is_zero(),
+        two_set_harmonic=dirac_left(phi, dirac_left(psi, f)).is_zero(),
+        inframonogenic=sandwich(phi, f, psi).is_zero(),
+        hyperholomorphic_left=dirac_left(psi, f).is_zero(),
+        hyperholomorphic_right=dirac_right(f, psi).is_zero(),
+    )
+
+
+def _rand_set(rng, m):
+    kind = rng.choice(("standard", "reversed", "signedperm", "rational"))
+    if kind == "standard":
+        return StructuralSet.standard(m)
+    if kind == "reversed":
+        return StructuralSet.reversed_standard(m)
+    if kind == "signedperm":
+        return rand_signed_permutation(rng, m)
+    return rand_rational_structural_set(rng, m)
+
+
+def test_classify_matches_five_operator_formula():
+    rng = random.Random(909)
+    seen = {flag: set() for flag in ClassMembership.__dataclass_fields__}
+    for m in range(2, 6):
+        for _ in range(3):
+            phi, psi = _rand_set(rng, m), _rand_set(rng, m)
+            fields = [PolyField.zero(m)]
+            for _ in range(6):
+                f = PolyField.zero(m)
+                for _ in range(rng.randint(1, 5)):
+                    alpha = rand_multi_index(rng, m, rng.choice((1, 1, 2, 3)))
+                    f = f + PolyField.monomial(m, alpha, rand_multivector(rng, m, max_terms=2))
+                fields.append(f)
+            if m <= 3:
+                # kernel members, where the classes part ways
+                for names in ((HARMONIC,), (TWO_SET_HARMONIC,), (INFRAMONOGENIC,)):
+                    fields.extend(class_nullspace(phi, psi, 2, names).fields()[:2])
+                for op in (FieldOperator.dirac_left(psi), FieldOperator.dirac_right(psi)):
+                    space = CoefficientSpace(m, rng.choice((1, 2)))
+                    fields.extend(space.vector_to_field(v) for v in nullspace(operator_matrix(op, space)).vectors[:2])
+            for f in fields:
+                got = classify(phi, psi, f)
+                assert got == _five_operator_membership(phi, psi, f), (m, phi, psi, f)
+                for flag in seen:
+                    seen[flag].add(getattr(got, flag))
+    assert all(values == {False, True} for values in seen.values()), seen

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import cliffkit
-from cliffkit.cli import main, parse_region_spec, parse_set_spec
+from cliffkit import cli
+from cliffkit.cli import build_parser, main, parse_region_spec, parse_set_spec
 from cliffkit.structural import StructuralSet
 
 
@@ -224,9 +225,51 @@ GOLDEN_STDOUT_SHA256 = {
 
 @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT_SHA256), ids=" ".join)
 def test_golden_stdout(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+    # Twice in a row: the second call reuses the process's parser.
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one `main` call, argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_kept_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    calls = [
+        ("classify", "--m", "two", "--expr", "x1"),
+        ("classify", "--m", "2", "--phi", "rot2:1/2", "--psi", "reversed", "--expr", "x1*x2*e[1] + x2*e[1,2]"),
+        ("solve", "--help"),
+    ]
+    kept = [_outcome(capsys, argv) for argv in calls]
+    assert build_parser() is build_parser()
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = [_outcome(capsys, argv) for argv in calls]
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [2, 0, 0]
+    assert "invalid int value: 'two'" in kept[0][2]
+    assert kept[2][1].startswith("usage: cliffkit solve")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--m", "0", "--expr", "x1"),
+    ("classify", "--m", "0", "--phi", "signedperm:1", "--expr", "x1"),
+    ("solve", "--m", "0", "--degree", "1"),
+    ("solve", "--m", "-1", "--degree", "1", "--psi", "reversed"),
+], ids=" ".join)
+def test_nonpositive_dimension_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    m = argv[argv.index("--m") + 1]
+    assert code == 2
+    assert out == ""
+    assert err == f"error: algebra dimension must be an integer in 1..12, got {m}\n"
 
 
 def test_non_orthogonal_matrix_spec_message(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from cliffkit.algebra import Multivector
 from cliffkit.sampling import rand_rational_structural_set, rotation_pair
-from cliffkit.structural import StructuralSet, StructuralSetError, TransitionMatrix, transition
+from cliffkit.structural import StructuralSet, StructuralSetError, TransitionMatrix, _gram_violation, transition
 
 
 def test_standard_basis_is_valid():
@@ -191,6 +191,49 @@ def test_gram_validation_agrees_with_anticommutator_oracle():
                 assert str(exc.value) == f"anticommutation relation ({i},{j}) violated: v{i}*v{j} + v{j}*v{i} = {anti}"
                 assert exc.value.relation == (i, j)
     assert min(seen.values()) >= 10, seen
+
+
+def _fraction_gram_violation(rows):
+    """Reference: the Gram test summed in Fractions, first (i, j, dot) with dot != delta_ij."""
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            dot = sum(a * b for a, b in zip(row, rows[j]))
+            if dot != (1 if i == j else 0):
+                return i + 1, j + 1, dot
+    return None
+
+
+def _givens_rows(rng, m):
+    """Rational orthogonal rows: rotations from random tangent half-angles, signs, shuffled rows."""
+    rows = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    for _ in range(rng.randint(0, 2 * m) if m >= 2 else 0):
+        i, j = rng.sample(range(m), 2)
+        c, s = rotation_pair(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        rows[i], rows[j] = ([c * a - s * b for a, b in zip(rows[i], rows[j])],
+                            [s * a + c * b for a, b in zip(rows[i], rows[j])])
+    rng.shuffle(rows)
+    return [row if rng.random() < 0.5 else [-x for x in row] for row in rows]
+
+
+def test_integer_gram_test_matches_fraction_reference():
+    rng = random.Random(99)
+    seen = {"accepted": 0, "diagonal": 0, "off-diagonal": 0}
+    for m in range(1, 7):
+        for _ in range(60):
+            rows = _givens_rows(rng, m)
+            perturbed = [list(row) for row in rows]
+            i, j = rng.randrange(m), rng.randrange(m)
+            perturbed[i][j] += Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 30))
+            for candidate in (rows, perturbed):
+                want = _fraction_gram_violation(candidate)
+                got = _gram_violation(candidate)
+                assert got == want, (candidate, got, want)
+                if got is None:
+                    seen["accepted"] += 1
+                else:
+                    assert type(got[2]) is Fraction
+                    seen["diagonal" if got[0] == got[1] else "off-diagonal"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_invalid_set_messages():
