@@ -8,12 +8,12 @@ a multivector is a sparse map from blade masks to rational coefficients.
 All values are immutable after construction and every operation returns
 a new object, so they can be shared freely between threads or tasks.
 
-`Multivector(m, terms)` validates its input: the dimension, every mask's
-range, and every coefficient, which it converts to a Fraction.  Results of
-operations on valid multivectors need none of that, so they are built by
+Input is validated once, where it enters: `Multivector(m, terms)` checks
+the dimension, every mask and every coefficient, and the named builders
+check their own arguments.  Everything built from valid parts goes through
 the trusted `Multivector._of`, which only puts the blades in canonical
-order, by a per-m blade-rank table.  `PolyField._of` in `fields` is the
-same for fields.
+order, by a per-m blade-rank table; `PolyField._of` and `StructuralSet._of`
+are the same for fields and structural sets.
 """
 
 from __future__ import annotations
@@ -160,22 +160,28 @@ class Multivector:
 
     @classmethod
     def zero(cls, m: int) -> "Multivector":
-        return cls(m)
+        return cls.scalar(m, 0)
 
     @classmethod
     def scalar(cls, m: int, value: Scalar) -> "Multivector":
-        return cls(m, {0: Fraction(value)})
+        return cls._term(m, 0, Fraction(value))
 
     @classmethod
     def basis_vector(cls, m: int, i: int) -> "Multivector":
         """The generator e_i."""
         if not 1 <= i <= m:
             raise ValueError(f"generator index {i} out of range 1..{m}")
-        return cls(m, {1 << (i - 1): Fraction(1)})
+        return cls._term(m, 1 << (i - 1), Fraction(1))
 
     @classmethod
     def blade(cls, m: int, indices: Iterable[int], coef: Scalar = 1) -> "Multivector":
-        return cls(m, {indices_to_mask(indices, m): Fraction(coef)})
+        return cls._term(m, indices_to_mask(indices, m), Fraction(coef))
+
+    @classmethod
+    def _term(cls, m: int, mask: int, coef: Fraction) -> "Multivector":
+        """coef * e_mask for a mask in range; the dimension is checked last, as `__init__` did."""
+        check_dimension(m)
+        return cls._of(m, {mask: coef} if coef else {})
 
     @classmethod
     def from_coefficients(cls, m: int, coeffs: Iterable[Scalar], order: list[int] | None = None) -> "Multivector":

@@ -68,6 +68,11 @@ def parse_set_spec(spec: str, m: int) -> StructuralSet:
         except json.JSONDecodeError as exc:
             raise UsageError(f"matrix file {path!r} is not valid JSON: {exc}")
         try:
+            # Exact entries only: a JSON float is binary, and 1e400 is infinite.
+            if not isinstance(raw, list) or not all(
+                isinstance(row, list) and all(isinstance(x, str) or type(x) is int for x in row) for row in raw
+            ):
+                raise TypeError(raw)
             rows = [[Fraction(x) for x in row] for row in raw]
         except (ValueError, TypeError, ZeroDivisionError):
             raise UsageError(f"matrix file {path!r} must hold an array of arrays of rational strings")

@@ -11,6 +11,8 @@ in exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import DimensionMismatch, Multivector, Scalar, check_dimension
@@ -19,38 +21,39 @@ from .structural import StructuralSet
 MultiIndex = tuple[int, ...]
 
 
-def _check_multi_index(alpha: MultiIndex, m: int) -> MultiIndex:
+def _check_term(alpha: MultiIndex, mv: Multivector, m: int) -> tuple[MultiIndex, Multivector]:
     alpha = tuple(alpha)
     if len(alpha) != m:
         raise ValueError(f"multi-index {alpha} has length {len(alpha)}, expected {m}")
     if any(not isinstance(e, int) or e < 0 for e in alpha):
         raise ValueError(f"multi-index {alpha} must consist of non-negative integers")
-    return alpha
+    if mv.m != m:
+        raise DimensionMismatch(f"coefficient dimension {mv.m} does not match field dimension {m}")
+    return alpha, mv
 
 
 def _index_key(alpha: MultiIndex) -> tuple[int, MultiIndex]:
     return (sum(alpha), alpha)
 
 
+def _sum_terms(pairs: Iterable[tuple[MultiIndex, Multivector]]) -> dict[MultiIndex, Multivector]:
+    """Sum (monomial, multivector) pairs by monomial into one dict, leaving out the sums that vanish."""
+    acc: dict[MultiIndex, Multivector] = {}
+    for alpha, mv in pairs:
+        cur = acc.get(alpha)
+        acc[alpha] = mv if cur is None else cur + mv
+    return {alpha: mv for alpha, mv in acc.items() if mv}
+
+
 class PolyField:
-    """Polynomial function R^m -> R_{0,m} with exact coefficients."""
+    """Polynomial function R^m -> R_{0,m} with exact coefficients; `PolyField(m, terms)` validates, `_of` trusts."""
 
     __slots__ = ("m", "_terms")
 
     def __init__(self, m: int, terms: Mapping[MultiIndex, Multivector] | Iterable[tuple[MultiIndex, Multivector]] = ()):
         check_dimension(m)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[MultiIndex, Multivector] = {}
-        for alpha, mv in items:
-            alpha = _check_multi_index(alpha, m)
-            if mv.m != m:
-                raise DimensionMismatch(f"coefficient dimension {mv.m} does not match field dimension {m}")
-            cur = acc.get(alpha)
-            total = mv if cur is None else cur + mv
-            if total.is_zero():
-                acc.pop(alpha, None)
-            else:
-                acc[alpha] = total
+        acc = _sum_terms(_check_term(alpha, mv, m) for alpha, mv in items)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_terms", {k: acc[k] for k in sorted(acc, key=_index_key)})
 
@@ -76,15 +79,18 @@ class PolyField:
 
     @classmethod
     def zero(cls, m: int) -> "PolyField":
-        return cls(m)
+        check_dimension(m)
+        return cls._of(m, {})
 
     @classmethod
     def constant(cls, value: Multivector) -> "PolyField":
-        return cls(value.m, {(0,) * value.m: value})
+        check_dimension(value.m)
+        return cls._of(value.m, {(0,) * value.m: value} if value else {})
 
     @classmethod
     def scalar_constant(cls, m: int, value: Scalar) -> "PolyField":
-        return cls(m, {(0,) * m: Multivector.scalar(m, value)})
+        alpha, mv = (0,) * m, Multivector.scalar(m, value)
+        return cls._of(m, {alpha: mv} if mv else {})
 
     @classmethod
     def variable(cls, m: int, i: int) -> "PolyField":
@@ -92,7 +98,7 @@ class PolyField:
         if not 1 <= i <= m:
             raise ValueError(f"variable index {i} out of range 1..{m}")
         alpha = tuple(1 if j == i - 1 else 0 for j in range(m))
-        return cls(m, {alpha: Multivector.scalar(m, 1)})
+        return cls._of(m, {alpha: Multivector.scalar(m, 1)})
 
     @classmethod
     def monomial(cls, m: int, alpha: MultiIndex, coef: Multivector) -> "PolyField":
@@ -151,15 +157,7 @@ class PolyField:
     def __add__(self, other):
         if isinstance(other, PolyField):
             self._require_same_dimension(other)
-            acc = dict(self._terms)
-            for a, mv in other._terms.items():
-                if a in acc:
-                    mv = acc[a] + mv
-                    if not mv:
-                        del acc[a]
-                        continue
-                acc[a] = mv
-            return PolyField._of(self.m, acc)
+            return PolyField._of(self.m, _sum_terms(chain(self._terms.items(), other._terms.items())))
         if isinstance(other, Multivector):
             return self + PolyField.constant(other)
         if isinstance(other, (int, Fraction)):
@@ -172,10 +170,8 @@ class PolyField:
         return PolyField._of(self.m, {a: -mv for a, mv in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (PolyField, Multivector)):
+        if isinstance(other, (PolyField, Multivector, int, Fraction)):
             return self + (-other)
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
         return NotImplemented
 
     def __rsub__(self, other):
@@ -187,13 +183,8 @@ class PolyField:
         """Product of fields; multivector factors multiply on the matching side."""
         if isinstance(other, PolyField):
             self._require_same_dimension(other)
-            acc: dict[MultiIndex, Multivector] = {}
-            for a, mva in self._terms.items():
-                for b, mvb in other._terms.items():
-                    c = tuple(x + y for x, y in zip(a, b))
-                    prod = mva * mvb
-                    acc[c] = acc[c] + prod if c in acc else prod
-            return PolyField._of(self.m, {c: mv for c, mv in acc.items() if mv})
+            pairs = ((tuple(map(add, a, b)), mva * mvb) for a, mva in self._terms.items() for b, mvb in other._terms.items())
+            return PolyField._of(self.m, _sum_terms(pairs))
         if isinstance(other, Multivector):
             return self.map_coefficients(lambda mv: mv * other)
         if isinstance(other, (int, Fraction)):
@@ -296,26 +287,17 @@ def _require_field_set(sset: StructuralSet, f: PolyField) -> None:
 def dirac_left(sset: StructuralSet, f: PolyField) -> PolyField:
     """Left twisted Dirac operator: sum_j v_j * (d f / d x_j)."""
     _require_field_set(sset, f)
-    out = PolyField.zero(f.m)
-    for j in range(1, f.m + 1):
-        out = out + sset[j] * f.partial(j)
-    return out
+    return PolyField._of(f.m, _sum_terms((a, v * mv) for j, v in enumerate(sset.vectors, 1) for a, mv in f.partial(j).terms()))
 
 
 def dirac_right(f: PolyField, sset: StructuralSet) -> PolyField:
     """Right twisted Dirac operator: sum_j (d f / d x_j) * v_j."""
     _require_field_set(sset, f)
-    out = PolyField.zero(f.m)
-    for j in range(1, f.m + 1):
-        out = out + f.partial(j) * sset[j]
-    return out
+    return PolyField._of(f.m, _sum_terms((a, mv * v) for j, v in enumerate(sset.vectors, 1) for a, mv in f.partial(j).terms()))
 
 
 def laplacian(f: PolyField) -> PolyField:
-    out = PolyField.zero(f.m)
-    for i in range(1, f.m + 1):
-        out = out + f.partial(i).partial(i)
-    return out
+    return PolyField._of(f.m, _sum_terms(pair for i in range(1, f.m + 1) for pair in f.partial(i).partial(i).terms()))
 
 
 def sandwich(phi: StructuralSet, f: PolyField, psi: StructuralSet) -> PolyField:
@@ -324,6 +306,4 @@ def sandwich(phi: StructuralSet, f: PolyField, psi: StructuralSet) -> PolyField:
     Computed as right-after-left; the left-after-right order agrees
     because the one-sided operators act on opposite sides.
     """
-    _require_field_set(phi, f)
-    _require_field_set(psi, f)
     return dirac_right(dirac_left(phi, f), psi)

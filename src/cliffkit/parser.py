@@ -16,13 +16,16 @@ exotic.  Parentheses and unary signs nest at most `MAX_NESTING` deep
 together; the opening of level MAX_NESTING + 1 is a parse error at its
 own offset, so the limit does not move with the caller's stack depth.
 `parse(format(f)) == f` holds for every field f.
+
+`parse_field` checks the dimension once, on entry; numbers and variables
+come from the named builders, `e[...]` atoms from the trusted `_of`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Multivector, blade_indices, format_blade_term, indices_to_mask, join_terms
+from .algebra import Multivector, blade_indices, check_dimension, format_blade_term, indices_to_mask, join_terms
 from .fields import PolyField
 
 # Each level costs at most five parser frames, so this stays well below
@@ -167,7 +170,7 @@ class _Parser:
                 mask = indices_to_mask(indices, self.m)
             except ValueError as exc:
                 raise ParseError(str(exc), at) from None
-            return PolyField.constant(Multivector(self.m, {mask: Fraction(1)}))
+            return PolyField.constant(Multivector._of(self.m, {mask: Fraction(1)}))
         if ch == "":
             raise ParseError("unexpected end of input", at)
         raise ParseError(f"unexpected {ch!r}", at)
@@ -185,6 +188,7 @@ def _as_nonzero_rational(f: PolyField) -> Fraction | None:
 
 def parse_field(text: str, m: int) -> PolyField:
     """Parse a field expression in dimension m."""
+    check_dimension(m)
     return _Parser(text, m).parse()
 
 

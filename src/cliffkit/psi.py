@@ -180,7 +180,7 @@ def psi_matrix(op: PsiOperator) -> RationalMatrix:
     """Matrix of the operator on the 2^m blade basis (canonical blade order)."""
     m = op.phi.m
     order = blade_order(m)
-    columns = [op.apply(Multivector(m, {mask: Fraction(1)})).coefficients(order) for mask in order]
+    columns = [op.apply(Multivector._of(m, {mask: Fraction(1)})).coefficients(order) for mask in order]
     return RationalMatrix.from_columns(columns, len(order))
 
 

@@ -65,7 +65,7 @@ class CoefficientSpace:
 
     def basis_field(self, i: int) -> PolyField:
         alpha, mask = self.basis[i]
-        return PolyField(self.m, {alpha: Multivector(self.m, {mask: Fraction(1)})})
+        return PolyField._of(self.m, {alpha: Multivector._of(self.m, {mask: Fraction(1)})})
 
     def field_to_vector(self, f: PolyField) -> Vector:
         if f.m != self.m:
@@ -85,7 +85,7 @@ class CoefficientSpace:
         for (alpha, mask), coef in zip(self.basis, vec):
             if coef:
                 acc.setdefault(alpha, {})[mask] = Fraction(coef)
-        return PolyField(self.m, {alpha: Multivector(self.m, masks) for alpha, masks in acc.items()})
+        return PolyField._of(self.m, {alpha: Multivector._of(self.m, masks) for alpha, masks in acc.items()})
 
     def __repr__(self):
         return f"CoefficientSpace(m={self.m}, degree={self.degree}, size={self.size})"

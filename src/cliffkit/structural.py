@@ -60,15 +60,15 @@ def _gram_violation(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, Fract
 class StructuralSet:
     """Validated structural set; construction is the validation and keeps the coordinate rows.
 
-    `_gram_checked` is for `from_matrix`, which has already run the Gram
-    test on the same rows to report it in matrix terms.  The set is
-    immutable, so each product v_A it is asked for is computed once and
-    kept, with its reverse, in `_products`; equality ignores that memo.
+    The builders check their own arguments and build through the trusted
+    `_of`, which takes orthonormal rows.  The set is immutable, so each
+    product v_A it is asked for is computed once and kept, with its
+    reverse, in `_products`; equality ignores that memo.
     """
 
     __slots__ = ("m", "vectors", "_rows", "_products")
 
-    def __init__(self, vectors: Sequence[Multivector], *, _gram_checked: bool = False):
+    def __init__(self, vectors: Sequence[Multivector]):
         vectors = tuple(vectors)
         if not vectors:
             raise StructuralSetError("a structural set needs at least one vector")
@@ -82,7 +82,7 @@ class StructuralSet:
             if v.is_zero() or v.grades() != {1}:
                 raise StructuralSetError(f"vector {idx} is not pure grade 1: {v}")
         rows = tuple(tuple(v.coefficient(1 << j) for j in range(m)) for v in vectors)
-        violation = None if _gram_checked else _gram_violation(rows)
+        violation = _gram_violation(rows)
         if violation is not None:
             # For vectors, v_i v_j + v_j v_i is the scalar -2 <v_i, v_j>.
             i, j, dot = violation
@@ -96,6 +96,19 @@ class StructuralSet:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_products", {})
 
+    @classmethod
+    def _of(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "StructuralSet":
+        """Trusted constructor from orthonormal rows of Fractions; the set takes them over."""
+        m = len(rows)
+        out = object.__new__(cls)
+        object.__setattr__(out, "m", m)
+        object.__setattr__(out, "vectors", tuple(
+            Multivector._of(m, {1 << j: x for j, x in enumerate(row) if x}) for row in rows
+        ))
+        object.__setattr__(out, "_rows", rows)
+        object.__setattr__(out, "_products", {})
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("StructuralSet is immutable")
 
@@ -104,24 +117,25 @@ class StructuralSet:
     @classmethod
     def standard(cls, m: int) -> "StructuralSet":
         check_dimension(m)
-        return cls([Multivector.basis_vector(m, i) for i in range(1, m + 1)])
+        return cls.signed_permutation(m, range(1, m + 1))
 
     @classmethod
     def reversed_standard(cls, m: int) -> "StructuralSet":
         check_dimension(m)
-        return cls([Multivector.basis_vector(m, i) for i in range(m, 0, -1)])
+        return cls.signed_permutation(m, range(m, 0, -1))
 
     @classmethod
     def signed_permutation(cls, m: int, signed_indices: Sequence[int]) -> "StructuralSet":
         """Vectors +-e_{|p_k|}; `signed_indices` must be a signed permutation of 1..m."""
         check_dimension(m)
-        if sorted(abs(p) for p in signed_indices) != list(range(1, m + 1)):
+        signed = list(signed_indices)
+        if sorted(abs(p) for p in signed) != list(range(1, m + 1)):
             raise StructuralSetError(f"{signed_indices!r} is not a signed permutation of 1..{m}")
-        vecs = []
-        for p in signed_indices:
-            v = Multivector.basis_vector(m, abs(p))
-            vecs.append(-v if p < 0 else v)
-        return cls(vecs)
+        rows = []
+        for p in signed:
+            mask, unit = 1 << (abs(p) - 1), Fraction(-1 if p < 0 else 1)
+            rows.append(tuple(unit if mask >> j & 1 else Fraction(0) for j in range(m)))
+        return cls._of(tuple(rows))
 
     @classmethod
     def rotation_2d(cls, c1: Scalar, c2: Scalar) -> "StructuralSet":
@@ -147,11 +161,7 @@ class StructuralSet:
         if violation is not None:
             i, j, dot = violation
             raise StructuralSetError(f"matrix is not orthogonal: row dot ({i},{j}) = {dot}")
-        vecs = [
-            Multivector(m, {1 << j: entries[i][j] for j in range(m) if entries[i][j]})
-            for i in range(m)
-        ]
-        return cls(vecs, _gram_checked=True)
+        return cls._of(tuple(map(tuple, entries)))
 
     # -- views ------------------------------------------------------------
 

@@ -223,7 +223,7 @@ def _check_same_set_scalar_action(cfg, run):
         sets = [StructuralSet.standard(m), rand_signed_permutation(rng, m), rand_rational_structural_set(rng, m)]
         for s in sets:
             for mask in blade_order(m):
-                blade = Multivector(m, {mask: Fraction(1)})
+                blade = Multivector._of(m, {mask: Fraction(1)})
                 k = mask.bit_count()
                 for j in range(m + 1):
                     run.equal(

@@ -169,6 +169,36 @@ def test_matrix_set_spec_error_cases(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[[1e400]]",                         # infinite as a float: no OverflowError traceback
+    '[["1", "0"], [0.6, 0.8]]',          # binary floats, not 3/5 and 4/5
+    '[["1", "0"], [0, 1.0]]',
+    '[[true, false], [false, true]]',    # booleans are not integers here
+    '[["1", null], ["0", "1"]]',
+    '["10", "01"]',                      # rows must be arrays, not strings
+    '[["1", "0"], [["0"], "1"]]',
+    '{"rows": [["1"]]}',
+    '[["1", "0"], ["0", "1/0"]]',
+    '[["1", "0"], ["0", "one"]]',
+])
+def test_matrix_set_spec_accepts_only_exact_entries(tmp_path, capsys, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "classify", "--m", "2", "--expr", "x1", "--phi", f"matrix:{path}")
+    assert (code, out) == (2, "")
+    assert err == f"error: matrix file {str(path)!r} must hold an array of arrays of rational strings\n"
+
+
+def test_matrix_set_spec_reads_strings_and_integers(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('[["3/5", "-4/5"], ["4/5", "3/5"]]')
+    assert parse_set_spec(f"matrix:{path}", 2) == StructuralSet.rotation_2d("3/5", "4/5")
+    path.write_text('[[0, 1], [-1, "0"]]')
+    assert parse_set_spec(f"matrix:{path}", 2) == StructuralSet.signed_permutation(2, [2, -1])
+    path.write_text('[[" 1 "]]')
+    assert parse_set_spec(f"matrix:{path}", 1) == StructuralSet.standard(1)
+
+
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--m", "2,3", "--trials", "2", "--seed", "0", "--format", "json"):
         "9f1ec594a18858c4658b851d8892245b491580cf8eb3f57646520eee7d139e31",
