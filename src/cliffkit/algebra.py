@@ -3,7 +3,8 @@
 Basis blades are encoded as bitmasks over the generators e_1..e_m (bit
 i-1 stands for e_i).  Every generator squares to -1 and distinct
 generators anticommute, so the product of two blades is a signed blade;
-a multivector is a sparse map from blade masks to rational coefficients.
+a multivector is a sparse map from blade masks to rational coefficients,
+kept as integer numerators over one positive denominator in lowest terms.
 
 All values are immutable after construction and every operation returns
 a new object, so they can be shared freely between threads or tasks.
@@ -11,14 +12,17 @@ a new object, so they can be shared freely between threads or tasks.
 Input is validated once, where it enters: `Multivector(m, terms)` checks
 the dimension, every mask and every coefficient, and the named builders
 check their own arguments.  Everything built from valid parts goes through
-the trusted `Multivector._of`, which only puts the blades in canonical
-order, by a per-m blade-rank table; `PolyField._of` and `StructuralSet._of`
-are the same for fields and structural sets.
+the trusted `Multivector._of`, which takes numerators and denominator
+already in lowest terms and only puts the blades in canonical order, by a
+per-m blade-rank table; a caller holding Fractions converts them with
+`_as_integers` first.  `PolyField._of` and `StructuralSet._of` are the same
+for fields and structural sets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 MAX_DIMENSION = 12
@@ -105,6 +109,31 @@ def blade_product(a: int, b: int) -> tuple[int, int]:
     return sign, a ^ b
 
 
+_ODD_MASKS: dict[int, list[int]] = {}
+
+
+def _odd_masks(m: int) -> list[int]:
+    """For each mask a < 2^m, the mask w_a with blade_product(a, b) negative exactly
+    when b & w_a has an odd number of bits; built on first use for each m.
+
+    Bit i of w_a is the parity of the bits of a at positions >= i: the
+    generators of a that e_i passes (those above it) plus e_i * e_i = -1
+    when a holds e_i itself.
+    """
+    table = _ODD_MASKS.get(m)
+    if table is None:
+        table = []
+        for a in range(1 << m):
+            w, i = 0, 0
+            while a >> i:
+                if (a >> i).bit_count() & 1:
+                    w |= 1 << i
+                i += 1
+            table.append(w)
+        _ODD_MASKS[m] = table
+    return table
+
+
 def _reverse_sign(k: int) -> int:
     return -1 if (k * (k - 1) // 2) & 1 else 1
 
@@ -113,14 +142,38 @@ def _conjugate_sign(k: int) -> int:
     return -1 if (k * (k + 1) // 2) & 1 else 1
 
 
+def _lowest(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """Nonzero numerators over den > 0, divided by gcd(den, *numerators); no numerators give 1 as denominator."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            return {mask: c // g for mask, c in num.items()}, den // g
+    return num, den
+
+
+def _as_integers(terms: Mapping[int, Scalar]) -> tuple[dict[int, int], int]:
+    """Nonzero rational coefficients as integer numerators over the lcm of their denominators.
+
+    That pair is already in lowest terms: a prime power dividing the lcm
+    divides some denominator in full, and that coefficient's numerator
+    keeps no factor of the prime.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {mask: c.numerator * (den // c.denominator) for mask, c in terms.items()}, den
+
+
 class Multivector:
     """An element of R_{0,m} with exact rational coefficients.
 
-    Zero coefficients are dropped eagerly, so structural equality agrees
-    with mathematical equality.
+    The coefficients are kept as integer numerators over one positive
+    denominator, in lowest terms: gcd(den, *numerators) == 1, zero
+    numerators are dropped and zero itself has denominator 1.  So
+    structural equality agrees with mathematical equality, and products
+    and sums run on integers, reducing once per result.  The public
+    accessors still hand out Fractions.
     """
 
-    __slots__ = ("m", "_terms")
+    __slots__ = ("m", "_num", "_den")
 
     def __init__(self, m: int, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         check_dimension(m)
@@ -135,23 +188,40 @@ class Multivector:
                 acc[mask] = c
             else:
                 acc.pop(mask, None)
+        num, den = _as_integers(acc)
+        rank = _blade_rank(m)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_terms", {k: acc[k] for k in sorted(acc, key=blade_sort_key)})
+        object.__setattr__(self, "_num", {k: num[k] for k in sorted(num, key=rank.__getitem__)})
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _of(cls, m: int, terms: dict[int, Fraction]) -> "Multivector":
+    def _of(cls, m: int, num: dict[int, int], den: int = 1) -> "Multivector":
         """Trusted constructor for results of operations on valid multivectors.
 
-        `terms` must map masks in range for m to nonzero Fractions; it is
-        only put into canonical order, and the new value takes it over.
+        `num` must map masks in range for m to nonzero integers, in lowest
+        terms over `den` (see `_lowest`); it is only put into canonical
+        order, and the new value takes it over.
         """
         out = object.__new__(cls)
         object.__setattr__(out, "m", m)
-        if len(terms) > 1:
+        if len(num) > 1:
             rank = _blade_rank(m)
-            terms = {k: terms[k] for k in sorted(terms, key=rank.__getitem__)}
-        object.__setattr__(out, "_terms", terms)
+            num = {k: num[k] for k in sorted(num, key=rank.__getitem__)}
+        object.__setattr__(out, "_num", num)
+        object.__setattr__(out, "_den", den)
         return out
+
+    @classmethod
+    def _sum(cls, m: int, values: Iterable["Multivector"]) -> "Multivector":
+        """The sum of multivectors of dimension m, accumulated over the lcm of their denominators."""
+        values = list(values)
+        den = lcm(*(v._den for v in values))
+        acc: dict[int, int] = {}
+        for v in values:
+            scale = den // v._den
+            for mask, c in v._num.items():
+                acc[mask] = acc.get(mask, 0) + c * scale
+        return cls._of(m, *_lowest({mask: c for mask, c in acc.items() if c}, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -181,7 +251,7 @@ class Multivector:
     def _term(cls, m: int, mask: int, coef: Fraction) -> "Multivector":
         """coef * e_mask for a mask in range; the dimension is checked last, as `__init__` did."""
         check_dimension(m)
-        return cls._of(m, {mask: coef} if coef else {})
+        return cls._of(m, {mask: coef.numerator}, coef.denominator) if coef else cls._of(m, {})
 
     @classmethod
     def from_coefficients(cls, m: int, coeffs: Iterable[Scalar], order: list[int] | None = None) -> "Multivector":
@@ -192,30 +262,32 @@ class Multivector:
     # -- inspection ---------------------------------------------------
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((mask, Fraction(c, den)) for mask, c in self._num.items())
 
     def coefficient(self, mask_or_indices) -> Fraction:
         mask = mask_or_indices if isinstance(mask_or_indices, int) else indices_to_mask(mask_or_indices, self.m)
-        return self._terms.get(mask, Fraction(0))
+        return Fraction(self._num.get(mask, 0), self._den)
 
     def scalar_part(self) -> Fraction:
-        return self._terms.get(0, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def coefficients(self, order: list[int] | None = None) -> list[Fraction]:
         masks = blade_order(self.m) if order is None else order
-        return [self._terms.get(mask, Fraction(0)) for mask in masks]
+        num, den = self._num, self._den
+        return [Fraction(num.get(mask, 0), den) for mask in masks]
 
     def grades(self) -> set[int]:
-        return {mask.bit_count() for mask in self._terms}
+        return {mask.bit_count() for mask in self._num}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     # -- ring structure -----------------------------------------------
 
@@ -223,18 +295,27 @@ class Multivector:
         if self.m != other.m:
             raise DimensionMismatch(f"cannot combine dimensions {self.m} and {other.m}")
 
+    def _scaled(self, p: int, q: int) -> "Multivector":
+        """self * p/q for integers p and q > 0."""
+        if not p:
+            return Multivector._of(self.m, {})
+        return Multivector._of(self.m, *_lowest({mask: c * p for mask, c in self._num.items()}, self._den * q))
+
     def __add__(self, other):
         if isinstance(other, Multivector):
             self._require_same_dimension(other)
-            acc = dict(self._terms)
-            for mask, c in other._terms.items():
+            den = lcm(self._den, other._den)
+            fa, fb = den // self._den, den // other._den
+            acc = {mask: c * fa for mask, c in self._num.items()} if fa != 1 else dict(self._num)
+            for mask, c in other._num.items():
+                c *= fb
                 if mask in acc:
                     c += acc[mask]
                     if not c:
                         del acc[mask]
                         continue
                 acc[mask] = c
-            return Multivector._of(self.m, acc)
+            return Multivector._of(self.m, *_lowest(acc, den))
         if isinstance(other, (int, Fraction)):
             return self + Multivector.scalar(self.m, other)
         return NotImplemented
@@ -242,7 +323,7 @@ class Multivector:
     __radd__ = __add__
 
     def __neg__(self):
-        return Multivector._of(self.m, {mask: -c for mask, c in self._terms.items()})
+        return Multivector._of(self.m, {mask: -c for mask, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (Multivector, int, Fraction)):
@@ -258,21 +339,20 @@ class Multivector:
         """Geometric product, or scaling by a rational."""
         if isinstance(other, Multivector):
             self._require_same_dimension(other)
-            acc: dict[int, Fraction] = {}
-            for ma, ca in self._terms.items():
-                for mb, cb in other._terms.items():
-                    sign, mr = blade_product(ma, mb)
-                    c = ca * cb
-                    if mr in acc:
-                        acc[mr] = acc[mr] + c if sign > 0 else acc[mr] - c
+            acc: dict[int, int] = {}
+            odd = _odd_masks(self.m)
+            right = other._num.items()
+            for ma, ca in self._num.items():
+                w = odd[ma]
+                for mb, cb in right:
+                    mr = ma ^ mb
+                    if (mb & w).bit_count() & 1:
+                        acc[mr] = acc.get(mr, 0) - ca * cb
                     else:
-                        acc[mr] = c if sign > 0 else -c
-            return Multivector._of(self.m, {mask: c for mask, c in acc.items() if c})
+                        acc[mr] = acc.get(mr, 0) + ca * cb
+            return Multivector._of(self.m, *_lowest({mask: c for mask, c in acc.items() if c}, self._den * other._den))
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Multivector._of(self.m, {})
-            q = Fraction(other)
-            return Multivector._of(self.m, {mask: c * q for mask, c in self._terms.items()})
+            return self._scaled(other.numerator, other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -284,12 +364,13 @@ class Multivector:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("multivector division by zero")
-            return self * (Fraction(1) / Fraction(other))
+            p, q = other.denominator, other.numerator
+            return self._scaled(-p, -q) if q < 0 else self._scaled(p, q)
         return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, Multivector):
-            return self.m == other.m and self._terms == other._terms
+            return self.m == other.m and self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
             return self == Multivector.scalar(self.m, other)
         return NotImplemented
@@ -298,27 +379,37 @@ class Multivector:
 
     # -- grade structure ----------------------------------------------
 
+    def _select(self, keep) -> "Multivector":
+        """The terms whose grade satisfies `keep`, in lowest terms."""
+        num = {mask: c for mask, c in self._num.items() if keep(mask.bit_count())}
+        return Multivector._of(self.m, *_lowest(num, self._den))
+
     def grade_project(self, k: int) -> "Multivector":
         """The grade-k component [a]_k."""
         if not 0 <= k <= self.m:
             raise ValueError(f"grade {k} out of range 0..{self.m}")
-        return Multivector._of(self.m, {mask: c for mask, c in self._terms.items() if mask.bit_count() == k})
+        return self._select(k.__eq__)
 
     def even_part(self) -> "Multivector":
-        return Multivector._of(self.m, {mask: c for mask, c in self._terms.items() if not mask.bit_count() & 1})
+        return self._select(lambda g: not g & 1)
 
     def odd_part(self) -> "Multivector":
-        return Multivector._of(self.m, {mask: c for mask, c in self._terms.items() if mask.bit_count() & 1})
+        return self._select(lambda g: g & 1)
 
     # -- involutions ---------------------------------------------------
 
+    def _signed(self, sign_of_grade) -> "Multivector":
+        """Each term times the sign its grade gets; the denominator stays."""
+        num = {mask: c if sign_of_grade(mask.bit_count()) > 0 else -c for mask, c in self._num.items()}
+        return Multivector._of(self.m, num, self._den)
+
     def conjugate(self) -> "Multivector":
         """Anti-automorphism sending each generator e_i to -e_i."""
-        return Multivector._of(self.m, {mask: c if _conjugate_sign(mask.bit_count()) > 0 else -c for mask, c in self._terms.items()})
+        return self._signed(_conjugate_sign)
 
     def reverse(self) -> "Multivector":
         """Anti-automorphism fixing each generator e_i."""
-        return Multivector._of(self.m, {mask: c if _reverse_sign(mask.bit_count()) > 0 else -c for mask, c in self._terms.items()})
+        return self._signed(_reverse_sign)
 
     # -- display --------------------------------------------------------
 

@@ -9,7 +9,8 @@ Structural sets are named specs: `standard`, `reversed`,
 `signedperm:3,-1,2` (signed permutation of the standard vectors),
 `rot2:p/q` and `refl2:p/q` (2D rotation/reflection with cosine and sine
 from the tangent half-angle p/q), or `matrix:FILE` where FILE holds a
-JSON array of arrays of rational strings.
+JSON array of arrays of rational strings.  Each number given as text is
+bounded by `MAX_NUMBER_TEXT` before it is converted.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error.
@@ -36,6 +37,26 @@ class UsageError(ValueError):
     pass
 
 
+# Bound on one exact number given as text (a `matrix:FILE` entry or a rot2/refl2
+# parameter): on its characters, and on the magnitude of its decimal exponent,
+# which `Fraction` would otherwise expand into that many digits.  The value is
+# Python's own limit on converting digit strings to integers.
+MAX_NUMBER_TEXT = 4300
+
+
+def _check_number_text(text: str, where: str) -> None:
+    """Raise `UsageError` naming `where` when `text` is out of the bound; the syntax is left to `Fraction`."""
+    if len(text) > MAX_NUMBER_TEXT:
+        raise UsageError(f"{where} has {len(text)} characters, more than the {MAX_NUMBER_TEXT} allowed")
+    _, e, exponent = text.lower().partition("e")
+    try:
+        value = int(exponent) if e else 0
+    except ValueError:
+        return
+    if abs(value) > MAX_NUMBER_TEXT:
+        raise UsageError(f"{where} has decimal exponent {value}, beyond the {MAX_NUMBER_TEXT} allowed in magnitude")
+
+
 def parse_set_spec(spec: str, m: int) -> StructuralSet:
     if spec == "standard":
         return StructuralSet.standard(m)
@@ -52,6 +73,7 @@ def parse_set_spec(spec: str, m: int) -> StructuralSet:
         kind, body = spec.split(":", 1)
         if m != 2:
             raise UsageError(f"{kind} sets require --m 2")
+        _check_number_text(body, f"{kind} parameter")
         try:
             t = Fraction(body)
         except (ValueError, ZeroDivisionError):
@@ -67,15 +89,20 @@ def parse_set_spec(spec: str, m: int) -> StructuralSet:
             raise UsageError(f"cannot read matrix file {path!r}: {exc}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"matrix file {path!r} is not valid JSON: {exc}")
+        shape = f"matrix file {path!r} must hold an array of arrays of rational strings"
+        # Exact entries only: a JSON float is binary, and 1e400 is infinite.
+        if not isinstance(raw, list) or not all(
+            isinstance(row, list) and all(isinstance(x, str) or type(x) is int for x in row) for row in raw
+        ):
+            raise UsageError(shape)
+        for i, row in enumerate(raw, 1):
+            for j, x in enumerate(row, 1):
+                if isinstance(x, str):
+                    _check_number_text(x, f"matrix file {path!r}: entry at row {i}, column {j}")
         try:
-            # Exact entries only: a JSON float is binary, and 1e400 is infinite.
-            if not isinstance(raw, list) or not all(
-                isinstance(row, list) and all(isinstance(x, str) or type(x) is int for x in row) for row in raw
-            ):
-                raise TypeError(raw)
             rows = [[Fraction(x) for x in row] for row in raw]
-        except (ValueError, TypeError, ZeroDivisionError):
-            raise UsageError(f"matrix file {path!r} must hold an array of arrays of rational strings")
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(shape)
         if len(rows) != m:
             raise UsageError(f"matrix in {path!r} is {len(rows)}x?, expected {m}x{m}")
         return StructuralSet.from_matrix(rows)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Vector = list[Fraction]
@@ -40,6 +40,12 @@ def _integer_row(entries: Iterable[tuple[int, Fraction]]) -> IntegerRow:
     nonzero = [(j, x) for j, x in entries if x]
     scale = lcm(*(x.denominator for _, x in nonzero))
     return tuple((j, x.numerator * (scale // x.denominator)) for j, x in nonzero), scale
+
+
+def _reduced_row(entries: list[tuple[int, int]], scale: int) -> IntegerRow:
+    """Nonzero (column, int) entries over `scale` as the `_integer_row` of their values: both divided by their gcd."""
+    g = gcd(scale, *(x for _, x in entries))
+    return tuple((j, x // g) for j, x in entries), scale // g
 
 
 def _bareiss_echelon(rows: list[dict[int, int]], columns: Sequence[int]) -> tuple[list[dict[int, int]], list[int], int]:

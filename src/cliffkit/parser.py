@@ -170,7 +170,7 @@ class _Parser:
                 mask = indices_to_mask(indices, self.m)
             except ValueError as exc:
                 raise ParseError(str(exc), at) from None
-            return PolyField.constant(Multivector._of(self.m, {mask: Fraction(1)}))
+            return PolyField.constant(Multivector._of(self.m, {mask: 1}))
         if ch == "":
             raise ParseError("unexpected end of input", at)
         raise ParseError(f"unexpected {ch!r}", at)

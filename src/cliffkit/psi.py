@@ -78,11 +78,8 @@ class PsiOperator:
             raise ValueError(f"dimension mismatch: sets {self.phi.m}/{self.psi.m}, operand {a.m}")
         if isinstance(a, PolyField):
             return a.map_coefficients(self.apply)
-        acc: dict[int, Fraction] = {}
-        for A in self.index_sets:
-            for mask, c in (self.phi.product(A) * a * self.psi.reversed_product(A)).terms():
-                acc[mask] = acc.get(mask, 0) + c
-        return Multivector._of(a.m, {mask: c for mask, c in acc.items() if c})
+        phi, psi = self.phi, self.psi
+        return Multivector._sum(a.m, (phi.product(A) * a * psi.reversed_product(A) for A in self.index_sets))
 
 
 def apply_psi_k(phi: StructuralSet, psi: StructuralSet, k: int, a: Element) -> Element:
@@ -180,7 +177,7 @@ def psi_matrix(op: PsiOperator) -> RationalMatrix:
     """Matrix of the operator on the 2^m blade basis (canonical blade order)."""
     m = op.phi.m
     order = blade_order(m)
-    columns = [op.apply(Multivector._of(m, {mask: Fraction(1)})).coefficients(order) for mask in order]
+    columns = [op.apply(Multivector._of(m, {mask: 1})).coefficients(order) for mask in order]
     return RationalMatrix.from_columns(columns, len(order))
 
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, perm, prod
+from math import gcd, lcm, perm, prod
 from typing import Callable, Sequence
 
-from .algebra import DimensionMismatch, Multivector, blade_order, blade_product, check_dimension
+from .algebra import DimensionMismatch, Multivector, _as_integers, _odd_masks, blade_order, check_dimension
 from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
 from .fields import MultiIndex, PolyField
-from .linalg import RationalMatrix, Vector, _integer_row
+from .linalg import RationalMatrix, Vector, _reduced_row
 from .psi import apply_psi_plus
 from .structural import StructuralSet
 
@@ -65,7 +65,7 @@ class CoefficientSpace:
 
     def basis_field(self, i: int) -> PolyField:
         alpha, mask = self.basis[i]
-        return PolyField._of(self.m, {alpha: Multivector._of(self.m, {mask: Fraction(1)})})
+        return PolyField._of(self.m, {alpha: Multivector._of(self.m, {mask: 1})})
 
     def field_to_vector(self, f: PolyField) -> Vector:
         if f.m != self.m:
@@ -85,7 +85,7 @@ class CoefficientSpace:
         for (alpha, mask), coef in zip(self.basis, vec):
             if coef:
                 acc.setdefault(alpha, {})[mask] = Fraction(coef)
-        return PolyField._of(self.m, {alpha: Multivector._of(self.m, masks) for alpha, masks in acc.items()})
+        return PolyField._of(self.m, {alpha: Multivector._of(self.m, *_as_integers(masks)) for alpha, masks in acc.items()})
 
     def __repr__(self):
         return f"CoefficientSpace(m={self.m}, degree={self.degree}, size={self.size})"
@@ -147,20 +147,43 @@ class FieldOperator:
         return cls("dirac-right", 1, (psi,), lambda axes, one: [((j,), one, psi[j]) for j in axes])
 
 
+# S_gamma for each gamma of a symbol: S_gamma[A] lists the nonzero (B, c) with sum a * e_A * b = sum c * e_B.
+BladeMaps = dict[MultiIndex, list[list[tuple[int, int]]]]
+
+
+def _integer_blade_maps(symbol: list[SymbolTerm], m: int) -> tuple[BladeMaps, int]:
+    """The blade maps of the symbol's terms (gamma, a, b) as integers over one scale.
+
+    Each coefficient c of S_gamma is the returned integer over the scale;
+    the scale is the smallest one that works for every map together.
+    """
+    scale = lcm(*(a._den * b._den for _, a, b in symbol))
+    odd = _odd_masks(m)
+    acc: dict[MultiIndex, list[dict[int, int]]] = {}
+    for gamma, a, b in symbol:
+        images = acc.setdefault(gamma, [{} for _ in range(1 << m)])
+        factor = scale // (a._den * b._den)
+        for ma, ca in a._num.items():
+            for mb, cb in b._num.items():
+                c = ca * cb * factor
+                for mask, image in enumerate(images):
+                    # e_ma * e_mask * e_mb, whose sign has two factors
+                    left = ma ^ mask
+                    out = left ^ mb
+                    negative = ((mask & odd[ma]) ^ (mb & odd[left])).bit_count() & 1
+                    image[out] = image.get(out, 0) + (-c if negative else c)
+    maps = {gamma: [[(out, c) for out, c in image.items() if c] for image in images] for gamma, images in acc.items()}
+    g = gcd(scale, *(c for images in maps.values() for image in images for _, c in image))
+    if g != 1:
+        maps = {gamma: [[(out, c // g) for out, c in image] for image in images] for gamma, images in maps.items()}
+    return maps, scale // g
+
+
 def _blade_maps(symbol: list[SymbolTerm], m: int) -> dict[MultiIndex, list[list[tuple[int, Fraction]]]]:
     """S_gamma for each gamma of the symbol: S_gamma[A] lists the nonzero (B, c)
     with sum a * e_A * b = sum c * e_B over the terms (gamma, a, b)."""
-    acc: dict[MultiIndex, list[dict[int, Fraction]]] = {}
-    for gamma, a, b in symbol:
-        images = acc.setdefault(gamma, [{} for _ in range(1 << m)])
-        for ma, ca in a.terms():
-            for mb, cb in b.terms():
-                c = ca * cb
-                for mask, image in enumerate(images):
-                    s1, left = blade_product(ma, mask)
-                    s2, out = blade_product(left, mb)
-                    image[out] = image.get(out, 0) + (c if s1 == s2 else -c)
-    return {gamma: [[(out, c) for out, c in image.items() if c] for image in images] for gamma, images in acc.items()}
+    maps, scale = _integer_blade_maps(symbol, m)
+    return {gamma: [[(out, Fraction(c, scale)) for out, c in image] for image in images] for gamma, images in maps.items()}
 
 
 @dataclass(frozen=True)
@@ -188,14 +211,16 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatri
     times monomial alpha-gamma tensor S_gamma(e_A), with S_gamma the blade
     map of `_blade_maps`.  The lift and alpha - gamma depend on the
     monomial alone, so they are found once per alpha for all its blades.
+    The blade maps are integers over one scale, so every entry is an
+    integer over that scale until each row is reduced once.
     """
     symbol = op.symbol(space.m)
     target_degree = space.degree - op.order
     if target_degree < 0:
         return OperatorMatrix(RationalMatrix.zero(0, space.size), space, None, True)
     target = CoefficientSpace(space.m, target_degree)
-    maps = _blade_maps(symbol, space.m)
-    entries: list[list[tuple[int, Fraction]]] = [[] for _ in range(target.size)]
+    maps, scale = _integer_blade_maps(symbol, space.m)
+    entries: list[list[tuple[int, int]]] = [[] for _ in range(target.size)]
     masks = blade_order(space.m)
     col = 0  # `space.basis` is alpha-major: the blades of each alpha, in `masks` order
     for alpha in monomials_of_degree(space.m, space.degree):
@@ -209,7 +234,7 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatri
                 for out, c in blade_map[mask]:
                     entries[target._index[(beta, out)]].append((col, lift * c))
             col += 1
-    matrix = RationalMatrix._of([_integer_row(row) for row in entries], space.size)
+    matrix = RationalMatrix._of([_reduced_row(row, scale) for row in entries], space.size)
     return OperatorMatrix(matrix, space, target, False)
 
 

@@ -15,7 +15,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .algebra import Multivector, Scalar, check_dimension
+from .algebra import Multivector, Scalar, _as_integers, check_dimension
 from .linalg import det
 
 
@@ -103,7 +103,7 @@ class StructuralSet:
         out = object.__new__(cls)
         object.__setattr__(out, "m", m)
         object.__setattr__(out, "vectors", tuple(
-            Multivector._of(m, {1 << j: x for j, x in enumerate(row) if x}) for row in rows
+            Multivector._of(m, *_as_integers({1 << j: x for j, x in enumerate(row) if x})) for row in rows
         ))
         object.__setattr__(out, "_rows", rows)
         object.__setattr__(out, "_products", {})

@@ -21,7 +21,7 @@ from .classify import (
     check_even_odd_split_membership,
     classify,
 )
-from .fields import dirac_left, dirac_right, laplacian, sandwich
+from .fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from .psi import (
     PsiOperator,
     _two_dimensional_aggregates,
@@ -114,17 +114,38 @@ class SuiteReport:
         }
 
 
+class _KernelMemo:
+    """Fields of the class kernel bases that `_members_for` draws from, each built once per suite run.
+
+    Keyed by dimension, degree, class names and the coordinates of the sets
+    the class operators use; the Laplacian uses none, so every pair shares
+    the harmonic kernel.
+    """
+
+    def __init__(self):
+        self._fields: dict[tuple, list[PolyField]] = {}
+
+    def fields(self, phi: StructuralSet, psi: StructuralSet, names: tuple[str, ...], d: int) -> list[PolyField]:
+        sets = () if names == (HARMONIC,) else (phi, psi)
+        key = (phi.m, d, names) + tuple(tuple(map(tuple, s.coordinates())) for s in sets)
+        if key not in self._fields:
+            self._fields[key] = class_nullspace(phi, psi, d, names).fields()
+        return self._fields[key]
+
+
 class _Runner:
     """Collects verdicts for one named check, applying the corruption hook.
 
     With `corrupt` set, equality checks get their left-hand side shifted
     by one and boolean checks are inverted, so the check must fail and
-    the reporting path is exercised end to end.
+    the reporting path is exercised end to end.  `kernels` is the suite
+    run's shared `_KernelMemo`.
     """
 
-    def __init__(self, name: str, corrupt: bool):
+    def __init__(self, name: str, corrupt: bool, kernels: _KernelMemo):
         self.name = name
         self.corrupt = corrupt
+        self.kernels = kernels
         self.cases = 0
         self.failure: Verdict | None = None
 
@@ -223,7 +244,7 @@ def _check_same_set_scalar_action(cfg, run):
         sets = [StructuralSet.standard(m), rand_signed_permutation(rng, m), rand_rational_structural_set(rng, m)]
         for s in sets:
             for mask in blade_order(m):
-                blade = Multivector._of(m, {mask: Fraction(1)})
+                blade = Multivector._of(m, {mask: 1})
                 k = mask.bit_count()
                 for j in range(m + 1):
                     run.equal(
@@ -297,12 +318,8 @@ def _check_dirac_psi1(cfg, run, which: str):
         run.add(check_dirac_psi1_identities(phi, psi, f, which))
 
 
-def _members_for(phi: StructuralSet, psi: StructuralSet, names, limit=4):
-    out = []
-    for d in (2, 3):
-        basis = class_nullspace(phi, psi, d, names)
-        out.extend(basis.fields()[:limit])
-    return out
+def _members_for(run: _Runner, phi: StructuralSet, psi: StructuralSet, names, limit=4):
+    return [f for d in (2, 3) for f in run.kernels.fields(phi, psi, names, d)[:limit]]
 
 
 def _check_inframonogenic_equivalence(cfg, run):
@@ -310,7 +327,7 @@ def _check_inframonogenic_equivalence(cfg, run):
         run.add(check_inframonogenic_psi1_equivalence(phi, psi, f))
     if 3 in cfg.m_values:
         phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
-        for f in _members_for(phi, psi, (INFRAMONOGENIC,)):
+        for f in _members_for(run, phi, psi, (INFRAMONOGENIC,)):
             run.add(check_inframonogenic_psi1_equivalence(phi, psi, f))
 
 
@@ -319,7 +336,7 @@ def _check_second_order_criterion(cfg, run):
         run.add(check_second_order_criterion(phi, psi, f))
     if 3 in cfg.m_values:
         phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
-        for f in _members_for(phi, psi, (TWO_SET_HARMONIC,)):
+        for f in _members_for(run, phi, psi, (TWO_SET_HARMONIC,)):
             run.add(check_second_order_criterion(phi, psi, f))
 
 
@@ -345,7 +362,7 @@ def _check_aggregates_map_into_intersection(cfg, run, source: str):
         run.truth("skipped", True)
         return
     phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
-    for f in _members_for(phi, psi, (source,), limit=6):
+    for f in _members_for(run, phi, psi, (source,), limit=6):
         for op in (apply_psi_plus, apply_psi_minus):
             image = op(phi, psi, f)
             mem = classify(phi, psi, image)
@@ -371,7 +388,7 @@ def _check_2d_components(cfg, run, form: str):
     # Stated consequence: the indicated parity part of a harmonic or
     # inframonogenic field lands in the intersection of both kernels.
     for names in ((HARMONIC,), (INFRAMONOGENIC,)):
-        for f in _members_for(phi, psi, names):
+        for f in _members_for(run, phi, psi, names):
             part = f.even_part() if form == "rotation" else f.odd_part()
             mem = classify(phi, psi, part)
             run.truth(
@@ -428,8 +445,9 @@ def check_names() -> list[str]:
 
 def run_suite(cfg: VerifyConfig) -> SuiteReport:
     report = SuiteReport(cfg)
+    kernels = _KernelMemo()
     for name, fn in CHECKS:
-        run = _Runner(name, corrupt=(cfg.corrupt == name))
+        run = _Runner(name, corrupt=(cfg.corrupt == name), kernels=kernels)
         fn(cfg, run)
         report.results.append(run.result())
     return report

@@ -6,13 +6,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import cliffkit
 from cliffkit import cli
 from cliffkit.cli import build_parser, main, parse_region_spec, parse_set_spec
-from cliffkit.structural import StructuralSet
+from cliffkit.structural import StructuralSet, StructuralSetError
 
 
 def run_cli(capsys, *argv):
@@ -331,3 +332,61 @@ def test_huge_power_of_one_variable_answers():
     )
     assert proc.returncode == 0, proc.stderr
     assert "harmonic: False" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("entry", ["1e1000000", "1e1000000000"])
+def test_matrix_entry_with_a_huge_exponent_is_refused_at_once(tmp_path, capsys, entry):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[entry]]))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", "--m", "1", "--expr", "x1", "--phi", f"matrix:{path}")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: matrix file {str(path)!r}: entry at row 1, column 1 has decimal exponent "
+                   f"{entry[2:]}, beyond the {cli.MAX_NUMBER_TEXT} allowed in magnitude\n")
+    assert "Traceback" not in err
+
+
+def test_matrix_entry_with_too_many_characters_names_its_position(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([["1", "0"], ["0", "1" * 5000]]))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", "--m", "2", "--expr", "x1", "--phi", f"matrix:{path}")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: matrix file {str(path)!r}: entry at row 2, column 2 has 5000 characters, "
+                   f"more than the {cli.MAX_NUMBER_TEXT} allowed\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("rot2:1e1000000000", "rot2 parameter has decimal exponent 1000000000, beyond the 4300 allowed in magnitude"),
+    ("refl2:1e-1000000", "refl2 parameter has decimal exponent -1000000, beyond the 4300 allowed in magnitude"),
+    ("rot2:" + "7" * 4301, "rot2 parameter has 4301 characters, more than the 4300 allowed"),
+])
+def test_rotation_parameter_out_of_bounds_is_a_usage_error(capsys, spec, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", "--m", "2", "--expr", "x1", "--phi", spec)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_ordinary_exact_numbers_are_still_accepted(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([["3/5", "-0.8"], ["8e-1", "6E-1"]]))
+    assert parse_set_spec(f"matrix:{path}", 2) == StructuralSet.rotation_2d("3/5", "4/5")
+    path.write_text(json.dumps([["1e-1", "0"], ["0", "1"]]))
+    with pytest.raises(StructuralSetError, match="not orthogonal"):
+        parse_set_spec(f"matrix:{path}", 2)
+    assert parse_set_spec("rot2:1e-1", 2) == parse_set_spec("rot2:1/10", 2)
+    assert parse_set_spec("refl2:-0.5", 2) == parse_set_spec("refl2:-1/2", 2)
+
+
+def test_number_bound_is_inclusive():
+    cli._check_number_text("1e4300", "entry")
+    cli._check_number_text("1e-4300", "entry")
+    cli._check_number_text("1" * 4300, "entry")
+    cli._check_number_text("1e", "entry")  # bad syntax is left to Fraction
+    with pytest.raises(cli.UsageError):
+        cli._check_number_text("1e4301", "entry")
+    with pytest.raises(cli.UsageError):
+        cli._check_number_text("1" * 4301, "entry")
