@@ -48,7 +48,7 @@ from .sampling import (
     rand_signed_permutation,
     rand_structural_pair,
 )
-from .solver import _counterexample_check, class_nullspace
+from .solver import NullspaceBasis, _counterexample_check, class_nullspace
 from .structural import StructuralSet
 from .verdict import Verdict, compare
 
@@ -115,7 +115,7 @@ class SuiteReport:
 
 
 class _KernelMemo:
-    """Fields of the class kernel bases that `_members_for` draws from, each built once per suite run.
+    """The class kernel bases that `_members_for` draws from, each built once per suite run.
 
     Keyed by dimension, degree, class names and the coordinates of the sets
     the class operators use; the Laplacian uses none, so every pair shares
@@ -123,14 +123,16 @@ class _KernelMemo:
     """
 
     def __init__(self):
-        self._fields: dict[tuple, list[PolyField]] = {}
+        self._bases: dict[tuple, NullspaceBasis] = {}
 
-    def fields(self, phi: StructuralSet, psi: StructuralSet, names: tuple[str, ...], d: int) -> list[PolyField]:
+    def members(self, phi: StructuralSet, psi: StructuralSet, names: tuple[str, ...], d: int, limit: int) -> list[PolyField]:
+        """The fields of the first `limit` basis vectors of the joint kernel of `names` at degree d."""
         sets = () if names == (HARMONIC,) else (phi, psi)
         key = (phi.m, d, names) + tuple(tuple(map(tuple, s.coordinates())) for s in sets)
-        if key not in self._fields:
-            self._fields[key] = class_nullspace(phi, psi, d, names).fields()
-        return self._fields[key]
+        if key not in self._bases:
+            self._bases[key] = class_nullspace(phi, psi, d, names)
+        basis = self._bases[key]
+        return [basis.space.vector_to_field(v) for v in basis.vectors[:limit]]
 
 
 class _Runner:
@@ -319,7 +321,7 @@ def _check_dirac_psi1(cfg, run, which: str):
 
 
 def _members_for(run: _Runner, phi: StructuralSet, psi: StructuralSet, names, limit=4):
-    return [f for d in (2, 3) for f in run.kernels.fields(phi, psi, names, d)[:limit]]
+    return [f for d in (2, 3) for f in run.kernels.members(phi, psi, names, d, limit)]
 
 
 def _check_inframonogenic_equivalence(cfg, run):
