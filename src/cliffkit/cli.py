@@ -84,7 +84,8 @@ def parse_set_spec(spec: str, m: int) -> StructuralSet:
         path = spec.split(":", 1)[1]
         try:
             with open(path) as fh:
-                raw = json.load(fh)
+                # Integers stay digit strings, so the bound below covers them too.
+                raw = json.load(fh, parse_int=str)
         except OSError as exc:
             raise UsageError(f"cannot read matrix file {path!r}: {exc}")
         except json.JSONDecodeError as exc:
@@ -92,13 +93,12 @@ def parse_set_spec(spec: str, m: int) -> StructuralSet:
         shape = f"matrix file {path!r} must hold an array of arrays of rational strings"
         # Exact entries only: a JSON float is binary, and 1e400 is infinite.
         if not isinstance(raw, list) or not all(
-            isinstance(row, list) and all(isinstance(x, str) or type(x) is int for x in row) for row in raw
+            isinstance(row, list) and all(isinstance(x, str) for x in row) for row in raw
         ):
             raise UsageError(shape)
         for i, row in enumerate(raw, 1):
             for j, x in enumerate(row, 1):
-                if isinstance(x, str):
-                    _check_number_text(x, f"matrix file {path!r}: entry at row {i}, column {j}")
+                _check_number_text(x, f"matrix file {path!r}: entry at row {i}, column {j}")
         try:
             rows = [[Fraction(x) for x in row] for row in raw]
         except (ValueError, ZeroDivisionError):

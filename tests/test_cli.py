@@ -358,6 +358,15 @@ def test_matrix_entry_with_too_many_characters_names_its_position(tmp_path, caps
                    f"more than the {cli.MAX_NUMBER_TEXT} allowed\n")
 
 
+def test_matrix_json_integer_with_too_many_digits_names_its_position(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text("[[" + "9" * 4400 + "]]")
+    code, out, err = run_cli(capsys, "classify", "--m", "1", "--expr", "x1", "--phi", f"matrix:{path}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: matrix file {str(path)!r}: entry at row 1, column 1 has 4400 characters, "
+                   f"more than the {cli.MAX_NUMBER_TEXT} allowed\n")
+
+
 @pytest.mark.parametrize("spec, message", [
     ("rot2:1e1000000000", "rot2 parameter has decimal exponent 1000000000, beyond the 4300 allowed in magnitude"),
     ("refl2:1e-1000000", "refl2 parameter has decimal exponent -1000000, beyond the 4300 allowed in magnitude"),

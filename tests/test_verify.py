@@ -1,5 +1,6 @@
 """The seeded identity suite and its negative control."""
 
+from cliffkit import solver
 from cliffkit.verify import VerifyConfig, check_names, run_suite
 
 QUICK = VerifyConfig(m_values=(2, 3), trials=4, seed=42)
@@ -40,3 +41,19 @@ def test_json_report_schema():
     assert set(payload) == {"m", "trials", "seed", "degree", "allPass", "results"}
     for entry in payload["results"]:
         assert set(entry) == {"identity", "holds", "cases", "lhs", "rhs"}
+
+
+def test_each_class_matrix_is_built_once_per_run(monkeypatch):
+    built = []
+    original = solver.operator_matrix
+
+    def recording(op, space):
+        result = original(op, space)
+        built.append((op.name, space.m, space.degree, tuple(result.matrix._int_rows)))
+        return result
+
+    monkeypatch.setattr(solver, "operator_matrix", recording)
+    report = run_suite(VerifyConfig(m_values=(2, 3), trials=2, seed=3))
+    assert report.all_passed
+    assert built and len(built) == len(set(built))
+    assert {(name, m) for name, m, _, _ in built} >= {("laplacian", 2), ("laplacian", 3), ("sandwich", 3), ("left-left", 3)}
