@@ -371,7 +371,7 @@ def test_matrix_json_integer_with_too_many_digits_names_its_position(tmp_path, c
     ("rot2:1e1000000000", "rot2 parameter has decimal exponent 1000000000, beyond the 4300 allowed in magnitude"),
     ("refl2:1e-1000000", "refl2 parameter has decimal exponent -1000000, beyond the 4300 allowed in magnitude"),
     ("rot2:" + "7" * 4301, "rot2 parameter has 4301 characters, more than the 4300 allowed"),
-])
+], ids=["rot2 exponent 1e9", "refl2 exponent -1e6", "rot2 4301 characters"])
 def test_rotation_parameter_out_of_bounds_is_a_usage_error(capsys, spec, message):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "classify", "--m", "2", "--expr", "x1", "--phi", spec)
