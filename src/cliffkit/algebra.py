@@ -154,9 +154,9 @@ def _lowest(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 def _as_integers(terms: Mapping[int, Scalar]) -> tuple[dict[int, int], int]:
     """Nonzero rational coefficients as integer numerators over the lcm of their denominators.
 
-    That pair is already in lowest terms: a prime power dividing the lcm
-    divides some denominator in full, and that coefficient's numerator
-    keeps no factor of the prime.
+    That pair is already in lowest terms: for each prime p of the lcm, some
+    denominator holds the lcm's whole power of p, so that coefficient's
+    numerator, prime to its denominator, is scaled by a factor without p.
     """
     den = lcm(*(c.denominator for c in terms.values()))
     return {mask: c.numerator * (den // c.denominator) for mask, c in terms.items()}, den
