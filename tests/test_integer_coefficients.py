@@ -159,8 +159,9 @@ def test_sums_and_products_that_cancel_to_zero(m):
     if m >= 3:
         e = [Multivector.basis_vector(m, i) for i in (1, 2, 3)]
         pseudo = e[0] * e[1] * e[2]
+        # The pseudoscalar of e1, e2, e3 squares to +1, so (1 + e123)(1 - e123) = 0.
         third = Multivector.scalar(m, Fraction(1, 3))
-        assert_matches((third + third * pseudo) * (third - third * pseudo), ref_mul(ref(third + third * pseudo), ref(third - third * pseudo)))
+        assert_matches((third + third * pseudo) * (third - third * pseudo), {})
     # Partial cancellation: the denominator drops back to what is left.
     half = Multivector(m, {0: Fraction(1, 2), 1: Fraction(1, 65)})
     assert_matches(half - Multivector(m, {1: Fraction(1, 65)}), {0: Fraction(1, 2)})
