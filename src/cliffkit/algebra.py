@@ -253,12 +253,6 @@ class Multivector:
         check_dimension(m)
         return cls._of(m, {mask: coef.numerator}, coef.denominator) if coef else cls._of(m, {})
 
-    @classmethod
-    def from_coefficients(cls, m: int, coeffs: Iterable[Scalar], order: list[int] | None = None) -> "Multivector":
-        """Rebuild a multivector from a coefficient vector in blade order."""
-        masks = blade_order(m) if order is None else order
-        return cls(m, zip(masks, coeffs))
-
     # -- inspection ---------------------------------------------------
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:

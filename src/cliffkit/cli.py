@@ -42,6 +42,7 @@ class UsageError(ValueError):
 # which `Fraction` would otherwise expand into that many digits.  The value is
 # Python's own limit on converting digit strings to integers.
 MAX_NUMBER_TEXT = 4300
+_NUMBER_BOUND = 10 ** MAX_NUMBER_TEXT  # the least integer with more than MAX_NUMBER_TEXT digits
 
 
 def _check_number_text(text: str, where: str) -> None:
@@ -79,6 +80,9 @@ def parse_set_spec(spec: str, m: int) -> StructuralSet:
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad rational parameter {body!r}")
         c, s = rotation_pair(t)
+        # The set's entries are printed in full, so their digits share the text bound.
+        if any(abs(x.numerator) >= _NUMBER_BOUND or x.denominator >= _NUMBER_BOUND for x in (c, s)):
+            raise UsageError(f"{kind} parameter {body!r} gives a cosine or sine with more than {MAX_NUMBER_TEXT} digits")
         return StructuralSet.rotation_2d(c, s) if kind == "rot2" else StructuralSet.reflection_2d(c, s)
     if spec.startswith("matrix:"):
         path = spec.split(":", 1)[1]

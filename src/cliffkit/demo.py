@@ -17,8 +17,8 @@ from .algebra import Multivector
 from .classify import INFRAMONOGENIC, HARMONIC, RegionLabel, classify
 from .fields import laplacian
 from .parser import format_field, parse_field
-from .psi import _two_dimensional_aggregates, apply_psi_k, apply_psi_plus
-from .solver import _counterexample_check, class_nullspace
+from .psi import _counterexample_check, _two_dimensional_aggregates, apply_psi_k, apply_psi_plus
+from .solver import class_nullspace
 from .structural import StructuralSet
 
 REFERENCE_FIELDS = [

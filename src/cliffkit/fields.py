@@ -268,16 +268,6 @@ class PolyField:
     def __repr__(self) -> str:
         return f"PolyField({self.m}, {str(self)!r})"
 
-    def to_json_terms(self) -> list[dict]:
-        """Canonical JSON term list: one entry per (monomial, blade) pair."""
-        from .algebra import blade_indices
-
-        out = []
-        for alpha, mv in self._terms.items():
-            for mask, coef in mv.terms():
-                out.append({"alpha": list(alpha), "blade": list(blade_indices(mask)), "coef": str(coef)})
-        return out
-
 
 def _require_field_set(sset: StructuralSet, f: PolyField) -> None:
     if sset.m != f.m:

@@ -1,17 +1,15 @@
 """Exact rational matrices with fraction-free elimination.
 
-Every exact matrix in the package is eliminated here.
-`RationalMatrix.from_columns` builds the matrix of a linear map from the
-coordinates of its basis images, as for the Psi matrices on the blade
-basis; the solver fills the sparse integer rows of its operator matrices
-from their symbols directly.
+Every exact matrix in the package is eliminated here.  The solver fills
+the sparse integer rows of every operator matrix, the Psi matrices on the
+blade basis among them, from the operator's symbol.
 
 A matrix keeps each row once, sparse and in integers: the nonzero
 entries times the lcm of their denominators, as (column, int) pairs, plus
 that lcm as the row scale.  Scaling a row changes neither rank nor
 kernel, so a single one-step Bareiss kernel starts from these integer
-rows, keeps them sparse while it eliminates, and gives rank, kernel
-basis and determinant; matrix-vector products read only the nonzeros.
+rows, keeps them sparse while it eliminates, and gives rank and kernel
+basis; matrix-vector products read only the nonzeros.
 Pivoting is deterministic: columns left to right, first row with a
 nonzero entry.  A reversed column sweep is available as an independent
 route for rank cross-checks.
@@ -20,14 +18,14 @@ Rank and kernel eliminate each connected block (rows linked by shared
 columns) on its own.  A Bareiss step multiplies every row it passes
 over by its pivot, a leading minor, so in one sweep the rows of a block
 would grow by the minors of all blocks before it; split, their entries
-stay minors of their own block.  `det` sweeps the whole matrix.
+stay minors of their own block.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = list[Fraction]
@@ -48,11 +46,11 @@ def _reduced_row(entries: list[tuple[int, int]], scale: int) -> IntegerRow:
     return tuple((j, x // g) for j, x in entries), scale // g
 
 
-def _bareiss_echelon(rows: list[dict[int, int]], columns: Sequence[int]) -> tuple[list[dict[int, int]], list[int], int]:
+def _bareiss_echelon(rows: list[dict[int, int]], columns: Sequence[int]) -> tuple[list[dict[int, int]], list[int]]:
     """In-place fraction-free row echelon form of sparse rows ({column: int}, no zeros) over increasing `columns`.
 
-    Returns (rows, pivot columns, row swaps); row r of the result is the
-    r-th pivot row, for r below the rank.  A step with pivot p multiplies
+    Returns (rows, pivot columns); row r of the result is the r-th pivot
+    row, for r below the rank.  A step with pivot p multiplies
     each row it does not eliminate by p over the previous pivot.  These
     factors telescope, so such a row keeps the step it is current for and
     is brought up to date, by one exact division, when a step uses it.
@@ -61,7 +59,6 @@ def _bareiss_echelon(rows: list[dict[int, int]], columns: Sequence[int]) -> tupl
     pivots = [1]  # pivots[s]: the pivot of step s
     current = [0] * nrows  # rows[i] holds its values after step current[i]
     pivot_cols: list[int] = []
-    swaps = 0
     for c in columns:
         r = len(pivot_cols)
         if r == nrows:
@@ -72,7 +69,6 @@ def _bareiss_echelon(rows: list[dict[int, int]], columns: Sequence[int]) -> tupl
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
             current[r], current[piv] = current[piv], current[r]
-            swaps += 1
         prev = pivots[r]
         for i in range(r, nrows):
             if c in rows[i] and current[i] != r:
@@ -93,7 +89,7 @@ def _bareiss_echelon(rows: list[dict[int, int]], columns: Sequence[int]) -> tupl
             current[i] = r + 1
         pivots.append(pc)
         pivot_cols.append(c)
-    return rows, pivot_cols, swaps
+    return rows, pivot_cols
 
 
 class RationalMatrix:
@@ -122,24 +118,8 @@ class RationalMatrix:
         return mat
 
     @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls._of([(((i, 1),), 1) for i in range(n)], n)
-
-    @classmethod
     def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
         return cls._of([((), 1)] * nrows, ncols)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Fraction]], nrows: int) -> "RationalMatrix":
-        """Matrix of a linear map whose column j holds the coordinates of basis image j."""
-        if any(len(col) != nrows for col in columns):
-            raise ValueError(f"every column needs {nrows} coordinates")
-        entries: list[list[tuple[int, Fraction]]] = [[] for _ in range(nrows)]
-        for j, col in enumerate(columns):
-            for r, x in enumerate(col):
-                if x:
-                    entries[r].append((j, Fraction(x)))
-        return cls._of([_integer_row(row) for row in entries], len(columns))
 
     @classmethod
     def stack(cls, matrices: Sequence["RationalMatrix"], ncols: int) -> "RationalMatrix":
@@ -228,7 +208,7 @@ class RationalMatrix:
         kernel: dict[int, Vector] = {}
         touched: set[int] = set()
         for block in self._blocks():
-            columns, (ech, pivot_cols, _) = self._echelon(block)
+            columns, (ech, pivot_cols) = self._echelon(block)
             touched.update(columns)
             pivots = [ech[r][c] for r, c in enumerate(pivot_cols)]
             tails = [[(j, a) for j, a in row.items() if j != c] for row, c in zip(ech, pivot_cols)]
@@ -259,15 +239,3 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
-
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant: the last Bareiss pivot, signed by the row swaps, over the row scales."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    mat = RationalMatrix(rows, ncols=n)
-    _, (ech, pivot_cols, swaps) = mat._echelon(range(n))
-    if len(pivot_cols) < n:
-        return Fraction(0)
-    last = ech[n - 1][n - 1] if n else 1
-    return Fraction(-last if swaps & 1 else last, prod(scale for _, scale in mat._int_rows))

@@ -24,9 +24,11 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence, Union
 
-from .algebra import Multivector, blade_order
+from .algebra import DimensionMismatch, Multivector
+from .classify import ClassMembership, classify
 from .fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from .linalg import RationalMatrix
+from .solver import CoefficientSpace, FieldOperator, _classified_counterexample, operator_matrix
 from .structural import StructuralSet, transition
 from .verdict import Verdict, compare, merge
 
@@ -75,7 +77,7 @@ class PsiOperator:
     def apply(self, a: Element) -> Element:
         """The image of a multivector, or of a field coefficient by coefficient."""
         if self.phi.m != a.m:
-            raise ValueError(f"dimension mismatch: sets {self.phi.m}/{self.psi.m}, operand {a.m}")
+            raise DimensionMismatch(f"dimension mismatch: sets {self.phi.m}/{self.psi.m}, operand {a.m}")
         if isinstance(a, PolyField):
             return a.map_coefficients(self.apply)
         phi, psi = self.phi, self.psi
@@ -121,6 +123,21 @@ def _two_dimensional_aggregates(phi: StructuralSet, psi: StructuralSet, comps: S
         want_plus = f1 * p1 * 2 + f2 * p2 * 2
         want_minus = (c1 * f1 + c2 * f2) * p1 * (-2) + (c1 * f2 - c2 * f1) * p2 * 2
     return (apply_psi_plus(phi, psi, f), want_plus), (apply_psi_minus(phi, psi, f), want_minus)
+
+
+def _counterexample_check(phi: StructuralSet) -> tuple[PolyField, ClassMembership, ClassMembership, bool]:
+    """The aggregate statement on f = `converse_counterexample(phi)`.
+
+    Returns f, the (phi, phi) memberships of f and of its even-aggregate
+    image, and whether f is outside both kernels and the image inside both.
+    """
+    f, mem_f = _classified_counterexample(phi)
+    mem_image = classify(phi, phi, apply_psi_plus(phi, phi, f))
+    holds = (
+        not mem_f.harmonic and not mem_f.inframonogenic
+        and mem_image.harmonic and mem_image.inframonogenic
+    )
+    return f, mem_f, mem_image, holds
 
 
 # -- same-set scalar action -------------------------------------------------
@@ -174,17 +191,8 @@ def scalar_action_hypergeometric(m: int, j: int, k: int) -> Fraction:
 
 
 def psi_matrix(op: PsiOperator) -> RationalMatrix:
-    """Matrix of the operator on the 2^m blade basis (canonical blade order)."""
-    m = op.phi.m
-    order = blade_order(m)
-    columns = [op.apply(Multivector._of(m, {mask: 1})).coefficients(order) for mask in order]
-    return RationalMatrix.from_columns(columns, len(order))
-
-
-def is_bijective(op: PsiOperator) -> bool:
-    """Decided by exact rank of the blade-basis matrix."""
-    mat = psi_matrix(op)
-    return mat.rank() == mat.ncols
+    """Matrix of the operator on the 2^m blade basis (canonical blade order), filled from its order-0 symbol."""
+    return operator_matrix(FieldOperator.psi(op.phi, op.psi, op.index_sets), CoefficientSpace(op.phi.m, 0)).matrix
 
 
 # -- identity checks -----------------------------------------------------------

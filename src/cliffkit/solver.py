@@ -22,7 +22,6 @@ from .algebra import DimensionMismatch, Multivector, _as_integers, _odd_masks, b
 from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
 from .fields import MultiIndex, PolyField
 from .linalg import RationalMatrix, Vector, _reduced_row
-from .psi import apply_psi_plus
 from .structural import StructuralSet
 
 
@@ -108,7 +107,8 @@ class FieldOperator:
     - left-left: ((i, j), phi_i psi_j, 1);
     - sandwich: ((i, j), phi_i, psi_j);
     - dirac-left: ((j,), psi_j, 1);
-    - dirac-right: ((j,), 1, psi_j).
+    - dirac-right: ((j,), 1, psi_j);
+    - psi: ((), phi_A, rev(psi_A)) for each index set A of the family.
     """
 
     name: str
@@ -146,12 +146,18 @@ class FieldOperator:
     def dirac_right(cls, psi: StructuralSet) -> "FieldOperator":
         return cls("dirac-right", 1, (psi,), lambda axes, one: [((j,), one, psi[j]) for j in axes])
 
+    @classmethod
+    def psi(cls, phi: StructuralSet, psi: StructuralSet, index_sets: Sequence[tuple[int, ...]]) -> "FieldOperator":
+        """The Psi operator of the family `index_sets`, of order 0: it acts on each coefficient alone."""
+        return cls("psi", 0, (phi, psi),
+                   lambda axes, one: [((), phi.product(A), psi.reversed_product(A)) for A in index_sets])
+
 
 # S_gamma for each gamma of a symbol: S_gamma[A] lists the nonzero (B, c) with sum a * e_A * b = sum c * e_B.
 BladeMaps = dict[MultiIndex, list[list[tuple[int, int]]]]
 
 
-def _integer_blade_maps(symbol: list[SymbolTerm], m: int) -> tuple[BladeMaps, int]:
+def _blade_images(symbol: list[SymbolTerm], m: int) -> tuple[BladeMaps, int]:
     """The blade maps of the symbol's terms (gamma, a, b) as integers over one scale.
 
     Each coefficient c of S_gamma is the returned integer over the scale;
@@ -179,13 +185,6 @@ def _integer_blade_maps(symbol: list[SymbolTerm], m: int) -> tuple[BladeMaps, in
     return maps, scale // g
 
 
-def _blade_maps(symbol: list[SymbolTerm], m: int) -> dict[MultiIndex, list[list[tuple[int, Fraction]]]]:
-    """S_gamma for each gamma of the symbol: S_gamma[A] lists the nonzero (B, c)
-    with sum a * e_A * b = sum c * e_B over the terms (gamma, a, b)."""
-    maps, scale = _integer_blade_maps(symbol, m)
-    return {gamma: [[(out, Fraction(c, scale)) for out, c in image] for image in images] for gamma, images in maps.items()}
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Exact matrix of an operator from a degree-d space to a lower-degree space.
@@ -209,7 +208,7 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatri
     Since d^gamma x^alpha = alpha!/(alpha-gamma)! * x^(alpha-gamma), column
     (alpha, e_A) is the sum over gamma <= alpha of alpha!/(alpha-gamma)!
     times monomial alpha-gamma tensor S_gamma(e_A), with S_gamma the blade
-    map of `_blade_maps`.  The lift and alpha - gamma depend on the
+    map of `_blade_images`.  The lift and alpha - gamma depend on the
     monomial alone, so they are found once per alpha for all its blades.
     The blade maps are integers over one scale, so every entry is an
     integer over that scale until each row is reduced once.
@@ -219,7 +218,7 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatri
     if target_degree < 0:
         return OperatorMatrix(RationalMatrix.zero(0, space.size), space, None, True)
     target = CoefficientSpace(space.m, target_degree)
-    maps, scale = _integer_blade_maps(symbol, space.m)
+    maps, scale = _blade_images(symbol, space.m)
     entries: list[list[tuple[int, int]]] = [[] for _ in range(target.size)]
     masks = blade_order(space.m)
     col = 0  # `space.basis` is alpha-major: the blades of each alpha, in `masks` order
@@ -427,17 +426,3 @@ def _classified_counterexample(phi: StructuralSet) -> tuple[PolyField, ClassMemb
         raise ArithmeticError("construction failed to leave both classes")
     return f, membership
 
-
-def _counterexample_check(phi: StructuralSet) -> tuple[PolyField, ClassMembership, ClassMembership, bool]:
-    """The aggregate statement on f = `converse_counterexample(phi)`.
-
-    Returns f, the (phi, phi) memberships of f and of its even-aggregate
-    image, and whether f is outside both kernels and the image inside both.
-    """
-    f, mem_f = _classified_counterexample(phi)
-    mem_image = classify(phi, phi, apply_psi_plus(phi, phi, f))
-    holds = (
-        not mem_f.harmonic and not mem_f.inframonogenic
-        and mem_image.harmonic and mem_image.inframonogenic
-    )
-    return f, mem_f, mem_image, holds

@@ -16,7 +16,6 @@ from operator import mul
 from typing import Sequence
 
 from .algebra import Multivector, Scalar, _as_integers, check_dimension
-from .linalg import det
 
 
 class StructuralSetError(ValueError):
@@ -232,9 +231,6 @@ class TransitionMatrix:
     def m(self) -> int:
         return len(self.entries)
 
-    def determinant(self) -> Fraction:
-        return det(self.entries)
-
     def is_orthogonal(self) -> bool:
         return _gram_violation(self.entries) is None
 
@@ -242,7 +238,8 @@ class TransitionMatrix:
         """Classify a 2x2 orthogonal matrix: 'rotation' (det +1) or 'reflection' (det -1)."""
         if self.m != 2:
             raise ValueError("form classification applies to 2x2 matrices only")
-        d = self.determinant()
+        (c11, c12), (c21, c22) = self.entries
+        d = c11 * c22 - c12 * c21
         if d == 1:
             return "rotation"
         if d == -1:

@@ -24,6 +24,7 @@ from .classify import (
 from .fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from .psi import (
     PsiOperator,
+    _counterexample_check,
     _two_dimensional_aggregates,
     apply_psi_k,
     apply_psi_minus,
@@ -48,7 +49,7 @@ from .sampling import (
     rand_signed_permutation,
     rand_structural_pair,
 )
-from .solver import NullspaceBasis, _counterexample_check, class_nullspace
+from .solver import NullspaceBasis, class_nullspace
 from .structural import StructuralSet
 from .verdict import Verdict, compare
 

