@@ -29,20 +29,12 @@ from .demo import run_demo
 from .parser import ParseError, format_field, parse_field
 from .sampling import rotation_pair
 from .solver import CoefficientSpace, class_dimensions, class_matrices, find_region_witness
-from .structural import StructuralSet, StructuralSetError
+from .structural import MAX_NUMBER_TEXT, StructuralSet, StructuralSetError, _printable
 from .verify import VerifyConfig, check_names, run_suite
 
 
 class UsageError(ValueError):
     pass
-
-
-# Bound on one exact number given as text (a `matrix:FILE` entry or a rot2/refl2
-# parameter): on its characters, and on the magnitude of its decimal exponent,
-# which `Fraction` would otherwise expand into that many digits.  The value is
-# Python's own limit on converting digit strings to integers.
-MAX_NUMBER_TEXT = 4300
-_NUMBER_BOUND = 10 ** MAX_NUMBER_TEXT  # the least integer with more than MAX_NUMBER_TEXT digits
 
 
 def _check_number_text(text: str, where: str) -> None:
@@ -81,7 +73,7 @@ def parse_set_spec(spec: str, m: int) -> StructuralSet:
             raise UsageError(f"bad rational parameter {body!r}")
         c, s = rotation_pair(t)
         # The set's entries are printed in full, so their digits share the text bound.
-        if any(abs(x.numerator) >= _NUMBER_BOUND or x.denominator >= _NUMBER_BOUND for x in (c, s)):
+        if not (_printable(c) and _printable(s)):
             raise UsageError(f"{kind} parameter {body!r} gives a cosine or sine with more than {MAX_NUMBER_TEXT} digits")
         return StructuralSet.rotation_2d(c, s) if kind == "rot2" else StructuralSet.reflection_2d(c, s)
     if spec.startswith("matrix:"):
@@ -119,6 +111,8 @@ def parse_region_spec(spec: str) -> RegionLabel:
     if spec.strip().lower() == "none":
         return RegionLabel.from_classes(())
     names = [part.strip() for part in spec.split(",") if part.strip()]
+    if not names:
+        raise UsageError(f"region spec {spec!r} names no class; use 'none' for the region outside all three")
     try:
         return RegionLabel.from_classes(names)
     except ValueError as exc:
@@ -183,13 +177,11 @@ def cmd_solve(args) -> int:
     d = args.degree
     phi = parse_set_spec(args.phi, m)
     psi = parse_set_spec(args.psi, m)
+    target = None if args.region is None else parse_region_spec(args.region)
     matrices = class_matrices(phi, psi, CoefficientSpace(m, d))
     dims = class_dimensions(phi, psi, m, d, matrices=matrices)
     witnesses: list[str] = []
-    region_str = None
-    if args.region is not None:
-        target = parse_region_spec(args.region)
-        region_str = str(target)
+    if target is not None:
         witness = find_region_witness(phi, psi, m, d, target, matrices=matrices)
         if witness is not None:
             witnesses.append(format_field(witness))
@@ -205,11 +197,11 @@ def cmd_solve(args) -> int:
         lines = [f"homogeneous degree {d} in dimension {m} (full space size {dims.full})"]
         for key, value in dims.to_json().items():
             lines.append(f"dim {key} = {value}")
-        if region_str is not None:
+        if target is not None:
             if witnesses:
-                lines.append(f"witness in region {region_str}: {witnesses[0]}")
+                lines.append(f"witness in region {target}: {witnesses[0]}")
             else:
-                lines.append(f"no witness found for region {region_str} at this degree (bounded search)")
+                lines.append(f"no witness found for region {target} at this degree (bounded search)")
         return "\n".join(lines)
 
     _emit(payload, args.format, text)

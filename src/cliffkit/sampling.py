@@ -2,9 +2,10 @@
 
 Structural sets stay rational: random sets compose signed permutations
 with Givens rotations whose cosine/sine pairs come from the tangent
-half-angle map t -> ((1-t^2)/(1+t^2), 2t/(1+t^2)), so orthonormality is
-exact.  All generators take an explicit `random.Random` so that a fixed
-seed reproduces every suite byte for byte.
+half-angle map t -> ((1-t^2)/(1+t^2), 2t/(1+t^2)).  Orthonormality is thus
+exact: the sets are composed in integers and built through `StructuralSet._of`.
+All generators take an explicit `random.Random` so that a fixed seed
+reproduces every suite byte for byte.
 """
 
 from __future__ import annotations
@@ -78,17 +79,15 @@ def rand_signed_permutation(rng: random.Random, m: int) -> StructuralSet:
 
 def rand_rational_structural_set(rng: random.Random, m: int) -> StructuralSet:
     """Signed permutation composed with two exact rational plane rotations."""
-    rows = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    vectors = [Multivector.basis_vector(m, k) for k in range(1, m + 1)]
     if m >= 2:
         for _ in range(2):
             i, j = rng.sample(range(m), 2)
             c, s = rotation_pair(rng.choice(HALF_ANGLE_POOL))
-            row_i = [c * a - s * b for a, b in zip(rows[i], rows[j])]
-            row_j = [s * a + c * b for a, b in zip(rows[i], rows[j])]
-            rows[i], rows[j] = row_i, row_j
-    rng.shuffle(rows)
-    rows = [row if rng.random() < 0.5 else [-x for x in row] for row in rows]
-    return StructuralSet.from_matrix(rows)
+            v_i, v_j = vectors[i], vectors[j]
+            vectors[i], vectors[j] = v_i * c - v_j * s, v_i * s + v_j * c
+    rng.shuffle(vectors)
+    return StructuralSet._of([v if rng.random() < 0.5 else -v for v in vectors])
 
 
 def rand_structural_pair(rng: random.Random, m: int) -> tuple[StructuralSet, StructuralSet]:

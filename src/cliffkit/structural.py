@@ -2,20 +2,37 @@
 
 A tuple (v_1, ..., v_m) of grade-1 multivectors qualifies when
 v_i v_j + v_j v_i = -2 delta_ij; for vectors the left side is the scalar
--2 <v_i, v_j>, so this is one Gram-matrix test on the coordinate rows,
-exactly decidable because all coordinates are rational.  Irrational
-structural sets are out of scope; rational rotations (Pythagorean
-parametrizations such as 3/5, 4/5) supply the non-permutation examples.
+-2 <v_i, v_j>, so this is one Gram-matrix test on the vectors, decided
+exactly on their integer numerators.  Irrational structural sets are out
+of scope; rational rotations (Pythagorean parametrizations such as 3/5,
+4/5) supply the non-permutation examples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import count
 from typing import Sequence
 
 from .algebra import Multivector, Scalar, _as_integers, check_dimension
+
+# Python's limit on the digits of an integer it prints.  The CLI bounds each number given as text by it: its
+# characters, and the magnitude of its decimal exponent, which `Fraction` would expand into that many digits.
+MAX_NUMBER_TEXT = 4300
+_NUMBER_BOUND = 10 ** MAX_NUMBER_TEXT  # the least integer with more than MAX_NUMBER_TEXT digits
+
+
+def _printable(x: Fraction) -> bool:
+    return abs(x.numerator) < _NUMBER_BOUND and x.denominator < _NUMBER_BOUND
+
+
+def _number_text(x: Fraction) -> str:
+    """str(x), or else the digit counts of its parts, found against powers of ten without printing them."""
+    if _printable(x):
+        return str(x)
+    # n has k digits for the least k with 10**k > n; the search starts below k, as 3/10 < log10(2).
+    digits = [next(k for k in count(n.bit_length() * 3 // 10) if 10 ** k > n) for n in (abs(x.numerator), x.denominator)]
+    return "a {}-digit numerator over a {}-digit denominator".format(*digits)
 
 
 class StructuralSetError(ValueError):
@@ -30,42 +47,41 @@ class StructuralSetError(ValueError):
         self.relation = relation
 
 
-def _gram_violation(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, Fraction] | None:
-    """The orthonormality test; None when the rows are orthonormal.
+def _dot(u: Multivector, v: Multivector) -> int:
+    """n_u . n_v: the dot product of two vectors' integer numerators."""
+    num = v._num
+    return sum(c * num.get(mask, 0) for mask, c in u._num.items())
 
-    Otherwise the first (i, j, dot), 1-based with i <= j in row-major
-    order, whose row dot product is not delta_ij.
 
-    The test runs in integers: row i is n_i / d_i, with d_i > 0 the lcm
-    of its denominators and n_i an integer vector, so
-    <row_i, row_j> = n_i . n_j / (d_i d_j).  As d_i d_j > 0, that equals
-    delta_ij exactly when n_i . n_j == delta_ij d_i d_j: the same exact
-    predicate as the rational one, tested pair by pair in the same order,
-    without normalising a Fraction at each product.
+def _gram_violation(vectors: Sequence[Multivector]) -> tuple[int, int, Fraction] | None:
+    """The first (i, j, <v_i, v_j>), 1-based, i <= j in row-major order, with <v_i, v_j> != delta_ij, or None.
+
+    Vector i is n_i / d_i, so <v_i, v_j> = delta_ij exactly when n_i . n_j == delta_ij d_i d_j.
     """
-    scaled = []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        scaled.append((d, [x.numerator * (d // x.denominator) for x in row]))
-    for i, (d_i, n_i) in enumerate(scaled):
-        for j in range(i, len(scaled)):
-            d_j, n_j = scaled[j]
-            dot = sum(map(mul, n_i, n_j))
-            if dot != (d_i * d_j if i == j else 0):
-                return i + 1, j + 1, Fraction(dot, d_i * d_j)
+    for i, u in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            v = vectors[j]
+            dot = _dot(u, v)
+            if dot != (u._den * v._den if i == j else 0):
+                return i + 1, j + 1, Fraction(dot, u._den * v._den)
     return None
 
 
+def _row_vectors(rows: Sequence[Sequence[Fraction]]) -> tuple[Multivector, ...]:
+    """Row i of an m x m matrix as the vector sum_j rows[i][j] e_j."""
+    return tuple(Multivector._of(len(rows), *_as_integers({1 << j: x for j, x in enumerate(row) if x})) for row in rows)
+
+
 class StructuralSet:
-    """Validated structural set; construction is the validation and keeps the coordinate rows.
+    """Validated structural set; its vectors are its only representation.
 
     The builders check their own arguments and build through the trusted
-    `_of`, which takes orthonormal rows.  The set is immutable, so each
-    product v_A it is asked for is computed once and kept, with its
-    reverse, in `_products`; equality ignores that memo.
+    `_of`, which takes orthonormal grade-1 vectors.  The set is immutable,
+    so each product v_A it is asked for is computed once and kept, with
+    its reverse, in `_products`; equality ignores that memo.
     """
 
-    __slots__ = ("m", "vectors", "_rows", "_products")
+    __slots__ = ("m", "vectors", "_products")
 
     def __init__(self, vectors: Sequence[Multivector]):
         vectors = tuple(vectors)
@@ -80,31 +96,22 @@ class StructuralSet:
                 raise StructuralSetError(f"vector {idx} has dimension {v.m}, expected {m}")
             if v.is_zero() or v.grades() != {1}:
                 raise StructuralSetError(f"vector {idx} is not pure grade 1: {v}")
-        rows = tuple(tuple(v.coefficient(1 << j) for j in range(m)) for v in vectors)
-        violation = _gram_violation(rows)
+        violation = _gram_violation(vectors)
         if violation is not None:
             # For vectors, v_i v_j + v_j v_i is the scalar -2 <v_i, v_j>.
             i, j, dot = violation
-            raise StructuralSetError(
-                f"anticommutation relation ({i},{j}) violated: "
-                f"v{i}*v{j} + v{j}*v{i} = {Multivector.scalar(m, -2 * dot)}",
-                relation=(i, j),
-            )
+            raise StructuralSetError(f"anticommutation relation ({i},{j}) violated: "
+                                     f"v{i}*v{j} + v{j}*v{i} = {Multivector.scalar(m, -2 * dot)}", relation=(i, j))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_products", {})
 
     @classmethod
-    def _of(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "StructuralSet":
-        """Trusted constructor from orthonormal rows of Fractions; the set takes them over."""
-        m = len(rows)
+    def _of(cls, vectors: Sequence[Multivector]) -> "StructuralSet":
+        """Trusted constructor from m orthonormal grade-1 vectors of dimension m."""
         out = object.__new__(cls)
-        object.__setattr__(out, "m", m)
-        object.__setattr__(out, "vectors", tuple(
-            Multivector._of(m, *_as_integers({1 << j: x for j, x in enumerate(row) if x})) for row in rows
-        ))
-        object.__setattr__(out, "_rows", rows)
+        object.__setattr__(out, "m", len(vectors))
+        object.__setattr__(out, "vectors", tuple(vectors))
         object.__setattr__(out, "_products", {})
         return out
 
@@ -130,11 +137,7 @@ class StructuralSet:
         signed = list(signed_indices)
         if sorted(abs(p) for p in signed) != list(range(1, m + 1)):
             raise StructuralSetError(f"{signed_indices!r} is not a signed permutation of 1..{m}")
-        rows = []
-        for p in signed:
-            mask, unit = 1 << (abs(p) - 1), Fraction(-1 if p < 0 else 1)
-            rows.append(tuple(unit if mask >> j & 1 else Fraction(0) for j in range(m)))
-        return cls._of(tuple(rows))
+        return cls._of([Multivector._of(m, {1 << (abs(p) - 1): -1 if p < 0 else 1}) for p in signed])
 
     @classmethod
     def rotation_2d(cls, c1: Scalar, c2: Scalar) -> "StructuralSet":
@@ -156,17 +159,18 @@ class StructuralSet:
         entries = [[Fraction(x) for x in row] for row in rows]
         if any(len(row) != m for row in entries):
             raise StructuralSetError("matrix must be square")
-        violation = _gram_violation(entries)
+        vectors = _row_vectors(entries)
+        violation = _gram_violation(vectors)
         if violation is not None:
             i, j, dot = violation
-            raise StructuralSetError(f"matrix is not orthogonal: row dot ({i},{j}) = {dot}")
-        return cls._of(tuple(map(tuple, entries)))
+            raise StructuralSetError(f"matrix is not orthogonal: row dot ({i},{j}) = {_number_text(dot)}")
+        return cls._of(vectors)
 
     # -- views ------------------------------------------------------------
 
     def coordinates(self) -> list[list[Fraction]]:
         """Rows of coordinates in the standard basis."""
-        return [list(row) for row in self._rows]
+        return [[v.coefficient(1 << j) for j in range(self.m)] for v in self.vectors]
 
     def to_json(self) -> list[list[str]]:
         """Matrix form with rational strings; `from_matrix` reads it back."""
@@ -218,11 +222,10 @@ class TransitionMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[Scalar]]):
-        rows = [[Fraction(x) for x in row] for row in entries]
-        m = len(rows)
-        if any(len(row) != m for row in rows):
+        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("transition matrix must be square")
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in rows))
+        object.__setattr__(self, "entries", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("TransitionMatrix is immutable")
@@ -232,7 +235,7 @@ class TransitionMatrix:
         return len(self.entries)
 
     def is_orthogonal(self) -> bool:
-        return _gram_violation(self.entries) is None
+        return _gram_violation(_row_vectors(self.entries)) is None
 
     def form_2d(self) -> str:
         """Classify a 2x2 orthogonal matrix: 'rotation' (det +1) or 'reflection' (det -1)."""
@@ -260,11 +263,9 @@ class TransitionMatrix:
 def transition(phi: StructuralSet, psi: StructuralSet) -> TransitionMatrix:
     """Matrix C with psi_i = sum_j C_ij phi_j.
 
-    phi is orthonormal, so C_ij = <psi_i, phi_j>, the dot product of the
-    coordinate rows (for vectors this is -[psi_i phi_j]_0).
+    phi is orthonormal, so C_ij = <psi_i, phi_j> = n_i . n_j / (d_i d_j)
+    over the vectors' numerators (for vectors this is -[psi_i phi_j]_0).
     """
     if phi.m != psi.m:
         raise ValueError(f"sets have different dimensions {phi.m} and {psi.m}")
-    return TransitionMatrix(
-        [[sum(a * b for a, b in zip(u, v)) for v in phi._rows] for u in psi._rows]
-    )
+    return TransitionMatrix([[Fraction(_dot(u, v), u._den * v._den) for v in phi] for u in psi])

@@ -104,9 +104,9 @@ def test_named_builders_drop_zero_coefficients():
 def _assert_same_set(s):
     rebuilt = StructuralSet(list(s.vectors))
     assert s == rebuilt
-    assert s.m == rebuilt.m and s._rows == rebuilt._rows and repr(s) == repr(rebuilt)
+    assert s.m == rebuilt.m and s.coordinates() == rebuilt.coordinates() and repr(s) == repr(rebuilt)
     assert [list(v.terms()) for v in s.vectors] == [list(v.terms()) for v in rebuilt.vectors]
-    assert _gram_violation(s._rows) is None
+    assert _gram_violation(s.vectors) is None
 
 
 def _signed_permutations(m):
@@ -119,7 +119,8 @@ def _signed_permutations(m):
 def test_trusted_sets_equal_validated_sets(m):
     rng = random.Random(7000 + m)
     sets = [StructuralSet.standard(m), StructuralSet.reversed_standard(m)]
-    sets += [StructuralSet.from_matrix(rand_rational_structural_set(rng, m).coordinates()) for _ in range(3)]
+    drawn = [rand_rational_structural_set(rng, m) for _ in range(3)]
+    sets += drawn + [StructuralSet.from_matrix(s.coordinates()) for s in drawn]
     sets += [rand_signed_permutation(rng, m) for _ in range(5)]
     if m <= 3:
         sets += [StructuralSet.signed_permutation(m, signed) for signed in _signed_permutations(m)]

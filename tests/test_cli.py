@@ -7,13 +7,14 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import cliffkit
 from cliffkit import cli
 from cliffkit.cli import build_parser, main, parse_region_spec, parse_set_spec
-from cliffkit.structural import StructuralSet, StructuralSetError
+from cliffkit.structural import StructuralSet, StructuralSetError, _number_text
 
 
 def run_cli(capsys, *argv):
@@ -156,10 +157,13 @@ def test_set_spec_errors():
 def test_region_spec_parsing():
     assert parse_region_spec("H,Hpp,I").classes == frozenset({"H", "Hpp", "I"})
     assert parse_region_spec("none").classes == frozenset()
+    assert parse_region_spec(" H , I ").classes == frozenset({"H", "I"})
     from cliffkit.cli import UsageError
 
     with pytest.raises(UsageError):
         parse_region_spec("H,X")
+    with pytest.raises(UsageError, match="names no class"):
+        parse_region_spec(" , ")
 
 
 def test_matrix_set_spec_error_cases(tmp_path, capsys):
@@ -310,6 +314,37 @@ def test_non_orthogonal_matrix_spec_message(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: matrix is not orthogonal: row dot (1,1) = 2\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("rows, digits", [
+    ([["1e-4300", "0"], ["0", "1"]], (1, 8601)),      # dot 10^-8600
+    ([["1e-4299", "0"], ["0", "1"]], (1, 8599)),      # dot 10^-8598
+    ([["1", "1e-4299"], ["0", "1"]], (8599, 8599)),   # dot 1 + 10^-8598
+])
+def test_non_orthogonal_message_with_an_unprintable_dot(tmp_path, capsys, rows, digits, fmt):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(rows))
+    code, out, err = run_cli(capsys, "solve", "--m", "2", "--degree", "1", "--phi", f"matrix:{path}", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == (f"error: matrix is not orthogonal: row dot (1,1) = a {digits[0]}-digit numerator "
+                   f"over a {digits[1]}-digit denominator\n")
+    assert "Traceback" not in err and "Exceeds the limit" not in err
+
+
+def test_unprintable_dot_digit_counts_match_printed_lengths():
+    assert _number_text(Fraction(-7, 9)) == "-7/9"
+    den = 2 ** 14300  # 4305 digits: beyond the bound, so only the counts are given
+    for n in (1, 9, 11, 99, 101, 10 ** 50 - 1, 10 ** 50 + 1, 10 ** 4299 + 1, -(10 ** 4299 + 1)):
+        assert _number_text(Fraction(n, den)) == f"a {len(str(abs(n)))}-digit numerator over a 4305-digit denominator"
+
+
+@pytest.mark.parametrize("spec", ["", ",", " "])
+def test_region_spec_naming_no_class_is_a_usage_error(capsys, spec):
+    code, out, err = run_cli(capsys, "solve", "--m", "2", "--degree", "1", "--region", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: region spec {spec!r} names no class; use 'none' for the region outside all three\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("expr", ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1"],

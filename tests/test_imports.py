@@ -1,4 +1,5 @@
-"""Every module-level import in the package sources is used by its module."""
+"""Every module-level import in the package sources is used by its module, and every
+module-level private function or class is read by some module of the package."""
 
 import ast
 import pathlib
@@ -30,3 +31,42 @@ def test_module_uses_every_import(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from math import comb, gcd\nimport os\nimport os.path as osp\n\ndef f(x):\n    return gcd(osp.sep, x)\n")
     assert _unused_imports(tree) == ["line 1: comb", "line 2: os"]
+
+
+def _dead_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no module of `sources` reads.
+
+    A read is a name or an attribute access anywhere in any module; an import
+    alone is not one (an unused import fails the check above instead).
+    """
+    trees = {module: ast.parse(text, module) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{module} line {node.lineno}: {node.name}"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and node.name not in read
+    ]
+
+
+def test_every_private_helper_is_read():
+    assert _dead_helpers({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_the_check_sees_a_dead_helper():
+    sources = {
+        "a.py": "def _used_here(x):\n    return x\n\n"
+                "def _used_there():\n    return 1\n\n"
+                "def _dead():\n    return _used_here(2)\n\n"
+                "class _Dead:\n    def _method(self):\n        return 0\n\n"
+                "def public():\n    return 3\n",
+        "b.py": "from . import a\nfrom .a import _dead\n\nVALUE = a._used_there()\n",
+    }
+    assert _dead_helpers(sources) == ["a.py line 7: _dead", "a.py line 10: _Dead"]

@@ -7,7 +7,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from cliffkit.algebra import Multivector
-from cliffkit.sampling import rand_rational_structural_set, rotation_pair
+from cliffkit.sampling import HALF_ANGLE_POOL, rand_rational_structural_set, rotation_pair
 from cliffkit.structural import StructuralSet, StructuralSetError, TransitionMatrix, _gram_violation, transition
 
 
@@ -233,7 +233,7 @@ def test_integer_gram_test_matches_fraction_reference():
             perturbed[i][j] += Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 30))
             for candidate in (rows, perturbed):
                 want = _fraction_gram_violation(candidate)
-                got = _gram_violation(candidate)
+                got = _gram_violation([Multivector(m, {1 << j: x for j, x in enumerate(row)}) for row in candidate])
                 assert got == want, (candidate, got, want)
                 if got is None:
                     seen["accepted"] += 1
@@ -241,6 +241,35 @@ def test_integer_gram_test_matches_fraction_reference():
                     assert type(got[2]) is Fraction
                     seen["diagonal" if got[0] == got[1] else "off-diagonal"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+def _fraction_row_draw(rng, m):
+    """Reference: a random rational set composed on Fraction rows, with the sampler's rng calls in its order."""
+    rows = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    if m >= 2:
+        for _ in range(2):
+            i, j = rng.sample(range(m), 2)
+            c, s = rotation_pair(rng.choice(HALF_ANGLE_POOL))
+            rows[i], rows[j] = ([c * a - s * b for a, b in zip(rows[i], rows[j])],
+                                [s * a + c * b for a, b in zip(rows[i], rows[j])])
+    rng.shuffle(rows)
+    return [row if rng.random() < 0.5 else [-x for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_sampler_matches_fraction_row_composition(m):
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        phi, psi = rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m)
+        phi_rows, psi_rows = _fraction_row_draw(ref, m), _fraction_row_draw(ref, m)
+        assert rng.getstate() == ref.getstate()
+        for s, rows in ((phi, phi_rows), (psi, psi_rows)):
+            assert s.coordinates() == rows
+            assert s.to_json() == [[str(x) for x in row] for row in rows]
+            assert s == StructuralSet(list(s.vectors))
+        assert transition(phi, psi).entries == tuple(
+            tuple(sum(a * b for a, b in zip(u, v)) for v in phi_rows) for u in psi_rows
+        )
 
 
 def test_invalid_set_messages():
