@@ -181,7 +181,8 @@ def cmd_solve(args) -> int:
     matrices = class_matrices(phi, psi, CoefficientSpace(m, d))
     dims = class_dimensions(phi, psi, m, d, matrices=matrices)
     witnesses: list[str] = []
-    if target is not None:
+    # An empty region is decided by the dimensions, so only a nonempty one is searched.
+    if target is not None and not dims.region_is_empty(target):
         witness = find_region_witness(phi, psi, m, d, target, matrices=matrices)
         if witness is not None:
             witnesses.append(format_field(witness))

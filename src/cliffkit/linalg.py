@@ -9,7 +9,8 @@ entries times the lcm of their denominators, as (column, int) pairs, plus
 that lcm as the row scale.  Scaling a row changes neither rank nor
 kernel, so a single one-step Bareiss kernel starts from these integer
 rows, keeps them sparse while it eliminates, and gives rank and kernel
-basis; matrix-vector products read only the nonzeros.
+basis; a matrix-vector product reads only the columns in the vector's
+support.
 Pivoting is deterministic: columns left to right, first row with a
 nonzero entry.  A reversed column sweep is available as an independent
 route for rank cross-checks.
@@ -141,12 +142,37 @@ class RationalMatrix:
             out.append(row)
         return out
 
+    def _products(self, vectors: Sequence[dict[int, int]]) -> list[dict[int, int]]:
+        """The nonzero {row: sum_j a_ij y_j} of each sparse vector y ({column: value}), a_ij the integer row entries.
+
+        Entry i is row scale i times (A y)_i.  A column -> rows index, built
+        for this call alone, gives the rows that touch the support of y,
+        which are the only rows that can give a nonzero entry; each product
+        runs through those rows alone.
+        """
+        rows_of: list[list[int]] = [[] for _ in range(self.ncols)]
+        for i, (pairs, _) in enumerate(self._int_rows):
+            for j, _ in pairs:
+                rows_of[j].append(i)
+        out = []
+        for y in vectors:
+            image = {}
+            for i in {i for j in y for i in rows_of[j]}:
+                s = sum(a * y.get(j, 0) for j, a in self._int_rows[i][0])
+                if s:
+                    image[i] = s
+            out.append(image)
+        return out
+
     def mat_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.ncols:
             raise ValueError(f"vector length {len(v)} does not match {self.ncols} columns")
         den = lcm(*(x.denominator for x in v))
-        ints = [x.numerator * (den // x.denominator) for x in v]
-        return [Fraction(sum(a * ints[j] for j, a in pairs), scale * den) for pairs, scale in self._int_rows]
+        (image,) = self._products([{j: x.numerator * (den // x.denominator) for j, x in enumerate(v) if x}])
+        out = [Fraction(0)] * self.nrows
+        for i, s in image.items():
+            out[i] = Fraction(s, self._int_rows[i][1] * den)
+        return out
 
     def __eq__(self, other):
         if isinstance(other, RationalMatrix):
@@ -190,22 +216,9 @@ class RationalMatrix:
         """Exact rank, summed over blocks; `reverse_columns` sweeps each block right to left, an independent order."""
         return sum(len(self._echelon(block, reverse_columns)[1][1]) for block in self._blocks())
 
-    def nullspace(self) -> list[Vector]:
-        """Exact kernel basis, one vector per free column in increasing column order, echelon-derived.
-
-        A free column's vector lives in its block (a unit vector if no row
-        touches it), and is the reduced-echelon one a whole-matrix sweep
-        gives.  Bareiss pivot k of a block is the determinant of its first
-        k rows (after the swaps) in its first k pivot columns, and the
-        kernel vector of free column f solves that minor for k the number
-        of the block's pivot columns left of f.  By Cramer's rule pivot k
-        (1 when k = 0) times the vector is integral, so back-substitution
-        runs in integers and every division is exact.  Every returned
-        vector is re-multiplied through the matrix as a soundness guard
-        before the basis is handed back.
-        """
-        n = self.ncols
-        kernel: dict[int, Vector] = {}
+    def _kernel(self) -> list[tuple[dict[int, int], int]]:
+        """The basis of `nullspace` as pairs (y, den): the vector y / den, y its nonzero {column: int} entries."""
+        kernel: dict[int, tuple[dict[int, int], int]] = {}
         touched: set[int] = set()
         for block in self._blocks():
             columns, (ech, pivot_cols) = self._echelon(block)
@@ -221,19 +234,40 @@ class RationalMatrix:
                 y = {f: den}
                 for r in range(k - 1, -1, -1):
                     y[pivot_cols[r]] = -sum(a * y.get(j, 0) for j, a in tails[r]) // pivots[r]
-                x = [Fraction(0)] * n
-                for j, a in y.items():
-                    if a:
-                        x[j] = Fraction(a, den)
-                kernel[f] = x
-        for f in range(n):
+                kernel[f] = {j: a for j, a in y.items() if a}, den
+        for f in range(self.ncols):
             if f not in touched:
-                kernel[f] = x = [Fraction(0)] * n
-                x[f] = Fraction(1)
+                kernel[f] = {f: 1}, 1
         basis = [kernel[f] for f in sorted(kernel)]
-        for x in basis:
-            if any(self.mat_vec(x)):
-                raise ArithmeticError("nullspace vector failed verification")
+        if any(self._products([y for y, _ in basis])):
+            raise ArithmeticError("nullspace vector failed verification")
+        return basis
+
+    def nullspace(self) -> list[Vector]:
+        """Exact kernel basis, one vector per free column in increasing column order, echelon-derived.
+
+        A free column's vector lives in its block (a unit vector if no row
+        touches it), and is the reduced-echelon one a whole-matrix sweep
+        gives.  Bareiss pivot k of a block is the determinant of its first
+        k rows (after the swaps) in its first k pivot columns, and the
+        kernel vector of free column f solves that minor for k the number
+        of the block's pivot columns left of f.  By Cramer's rule pivot k
+        (1 when k = 0) times the vector is integral, so back-substitution
+        runs in integers and every division is exact.
+
+        Back-substitution leaves each vector as integers y over one den.
+        Before the basis is handed back, each y is multiplied as a
+        soundness guard, in integers, through every row of the matrix that
+        touches its support (`_products` indexes the rows itself and does
+        not rely on the block split); a nonzero product raises
+        `ArithmeticError`.
+        """
+        basis = []
+        for y, den in self._kernel():
+            x = [Fraction(0)] * self.ncols
+            for j, a in y.items():
+                x[j] = Fraction(a, den)
+            basis.append(x)
         return basis
 
     def __repr__(self):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, perm, prod
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import DimensionMismatch, Multivector, _as_integers, _odd_masks, blade_order, check_dimension
 from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
@@ -290,6 +290,32 @@ class ClassDimensions:
             "triple": self.triple,
         }
 
+    def joint(self, names: frozenset) -> int:
+        """Dimension of the joint kernel of the named classes; no names give the full space."""
+        return {
+            frozenset(): self.full,
+            frozenset({HARMONIC}): self.harmonic,
+            frozenset({TWO_SET_HARMONIC}): self.two_set_harmonic,
+            frozenset({INFRAMONOGENIC}): self.inframonogenic,
+            frozenset({HARMONIC, TWO_SET_HARMONIC}): self.harmonic_and_two_set,
+            frozenset({HARMONIC, INFRAMONOGENIC}): self.harmonic_and_inframonogenic,
+            frozenset({TWO_SET_HARMONIC, INFRAMONOGENIC}): self.two_set_and_inframonogenic,
+            frozenset(_CLASS_ORDER): self.triple,
+        }[frozenset(names)]
+
+    def region_is_empty(self, target: RegionLabel) -> bool:
+        """Whether no field of this degree lies in exactly `target`, decided by the dimensions alone.
+
+        With W the classes of the target, the region is the joint kernel
+        of W minus its intersections with each other class E.  A vector
+        space over Q is not a finite union of proper subspaces, so the
+        region is empty exactly when dim of W is 0 or some E leaves it
+        whole: dim(W and E) = dim W.
+        """
+        within = target.classes
+        base = self.joint(within)
+        return base == 0 or any(self.joint(within | {name}) == base for name in _CLASS_ORDER if name not in within)
+
 
 def class_dimensions(
     phi: StructuralSet, psi: StructuralSet, m: int, d: int, *, matrices: dict[str, RationalMatrix] | None = None
@@ -338,42 +364,86 @@ _SMALL_RATIONALS = [
 ]
 
 
-def _escaping_steps(image_i: list[Vector], image_j: list[Vector]) -> list[Fraction]:
+# A sparse vector: its nonzero {coordinate: value} entries.
+SparseVector = dict[int, Fraction]
+
+
+def _escaping_steps(image_i: list[SparseVector], image_j: list[SparseVector]) -> list[Fraction]:
     """The t in `_SMALL_RATIONALS`, in order, with a + t*b nonzero for every image pair (a, b).
 
     a + t*b vanishes for every t when a and b do, for no t when only a
-    is nonzero, and otherwise at most for t = -a_r/b_r, r the first
-    coordinate with b_r nonzero.
+    is nonzero, and otherwise at most for t = -a_r/b_r, r any coordinate
+    with b_r nonzero.
     """
     steps = _SMALL_RATIONALS
     for a, b in zip(image_i, image_j):
-        r = next((r for r, x in enumerate(b) if x), None)
-        if r is None:
-            if not any(a):
+        if not b:
+            if not a:
                 return []
             continue
-        t = -a[r] / b[r]
-        if not any(x + t * y for x, y in zip(a, b)):
+        r = next(iter(b))
+        t = -a.get(r, 0) / b[r]
+        if a.keys() == b.keys() and all(a[i] + t * y == 0 for i, y in b.items()):
             steps = [s for s in steps if s != t]
     return steps
+
+
+def _combination(terms: Iterable[tuple[Fraction, SparseVector]]) -> SparseVector:
+    """sum c * v over the (c, v) of `terms`, zeros left out."""
+    out: SparseVector = {}
+    for c, v in terms:
+        for j, x in v.items():
+            out[j] = out.get(j, 0) + c * x
+    return {j: x for j, x in out.items() if x}
+
+
+def _region_candidates(pool: list[SparseVector], images: list[list[SparseVector]]) -> Iterator[SparseVector]:
+    """Every combination of `pool` the search tries whose image under each excluded matrix is nonzero, in order.
+
+    `images[k]` holds the images of `pool[k]` under the excluded
+    matrices, and each excluded matrix leaves some pool vector nonzero.
+    Single vectors come first, then pairs v_i + t*v_j with t in
+    `_SMALL_RATIONALS`; by linearity the image of a pair is
+    image_i + t*image_j, so each pair of images rules out at most one t
+    per matrix.  With at most two excluded matrices a pair always
+    escapes: if no single vector escapes E1 and E2, some v_i is in
+    ker E2 but not ker E1, some v_j the other way round, and
+    v_i + t*v_j escapes both for every t != 0.  A third matrix can leave
+    every pair short, so the pairs are followed by sum_n t^n * u_n, with
+    u_0, u_1, ... in pool order the first pool vectors that escape each
+    excluded matrix.  Its image under each matrix is a nonzero
+    polynomial in t of degree at most 2, so three matrices rule out at
+    most 6 of the 14 values of t, and the search is complete.
+    """
+    for v, image in zip(pool, images):
+        if all(image):
+            yield v
+    for (vi, image_i), (vj, image_j) in combinations(zip(pool, images), 2):
+        for t in _escaping_steps(image_i, image_j):
+            yield _combination(((1, vi), (t, vj)))
+    excluded = range(len(images[0]) if images else 0)
+    picks = sorted({next(k for k, image in enumerate(images) if image[e]) for e in excluded})
+    for t in _SMALL_RATIONALS if picks else ():
+        powers = [t ** n for n in range(len(picks))]
+        if all(_combination(zip(powers, (images[k][e] for k in picks))) for e in excluded):
+            yield _combination(zip(powers, (pool[k] for k in picks)))
 
 
 def find_region_witness(
     phi: StructuralSet, psi: StructuralSet, m: int, d: int, target: RegionLabel,
     *, matrices: dict[str, RationalMatrix] | None = None,
 ) -> PolyField | None:
-    """Search for a homogeneous degree-d field lying in exactly the target region.
+    """A homogeneous degree-d field lying in exactly the target region, or None when the region is empty.
 
-    Candidates are drawn from the joint kernel of the required classes
-    (or the whole space when none is required): single basis vectors
-    first, then pairwise combinations v_i + t*v_j with small rational t.
-    A candidate escapes the excluded classes when its image under each
-    excluded matrix is nonzero.  By linearity the image of v_i + t*v_j is
-    image_i + t*image_j, so each excluded matrix is applied once to each
-    pool vector, each pair of images rules out at most one t per matrix,
-    and a candidate is built only when it escapes; `classify` then
-    confirms it.  `matrices` is as in `class_dimensions`.  None means the
-    bounded search was exhausted, not that no witness exists.
+    Candidates are drawn from a basis of the joint kernel of the
+    required classes (or the whole space when none is required), in the
+    order of `_region_candidates`.  Each excluded matrix multiplies the
+    whole pool once, through the supports of its vectors.  A candidate
+    escapes the excluded classes when its image under each excluded
+    matrix is nonzero, and `classify` confirms it.  The region is empty
+    when the pool is, or when an excluded matrix sends every pool vector
+    to zero; otherwise the search is complete, so None means the region
+    is proved empty.  `matrices` is as in `class_dimensions`.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
@@ -381,18 +451,18 @@ def find_region_witness(
     mats = class_matrices(phi, psi, space) if matrices is None else matrices
     wanted = [mats[name] for name in sorted(target.classes)]
     excluded = [mat for name, mat in mats.items() if name not in target.classes]
-    pool = RationalMatrix.stack(wanted, space.size).nullspace()
-    images = [[mat.mat_vec(v) for mat in excluded] for v in pool]
-
-    def escaped():
-        for v, image in zip(pool, images):
-            if all(any(a) for a in image):
-                yield v
-        for (vi, image_i), (vj, image_j) in combinations(zip(pool, images), 2):
-            for t in _escaping_steps(image_i, image_j):
-                yield [a + t * b for a, b in zip(vi, vj)]
-
-    for vec in escaped():
+    kernel = RationalMatrix.stack(wanted, space.size)._kernel()
+    # Image rows come times their row scales, which changes no zero test.
+    products = [mat._products([y for y, _ in kernel]) for mat in excluded]
+    if not kernel or not all(any(column) for column in products):
+        return None
+    pool = [{j: Fraction(a, den) for j, a in y.items()} for y, den in kernel]
+    images = [[{i: Fraction(s, den) for i, s in column[k].items()} for column in products]
+              for k, (_, den) in enumerate(kernel)]
+    for candidate in _region_candidates(pool, images):
+        vec = [Fraction(0)] * space.size
+        for j, x in candidate.items():
+            vec[j] = x
         f = space.vector_to_field(vec)
         if classify(phi, psi, f).region == target:
             return f

@@ -101,7 +101,7 @@ class StructuralSet:
             # For vectors, v_i v_j + v_j v_i is the scalar -2 <v_i, v_j>.
             i, j, dot = violation
             raise StructuralSetError(f"anticommutation relation ({i},{j}) violated: "
-                                     f"v{i}*v{j} + v{j}*v{i} = {Multivector.scalar(m, -2 * dot)}", relation=(i, j))
+                                     f"v{i}*v{j} + v{j}*v{i} = {_number_text(-2 * dot)}", relation=(i, j))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_products", {})
@@ -217,12 +217,13 @@ class StructuralSet:
 
 
 class TransitionMatrix:
-    """Orthogonal change-of-basis matrix between two structural sets."""
+    """Orthogonal change-of-basis matrix between two structural sets; m x m with m in 1..MAX_DIMENSION, as sets are."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[Scalar]]):
         rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        check_dimension(len(rows))
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("transition matrix must be square")
         object.__setattr__(self, "entries", rows)

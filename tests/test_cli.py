@@ -347,6 +347,29 @@ def test_region_spec_naming_no_class_is_a_usage_error(capsys, spec):
     assert "Traceback" not in err
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("find_region_witness was called")
+
+
+@pytest.mark.parametrize("m, d", [(5, 3), (2, 6), (3, 2)])
+def test_empty_region_is_answered_without_a_search(capsys, monkeypatch, m, d):
+    # With phi = psi, left-left is minus the Laplacian, so H and I without Hpp is empty.
+    monkeypatch.setattr(cli, "find_region_witness", _no_search)
+    argv = ["solve", "--m", str(m), "--degree", str(d), "--phi", "standard", "--psi", "standard", "--region", "H,I"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "no witness found for region H∩I at this degree (bounded search)"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["witnesses"] == []
+
+
+def test_nonempty_region_is_still_searched(monkeypatch):
+    monkeypatch.setattr(cli, "find_region_witness", _no_search)
+    with pytest.raises(AssertionError, match="was called"):
+        main(["solve", "--m", "3", "--degree", "2", "--phi", "standard", "--psi", "reversed", "--region", "H,I"])
+
+
 @pytest.mark.parametrize("expr", ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1"],
                          ids=["2000 nested parentheses", "5000 leading minus signs"])
 def test_deeply_nested_expression_is_a_parse_error(capsys, expr):

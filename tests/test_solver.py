@@ -10,7 +10,7 @@ from itertools import combinations
 
 from cliffkit import linalg
 from cliffkit.algebra import DimensionMismatch, Multivector, blade_product
-from cliffkit.classify import _CLASS_ORDER, RegionLabel, classify
+from cliffkit.classify import _CLASS_ORDER, HARMONIC, INFRAMONOGENIC, TWO_SET_HARMONIC, RegionLabel, classify
 from cliffkit.cli import parse_region_spec, parse_set_spec
 from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from cliffkit.linalg import RationalMatrix
@@ -23,6 +23,7 @@ from cliffkit.solver import (
     class_dimensions,
     _SMALL_RATIONALS,
     _escaping_steps,
+    _region_candidates,
     class_matrices,
     converse_counterexample,
     find_region_witness,
@@ -158,6 +159,58 @@ def test_nullspace_guard_rejects_a_corrupted_echelon(monkeypatch):
     mat = RationalMatrix([[Fraction(1), Fraction(2), Fraction(3)]])
     with pytest.raises(ArithmeticError, match="failed verification"):
         mat.nullspace()
+
+
+def test_nullspace_guard_rejects_a_split_block(monkeypatch):
+    # Eliminating one connected block as two gives vectors that miss the other half's rows.
+    mat = RationalMatrix([[Fraction(1), Fraction(1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]])
+    assert mat._blocks() == [[0, 1]]
+    monkeypatch.setattr(RationalMatrix, "_blocks", lambda self: [[0], [1]])
+    with pytest.raises(ArithmeticError, match="failed verification"):
+        mat.nullspace()
+
+
+def test_nullspace_never_returns_a_wrong_vector_from_a_split_block(monkeypatch):
+    rng = random.Random(12)
+    original = RationalMatrix._blocks
+
+    def split(self):
+        blocks = original(self)
+        big = max(blocks, key=len)
+        cut = rng.randint(1, len(big) - 1)
+        return [b for b in blocks if b is not big] + [big[:cut], big[cut:]]
+
+    seen = {"raised": 0, "true kernel": 0}
+    for _ in range(200):
+        rows, nc = _block_sum_rows(rng)
+        mat = RationalMatrix(rows, ncols=nc)
+        if max(map(len, mat._blocks()), default=0) < 2:
+            continue
+        kernel = _dense_kernel(rows, nc)
+        with monkeypatch.context() as patch:
+            patch.setattr(RationalMatrix, "_blocks", split)
+            try:
+                got = mat.nullspace()
+            except ArithmeticError as exc:
+                assert "failed verification" in str(exc)
+                seen["raised"] += 1
+                continue
+        assert got == kernel
+        seen["true kernel"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_mat_vec_matches_the_dense_product():
+    rng = random.Random(13)
+    for _ in range(200):
+        rows, nc = _block_sum_rows(rng)
+        mat = RationalMatrix(rows, ncols=nc)
+        for density in (0.2, 1.0):
+            v = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < density else Fraction(0)
+                 for _ in range(nc)]
+            assert mat.mat_vec(v) == _dense_mat_vec(rows, v)
+    with pytest.raises(ValueError, match="does not match"):
+        RationalMatrix.zero(2, 3).mat_vec([Fraction(1)] * 2)
 
 
 def test_blocks_of_a_hand_made_matrix():
@@ -551,26 +604,95 @@ def test_witness_single_class_regions():
             assert classify(PHI, PSI, witness).region == target
 
 
+def _dense_candidates(pool, excluded):
+    """The candidates of the witness search written out densely, in order, kept when every excluded image is nonzero.
+
+    Each candidate is built and multiplied through the dense rows: single
+    pool vectors, pairs v_i + t*v_j, then sum_n t^n * u_n over the first
+    pool vectors that escape each excluded matrix.
+    """
+    def candidates():
+        yield from pool
+        for vi, vj in combinations(pool, 2):
+            for t in _SMALL_RATIONALS:
+                yield [a + t * b for a, b in zip(vi, vj)]
+        picks = [next((k for k, v in enumerate(pool) if any(_dense_mat_vec(rows, v))), None) for rows in excluded]
+        if picks and None not in picks:
+            picks = sorted(set(picks))
+            for t in _SMALL_RATIONALS:
+                yield [sum(t ** n * pool[k][j] for n, k in enumerate(picks)) for j in range(len(pool[0]))]
+
+    for vec in candidates():
+        if all(any(_dense_mat_vec(rows, vec)) for rows in excluded):
+            yield vec
+
+
 def _dense_candidate_witness(phi, psi, m, d, target):
     """The witness search written out densely: build every candidate, multiply it through."""
     space = CoefficientSpace(m, d)
     mats = {name: mat.rows for name, mat in class_matrices(phi, psi, space).items()}
     wanted = [row for name in sorted(target.classes) for row in mats[name]]
     excluded = [rows for name, rows in mats.items() if name not in target.classes]
-    pool = _dense_kernel(wanted, space.size)
-
-    def candidates():
-        yield from pool
-        for vi, vj in combinations(pool, 2):
-            for t in _SMALL_RATIONALS:
-                yield [a + t * b for a, b in zip(vi, vj)]
-
-    for vec in candidates():
-        if all(any(_dense_mat_vec(rows, vec)) for rows in excluded):
-            f = space.vector_to_field(vec)
-            if classify(phi, psi, f).region == target:
-                return f
+    for vec in _dense_candidates(_dense_kernel(wanted, space.size), excluded):
+        f = space.vector_to_field(vec)
+        if classify(phi, psi, f).region == target:
+            return f
     return None
+
+
+def _dense(n, sparse):
+    vec = [Fraction(0)] * n
+    for j, x in sparse.items():
+        vec[j] = x
+    return vec
+
+
+def _killed_unit_vectors(rng):
+    """Three excluded matrices on Q^n whose kernels each hold all unit vectors but those of one kind.
+
+    Unit vector k is of kind S_k, one of the pairs of matrices
+    {0, 1}, {0, 2}, {1, 2} (each pair at least once) or, now and then,
+    all three; matrix e has random integer rows on the columns of the
+    unit vectors whose kind leaves e out.  Every unit vector then lies in
+    some kernel, and every two share one.
+    """
+    kinds = [{0, 1}, {0, 2}, {1, 2}]
+    kinds += [rng.choice(kinds + [{0, 1, 2}]) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(kinds)
+    n = len(kinds)
+    excluded = []
+    for e in range(3):
+        free = [k for k, kind in enumerate(kinds) if e not in kind]
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            row = [Fraction(0)] * n
+            for k in free:
+                row[k] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+            rows.append(row)
+        excluded.append(rows)
+    return n, excluded
+
+
+def test_region_candidates_reach_the_fallback_past_every_pair():
+    e1, e2, e3 = ([Fraction(int(i == j)) for j in range(3)] for i in range(3))
+    # ker E1 = <e1, e3>, ker E2 = <e1, e2>, ker E3 = <e2, e3>: every single and every pair is caught
+    excluded = [RationalMatrix([e2]), RationalMatrix([e3]), RationalMatrix([e1])]
+    pool = [{k: Fraction(1)} for k in range(3)]
+    images = [[mat._products([{k: 1}])[0] for mat in excluded] for k in range(3)]
+    first = next(_region_candidates(pool, images))
+    assert first == {0: 1, 1: -3, 2: 9}  # e1 + t e2 + t^2 e3 at the first t of _SMALL_RATIONALS
+
+    rng = random.Random(14)
+    for _ in range(40):
+        n, dense_excluded = _killed_unit_vectors(rng)
+        mats = [RationalMatrix(rows) for rows in dense_excluded]
+        pool = _dense_kernel([], n)
+        sparse_pool = [{j: x for j, x in enumerate(v) if x} for v in pool]
+        images = [[{i: Fraction(x) for i, x in enumerate(mat.mat_vec(v)) if x} for mat in mats] for v in pool]
+        got = [_dense(n, c) for c in _region_candidates(sparse_pool, images)]
+        want = list(_dense_candidates(pool, dense_excluded))
+        assert got == want and got
+        assert sum(1 for x in got[0] if x) >= 3  # no single vector or pair escaped
 
 
 def test_escaping_steps_match_every_combination():
@@ -593,7 +715,8 @@ def test_escaping_steps_match_every_combination():
             image_j.append(b)
         want = [t for t in _SMALL_RATIONALS
                 if all(any(x + t * y for x, y in zip(a, b)) for a, b in zip(image_i, image_j))]
-        assert _escaping_steps(image_i, image_j) == want
+        sparse = [[{r: x for r, x in enumerate(v) if x} for v in image] for image in (image_i, image_j)]
+        assert _escaping_steps(*sparse) == want
         seen_one_step_removed += 0 < len(want) < len(_SMALL_RATIONALS)
         seen_none_left += not want
     assert seen_one_step_removed >= 50 and seen_none_left >= 50
@@ -613,6 +736,47 @@ def test_find_region_witness_matches_dense_candidate_loop(m, d, phi, psi, region
     phi, psi = parse_set_spec(phi, m), parse_set_spec(psi, m)
     target = parse_region_spec(region)
     assert find_region_witness(phi, psi, m, d, target) == _dense_candidate_witness(phi, psi, m, d, target)
+
+
+def _grid_pairs():
+    """(m, phi, psi) for m = 1..4: standard/reversed, a seeded signed permutation and a seeded random rational pair."""
+    rng = random.Random(15)
+    for m in range(1, 5):
+        signed = [p * rng.choice((-1, 1)) for p in rng.sample(range(1, m + 1), m)]
+        yield m, StructuralSet.standard(m), StructuralSet.reversed_standard(m)
+        yield m, StructuralSet.standard(m), StructuralSet.signed_permutation(m, signed)
+        yield m, rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m)
+
+
+def test_rank_rule_and_witness_search_agree_on_a_seeded_grid():
+    seen = {"empty": 0, "found": 0}
+    for m, phi, psi in _grid_pairs():
+        for d in range(4):
+            mats = class_matrices(phi, psi, CoefficientSpace(m, d))
+            dims = class_dimensions(phi, psi, m, d, matrices=mats)
+            for target in RegionLabel.all_regions():
+                witness = find_region_witness(phi, psi, m, d, target, matrices=mats)
+                assert (witness is None) == dims.region_is_empty(target), (m, d, phi, psi, target)
+                if witness is not None:
+                    assert witness and witness.is_homogeneous(d)
+                    assert classify(phi, psi, witness).region == target
+                seen["empty" if witness is None else "found"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_rank_rule_reads_the_dimensions():
+    dims = class_dimensions(StructuralSet.standard(5), StructuralSet.standard(5), 5, 3)
+    names = {HARMONIC: dims.harmonic, TWO_SET_HARMONIC: dims.two_set_harmonic, INFRAMONOGENIC: dims.inframonogenic}
+    assert dims.joint(frozenset()) == dims.full
+    for name, value in names.items():
+        assert dims.joint(frozenset({name})) == value
+    assert dims.joint(frozenset(_CLASS_ORDER)) == dims.triple
+    assert dims.harmonic_and_inframonogenic == dims.triple  # so H and I without Hpp is empty
+    assert dims.region_is_empty(RegionLabel.from_classes((HARMONIC, INFRAMONOGENIC)))
+    assert not dims.region_is_empty(RegionLabel.from_classes(_CLASS_ORDER))
+    degree_one = class_dimensions(PHI, PSI, 3, 1)
+    assert [r for r in RegionLabel.all_regions() if not degree_one.region_is_empty(r)] == [
+        RegionLabel.from_classes(_CLASS_ORDER)]
 
 
 def test_shared_class_matrices_give_the_same_answers():

@@ -303,6 +303,37 @@ def test_is_orthogonal_rejects_each_failing_pair():
     assert TransitionMatrix([[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]).is_orthogonal()
 
 
+def test_anticommutation_scalar_too_long_to_print_is_given_by_its_digit_counts():
+    tiny = Multivector(2, {1: Fraction(1, 10 ** 2200)})
+    with pytest.raises(StructuralSetError) as exc:
+        StructuralSet([tiny, Multivector.basis_vector(2, 2)])
+    assert exc.value.relation == (1, 1)
+    # -2 <v1, v1> = -1 / (5 * 10**4399)
+    assert str(exc.value) == ("anticommutation relation (1,1) violated: "
+                              "v1*v1 + v1*v1 = a 1-digit numerator over a 4400-digit denominator")
+    with pytest.raises(StructuralSetError, match=r"\(2,2\) violated: v2\*v2 \+ v2\*v2 = -1/2$"):
+        StructuralSet([Multivector.basis_vector(2, 1), Multivector(2, {2: Fraction(1, 2)})])
+
+
+def _plane_rotation(n):
+    """The n x n rotation by (3/5, 4/5) in the plane of the first two coordinates."""
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows[0][:2] = [Fraction(3, 5), Fraction(-4, 5)]
+    rows[1][:2] = [Fraction(4, 5), Fraction(3, 5)]
+    return rows
+
+
+def test_transition_matrices_are_bounded_like_structural_sets():
+    with pytest.raises(ValueError, match=r"1\.\.12, got 13"):
+        TransitionMatrix(_plane_rotation(13))
+    with pytest.raises(ValueError, match=r"1\.\.12, got 0"):
+        TransitionMatrix([])
+    assert TransitionMatrix(_plane_rotation(12)).is_orthogonal()
+    skewed = _plane_rotation(12)
+    skewed[11][10] = Fraction(1, 3)
+    assert not TransitionMatrix(skewed).is_orthogonal()
+
+
 # -- products over index sets ------------------------------------------------
 
 def plain_product(vectors):
