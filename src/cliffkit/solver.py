@@ -400,8 +400,9 @@ def _combination(terms: Iterable[tuple[Fraction, SparseVector]]) -> SparseVector
 def _region_candidates(pool: list[SparseVector], images: list[list[SparseVector]]) -> Iterator[SparseVector]:
     """Every combination of `pool` the search tries whose image under each excluded matrix is nonzero, in order.
 
-    `images[k]` holds the images of `pool[k]` under the excluded
-    matrices, and each excluded matrix leaves some pool vector nonzero.
+    `pool` is not empty, `images[k]` holds the images of `pool[k]` under
+    the excluded matrices, and each excluded matrix leaves some pool
+    vector nonzero.
     Single vectors come first, then pairs v_i + t*v_j with t in
     `_SMALL_RATIONALS`; by linearity the image of a pair is
     image_i + t*image_j, so each pair of images rules out at most one t
@@ -421,7 +422,7 @@ def _region_candidates(pool: list[SparseVector], images: list[list[SparseVector]
     for (vi, image_i), (vj, image_j) in combinations(zip(pool, images), 2):
         for t in _escaping_steps(image_i, image_j):
             yield _combination(((1, vi), (t, vj)))
-    excluded = range(len(images[0]) if images else 0)
+    excluded = range(len(images[0]))
     picks = sorted({next(k for k, image in enumerate(images) if image[e]) for e in excluded})
     for t in _SMALL_RATIONALS if picks else ():
         powers = [t ** n for n in range(len(picks))]

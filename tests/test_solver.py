@@ -648,12 +648,13 @@ def _dense(n, sparse):
 
 
 def _killed_unit_vectors(rng):
-    """Three excluded matrices on Q^n whose kernels each hold all unit vectors but those of one kind.
+    """n and the dense rows of three excluded matrices on Q^n that catch every unit vector and every pair.
 
     Unit vector k is of kind S_k, one of the pairs of matrices
     {0, 1}, {0, 2}, {1, 2} (each pair at least once) or, now and then,
-    all three; matrix e has random integer rows on the columns of the
-    unit vectors whose kind leaves e out.  Every unit vector then lies in
+    all three.  Matrix e has random rational rows on the columns of the
+    unit vectors whose kind leaves e out, so its kernel holds exactly the
+    unit vectors whose kind contains e.  Every unit vector then lies in
     some kernel, and every two share one.
     """
     kinds = [{0, 1}, {0, 2}, {1, 2}]
