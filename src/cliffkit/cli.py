@@ -126,6 +126,9 @@ def _parse_m_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad dimension list {text!r}: expected comma-separated integers")
     if not values or any(v < 1 for v in values):
         raise UsageError(f"dimensions must be positive, got {values}")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise UsageError(f"dimension {repeated[0]} is given more than once in {text!r}")
     return values
 
 

@@ -7,19 +7,31 @@ blade basis among them, from the operator's symbol.
 A matrix keeps each row once, sparse and in integers: the nonzero
 entries times the lcm of their denominators, as (column, int) pairs, plus
 that lcm as the row scale.  Scaling a row changes neither rank nor
-kernel, so a single one-step Bareiss kernel starts from these integer
-rows, keeps them sparse while it eliminates, and gives rank and kernel
-basis; a matrix-vector product reads only the columns in the vector's
+kernel, so elimination starts from these integer rows and keeps them
+sparse; a matrix-vector product reads only the columns in the vector's
 support.
-Pivoting is deterministic: columns left to right, first row with a
-nonzero entry.  A reversed column sweep is available as an independent
-route for rank cross-checks.
 
-Rank and kernel eliminate each connected block (rows linked by shared
-columns) on its own.  A Bareiss step multiplies every row it passes
-over by its pivot, a leading minor, so in one sweep the rows of a block
-would grow by the minors of all blocks before it; split, their entries
-stay minors of their own block.
+Two Bareiss (fraction-free) eliminations run on these rows, one for each
+job:
+- Rank inserts rows into a `RowEchelon`, the row count of which is the
+  rank.  A new row is reduced against the pivot rows in insertion order,
+  so it takes the steps of a Bareiss sweep over the inserted rows, in
+  that order, with the pivot columns in the order they were found.  After
+  s steps each entry of a row is a minor of order s + 1 of the inserted
+  rows (Sylvester's identity), so every division is exact.  Growing an
+  echelon leaves it as it was, so the joint kernels of several row
+  groups can share a prefix (`solver.class_dimensions`).
+  `rank(reverse_columns=True)` mirrors the columns, so each pivot is a
+  row's last column: an independent order for cross-checks.
+- The kernel sweeps the columns left to right with `_bareiss_echelon`.
+  Its pivots are the leading minors in column order, which make
+  back-substitution integral and give the unique reduced-echelon basis.
+
+Both eliminate each connected block (rows linked by shared columns) on
+its own.  A Bareiss step multiplies every later row by its pivot over
+the previous one, so in one sweep the rows of a block would grow by the
+minors of all blocks before it; split, their entries stay minors of
+their own block.
 """
 
 from __future__ import annotations
@@ -91,6 +103,67 @@ def _bareiss_echelon(rows: list[dict[int, int]], columns: Sequence[int]) -> tupl
         pivots.append(pc)
         pivot_cols.append(c)
     return rows, pivot_cols
+
+
+class RowEchelon:
+    """Fraction-free row echelon form built by inserting rows; immutable.
+
+    `grown(rows)` reduces each new row against the pivot rows present, in
+    insertion order, and a row left nonzero becomes the next pivot row,
+    its leading column the pivot column.  The pivot rows are then exactly
+    the rows a Bareiss sweep over the inserted rows, in that order, with
+    those pivot columns, would give, so every division is exact.  The
+    result shares the rows already present, so one echelon can be grown
+    along several chains.
+    """
+
+    __slots__ = ("_cols", "_tails", "_pivots")
+
+    def __init__(self):
+        self._cols: tuple[int, ...] = ()  # the pivot column of each step
+        self._tails: tuple[tuple[tuple[int, int], ...], ...] = ()  # each pivot row less its pivot entry
+        self._pivots: tuple[int, ...] = (1,)  # _pivots[s + 1]: the pivot of step s
+
+    def __len__(self) -> int:
+        """The rank of the inserted rows."""
+        return len(self._cols)
+
+    def grown(self, rows: Iterable[Iterable[tuple[int, int]]]) -> "RowEchelon":
+        """The echelon of the rows present and then `rows`, each its nonzero (column, int) entries.
+
+        A Bareiss step with pivot p multiplies a row by p over the
+        previous pivot.  A row with no entry in the pivot column of a
+        step would only be scaled by it.  These factors telescope, so such
+        a row keeps the step it is current for, and the next step that
+        uses it divides by the pivot of the last step the row took instead
+        of by the previous pivot: one exact division.  A new pivot row is brought up
+        to date before it is kept.
+        """
+        cols, tails, pivots = list(self._cols), list(self._tails), list(self._pivots)
+        for pairs in rows:
+            row = dict(pairs)
+            current = 0  # row holds its values after step `current`
+            for s, c in enumerate(cols):
+                rc = row.pop(c, 0)
+                if not rc:
+                    continue
+                pc, old = pivots[s + 1], pivots[current]
+                new = {j: pc * a for j, a in row.items()}
+                for j, a in tails[s]:
+                    new[j] = new.get(j, 0) - rc * a
+                row = {j: a // old for j, a in new.items() if a}
+                current = s + 1
+            if row:
+                k = len(cols)
+                if current != k:
+                    row = {j: a * pivots[k] // pivots[current] for j, a in row.items()}
+                c = min(row)
+                pivots.append(row.pop(c))
+                cols.append(c)
+                tails.append(tuple(row.items()))
+        out = RowEchelon.__new__(RowEchelon)
+        out._cols, out._tails, out._pivots = tuple(cols), tuple(tails), tuple(pivots)
+        return out
 
 
 class RationalMatrix:
@@ -205,23 +278,29 @@ class RationalMatrix:
                 blocks.setdefault(find(pairs[0][0]), []).append(i)
         return list(blocks.values())
 
-    def _echelon(self, block: Iterable[int], reverse_columns: bool = False) -> tuple[list[int], tuple]:
-        """The columns that rows `block` touch and the Bareiss kernel on those rows, the row scales left out."""
-        last = self.ncols - 1
-        rows = [{last - j if reverse_columns else j: a for j, a in self._int_rows[i][0]} for i in block]
-        columns = sorted({j for row in rows for j in row})
-        return columns, _bareiss_echelon(rows, columns)
-
     def rank(self, reverse_columns: bool = False) -> int:
-        """Exact rank, summed over blocks; `reverse_columns` sweeps each block right to left, an independent order."""
-        return sum(len(self._echelon(block, reverse_columns)[1][1]) for block in self._blocks())
+        """Exact rank: the rows of each block inserted into a `RowEchelon`, summed over blocks.
+
+        `reverse_columns` mirrors the columns, so each pivot is a row's last
+        column instead of its first: an independent elimination.
+        """
+        last = self.ncols - 1
+        rank = 0
+        for block in self._blocks():
+            rows = (self._int_rows[i][0] for i in block)
+            if reverse_columns:
+                rows = ([(last - j, a) for j, a in pairs] for pairs in rows)
+            rank += len(RowEchelon().grown(rows))
+        return rank
 
     def _kernel(self) -> list[tuple[dict[int, int], int]]:
         """The basis of `nullspace` as pairs (y, den): the vector y / den, y its nonzero {column: int} entries."""
         kernel: dict[int, tuple[dict[int, int], int]] = {}
         touched: set[int] = set()
         for block in self._blocks():
-            columns, (ech, pivot_cols) = self._echelon(block)
+            rows = [dict(self._int_rows[i][0]) for i in block]
+            columns = sorted({j for row in rows for j in row})
+            ech, pivot_cols = _bareiss_echelon(rows, columns)
             touched.update(columns)
             pivots = [ech[r][c] for r, c in enumerate(pivot_cols)]
             tails = [[(j, a) for j, a in row.items() if j != c] for row, c in zip(ech, pivot_cols)]

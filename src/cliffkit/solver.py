@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .algebra import DimensionMismatch, Multivector, _as_integers, _odd_masks, blade_order, check_dimension
 from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
 from .fields import MultiIndex, PolyField
-from .linalg import RationalMatrix, Vector, _reduced_row
+from .linalg import RationalMatrix, RowEchelon, Vector, _reduced_row
 from .structural import StructuralSet
 
 
@@ -317,6 +317,20 @@ class ClassDimensions:
         return base == 0 or any(self.joint(within | {name}) == base for name in _CLASS_ORDER if name not in within)
 
 
+# The joint kernels `class_dimensions` reads, each grown from the one before its
+# last class by that class's rows: chains H, H+I, H+I+Hpp; H+Hpp; I, I+Hpp; Hpp.
+# Laplacian rows keep the pivots small, so H goes first.
+_CHAINS = (
+    (HARMONIC,),
+    (HARMONIC, INFRAMONOGENIC),
+    (HARMONIC, INFRAMONOGENIC, TWO_SET_HARMONIC),
+    (HARMONIC, TWO_SET_HARMONIC),
+    (INFRAMONOGENIC,),
+    (INFRAMONOGENIC, TWO_SET_HARMONIC),
+    (TWO_SET_HARMONIC,),
+)
+
+
 def class_dimensions(
     phi: StructuralSet, psi: StructuralSet, m: int, d: int, *, matrices: dict[str, RationalMatrix] | None = None
 ) -> ClassDimensions:
@@ -325,27 +339,39 @@ def class_dimensions(
 
     `matrices`, when given, are the three `class_matrices` of (phi, psi)
     on that space, so a caller that also searches for witnesses builds
-    them once.
+    them once.  The stack of the three matrices is split into connected
+    blocks once.  In each block every joint kernel of `_CHAINS` is a
+    `RowEchelon` grown from the one before its last class, so the rows
+    of H are inserted once, of I twice and of Hpp four times, against
+    four times each for seven stacks eliminated from scratch.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
     space = CoefficientSpace(m, d)
     mats = class_matrices(phi, psi, space) if matrices is None else matrices
-
-    def dim_of(names: tuple[str, ...]) -> int:
-        return space.size - RationalMatrix.stack([mats[n] for n in names], space.size).rank()
-
+    stack = RationalMatrix.stack([mats[name] for name in _CLASS_ORDER], space.size)
+    class_of = [name for name in _CLASS_ORDER for _ in range(mats[name].nrows)]
+    ranks = dict.fromkeys(_CHAINS, 0)
+    for block in stack._blocks():
+        rows = {name: [] for name in _CLASS_ORDER}
+        for i in block:
+            rows[class_of[i]].append(stack._int_rows[i][0])
+        echelons = {(): RowEchelon()}
+        for chain in _CHAINS:
+            echelons[chain] = echelons[chain[:-1]].grown(rows[chain[-1]])
+            ranks[chain] += len(echelons[chain])
+    dims = {frozenset(chain): space.size - rank for chain, rank in ranks.items()}
     return ClassDimensions(
         m=m,
         degree=d,
         full=space.size,
-        harmonic=dim_of((HARMONIC,)),
-        two_set_harmonic=dim_of((TWO_SET_HARMONIC,)),
-        inframonogenic=dim_of((INFRAMONOGENIC,)),
-        harmonic_and_two_set=dim_of((HARMONIC, TWO_SET_HARMONIC)),
-        harmonic_and_inframonogenic=dim_of((HARMONIC, INFRAMONOGENIC)),
-        two_set_and_inframonogenic=dim_of((TWO_SET_HARMONIC, INFRAMONOGENIC)),
-        triple=dim_of((HARMONIC, TWO_SET_HARMONIC, INFRAMONOGENIC)),
+        harmonic=dims[frozenset({HARMONIC})],
+        two_set_harmonic=dims[frozenset({TWO_SET_HARMONIC})],
+        inframonogenic=dims[frozenset({INFRAMONOGENIC})],
+        harmonic_and_two_set=dims[frozenset({HARMONIC, TWO_SET_HARMONIC})],
+        harmonic_and_inframonogenic=dims[frozenset({HARMONIC, INFRAMONOGENIC})],
+        two_set_and_inframonogenic=dims[frozenset({TWO_SET_HARMONIC, INFRAMONOGENIC})],
+        triple=dims[frozenset(_CLASS_ORDER)],
     )
 
 

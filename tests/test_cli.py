@@ -89,6 +89,12 @@ def test_verify_rejects_bad_m(capsys):
     assert code == 2
 
 
+def test_verify_rejects_a_repeated_m(capsys):
+    code, out, err = run_cli(capsys, "verify", "--m", "2,3,2", "--trials", "1")
+    assert code == 2 and out == ""
+    assert "dimension 2 is given more than once" in err
+
+
 def test_verify_deterministic_output(capsys):
     args = ("verify", "--m", "2,3", "--trials", "3", "--seed", "5", "--format", "json")
     code_a, out_a, _ = run_cli(capsys, *args)

@@ -13,7 +13,7 @@ from cliffkit.algebra import DimensionMismatch, Multivector, blade_product
 from cliffkit.classify import _CLASS_ORDER, HARMONIC, INFRAMONOGENIC, TWO_SET_HARMONIC, RegionLabel, classify
 from cliffkit.cli import parse_region_spec, parse_set_spec
 from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
-from cliffkit.linalg import RationalMatrix
+from cliffkit.linalg import RationalMatrix, RowEchelon
 from cliffkit.parser import parse_field
 from cliffkit.psi import PsiOperator
 from cliffkit.sampling import rand_rational_structural_set, rand_structural_pair
@@ -31,7 +31,7 @@ from cliffkit.solver import (
     nullspace,
     operator_matrix,
 )
-from cliffkit.structural import StructuralSet
+from cliffkit.structural import StructuralSet, transition
 
 PHI = StructuralSet.standard(3)
 PSI = StructuralSet.reversed_standard(3)
@@ -273,6 +273,96 @@ def test_block_split_elimination_matches_whole_matrix():
         seen["dependent"] += len(kernel) > max(nc - len(rows), 0)
         seen["negative"] += any(x < 0 for row in rows for x in row)
     assert min(seen.values()) >= 30, seen
+
+
+def _det(rows):
+    """Determinant of a square matrix of Fractions by elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            t = rows[i][c] / rows[c][c]
+            rows[i] = [x - t * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def _sparse(rows):
+    return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+
+
+def _assert_bareiss_pivots(echelon, rows):
+    """Pivot s is the minor of the first s + 1 independent rows on the first s + 1 pivot columns."""
+    kept = []
+    for row in rows:
+        if RationalMatrix([*kept, row]).rank() > len(kept):
+            kept.append(row)
+    assert len(echelon) == len(kept)
+    cols = echelon._cols
+    for s in range(len(cols)):
+        assert echelon._pivots[s + 1] == _det([[row[c] for c in cols[:s + 1]] for row in kept[:s + 1]]), s
+
+
+def test_row_echelon_row_dependent_only_on_two_earlier_groups():
+    g1 = [[2, 3, 0, 1], [0, 5, 0, 7]]
+    g2 = [[0, 0, 4, 3]]
+    g3 = [[2, 3, 4, 4], [1, 1, 1, 1]]  # the first is the sum of g1[0] and g2[0]
+    e1 = RowEchelon().grown(_sparse(g1))
+    e12 = e1.grown(_sparse(g2))
+    e123 = e12.grown(_sparse(g3))
+    assert (len(e1), len(e12), len(e123)) == (2, 3, 4)
+    # g3[0] is independent of g1 alone and of g2 alone, dependent on both
+    assert len(e1.grown(_sparse(g3[:1]))) == 3
+    assert len(RowEchelon().grown(_sparse(g2 + g3[:1]))) == 2
+    assert len(e12.grown(_sparse(g3[:1]))) == 3
+    assert len(e12) == 3  # growing leaves the echelon grown from as it was
+    _assert_bareiss_pivots(e123, g1 + g2 + g3)
+    mat = RationalMatrix([[Fraction(x) for x in row] for row in g1 + g2 + g3])
+    assert mat.rank() == mat.rank(reverse_columns=True) == 4
+
+
+def test_row_echelon_row_joining_two_earlier_sub_blocks():
+    # Rows 0-1 live on columns 0-1 and rows 2-3 on columns 2-3; row 4 meets
+    # step 0, loses its column-1 entry there, skips steps 1 and 2 and meets
+    # step 3, where it takes both skipped factors into one division.
+    rows = [
+        [2, 3, 0, 0, 0],
+        [5, 7, 0, 0, 0],
+        [0, 0, 3, 4, 0],
+        [0, 0, 6, 9, 0],
+        [2, 3, 0, 5, 1],
+    ]
+    echelon = RowEchelon().grown(_sparse(rows))
+    assert echelon._cols == (0, 1, 2, 3, 4)
+    assert echelon._pivots == (1, 2, -1, -3, -3, -3)
+    _assert_bareiss_pivots(echelon, rows)
+    mat = RationalMatrix([[Fraction(x) for x in row] for row in rows])
+    assert mat._blocks() == [[0, 1, 2, 3, 4]]
+    assert mat.rank() == mat.rank(reverse_columns=True) == 5
+    # without column 4, row 4 less row 0 is (0, 0, 0, 5), in the span of rows 2 and 3: it falls to zero at step 3
+    dependent = [row[:4] for row in rows]
+    assert len(RowEchelon().grown(_sparse(dependent))) == 4
+    mat = RationalMatrix([[Fraction(x) for x in row] for row in dependent])
+    assert mat.rank() == mat.rank(reverse_columns=True) == 4
+
+
+def test_row_echelon_matches_dense_rank_on_random_chains():
+    rng = random.Random(16)
+    for _ in range(200):
+        rows, nc = _block_sum_rows(rng)
+        mat = RationalMatrix(rows, ncols=nc)
+        pairs = [pairs for pairs, _ in mat._int_rows]
+        cut = sorted(rng.randint(0, len(pairs)) for _ in range(2))
+        echelon = RowEchelon()
+        for lo, hi in zip([0, *cut], [*cut, len(pairs)]):
+            echelon = echelon.grown(pairs[lo:hi])
+        assert len(echelon) == nc - len(_dense_kernel(rows, nc)) == mat.rank() == mat.rank(reverse_columns=True)
 
 
 # -- coefficient spaces ------------------------------------------------------------
@@ -551,6 +641,48 @@ def test_triple_stack_rank_is_independent_of_column_order():
     mats = class_matrices(StructuralSet.standard(4), StructuralSet.reversed_standard(4), space)
     stack = RationalMatrix.stack(list(mats.values()), space.size)
     assert stack.rank() == stack.rank(reverse_columns=True) == space.size - 318
+
+
+def _joint_dims_by_nullspace(phi, psi, m, d):
+    """The seven dimensions in `to_json` order, each the size less the kernel of its stack by the column sweep."""
+    space = CoefficientSpace(m, d)
+    mats = class_matrices(phi, psi, space)
+    joints = [(HARMONIC,), (TWO_SET_HARMONIC,), (INFRAMONOGENIC,), (HARMONIC, TWO_SET_HARMONIC),
+              (HARMONIC, INFRAMONOGENIC), (TWO_SET_HARMONIC, INFRAMONOGENIC), _CLASS_ORDER]
+    return tuple(len(RationalMatrix.stack([mats[n] for n in names], space.size).nullspace()) for names in joints)
+
+
+def test_class_dimensions_match_the_kernels_of_the_seven_stacks():
+    rng = random.Random(17)
+    cases = [(m, d, phi, psi) for m, phi, psi in _grid_pairs() for d in range(4)]
+    cases.append((3, 4, rand_rational_structural_set(rng, 3), rand_rational_structural_set(rng, 3)))
+    cases.append((3, 4, StructuralSet.standard(3), StructuralSet.reversed_standard(3)))
+    for m, d, phi, psi in cases:
+        dims = class_dimensions(phi, psi, m, d)
+        assert tuple(dims.to_json().values()) == _joint_dims_by_nullspace(phi, psi, m, d), (m, d, phi, psi)
+
+
+@pytest.mark.parametrize("m, d", [(2, 3), (3, 2), (3, 3)])
+def test_class_dimensions_depend_only_on_the_transition_orbit(m, d):
+    rng = random.Random(m * 10 + d)
+    standard = StructuralSet.standard(m)
+    for _ in range(6):
+        phi, psi = rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m)
+        dims = class_dimensions(phi, psi, m, d).to_json()
+        canonical = StructuralSet.from_matrix(transition(phi, psi).entries)
+        assert class_dimensions(standard, canonical, m, d).to_json() == dims
+        assert class_dimensions(psi, phi, m, d).to_json() == dims
+
+
+@pytest.mark.parametrize("psi, want", [
+    ("standard", (256, 256, 256, 256, 222, 222, 222)),
+    ("signedperm:-1,-2,-3,-4", (256, 256, 256, 256, 222, 222, 222)),
+    ("reversed", (256, 256, 256, 208, 222, 194, 174)),
+    ("signedperm:2,-1,4,-3", (256, 256, 256, 232, 222, 222, 205)),
+])
+def test_class_dimensions_strata_at_m4_d3(psi, want):
+    dims = class_dimensions(StructuralSet.standard(4), parse_set_spec(psi, 4), 4, 3)
+    assert tuple(dims.to_json().values()) == want
 
 
 def test_class_dimensions_2d_standard():
