@@ -136,8 +136,8 @@ class RowEchelon:
         step would only be scaled by it.  These factors telescope, so such
         a row keeps the step it is current for, and the next step that
         uses it divides by the pivot of the last step the row took instead
-        of by the previous pivot: one exact division.  A new pivot row is brought up
-        to date before it is kept.
+        of by the previous pivot: one exact division.  A new pivot row is
+        brought up to date before it is kept.
         """
         cols, tails, pivots = list(self._cols), list(self._tails), list(self._pivots)
         for pairs in rows:

@@ -276,7 +276,7 @@ def test_block_split_elimination_matches_whole_matrix():
 
 
 def _det(rows):
-    """Determinant of a square matrix of Fractions by elimination."""
+    """Determinant of a square matrix by elimination over Fractions."""
     rows = [[Fraction(x) for x in row] for row in rows]
     det = Fraction(1)
     for c in range(len(rows)):
@@ -300,8 +300,8 @@ def _sparse(rows):
 def _assert_bareiss_pivots(echelon, rows):
     """Pivot s is the minor of the first s + 1 independent rows on the first s + 1 pivot columns."""
     kept = []
-    for row in rows:
-        if RationalMatrix([*kept, row]).rank() > len(kept):
+    for row in ([Fraction(x) for x in row] for row in rows):
+        if len(_dense_kernel([*kept, row], len(row))) < len(row) - len(kept):
             kept.append(row)
     assert len(echelon) == len(kept)
     cols = echelon._cols
