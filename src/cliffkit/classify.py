@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
+from .fields import PolyField, _dirac, _flat, _laplacian, _partials, _rows, dirac_left, sandwich
 from .structural import StructuralSet
 from .verdict import Verdict
 
@@ -87,20 +87,25 @@ class ClassMembership:
 
 
 def classify(phi: StructuralSet, psi: StructuralSet, f: PolyField) -> ClassMembership:
-    """Membership of f in each class, every one an exact zero test.
+    """Membership of f in each class, every one an exact zero test on flat integer terms (see `fields`).
 
-    D_psi f is computed once and shared: the two-set-harmonic test
-    applies D_phi to it and the left-hyperholomorphic test reads it.
+    The first partials of f are computed once and serve D_psi f, f D_psi, D_phi f and
+    the Laplacian; the partials of D_psi f give D_phi D_psi f, and those of D_phi f the
+    sandwich.  The scales are positive and are dropped, and no field is built.
     """
     if phi.m != f.m or psi.m != f.m:
         raise ValueError(f"dimension mismatch: sets {phi.m}/{psi.m}, field {f.m}")
-    left_psi = dirac_left(psi, f)
+    m = f.m
+    phi_rows, psi_rows = _rows(phi)[0], _rows(psi)[0]
+    partials = _partials(_flat(f)[0], m)
+    left_psi = _dirac(partials, psi_rows, m, True)
+    left_phi = _dirac(partials, phi_rows, m, True)
     return ClassMembership(
-        harmonic=laplacian(f).is_zero(),
-        two_set_harmonic=dirac_left(phi, left_psi).is_zero(),
-        inframonogenic=sandwich(phi, f, psi).is_zero(),
-        hyperholomorphic_left=left_psi.is_zero(),
-        hyperholomorphic_right=dirac_right(f, psi).is_zero(),
+        harmonic=not any(_laplacian(partials).values()),
+        two_set_harmonic=not any(_dirac(_partials(left_psi, m), phi_rows, m, True).values()),
+        inframonogenic=not any(_dirac(_partials(left_phi, m), psi_rows, m, False).values()),
+        hyperholomorphic_left=not any(left_psi.values()),
+        hyperholomorphic_right=not any(_dirac(partials, psi_rows, m, False).values()),
     )
 
 

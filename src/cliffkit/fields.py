@@ -6,16 +6,23 @@ identity checked here is pointwise-algebraic in derivatives, so there is
 no separate domain notion.  Differentiation, the twisted Dirac
 operators, the Laplacian and the two-sided (sandwich) operator all stay
 in exact rational arithmetic.
+
+The differential operators share one integer kernel: a field is flattened to
+{(alpha, mask): numerator} over the lcm of its coefficients' denominators, a
+structural set to integer rows over the lcm of its vectors', and a first
+partial is alpha_j * c at alpha - e_j.  Each operator rebuilds one field at
+the end, reducing each coefficient over the product of the scales.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import DimensionMismatch, Multivector, Scalar, check_dimension
+from .algebra import DimensionMismatch, Multivector, Scalar, _lowest, _odd_masks, check_dimension
 from .structural import StructuralSet
 
 MultiIndex = tuple[int, ...]
@@ -269,31 +276,105 @@ class PolyField:
         return f"PolyField({self.m}, {str(self)!r})"
 
 
+# -- the derivative kernel (see the module docstring) ---------------------------
+
+Flat = dict[tuple[MultiIndex, int], int]
+
+
+def _flat(f: PolyField) -> tuple[Flat, int]:
+    """f's terms as integer numerators over the lcm of its coefficients' denominators."""
+    scale = lcm(*(mv._den for mv in f._terms.values()))
+    return {(a, mask): c * (scale // mv._den) for a, mv in f._terms.items() for mask, c in mv._num.items()}, scale
+
+
+def _rows(sset: StructuralSet) -> tuple[list[list[tuple[int, int]]], int]:
+    """The set's vectors as integer rows [(generator mask, numerator), ...] over the lcm of their denominators."""
+    scale = lcm(*(v._den for v in sset.vectors))
+    return [[(bit, c * (scale // v._den)) for bit, c in v._num.items()] for v in sset.vectors], scale
+
+
+def _partial(flat: Flat, k: int) -> Flat:
+    """d flat / d x_{k+1}; distinct terms have distinct derivatives, so nothing accumulates."""
+    return {(a[:k] + (a[k] - 1,) + a[k + 1:], mask): a[k] * c for (a, mask), c in flat.items() if a[k]}
+
+
+def _partials(flat: Flat, m: int) -> list[Flat]:
+    return [_partial(flat, k) for k in range(m)]
+
+
+def _dirac(partials: list[Flat], rows: list[list[tuple[int, int]]], m: int, left: bool) -> Flat:
+    """sum_j v_j * partials[j] (left) or sum_j partials[j] * v_j, with row j as v_j; sums that cancel stay as 0.
+
+    Signs as in `Multivector.__mul__`: e_i e_B < 0 when B & odd[e_i] has odd parity, e_B e_i < 0 when e_i & odd[B] != 0.
+    """
+    odd = _odd_masks(m)
+    acc: Flat = {}
+    get = acc.get
+    for part, row in zip(partials, rows):
+        for (a, mask), c in part.items():
+            w = odd[mask]
+            for bit, n in row:
+                key = a, mask ^ bit
+                if (mask & odd[bit]).bit_count() & 1 if left else bit & w:
+                    acc[key] = get(key, 0) - n * c
+                else:
+                    acc[key] = get(key, 0) + n * c
+    return acc
+
+
+def _laplacian(partials: list[Flat]) -> Flat:
+    """sum_k d partials[k] / d x_{k+1}; sums that cancel stay as 0."""
+    acc: Flat = {}
+    for k, part in enumerate(partials):
+        for key, c in _partial(part, k).items():
+            acc[key] = acc.get(key, 0) + c
+    return acc
+
+
+def _field(m: int, flat: Flat, scale: int) -> PolyField:
+    """The field of flat terms over scale > 0, each coefficient in lowest terms."""
+    grouped: dict[MultiIndex, dict[int, int]] = {}
+    for (a, mask), c in flat.items():
+        if c:
+            grouped.setdefault(a, {})[mask] = c
+    return PolyField._of(m, {a: Multivector._of(m, *_lowest(num, scale)) for a, num in grouped.items()})
+
+
 def _require_field_set(sset: StructuralSet, f: PolyField) -> None:
     if sset.m != f.m:
         raise DimensionMismatch(f"structural set dimension {sset.m} does not match field dimension {f.m}")
 
 
+def _one_sided(sset: StructuralSet, f: PolyField, left: bool) -> PolyField:
+    _require_field_set(sset, f)
+    (flat, scale), (rows, row_scale) = _flat(f), _rows(sset)
+    return _field(f.m, _dirac(_partials(flat, f.m), rows, f.m, left), scale * row_scale)
+
+
 def dirac_left(sset: StructuralSet, f: PolyField) -> PolyField:
     """Left twisted Dirac operator: sum_j v_j * (d f / d x_j)."""
-    _require_field_set(sset, f)
-    return PolyField._of(f.m, _sum_terms((a, v * mv) for j, v in enumerate(sset.vectors, 1) for a, mv in f.partial(j).terms()))
+    return _one_sided(sset, f, True)
 
 
 def dirac_right(f: PolyField, sset: StructuralSet) -> PolyField:
     """Right twisted Dirac operator: sum_j (d f / d x_j) * v_j."""
-    _require_field_set(sset, f)
-    return PolyField._of(f.m, _sum_terms((a, mv * v) for j, v in enumerate(sset.vectors, 1) for a, mv in f.partial(j).terms()))
+    return _one_sided(sset, f, False)
 
 
 def laplacian(f: PolyField) -> PolyField:
-    return PolyField._of(f.m, _sum_terms(pair for i in range(1, f.m + 1) for pair in f.partial(i).partial(i).terms()))
+    flat, scale = _flat(f)
+    return _field(f.m, _laplacian(_partials(flat, f.m)), scale)
 
 
 def sandwich(phi: StructuralSet, f: PolyField, psi: StructuralSet) -> PolyField:
     """Two-sided operator sum_{i,j} phi_i (d^2 f / dx_i dx_j) psi_j.
 
-    Computed as right-after-left; the left-after-right order agrees
-    because the one-sided operators act on opposite sides.
+    Computed as right-after-left, with D_phi f kept flat; the left-after-right
+    order agrees because the one-sided operators act on opposite sides.
     """
-    return dirac_right(dirac_left(phi, f), psi)
+    _require_field_set(phi, f)
+    _require_field_set(psi, f)
+    m = f.m
+    (flat, scale), (phi_rows, phi_scale), (psi_rows, psi_scale) = _flat(f), _rows(phi), _rows(psi)
+    left = _dirac(_partials(flat, m), phi_rows, m, True)
+    return _field(m, _dirac(_partials(left, m), psi_rows, m, False), scale * phi_scale * psi_scale)

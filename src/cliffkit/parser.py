@@ -6,7 +6,7 @@
     power  := atom ('^' INT)?
     atom   := INT | VAR | BLADE | '(' expr ')'
 
-    INT    := digits
+    INT    := digits                (at most MAX_NUMBER_TEXT of them)
     VAR    := 'x' digits            (x1 .. xm)
     BLADE  := 'e[' indices ']'      (strictly increasing, e.g. e[1,3]; e[] is the scalar blade)
 
@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .algebra import Multivector, blade_indices, check_dimension, format_blade_term, indices_to_mask, join_terms
 from .fields import PolyField
+from .structural import MAX_NUMBER_TEXT
 
 # Each level costs at most five parser frames, so this stays well below
 # Python's default recursion limit of 1000.
@@ -81,6 +82,8 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
+        if self.pos - start > MAX_NUMBER_TEXT:
+            raise ParseError(f"integer has {self.pos - start} digits, more than the {MAX_NUMBER_TEXT} allowed", start)
         return int(self.text[start:self.pos])
 
     # -- grammar ------------------------------------------------------

@@ -15,15 +15,17 @@ from cliffkit.classify import (
     classify,
     region,
 )
-from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
+from cliffkit.fields import PolyField, _sum_terms, dirac_left, dirac_right, laplacian, sandwich
 from cliffkit.parser import parse_field
 from cliffkit.sampling import (
+    HALF_ANGLE_POOL,
     rand_multi_index,
     rand_multivector,
     rand_polyfield,
     rand_rational_structural_set,
     rand_signed_permutation,
     rand_structural_pair,
+    rotation_pair,
 )
 from cliffkit.solver import CoefficientSpace, FieldOperator, class_nullspace, nullspace, operator_matrix
 from cliffkit.structural import StructuralSet
@@ -147,35 +149,68 @@ def test_dimension_mismatch():
         classify(PHI, PSI, PolyField.zero(2))
 
 
+# Today's operators, composed from `PolyField.partial` and `Multivector` products,
+# so the reference does not share the flat kernel behind the public operators.
+
+def _ref_dirac_left(sset, f):
+    return PolyField._of(f.m, _sum_terms((a, v * mv) for j, v in enumerate(sset.vectors, 1) for a, mv in f.partial(j).terms()))
+
+
+def _ref_dirac_right(f, sset):
+    return PolyField._of(f.m, _sum_terms((a, mv * v) for j, v in enumerate(sset.vectors, 1) for a, mv in f.partial(j).terms()))
+
+
+def _ref_laplacian(f):
+    return PolyField._of(f.m, _sum_terms(pair for i in range(1, f.m + 1) for pair in f.partial(i).partial(i).terms()))
+
+
+def _ref_sandwich(phi, f, psi):
+    return _ref_dirac_right(_ref_dirac_left(phi, f), psi)
+
+
 def _five_operator_membership(phi, psi, f):
     """Reference: each class test applies its own operators to f, D_psi f twice."""
     return ClassMembership(
-        harmonic=laplacian(f).is_zero(),
-        two_set_harmonic=dirac_left(phi, dirac_left(psi, f)).is_zero(),
-        inframonogenic=sandwich(phi, f, psi).is_zero(),
-        hyperholomorphic_left=dirac_left(psi, f).is_zero(),
-        hyperholomorphic_right=dirac_right(f, psi).is_zero(),
+        harmonic=_ref_laplacian(f).is_zero(),
+        two_set_harmonic=_ref_dirac_left(phi, _ref_dirac_left(psi, f)).is_zero(),
+        inframonogenic=_ref_sandwich(phi, f, psi).is_zero(),
+        hyperholomorphic_left=_ref_dirac_left(psi, f).is_zero(),
+        hyperholomorphic_right=_ref_dirac_right(f, psi).is_zero(),
     )
 
 
+def _same_field(got, want):
+    """Equal, with the terms and every coefficient's blades in the same order."""
+    return got == want and [(a, list(mv.terms())) for a, mv in got.terms()] == [(a, list(mv.terms())) for a, mv in want.terms()]
+
+
 def _rand_set(rng, m):
-    kind = rng.choice(("standard", "reversed", "signedperm", "rational"))
+    kinds = ["standard", "reversed", "signedperm", "rational"] + (["rot2", "refl2"] if m == 2 else [])
+    kind = rng.choice(kinds)
     if kind == "standard":
         return StructuralSet.standard(m)
     if kind == "reversed":
         return StructuralSet.reversed_standard(m)
     if kind == "signedperm":
         return rand_signed_permutation(rng, m)
-    return rand_rational_structural_set(rng, m)
+    if kind == "rational":
+        return rand_rational_structural_set(rng, m)
+    c, s = rotation_pair(rng.choice(HALF_ANGLE_POOL))
+    return StructuralSet.rotation_2d(c, s) if kind == "rot2" else StructuralSet.reflection_2d(c, s)
 
 
 def test_classify_matches_five_operator_formula():
     rng = random.Random(909)
     seen = {flag: set() for flag in ClassMembership.__dataclass_fields__}
-    for m in range(2, 6):
-        for _ in range(3):
-            phi, psi = _rand_set(rng, m), _rand_set(rng, m)
-            fields = [PolyField.zero(m)]
+    for m in range(1, 7):
+        pairs = [(_rand_set(rng, m), _rand_set(rng, m)) for _ in range(3)]
+        if m == 2:
+            pairs.append((StructuralSet.rotation_2d(*rotation_pair(Fraction(1, 2))),
+                          StructuralSet.reflection_2d(*rotation_pair(Fraction(2, 3)))))
+        for phi, psi in pairs:
+            # the zero field, a constant and a degree-1 field: below the order of every second-order operator
+            fields = [PolyField.zero(m), PolyField.constant(rand_multivector(rng, m, nonzero=True)),
+                      PolyField.monomial(m, rand_multi_index(rng, m, 1), rand_multivector(rng, m, max_terms=3))]
             for _ in range(6):
                 f = PolyField.zero(m)
                 for _ in range(rng.randint(1, 5)):
@@ -194,4 +229,9 @@ def test_classify_matches_five_operator_formula():
                 assert got == _five_operator_membership(phi, psi, f), (m, phi, psi, f)
                 for flag in seen:
                     seen[flag].add(getattr(got, flag))
+                # the public operators give the reference's fields, term for term
+                assert _same_field(dirac_left(psi, f), _ref_dirac_left(psi, f))
+                assert _same_field(dirac_right(f, phi), _ref_dirac_right(f, phi))
+                assert _same_field(laplacian(f), _ref_laplacian(f))
+                assert _same_field(sandwich(phi, f, psi), _ref_sandwich(phi, f, psi))
     assert all(values == {False, True} for values in seen.values()), seen

@@ -238,6 +238,12 @@ GOLDEN_STDOUT_SHA256 = {
     ("classify", "--m", "3", "--phi", "signedperm:2,-3,1", "--psi", "reversed",
      "--expr", "x1*x3*e[1] + x2*e[2]", "--format", "json"):
         "3d065ebdd0cd5bbc9264b659c87278753ca172eb499fdf7dde36119c8107714b",
+    # m = 1, where every vector product is a scalar or e1, and m = 6 with 3-blade coefficients at degree 4
+    ("classify", "--m", "1", "--expr", "x1^3*e[1] - 2*x1"):
+        "061ccc715f770b269e4ab1573b1a863e8de01f647e346d4ee8e7a16548373d1f",
+    ("classify", "--m", "6", "--phi", "signedperm:2,-1,4,-3,6,-5", "--psi", "reversed",
+     "--expr", "(x1^2 - x2^2)*(x3^2 - x4^2)*e[1,2,3] + x1*x2*x5*x6*e[2,4,6]"):
+        "404436a6e36e0d5b0c6dfde9658055418d74807a9743c78e30bc81c6eb376f4c",
     # exhausted witness searches: phi = psi makes Hpp = H, so no H,I field escapes Hpp
     ("solve", "--m", "3", "--degree", "2", "--phi", "standard", "--psi", "standard", "--region", "H,I"):
         "d1901ad5d080568a18209568279541527bab0f209e599877225464ecbbfa0670",

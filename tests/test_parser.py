@@ -9,6 +9,7 @@ from cliffkit.algebra import Multivector
 from cliffkit.fields import PolyField
 from cliffkit.parser import MAX_NESTING, ParseError, format_field, parse_field, parse_multivector
 from cliffkit.sampling import rand_polyfield
+from cliffkit.structural import MAX_NUMBER_TEXT
 
 
 def test_reference_polynomial_parses():
@@ -148,3 +149,18 @@ def test_parse_multivector():
         parse_multivector("x1*e[1]", 3)
     # canonical order is graded: the grade-1 term prints first
     assert str(a) == "-e[3] + 3/5*e[1,2]"
+
+
+@pytest.mark.parametrize("prefix", ["x1*", "x1^", "x", "e[", "2 + 3/"])
+def test_integer_literal_length_is_bounded_at_its_first_digit(prefix):
+    too_long = "9" * (MAX_NUMBER_TEXT + 1)
+    with pytest.raises(ParseError, match=f"integer has {MAX_NUMBER_TEXT + 1} digits, more than the {MAX_NUMBER_TEXT} allowed") as exc:
+        parse_field(prefix + too_long, 2)
+    assert exc.value.position == len(prefix)
+
+
+def test_integer_literal_of_the_bound_is_accepted():
+    digits = "9" * MAX_NUMBER_TEXT
+    assert parse_field("x1*" + digits, 2) == PolyField.variable(2, 1) * int(digits)
+    power = parse_field("x1^1" + "0" * (MAX_NUMBER_TEXT - 1), 2)
+    assert list(power.terms()) == [((10 ** (MAX_NUMBER_TEXT - 1), 0), Multivector.scalar(2, 1))]
