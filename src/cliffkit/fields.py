@@ -242,7 +242,7 @@ class PolyField:
     # -- calculus -----------------------------------------------------------
 
     def partial(self, i: int) -> "PolyField":
-        """Partial derivative along x_i (1-based axis)."""
+        """Partial derivative along x_i (1-based axis), on the coefficients; the tests' reference for the kernel."""
         if not 1 <= i <= self.m:
             raise ValueError(f"axis {i} out of range 1..{self.m}")
         # Distinct monomials have distinct derivatives, so nothing accumulates.
