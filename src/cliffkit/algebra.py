@@ -211,18 +211,6 @@ class Multivector:
         object.__setattr__(out, "_den", den)
         return out
 
-    @classmethod
-    def _sum(cls, m: int, values: Iterable["Multivector"]) -> "Multivector":
-        """The sum of multivectors of dimension m, accumulated over the lcm of their denominators."""
-        values = list(values)
-        den = lcm(*(v._den for v in values))
-        acc: dict[int, int] = {}
-        for v in values:
-            scale = den // v._den
-            for mask, c in v._num.items():
-                acc[mask] = acc.get(mask, 0) + c * scale
-        return cls._of(m, *_lowest({mask: c for mask, c in acc.items() if c}, den))
-
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 

@@ -10,6 +10,14 @@ is the identity), of even or odd size for `plus` and `minus`, and the
 singletons {j}, j in J, for the level-1 subset operator.  Operators act
 on polynomial fields coefficient-wise, as constant-coefficient linear maps.
 
+`apply` runs on integers.  Once per call it reads each pair
+(phi_A, reverse(psi_A)) from the sets' product memo and scales the pairs'
+numerators to one denominator, the lcm of the products phi_A._den *
+psi_A._den.  Each coefficient a is then multiplied out as integer maps,
+phi_A * a and then times reverse(psi_A), summed over the family in one map
+and reduced to lowest terms once; a field's coefficients share the
+prepared pairs.
+
 The same-set case (phi == psi) collapses on pure-grade elements to a
 scalar: `scalar_action` computes it by a finite binomial sum and
 `scalar_action_hypergeometric` by terminating Gauss 2F1 series; both
@@ -21,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence, Union
 
-from .algebra import DimensionMismatch, Multivector
+from .algebra import DimensionMismatch, Multivector, _lowest, _odd_masks
 from .classify import ClassMembership, classify
 from .fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from .linalg import RationalMatrix
@@ -33,6 +41,8 @@ from .structural import StructuralSet, transition
 from .verdict import Verdict, compare, merge
 
 Element = Union[Multivector, PolyField]
+# (phi_A, rev(psi_A)) for each A of a family, as integer (mask, numerator) terms over one scale
+PairTerms = list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]
 
 
 def _index_sets(m: int, sizes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -78,10 +88,49 @@ class PsiOperator:
         """The image of a multivector, or of a field coefficient by coefficient."""
         if self.phi.m != a.m:
             raise DimensionMismatch(f"dimension mismatch: sets {self.phi.m}/{self.psi.m}, operand {a.m}")
+        terms, scale = self._terms()
         if isinstance(a, PolyField):
-            return a.map_coefficients(self.apply)
-        phi, psi = self.phi, self.psi
-        return Multivector._sum(a.m, (phi.product(A) * a * psi.reversed_product(A) for A in self.index_sets))
+            return a.map_coefficients(lambda v: _image(terms, scale, v))
+        return _image(terms, scale, a)
+
+    def _terms(self) -> tuple[PairTerms, int]:
+        """(phi_A, rev(psi_A)) for each A of the family, as integer terms over one scale.
+
+        The scale is the lcm over A of phi_A._den * psi_A._den; each pair's
+        factor of it is folded into phi_A's numerators.
+        """
+        pairs = [(self.phi.product(A), self.psi.reversed_product(A)) for A in self.index_sets]
+        scale = lcm(*(a._den * b._den for a, b in pairs))
+        terms = []
+        for a, b in pairs:
+            factor = scale // (a._den * b._den)
+            terms.append(([(mask, c * factor) for mask, c in a._num.items()], list(b._num.items())))
+        return terms, scale
+
+
+def _image(terms: PairTerms, scale: int, v: Multivector) -> Multivector:
+    """The sum of a * v * b over the pairs (a, b) of `terms`, integers over `scale`, reduced once.
+
+    Each a * v is formed as an integer map, then times b; signs as in `Multivector.__mul__`.
+    """
+    odd = _odd_masks(v.m)
+    right = v._num.items()
+    acc: dict[int, int] = {}
+    get = acc.get
+    for a, b in terms:
+        left: dict[int, int] = {}
+        left_get = left.get
+        for ma, ca in a:
+            w = odd[ma]
+            for mv, cv in right:
+                mask = ma ^ mv
+                left[mask] = left_get(mask, 0) - ca * cv if (mv & w).bit_count() & 1 else left_get(mask, 0) + ca * cv
+        for ml, cl in left.items():
+            w = odd[ml]
+            for mb, cb in b:
+                mask = ml ^ mb
+                acc[mask] = get(mask, 0) - cl * cb if (mb & w).bit_count() & 1 else get(mask, 0) + cl * cb
+    return Multivector._of(v.m, *_lowest({mask: c for mask, c in acc.items() if c}, v._den * scale))
 
 
 def apply_psi_k(phi: StructuralSet, psi: StructuralSet, k: int, a: Element) -> Element:

@@ -3,7 +3,8 @@
 Structural sets stay rational: random sets compose signed permutations
 with Givens rotations whose cosine/sine pairs come from the tangent
 half-angle map t -> ((1-t^2)/(1+t^2), 2t/(1+t^2)).  Orthonormality is thus
-exact: the sets are composed in integers and built through `StructuralSet._of`.
+exact: the sets are composed on integer rows over one denominator, each
+vector is reduced once, and the set is built through `StructuralSet._of`.
 All generators take an explicit `random.Random` so that a fixed seed
 reproduces every suite byte for byte.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Multivector
+from .algebra import Multivector, _lowest
 from .fields import PolyField
 from .structural import StructuralSet
 
@@ -78,16 +79,32 @@ def rand_signed_permutation(rng: random.Random, m: int) -> StructuralSet:
 
 
 def rand_rational_structural_set(rng: random.Random, m: int) -> StructuralSet:
-    """Signed permutation composed with two exact rational plane rotations."""
-    vectors = [Multivector.basis_vector(m, k) for k in range(1, m + 1)]
+    """Signed permutation composed with two exact rational plane rotations.
+
+    The rows are integers over one denominator.  The rotation by t = p/q is
+    (c, s) = (q^2 - p^2, 2pq) over n = q^2 + p^2: rows i and j become
+    c r_i - s r_j and s r_i + c r_j, and every other row and the denominator
+    are multiplied by n.
+    """
+    rows = [[int(i == k) for k in range(m)] for i in range(m)]
+    den = 1
     if m >= 2:
         for _ in range(2):
             i, j = rng.sample(range(m), 2)
-            c, s = rotation_pair(rng.choice(HALF_ANGLE_POOL))
-            v_i, v_j = vectors[i], vectors[j]
-            vectors[i], vectors[j] = v_i * c - v_j * s, v_i * s + v_j * c
-    rng.shuffle(vectors)
-    return StructuralSet._of([v if rng.random() < 0.5 else -v for v in vectors])
+            t = rng.choice(HALF_ANGLE_POOL)
+            p, q = t.numerator, t.denominator
+            c, s, n = q * q - p * p, 2 * p * q, q * q + p * p
+            r_i, r_j = rows[i], rows[j]
+            rows = [[x * n for x in row] for row in rows]
+            rows[i] = [c * x - s * y for x, y in zip(r_i, r_j)]
+            rows[j] = [s * x + c * y for x, y in zip(r_i, r_j)]
+            den *= n
+    rng.shuffle(rows)
+    vectors = []
+    for row in rows:
+        sign = 1 if rng.random() < 0.5 else -1
+        vectors.append(Multivector._of(m, *_lowest({1 << k: sign * x for k, x in enumerate(row) if x}, den)))
+    return StructuralSet._of(vectors)
 
 
 def rand_structural_pair(rng: random.Random, m: int) -> tuple[StructuralSet, StructuralSet]:

@@ -1,5 +1,6 @@
 """Every module-level import in the package sources is used by its module, and every
-module-level private function or class is read by some module of the package."""
+module-level private function or class, and every private method, is read by some
+module of the package."""
 
 import ast
 import pathlib
@@ -34,7 +35,8 @@ def test_the_check_sees_an_unused_import():
 
 
 def _dead_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and classes that no module of `sources` reads.
+    """Module-level private functions and classes, and private non-dunder methods of
+    classes, that no module of `sources` reads.
 
     A read is a name or an attribute access anywhere in any module; an import
     alone is not one (an unused import fails the check above instead).
@@ -47,13 +49,17 @@ def _dead_helpers(sources: dict[str, str]) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return [
-        f"{module} line {node.lineno}: {node.name}"
-        for module, tree in sorted(trees.items())
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and node.name not in read
-    ]
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    dead = []
+    for module, tree in sorted(trees.items()):
+        found = [(node.lineno, node.name, node.name) for node in tree.body if isinstance(node, definitions)]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                found += [(node.lineno, f"{cls.name}.{node.name}", node.name) for node in cls.body
+                          if isinstance(node, definitions) and not (node.name.startswith("__") and node.name.endswith("__"))]
+        dead += [f"{module} line {line}: {label}" for line, label, name in sorted(found)
+                 if name.startswith("_") and name not in read]
+    return dead
 
 
 def test_every_private_helper_is_read():
@@ -66,7 +72,17 @@ def test_the_check_sees_a_dead_helper():
                 "def _used_there():\n    return 1\n\n"
                 "def _dead():\n    return _used_here(2)\n\n"
                 "class _Dead:\n    def _method(self):\n        return 0\n\n"
-                "def public():\n    return 3\n",
+                "def public():\n    return 3\n\n"
+                "class Public:\n    def __init__(self):\n        self._called()\n\n"
+                "    def _called(self):\n        return 4\n\n"
+                "    def _dead_method(self):\n        return 5\n\n"
+                "    @classmethod\n    def _dead_builder(cls):\n        return cls()\n",
         "b.py": "from . import a\nfrom .a import _dead\n\nVALUE = a._used_there()\n",
     }
-    assert _dead_helpers(sources) == ["a.py line 7: _dead", "a.py line 10: _Dead"]
+    assert _dead_helpers(sources) == [
+        "a.py line 7: _dead",
+        "a.py line 10: _Dead",
+        "a.py line 11: _Dead._method",
+        "a.py line 24: Public._dead_method",
+        "a.py line 28: Public._dead_builder",
+    ]

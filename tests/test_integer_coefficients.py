@@ -15,7 +15,8 @@ import pytest
 
 from cliffkit.algebra import Multivector, _odd_masks, blade_product, blade_sort_key
 from cliffkit.psi import PsiOperator, psi_matrix
-from cliffkit.sampling import rand_multivector, rand_rational_structural_set
+from cliffkit.fields import PolyField
+from cliffkit.sampling import rand_multivector, rand_rational_structural_set, rand_structural_pair
 from cliffkit.solver import CoefficientSpace, FieldOperator, operator_matrix
 from cliffkit.structural import StructuralSet
 
@@ -213,6 +214,33 @@ def test_same_set_aggregates_cancel_to_zero():
     a = Multivector(3, {0b011: Fraction(2, 65), 0b101: Fraction(-1, 25)})
     total = PsiOperator.plus(phi, phi).apply(a) + PsiOperator.minus(phi, phi).apply(a)
     assert_matches(total, {})
+
+
+def test_psi_images_and_drawn_sets_keep_the_trusted_constructor_contract():
+    # `Multivector._of` checks nothing, so its callers' results are checked here.
+    rng = random.Random(8)
+    for seed in range(5):
+        draw = random.Random(seed)
+        for m in range(1, 7):
+            for sset in (rand_rational_structural_set(draw, m), *rand_structural_pair(draw, m)):
+                for v in sset.vectors:
+                    assert_lowest(v)
+                    assert v.grades() == {1}
+    for m in range(1, 7):
+        phi, psi = rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m)
+        ops = [PsiOperator.level(phi, psi, k) for k in range(m + 1)]
+        ops += [PsiOperator.plus(phi, psi), PsiOperator.minus(phi, phi), PsiOperator.subset_level1(phi, psi, [m])]
+        values = [Multivector(m), Multivector(m, {mask: Fraction(mask - 2, 65) for mask in range(1 << m)})]
+        values += [rand_multivector(rng, m, max_terms=6) * Fraction(1, 13) for _ in range(3)]
+        field = PolyField(m, {(k,) * m: a for k, a in enumerate(values[1:])})
+        for op in ops:
+            for a in values:
+                assert_lowest(op.apply(a))
+            assert op.apply(Multivector(m)) == Multivector(m)
+            for _, image in op.apply(field).terms():
+                assert image
+                assert_lowest(image)
+            assert op.apply(PolyField.zero(m)).is_zero()
 
 
 # -- the hot paths construct no Fraction ---------------------------------------------------

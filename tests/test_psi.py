@@ -276,15 +276,42 @@ def test_psi_matrix_equals_the_blade_image_construction():
     assert seen == sum(4 * (m + 4) for m in range(1, 7))
 
 
-def test_matrix_agrees_with_operator_on_random_values():
+def _apply_matrix_cases():
+    """Levels 0..m, plus, minus and one subset on a random rational pair and on (standard, reversed), m = 1..6."""
     rng = random.Random(8)
-    phi, psi = rand_structural_pair(rng, 3)
-    op = PsiOperator.plus(phi, psi)
-    mat = psi_matrix(op)
-    for _ in range(5):
-        a = rand_multivector(rng, 3)
-        image = op.apply(a)
-        assert mat.mat_vec(a.coefficients()) == image.coefficients()
+    for m in range(1, 7):
+        subset = sorted(rng.sample(range(1, m + 1), rng.randint(1, m)))
+        for phi, psi in (rand_structural_pair(rng, m), (StructuralSet.standard(m), StructuralSet.reversed_standard(m))):
+            yield from (PsiOperator.level(phi, psi, k) for k in range(m + 1))
+            yield PsiOperator.plus(phi, psi)
+            yield PsiOperator.minus(phi, psi)
+            yield PsiOperator.subset_level1(phi, psi, subset)
+
+
+def test_matrix_agrees_with_operator_on_random_values():
+    # `psi_matrix` fills the matrix from the operator's symbol, independently of `apply`.
+    rng = random.Random(9)
+    seen = 0
+    for op in _apply_matrix_cases():
+        m = op.phi.m
+        mat = psi_matrix(op)
+        columns = list(zip(*mat.rows))
+        for col, mask in enumerate(blade_order(m)):
+            image = op.apply(Multivector._of(m, {mask: 1}))
+            assert image.coefficients() == list(columns[col]), (m, op.index_sets, mask)
+        for _ in range(3):
+            a = rand_multivector(rng, m)
+            assert op.apply(a).coefficients() == mat.mat_vec(a.coefficients()), (m, op.index_sets)
+        # a field whose coefficients have denominators 3, 4, 7 and 12
+        f = PolyField(m, {
+            (0,) * m: Multivector(m, {0: Fraction(3, 4), (1 << m) - 1: Fraction(-5, 3)}),
+            (1,) + (0,) * (m - 1): Multivector(m, {1: Fraction(2, 7)}),
+            (0,) * (m - 1) + (2,): Multivector(m, {mask: Fraction(mask + 1, 12) for mask in range(1 << m)}),
+        })
+        want = {alpha: Multivector(m, dict(zip(blade_order(m), mat.mat_vec(mv.coefficients())))) for alpha, mv in f.terms()}
+        assert op.apply(f) == PolyField(m, want), (m, op.index_sets)
+        seen += 1
+    assert seen == sum(2 * (m + 4) for m in range(1, 7))
 
 
 # -- index-set families -------------------------------------------------------------
