@@ -17,21 +17,31 @@ together; the opening of level MAX_NESTING + 1 is a parse error at its
 own offset, so the limit does not move with the caller's stack depth.
 `parse(format(f)) == f` holds for every field f.
 
-`parse_field` checks the dimension once, on entry; numbers and variables
-come from the named builders, `e[...]` atoms from the trusted `_of`.
+`parse_field` checks the dimension once, on entry.  While it reads, every
+value is a flat field of integer terms as in `cliffkit.fields`,
+{(alpha, mask): numerator}, over one positive denominator and with no zero
+numerators.  '+' and '-' merge over the lcm of the two denominators, '*'
+and '^' multiply term pairs (exponents add, signs as in `Multivector.__mul__`)
+and '/' scales by the divisor's denominator and numerator.  The field is
+built once, at the end, by `fields._field`, which puts every coefficient
+in lowest terms.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
-from .algebra import Multivector, blade_indices, check_dimension, format_blade_term, indices_to_mask, join_terms
-from .fields import PolyField
+from .algebra import Multivector, _odd_masks, blade_indices, check_dimension, format_blade_term, indices_to_mask, join_terms
+from .fields import Flat, PolyField, _field
 from .structural import MAX_NUMBER_TEXT
 
 # Each level costs at most five parser frames, so this stays well below
 # Python's default recursion limit of 1000.
 MAX_NESTING = 100
+
+# Integer terms over a positive denominator, with no zero numerators.
+Value = tuple[Flat, int]
 
 
 class ParseError(ValueError):
@@ -42,12 +52,47 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _merge(x: Value, y: Value, sign: int) -> Value:
+    """x + sign * y over the lcm of the denominators; x's terms are taken over."""
+    (acc, x_den), (terms, y_den) = x, y
+    den = lcm(x_den, y_den)
+    if den != x_den:
+        factor = den // x_den
+        acc = {key: c * factor for key, c in acc.items()}
+    factor = sign * (den // y_den)
+    for key, c in terms.items():
+        c = acc.get(key, 0) + c * factor
+        if c:
+            acc[key] = c
+        else:
+            del acc[key]
+    return acc, den
+
+
+def _times(x: Value, y: Value, odd: list[int]) -> Value:
+    """x * y term by term: exponents add, e_a e_b < 0 when b & odd[a] has odd parity."""
+    acc: Flat = {}
+    get = acc.get
+    right = y[0].items()
+    for (a, ma), ca in x[0].items():
+        w = odd[ma]
+        for (b, mb), cb in right:
+            key = tuple(map(add, a, b)), ma ^ mb
+            if (mb & w).bit_count() & 1:
+                acc[key] = get(key, 0) - ca * cb
+            else:
+                acc[key] = get(key, 0) + ca * cb
+    return {key: c for key, c in acc.items() if c}, x[1] * y[1]
+
+
 class _Parser:
     def __init__(self, text: str, m: int):
         self.text = text
         self.m = m
         self.pos = 0
         self.depth = 0
+        self.origin = (0,) * m
+        self.odd = _odd_masks(m)
 
     # -- lexing helpers ----------------------------------------------
 
@@ -89,59 +134,69 @@ class _Parser:
     # -- grammar ------------------------------------------------------
 
     def parse(self) -> PolyField:
-        value = self.expr()
+        terms, den = self.expr()
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
-        return value
+        return _field(self.m, terms, den)
 
-    def expr(self) -> PolyField:
+    def expr(self) -> Value:
         value = self.term()
         while True:
             if self._take("+"):
-                value = value + self.term()
+                value = _merge(value, self.term(), 1)
             elif self._take("-"):
-                value = value - self.term()
+                value = _merge(value, self.term(), -1)
             else:
                 return value
 
-    def term(self) -> PolyField:
+    def term(self) -> Value:
         value = self.factor()
         while True:
             if self._take("*"):
-                value = value * self.factor()
+                value = _times(value, self.factor(), self.odd)
             elif self._take("/"):
                 at = self.pos
-                divisor = self.factor()
-                q = _as_nonzero_rational(divisor)
+                terms, den = self.factor()
+                q = terms.get((self.origin, 0)) if len(terms) == 1 else None
                 if q is None:
                     raise ParseError("divisor must be a nonzero rational constant", at)
-                value = value / q
+                if q < 0:
+                    den, q = -den, -q
+                value = {key: c * den for key, c in value[0].items()}, value[1] * q
             else:
                 return value
 
-    def factor(self) -> PolyField:
+    def factor(self) -> Value:
         sign = self._peek()
         if sign not in ("-", "+"):
             return self.power()
         self._enter()
         self.pos += 1
-        value = self.factor()
+        terms, den = self.factor()
         self.depth -= 1
-        return -value if sign == "-" else value
+        return ({key: -c for key, c in terms.items()} if sign == "-" else terms), den
 
-    def power(self) -> PolyField:
+    def power(self) -> Value:
         base = self.atom()
-        if self._take("^"):
-            at = self.pos
-            exponent = self._integer()
-            try:
-                return base ** exponent
-            except ValueError as exc:
-                raise ParseError(str(exc), at) from None
-        return base
+        if not self._take("^"):
+            return base
+        n = self._integer()
+        # Lowest terms first, so a monomial's power stays as cheap as its exponent's bit length.
+        terms, den = base
+        g = gcd(den, *terms.values())
+        base = {key: c // g for key, c in terms.items()}, den // g
+        # Square and multiply; powers of one value commute.
+        out: Value = {(self.origin, 0): 1}, 1
+        while n:
+            if n & 1:
+                out = _times(out, base, self.odd)
+            n >>= 1
+            if n:
+                base = _times(base, base, self.odd)
+        return out
 
-    def atom(self) -> PolyField:
+    def atom(self) -> Value:
         ch = self._peek()
         at = self.pos
         if ch == "(":
@@ -152,13 +207,14 @@ class _Parser:
             self.depth -= 1
             return value
         if ch.isdigit():
-            return PolyField.scalar_constant(self.m, self._integer())
+            n = self._integer()
+            return ({(self.origin, 0): n} if n else {}), 1
         if ch == "x":
             self.pos += 1
             idx = self._integer()
             if not 1 <= idx <= self.m:
                 raise ParseError(f"unknown variable x{idx}, dimension is {self.m}", at)
-            return PolyField.variable(self.m, idx)
+            return {(self.origin[:idx - 1] + (1,) + self.origin[idx:], 0): 1}, 1
         if ch == "e":
             self.pos += 1
             self._expect("[")
@@ -173,20 +229,10 @@ class _Parser:
                 mask = indices_to_mask(indices, self.m)
             except ValueError as exc:
                 raise ParseError(str(exc), at) from None
-            return PolyField.constant(Multivector._of(self.m, {mask: 1}))
+            return {(self.origin, mask): 1}, 1
         if ch == "":
             raise ParseError("unexpected end of input", at)
         raise ParseError(f"unexpected {ch!r}", at)
-
-
-def _as_nonzero_rational(f: PolyField) -> Fraction | None:
-    if f.degree() > 0:
-        return None
-    mv = f.coefficient((0,) * f.m)
-    if mv.grades() not in (set(), {0}):
-        return None
-    q = mv.scalar_part()
-    return q if q else None
 
 
 def parse_field(text: str, m: int) -> PolyField:

@@ -77,11 +77,12 @@ class StructuralSet:
 
     The builders check their own arguments and build through the trusted
     `_of`, which takes orthonormal grade-1 vectors.  The set is immutable,
-    so each product v_A it is asked for is computed once and kept, with
-    its reverse, in `_products`; equality ignores that memo.
+    so each product v_A it is asked for is computed once and kept in
+    `_products`, and each reverse it is asked for in `_reverses`; equality
+    ignores both memos.
     """
 
-    __slots__ = ("m", "vectors", "_products")
+    __slots__ = ("m", "vectors", "_products", "_reverses")
 
     def __init__(self, vectors: Sequence[Multivector]):
         vectors = tuple(vectors)
@@ -105,6 +106,7 @@ class StructuralSet:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_products", {})
+        object.__setattr__(self, "_reverses", {})
 
     @classmethod
     def _of(cls, vectors: Sequence[Multivector]) -> "StructuralSet":
@@ -113,6 +115,7 @@ class StructuralSet:
         object.__setattr__(out, "m", len(vectors))
         object.__setattr__(out, "vectors", tuple(vectors))
         object.__setattr__(out, "_products", {})
+        object.__setattr__(out, "_reverses", {})
         return out
 
     def __setattr__(self, name, value):
@@ -189,21 +192,20 @@ class StructuralSet:
 
     def product(self, indices: Sequence[int]) -> Multivector:
         """v_A = v_{i_1} * ... * v_{i_k} for A = (i_1, ..., i_k), 1-based, in the given order."""
-        return self._product_pair(tuple(indices))[0]
+        indices = tuple(indices)
+        prod = self._products.get(indices)
+        if prod is None:
+            prod = self.product(indices[:-1]) * self[indices[-1]] if indices else Multivector.scalar(self.m, 1)
+            self._products[indices] = prod
+        return prod
 
     def reversed_product(self, indices: Sequence[int]) -> Multivector:
         """reverse(v_A) = v_{i_k} * ... * v_{i_1}."""
-        return self._product_pair(tuple(indices))[1]
-
-    def _product_pair(self, indices: tuple[int, ...]) -> tuple[Multivector, Multivector]:
-        pair = self._products.get(indices)
-        if pair is None:
-            if indices:
-                prod = self._product_pair(indices[:-1])[0] * self[indices[-1]]
-            else:
-                prod = Multivector.scalar(self.m, 1)
-            pair = self._products[indices] = (prod, prod.reverse())
-        return pair
+        indices = tuple(indices)
+        rev = self._reverses.get(indices)
+        if rev is None:
+            rev = self._reverses[indices] = self.product(indices).reverse()
+        return rev
 
     def __eq__(self, other):
         if isinstance(other, StructuralSet):

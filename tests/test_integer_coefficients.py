@@ -15,8 +15,9 @@ import pytest
 
 from cliffkit.algebra import Multivector, _odd_masks, blade_product, blade_sort_key
 from cliffkit.psi import PsiOperator, psi_matrix
-from cliffkit.fields import PolyField
-from cliffkit.sampling import rand_multivector, rand_rational_structural_set, rand_structural_pair
+from cliffkit.fields import PolyField, _index_key
+from cliffkit.parser import format_field, parse_field
+from cliffkit.sampling import rand_multivector, rand_polyfield, rand_rational_structural_set, rand_structural_pair
 from cliffkit.solver import CoefficientSpace, FieldOperator, operator_matrix
 from cliffkit.structural import StructuralSet
 
@@ -305,3 +306,42 @@ def test_psi_matrix_makes_no_fraction_per_blade(fractions_made):
         psi_matrix(op)
         counts[m] = fractions_made[0]
     assert counts[3] == counts[5], counts
+
+
+# -- the parser ----------------------------------------------------------------------
+
+# Division, powers and nested signs, sums that cancel, and denominators that reduce.
+PARSED = [
+    "3/5*e[1,2] - -(-x1/4)^3*e[3]", "(x1/2 + x2/3)^2*e[1] - x1^2/4*e[1]", "2/4*x1*e[1,2]*e[2] + 7/21",
+    "(e[1] + e[2])^3/6 - -(+(-x3))/-9", "(x1/6 + x1/3)^4/(2/3)", "x1/(e[1]*e[1])", "(x1 + e[1,2])*(x1 - e[1,2])/10",
+    # zero
+    "0", "x2 - x2", "x1*0/3", "(x1 - x1)^5", "-(-(e[] - 1))",
+]
+ZERO_TEXTS = PARSED[-5:]
+
+
+def _no_field_arithmetic(*args):
+    raise AssertionError("the parser called PolyField arithmetic")
+
+
+def test_parsing_makes_no_fraction(fractions_made):
+    fractions_made[0] = 0
+    for text in PARSED:
+        parse_field(text, 3)
+    assert fractions_made[0] == 0
+
+
+def test_parsed_fields_keep_the_trusted_constructor_contract(monkeypatch):
+    rng = random.Random(18)
+    texts = PARSED + [format_field(f) for f in (rand_polyfield(rng, 3, max_degree=3) for _ in range(20))]
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__truediv__", "__pow__"):
+        monkeypatch.setattr(PolyField, name, _no_field_arithmetic)
+    for text in texts:
+        f = parse_field(text, 3)
+        alphas = list(f._terms)
+        assert alphas == sorted(alphas, key=_index_key)
+        for mv in f._terms.values():
+            assert mv
+            assert_lowest(mv)
+    for text in ZERO_TEXTS:
+        assert parse_field(text, 3)._terms == {}

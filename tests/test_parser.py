@@ -1,5 +1,6 @@
 """Expression grammar: reference inputs, round-trips, error positions."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -103,6 +104,29 @@ def test_syntax_errors_carry_positions():
         parse_field("", 2)
 
 
+@pytest.mark.parametrize("text, m, message, position", [
+    ("(x1 + x2", 2, "expected ')'", 8),
+    ("e[1 2]", 3, "expected ','", 4),
+    ("x1 x2", 2, "unexpected 'x'", 3),
+    ("x1 + 2)", 2, "unexpected ')'", 6),
+    ("x1 + x2 -", 2, "unexpected end of input", 9),
+    ("x1^ ", 2, "expected an integer", 4),
+    ("x1*" + "7" * (MAX_NUMBER_TEXT + 1), 2, f"integer has {MAX_NUMBER_TEXT + 1} digits, more than the {MAX_NUMBER_TEXT} allowed", 3),
+    ("x1 + x3", 2, "unknown variable x3, dimension is 2", 5),
+    ("2*e[1,4]", 3, "blade index 4 out of range 1..3", 2),
+    ("e[2,1]", 3, "blade indices must be strictly increasing, got index 1 after 2", 0),
+    ("x1/ x2", 2, "divisor must be a nonzero rational constant", 3),
+    ("x1 /(1 - 1)", 2, "divisor must be a nonzero rational constant", 4),
+    ("(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1), 2, "expression nests too deeply", MAX_NESTING),
+], ids=["expected-char", "expected-comma", "unexpected-char", "unexpected-close", "end-of-input", "expected-integer",
+        "digit-bound", "unknown-variable", "blade-index", "blade-order", "divisor-variable", "divisor-zero", "nesting"])
+def test_each_error_kind_has_one_message_and_offset(text, m, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_field(text, m)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
 def _nesting_error_position(text, frames):
     """The ParseError position of `text`, parsed `frames` calls below this one."""
     if frames:
@@ -164,3 +188,100 @@ def test_integer_literal_of_the_bound_is_accepted():
     assert parse_field("x1*" + digits, 2) == PolyField.variable(2, 1) * int(digits)
     power = parse_field("x1^1" + "0" * (MAX_NUMBER_TEXT - 1), 2)
     assert list(power.terms()) == [((10 ** (MAX_NUMBER_TEXT - 1), 0), Multivector.scalar(2, 1))]
+
+
+# -- pinned outcomes ------------------------------------------------------------------
+#
+# Every input below parses to the same canonical text, or fails with the same
+# message and offset, as long as `PARSE_SHA256` holds.
+
+_MUTATION_CHARS = "x1234567890e[],()+-*/^ y"
+
+
+def _stream_expression(rng, m):
+    """A classify-stream-shaped field: signed summands of a rational
+    coefficient, variables, powers, a parenthesized quadratic and a blade."""
+    pieces = []
+    for n in range(rng.randint(1, 5)):
+        blade = sorted(rng.sample(range(1, m + 1), rng.randint(0, min(m, 3))))
+        factors = [] if rng.random() < 0.5 else [f"{rng.randint(1, 9)}/{rng.choice((2, 3))}" if rng.random() < 0.5 else str(rng.randint(2, 9))]
+        if rng.random() < 0.25:
+            i, j = rng.sample(range(1, m + 1), 2)
+            factors.append(f"(x{i}^2 - x{j}^2)" if rng.random() < 0.5 else f"(x{i}*x{j})")
+        else:
+            for _ in range(rng.randint(0, 2)):
+                factors.append(f"x{rng.randint(1, m)}" + (f"^{rng.randint(2, 4)}" if rng.random() < 0.3 else ""))
+        if blade or rng.random() < 0.1:
+            factors.append("e[" + ",".join(map(str, blade)) + "]")
+        sign = "-" if rng.random() < 0.4 else ("+" if n else "")
+        gap = " " if n and rng.random() < 0.7 else ""
+        pieces.append(gap + sign + gap + ("*".join(factors) or "1"))
+    return "".join(pieces)
+
+
+def _mutations(rng, text, count):
+    """`count` one-character insertions, deletions and replacements of text each."""
+    out = []
+    for _ in range(count):
+        at = rng.randrange(len(text) + 1)
+        out.append(text[:at] + rng.choice(_MUTATION_CHARS) + text[at:])
+        at = rng.randrange(len(text))
+        out.append(text[:at] + text[at + 1:])
+        out.append(text[:at] + rng.choice(_MUTATION_CHARS) + text[at + 1:])
+    return out
+
+
+_HAND_CASES = [
+    "x1 / 2", "x1/ 2", "x1 /2", "x1 / x2", "x1/ x2", "x1 /x2", "1/0", "1/ 0", "x1/e[1]", "x1/ e[1]",
+    "x1/(x2 - x2)", "x1/(x2 - x2 + 3)", "x1/(e[1]*e[1])", "x1/-2", "x1/--2", "x1/2/3", "1/2*3", "6/4*x1",
+    "(x1/2 + x1/2)^3", "x1 ^ 2", "x1^ 2", "x1 ^2", "x1^ x2", "x1^-1", "x1^", "0^0", "(x1 - x1)^0", "2^10",
+    "e [1]", "e[ 1]", "e[1 ,2]", "e[1, 2]", "e[1,2 ]", "e[ ]", "e [ ]", "e[1 , 2 ]", "e[", "e[1", "e[1,",
+    "e[1,]", "e[,1]", "e[0]", "e[01]", "e[3]", "e[2,1]", "e[1,1]", "e", "e1", "x", "x0", "x01", "x3", "xx1",
+    "", " ", "-", "+", "()", "(", ")", "x1)", "(x1", "x1 x2", "x1 + ", "x1 +", "* x1", "x1 ** 2", "y",
+    "(x1 + x2)^3 - (x1 + x2)^3", "(x1 + e[1,2])*(x1 - e[1,2])", "e[1]*e[2] + e[2]*e[1]", "-(-(x1))",
+    "+-+-x1", "x1*0", "0*e[1,2]", "x1 - x1", "3/5*e[1,2] + -1*e[3]", "x1^3*x2^2*e[1,2]/7",
+]
+
+
+def _bound_cases():
+    digits, more = "9" * MAX_NUMBER_TEXT, "9" * (MAX_NUMBER_TEXT + 1)
+    out = []
+    for prefix in ("", "x1*", "x1^1", "x", "e[", "2 + 3/", "x1/"):
+        out += [prefix + digits, prefix + more]
+    out += ["x1^1" + "0" * (MAX_NUMBER_TEXT - 1), "x1^1" + "0" * MAX_NUMBER_TEXT]
+    for opening in ("(", "-", "+", "-("):
+        closing = ")" * opening.count("(")
+        for levels in (MAX_NESTING, MAX_NESTING + 1):
+            depth = levels // len(opening)
+            out.append(opening * depth + "x1" + closing * depth)
+    out += ["(" * MAX_NESTING + "x1" + ")" * (MAX_NESTING - 1), "-" * (MAX_NESTING + 1)]
+    return out
+
+
+def _parse_corpus():
+    """(m, text) pairs: stream-shaped fields for m = 2..5, their one-character mutations, hand cases, bounds."""
+    rng = random.Random(1808)
+    out = []
+    for m in (2, 3, 4, 5):
+        for _ in range(40):
+            text = _stream_expression(rng, m)
+            out += [(m, t) for t in [text] + _mutations(rng, text, 8)]
+    out += [(m, t) for m in (2, 3) for t in _HAND_CASES]
+    out += [(2, t) for t in _bound_cases()]
+    return out
+
+
+def _outcome(text, m):
+    try:
+        return format_field(parse_field(text, m))
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+# sha256 of "m, text, outcome" lines over `_parse_corpus`, taken with the PolyField parser.
+PARSE_SHA256 = "9365a5f8a8c2ff133d20d1f4b131dd115d0f8a63cf72fe737776c548cc44f5c8"
+
+
+def test_the_parse_outcomes_are_pinned():
+    lines = "\n".join(f"{m}\t{text}\t{_outcome(text, m)}" for m, text in _parse_corpus())
+    assert hashlib.sha256(lines.encode()).hexdigest() == PARSE_SHA256

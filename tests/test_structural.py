@@ -377,6 +377,22 @@ def test_distinct_sets_keep_their_own_products():
         assert differing
 
 
+def test_a_reverse_is_computed_once_and_only_when_asked(monkeypatch):
+    rng = random.Random(608)
+    s = rand_rational_structural_set(rng, 4)
+    reversed_values = []
+    reverse = Multivector.reverse
+    monkeypatch.setattr(Multivector, "reverse", lambda self: reversed_values.append(self) or reverse(self))
+    index_sets = [A for k in range(5) for A in combinations(range(1, 5), k)]
+    for A in index_sets:
+        s.product(A)
+    assert reversed_values == []
+    for _ in range(2):
+        for A in index_sets:
+            s.reversed_product(A)
+    assert reversed_values == [s.product(A) for A in index_sets]
+
+
 def test_memo_does_not_affect_equality():
     rng = random.Random(608)
     rows = rand_rational_structural_set(rng, 4).coordinates()
