@@ -1,4 +1,4 @@
-"""Exact rational matrices with fraction-free elimination.
+"""Exact rational matrices with fraction-free elimination on primitive rows.
 
 Every exact matrix in the package is eliminated here.  The solver fills
 the sparse integer rows of every operator matrix, the Psi matrices on the
@@ -11,27 +11,24 @@ kernel, so elimination starts from these integer rows and keeps them
 sparse; a matrix-vector product reads only the columns in the vector's
 support.
 
-Two Bareiss (fraction-free) eliminations run on these rows, one for each
-job:
-- Rank inserts rows into a `RowEchelon`, the row count of which is the
-  rank.  A new row is reduced against the pivot rows in insertion order,
-  so it takes the steps of a Bareiss sweep over the inserted rows, in
-  that order, with the pivot columns in the order they were found.  After
-  s steps each entry of a row is a minor of order s + 1 of the inserted
-  rows (Sylvester's identity), so every division is exact.  Growing an
-  echelon leaves it as it was, so the joint kernels of several row
-  groups can share a prefix (`solver.class_dimensions`).
-  `rank(reverse_columns=True)` mirrors the columns, so each pivot is a
-  row's last column: an independent order for cross-checks.
-- The kernel sweeps the columns left to right with `_bareiss_echelon`.
-  Its pivots are the leading minors in column order, which make
-  back-substitution integral and give the unique reduced-echelon basis.
+One elimination runs on these rows.  A `RowEchelon` takes them one at a
+time, reduces each against the pivot rows in insertion order and keeps
+every row primitive, divided by the gcd of its entries, so no entry is
+larger than the Bareiss minor it divides.
+- Rank is the row count of the echelon.  Growing an echelon leaves it as
+  it was, so the joint kernels of several row groups can share a prefix
+  (`solver.class_dimensions`).  `rank(reverse_columns=True)` mirrors the
+  columns, so each pivot is a row's last column: an independent order
+  for cross-checks.
+- The kernel sorts the pivot rows by pivot column.  Each has no entry
+  left of its pivot, so sorted they are an echelon form of the row space
+  and their pivot columns are those of the reduced echelon form.  The
+  kernel vector of a free column is unique, so back-substitution gives
+  the reduced-echelon basis.
 
 Both eliminate each connected block (rows linked by shared columns) on
-its own.  A Bareiss step multiplies every later row by its pivot over
-the previous one, so in one sweep the rows of a block would grow by the
-minors of all blocks before it; split, their entries stay minors of
-their own block.
+its own, so a row is reduced against the pivot rows of its own block
+alone.
 """
 
 from __future__ import annotations
@@ -59,62 +56,15 @@ def _reduced_row(entries: list[tuple[int, int]], scale: int) -> IntegerRow:
     return tuple((j, x // g) for j, x in entries), scale // g
 
 
-def _bareiss_echelon(rows: list[dict[int, int]], columns: Sequence[int]) -> tuple[list[dict[int, int]], list[int]]:
-    """In-place fraction-free row echelon form of sparse rows ({column: int}, no zeros) over increasing `columns`.
-
-    Returns (rows, pivot columns); row r of the result is the r-th pivot
-    row, for r below the rank.  A step with pivot p multiplies
-    each row it does not eliminate by p over the previous pivot.  These
-    factors telescope, so such a row keeps the step it is current for and
-    is brought up to date, by one exact division, when a step uses it.
-    """
-    nrows = len(rows)
-    pivots = [1]  # pivots[s]: the pivot of step s
-    current = [0] * nrows  # rows[i] holds its values after step current[i]
-    pivot_cols: list[int] = []
-    for c in columns:
-        r = len(pivot_cols)
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if c in rows[i]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            current[r], current[piv] = current[piv], current[r]
-        prev = pivots[r]
-        for i in range(r, nrows):
-            if c in rows[i] and current[i] != r:
-                old = pivots[current[i]]
-                rows[i] = {j: a * prev // old for j, a in rows[i].items()}
-        row_r = rows[r]
-        pc = row_r[c]
-        tail = [(j, a) for j, a in row_r.items() if j != c]
-        for i in range(r + 1, nrows):
-            row_i = rows[i]
-            if c not in row_i:
-                continue
-            ric = row_i.pop(c)
-            new = {j: pc * a for j, a in row_i.items()}
-            for j, a in tail:
-                new[j] = new.get(j, 0) - ric * a
-            rows[i] = {j: a // prev for j, a in new.items() if a}
-            current[i] = r + 1
-        pivots.append(pc)
-        pivot_cols.append(c)
-    return rows, pivot_cols
-
-
 class RowEchelon:
-    """Fraction-free row echelon form built by inserting rows; immutable.
+    """Echelon form of primitive integer rows, built by inserting rows; immutable.
 
     `grown(rows)` reduces each new row against the pivot rows present, in
     insertion order, and a row left nonzero becomes the next pivot row,
-    its leading column the pivot column.  The pivot rows are then exactly
-    the rows a Bareiss sweep over the inserted rows, in that order, with
-    those pivot columns, would give, so every division is exact.  The
-    result shares the rows already present, so one echelon can be grown
-    along several chains.
+    its leading column the pivot column.  Every row is kept primitive:
+    divided by its content, the gcd of its entries.  The result shares the
+    rows already present, so one echelon can be grown along several
+    chains.
     """
 
     __slots__ = ("_cols", "_tails", "_pivots")
@@ -122,7 +72,7 @@ class RowEchelon:
     def __init__(self):
         self._cols: tuple[int, ...] = ()  # the pivot column of each step
         self._tails: tuple[tuple[tuple[int, int], ...], ...] = ()  # each pivot row less its pivot entry
-        self._pivots: tuple[int, ...] = (1,)  # _pivots[s + 1]: the pivot of step s
+        self._pivots: tuple[int, ...] = ()  # the pivot entry of each step
 
     def __len__(self) -> int:
         """The rank of the inserted rows."""
@@ -131,32 +81,43 @@ class RowEchelon:
     def grown(self, rows: Iterable[Iterable[tuple[int, int]]]) -> "RowEchelon":
         """The echelon of the rows present and then `rows`, each its nonzero (column, int) entries.
 
-        A Bareiss step with pivot p multiplies a row by p over the
-        previous pivot.  A row with no entry in the pivot column of a
-        step would only be scaled by it.  These factors telescope, so such
-        a row keeps the step it is current for, and the next step that
-        uses it divides by the pivot of the last step the row took instead
-        of by the previous pivot: one exact division.  A new pivot row is
-        brought up to date before it is kept.
+        A new row is first divided by its content.  A step with pivot p
+        clears entry r of a row in the pivot column as (p/g) row - (r/g)
+        pivot row, g = gcd(p, r) with the sign of p, and divides the result
+        by its content.  After s steps the row is zero in the first s pivot
+        columns and lies in the span of the first s pivot rows and itself,
+        and that span holds one such vector up to scale.  So the row is the
+        Bareiss row (the minors of order s + 1 of the inserted rows) over
+        its content, and no entry is larger than that minor.
         """
         cols, tails, pivots = list(self._cols), list(self._tails), list(self._pivots)
         for pairs in rows:
             row = dict(pairs)
-            current = 0  # row holds its values after step `current`
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: a // g for j, a in row.items()}
             for s, c in enumerate(cols):
                 rc = row.pop(c, 0)
                 if not rc:
                     continue
-                pc, old = pivots[s + 1], pivots[current]
-                new = {j: pc * a for j, a in row.items()}
+                pc = pivots[s]
+                g = gcd(pc, rc)
+                if pc < 0:
+                    g = -g
+                if g != 1:
+                    pc, rc = pc // g, rc // g
+                if pc != 1:
+                    row = {j: pc * a for j, a in row.items()}
                 for j, a in tails[s]:
-                    new[j] = new.get(j, 0) - rc * a
-                row = {j: a // old for j, a in new.items() if a}
-                current = s + 1
+                    a = row.get(j, 0) - rc * a
+                    if a:
+                        row[j] = a
+                    else:
+                        del row[j]
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {j: a // g for j, a in row.items()}
             if row:
-                k = len(cols)
-                if current != k:
-                    row = {j: a * pivots[k] // pivots[current] for j, a in row.items()}
                 c = min(row)
                 pivots.append(row.pop(c))
                 cols.append(c)
@@ -298,22 +259,27 @@ class RationalMatrix:
         kernel: dict[int, tuple[dict[int, int], int]] = {}
         touched: set[int] = set()
         for block in self._blocks():
-            rows = [dict(self._int_rows[i][0]) for i in block]
-            columns = sorted({j for row in rows for j in row})
-            ech, pivot_cols = _bareiss_echelon(rows, columns)
+            rows = [self._int_rows[i][0] for i in block]
+            echelon = RowEchelon().grown(rows)
+            columns = {j for pairs in rows for j, _ in pairs}
             touched.update(columns)
-            pivots = [ech[r][c] for r, c in enumerate(pivot_cols)]
-            tails = [[(j, a) for j, a in row.items() if j != c] for row, c in zip(ech, pivot_cols)]
-            pivot_set = set(pivot_cols)
-            for f in columns:
-                if f in pivot_set:
-                    continue
-                k = bisect(pivot_cols, f)
-                den = pivots[k - 1] if k else 1
-                y = {f: den}
-                for r in range(k - 1, -1, -1):
-                    y[pivot_cols[r]] = -sum(a * y.get(j, 0) for j, a in tails[r]) // pivots[r]
-                kernel[f] = {j: a for j, a in y.items() if a}, den
+            pivot_cols, pivots, tails = zip(*sorted(zip(echelon._cols, echelon._pivots, echelon._tails)))
+            for f in sorted(columns.difference(pivot_cols)):
+                y, den = {f: 1}, 1
+                for r in range(bisect(pivot_cols, f) - 1, -1, -1):
+                    s = sum(a * y.get(j, 0) for j, a in tails[r])
+                    if not s:
+                        continue
+                    p = pivots[r]
+                    if p < 0:
+                        p, s = -p, -s
+                    g = gcd(p, s)
+                    if g != p:
+                        q = p // g
+                        y = {j: q * a for j, a in y.items()}
+                        den *= q
+                    y[pivot_cols[r]] = -s // g
+                kernel[f] = y, den
         for f in range(self.ncols):
             if f not in touched:
                 kernel[f] = {f: 1}, 1
@@ -327,14 +293,12 @@ class RationalMatrix:
 
         A free column's vector lives in its block (a unit vector if no row
         touches it), and is the reduced-echelon one a whole-matrix sweep
-        gives.  Bareiss pivot k of a block is the determinant of its first
-        k rows (after the swaps) in its first k pivot columns, and the
-        kernel vector of free column f solves that minor for k the number
-        of the block's pivot columns left of f.  By Cramer's rule pivot k
-        (1 when k = 0) times the vector is integral, so back-substitution
-        runs in integers and every division is exact.
+        gives: 1 at the free column, 0 at the block's other free columns,
+        solved for the pivot columns left of it, from the right.  The
+        vector is kept as integers over one positive den, and a pivot
+        row that does not divide its sum multiplies both by the missing
+        factor, so every division is exact.
 
-        Back-substitution leaves each vector as integers y over one den.
         Before the basis is handed back, each y is multiplied as a
         soundness guard, in integers, through every row of the matrix that
         touches its support (`_products` indexes the rows itself and does

@@ -101,8 +101,11 @@ class _Parser:
             self.pos += 1
 
     def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        ch = self.text[self.pos:self.pos + 1]
+        if ch.isspace():
+            self._skip_ws()
+            ch = self.text[self.pos:self.pos + 1]
+        return ch
 
     def _take(self, ch: str) -> bool:
         if self._peek() == ch:
@@ -143,19 +146,21 @@ class _Parser:
     def expr(self) -> Value:
         value = self.term()
         while True:
-            if self._take("+"):
-                value = _merge(value, self.term(), 1)
-            elif self._take("-"):
-                value = _merge(value, self.term(), -1)
-            else:
+            ch = self._peek()
+            if ch not in ("+", "-"):
                 return value
+            self.pos += 1
+            value = _merge(value, self.term(), 1 if ch == "+" else -1)
 
     def term(self) -> Value:
         value = self.factor()
         while True:
-            if self._take("*"):
+            ch = self._peek()
+            if ch == "*":
+                self.pos += 1
                 value = _times(value, self.factor(), self.odd)
-            elif self._take("/"):
+            elif ch == "/":
+                self.pos += 1
                 at = self.pos
                 terms, den = self.factor()
                 q = terms.get((self.origin, 0)) if len(terms) == 1 else None

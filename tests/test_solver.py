@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, perm, prod
+from math import comb, gcd, perm, prod
 
 import pytest
 
@@ -148,14 +148,15 @@ def test_sparse_rows_agree_with_dense_reference():
 
 
 def test_nullspace_guard_rejects_a_corrupted_echelon(monkeypatch):
-    original = linalg._bareiss_echelon
+    original = RowEchelon.grown
 
-    def corrupted(rows, ncols):
-        ech, pivot_cols = original(rows, ncols)
-        ech[0][1] += 1
-        return ech, pivot_cols
+    def corrupted(self, rows):
+        echelon = original(self, rows)
+        (j, a), *rest = echelon._tails[0]
+        echelon._tails = (((j, a + 1), *rest), *echelon._tails[1:])
+        return echelon
 
-    monkeypatch.setattr(linalg, "_bareiss_echelon", corrupted)
+    monkeypatch.setattr(RowEchelon, "grown", corrupted)
     mat = RationalMatrix([[Fraction(1), Fraction(2), Fraction(3)]])
     with pytest.raises(ArithmeticError, match="failed verification"):
         mat.nullspace()
@@ -260,10 +261,10 @@ def test_block_split_elimination_matches_whole_matrix():
         kernel = _dense_kernel(rows, nc)
         assert mat.nullspace() == kernel
         assert mat.rank() == mat.rank(reverse_columns=True) == nc - len(kernel)
-        whole = [dict(pairs) for pairs, _ in mat._int_rows]
-        mirrored = [{nc - 1 - j: a for j, a in row.items()} for row in whole]
-        assert len(linalg._bareiss_echelon(mirrored, range(nc))[1]) == mat.rank()
-        _, pivot_cols = linalg._bareiss_echelon(whole, range(nc))
+        whole = [pairs for pairs, _ in mat._int_rows]
+        mirrored = [[(nc - 1 - j, a) for j, a in pairs] for pairs in whole]
+        assert len(RowEchelon().grown(mirrored)) == mat.rank()
+        pivot_cols = sorted(RowEchelon().grown(whole)._cols)
         # free column f is the last nonzero entry of its reduced-echelon kernel vector
         free = {max(j for j, x in enumerate(v) if x) for v in kernel}
         assert pivot_cols == [c for c in range(nc) if c not in free]
@@ -297,16 +298,28 @@ def _sparse(rows):
     return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
 
 
-def _assert_bareiss_pivots(echelon, rows):
-    """Pivot s is the minor of the first s + 1 independent rows on the first s + 1 pivot columns."""
+def _assert_primitive_rows(echelon, rows):
+    """Stored row s is primitive, has no entry left of its pivot, and is
+    +- the minors det(kept[:s + 1] on cols[:s] + [j]) over their gcd, kept
+    the independent rows in insertion order."""
     kept = []
     for row in ([Fraction(x) for x in row] for row in rows):
         if len(_dense_kernel([*kept, row], len(row))) < len(row) - len(kept):
             kept.append(row)
     assert len(echelon) == len(kept)
-    cols = echelon._cols
-    for s in range(len(cols)):
-        assert echelon._pivots[s + 1] == _det([[row[c] for c in cols[:s + 1]] for row in kept[:s + 1]]), s
+    cols, ncols = echelon._cols, len(rows[0])
+    for s, (c, p, tail) in enumerate(zip(cols, echelon._pivots, echelon._tails)):
+        stored = [0] * ncols
+        stored[c] = p
+        for j, a in tail:
+            assert j > c and a, s
+            stored[j] = a
+        assert gcd(*stored) == 1, s
+        minors = [_det([[row[k] for k in (*cols[:s], j)] for row in kept[:s + 1]]) for j in range(ncols)]
+        assert all(x.denominator == 1 for x in minors)
+        g = gcd(*(int(x) for x in minors))
+        primitive = [int(x) // g for x in minors]
+        assert stored in (primitive, [-x for x in primitive]), s
 
 
 def test_row_echelon_row_dependent_only_on_two_earlier_groups():
@@ -322,15 +335,16 @@ def test_row_echelon_row_dependent_only_on_two_earlier_groups():
     assert len(RowEchelon().grown(_sparse(g2 + g3[:1]))) == 2
     assert len(e12.grown(_sparse(g3[:1]))) == 3
     assert len(e12) == 3  # growing leaves the echelon grown from as it was
-    _assert_bareiss_pivots(e123, g1 + g2 + g3)
+    _assert_primitive_rows(e123, g1 + g2 + g3)
     mat = RationalMatrix([[Fraction(x) for x in row] for row in g1 + g2 + g3])
     assert mat.rank() == mat.rank(reverse_columns=True) == 4
 
 
 def test_row_echelon_row_joining_two_earlier_sub_blocks():
     # Rows 0-1 live on columns 0-1 and rows 2-3 on columns 2-3; row 4 meets
-    # step 0, loses its column-1 entry there, skips steps 1 and 2 and meets
-    # step 3, where it takes both skipped factors into one division.
+    # step 0, where gcd(2, 2) halves both multipliers and clears its
+    # column-1 entry, skips steps 1 and 2 and meets step 3.  Bareiss rows
+    # would carry the minors, pivots 2, -1, -3, -3, -3; primitive rows do not.
     rows = [
         [2, 3, 0, 0, 0],
         [5, 7, 0, 0, 0],
@@ -340,8 +354,9 @@ def test_row_echelon_row_joining_two_earlier_sub_blocks():
     ]
     echelon = RowEchelon().grown(_sparse(rows))
     assert echelon._cols == (0, 1, 2, 3, 4)
-    assert echelon._pivots == (1, 2, -1, -3, -3, -3)
-    _assert_bareiss_pivots(echelon, rows)
+    assert echelon._pivots == (2, -1, 3, 1, 1)
+    assert echelon._tails == (((1, 3),), (), ((3, 4),), (), ())
+    _assert_primitive_rows(echelon, rows)
     mat = RationalMatrix([[Fraction(x) for x in row] for row in rows])
     assert mat._blocks() == [[0, 1, 2, 3, 4]]
     assert mat.rank() == mat.rank(reverse_columns=True) == 5
@@ -363,6 +378,8 @@ def test_row_echelon_matches_dense_rank_on_random_chains():
         for lo, hi in zip([0, *cut], [*cut, len(pairs)]):
             echelon = echelon.grown(pairs[lo:hi])
         assert len(echelon) == nc - len(_dense_kernel(rows, nc)) == mat.rank() == mat.rank(reverse_columns=True)
+        if rows and nc <= 8:
+            _assert_primitive_rows(echelon, [[x * scale for x in row] for row, (_, scale) in zip(rows, mat._int_rows)])
 
 
 # -- coefficient spaces ------------------------------------------------------------
@@ -644,12 +661,22 @@ def test_triple_stack_rank_is_independent_of_column_order():
 
 
 def _joint_dims_by_nullspace(phi, psi, m, d):
-    """The seven dimensions in `to_json` order, each the size less the kernel of its stack by the column sweep."""
+    """The seven dimensions in `to_json` order, each the size of the kernel of its stack.
+
+    Each kernel size is checked against the rank with mirrored columns,
+    an elimination order the chained echelons of `class_dimensions` do
+    not use.
+    """
     space = CoefficientSpace(m, d)
     mats = class_matrices(phi, psi, space)
     joints = [(HARMONIC,), (TWO_SET_HARMONIC,), (INFRAMONOGENIC,), (HARMONIC, TWO_SET_HARMONIC),
               (HARMONIC, INFRAMONOGENIC), (TWO_SET_HARMONIC, INFRAMONOGENIC), _CLASS_ORDER]
-    return tuple(len(RationalMatrix.stack([mats[n] for n in names], space.size).nullspace()) for names in joints)
+    dims = []
+    for names in joints:
+        stack = RationalMatrix.stack([mats[n] for n in names], space.size)
+        dims.append(len(stack.nullspace()))
+        assert dims[-1] == space.size - stack.rank(reverse_columns=True), names
+    return tuple(dims)
 
 
 def test_class_dimensions_match_the_kernels_of_the_seven_stacks():
@@ -660,6 +687,13 @@ def test_class_dimensions_match_the_kernels_of_the_seven_stacks():
     for m, d, phi, psi in cases:
         dims = class_dimensions(phi, psi, m, d)
         assert tuple(dims.to_json().values()) == _joint_dims_by_nullspace(phi, psi, m, d), (m, d, phi, psi)
+
+
+def test_class_dimensions_of_a_random_rational_pair_at_m4_d4():
+    # Bareiss rows reach 2377-bit entries on this pair; primitive rows stay at 178 bits.
+    phi, psi = rand_structural_pair(random.Random(7), 4)
+    dims = class_dimensions(phi, psi, 4, 4)
+    assert tuple(dims.to_json().values()) == (400, 400, 400, 304, 338, 270, 242)
 
 
 @pytest.mark.parametrize("m, d", [(2, 3), (3, 2), (3, 3)])
