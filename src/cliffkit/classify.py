@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .fields import PolyField, _dirac, _flat, _laplacian, _partials, _rows, dirac_left, sandwich
+from .fields import PolyField, _dirac, _flat, _laplacian, _partials, dirac_left, sandwich
 from .structural import StructuralSet
 from .verdict import Verdict
 
@@ -96,7 +96,7 @@ def classify(phi: StructuralSet, psi: StructuralSet, f: PolyField) -> ClassMembe
     if phi.m != f.m or psi.m != f.m:
         raise ValueError(f"dimension mismatch: sets {phi.m}/{psi.m}, field {f.m}")
     m = f.m
-    phi_rows, psi_rows = _rows(phi)[0], _rows(psi)[0]
+    phi_rows, psi_rows = phi._rows, psi._rows
     partials = _partials(_flat(f)[0], m)
     left_psi = _dirac(partials, psi_rows, m, True)
     left_phi = _dirac(partials, phi_rows, m, True)

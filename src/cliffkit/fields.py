@@ -9,9 +9,10 @@ in exact rational arithmetic.
 
 The differential operators share one integer kernel: a field is flattened to
 {(alpha, mask): numerator} over the lcm of its coefficients' denominators, a
-structural set to integer rows over the lcm of its vectors', and a first
-partial is alpha_j * c at alpha - e_j.  Each operator rebuilds one field at
-the end, reducing each coefficient over the product of the scales.
+structural set gives the integer rows it keeps (`StructuralSet._rows`, over
+the lcm `_den` of its vectors' denominators), and a first partial is
+alpha_j * c at alpha - e_j.  Each operator rebuilds one field at the end,
+reducing each coefficient over the product of the scales.
 """
 
 from __future__ import annotations
@@ -279,18 +280,14 @@ class PolyField:
 # -- the derivative kernel (see the module docstring) ---------------------------
 
 Flat = dict[tuple[MultiIndex, int], int]
+# A structural set's `_rows`: each vector as (generator mask, numerator) pairs over the set's `_den`.
+Rows = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _flat(f: PolyField) -> tuple[Flat, int]:
     """f's terms as integer numerators over the lcm of its coefficients' denominators."""
     scale = lcm(*(mv._den for mv in f._terms.values()))
     return {(a, mask): c * (scale // mv._den) for a, mv in f._terms.items() for mask, c in mv._num.items()}, scale
-
-
-def _rows(sset: StructuralSet) -> tuple[list[list[tuple[int, int]]], int]:
-    """The set's vectors as integer rows [(generator mask, numerator), ...] over the lcm of their denominators."""
-    scale = lcm(*(v._den for v in sset.vectors))
-    return [[(bit, c * (scale // v._den)) for bit, c in v._num.items()] for v in sset.vectors], scale
 
 
 def _partial(flat: Flat, k: int) -> Flat:
@@ -302,7 +299,7 @@ def _partials(flat: Flat, m: int) -> list[Flat]:
     return [_partial(flat, k) for k in range(m)]
 
 
-def _dirac(partials: list[Flat], rows: list[list[tuple[int, int]]], m: int, left: bool) -> Flat:
+def _dirac(partials: list[Flat], rows: Rows, m: int, left: bool) -> Flat:
     """sum_j v_j * partials[j] (left) or sum_j partials[j] * v_j, with row j as v_j; sums that cancel stay as 0.
 
     Signs as in `Multivector.__mul__`: e_i e_B < 0 when B & odd[e_i] has odd parity, e_B e_i < 0 when e_i & odd[B] != 0.
@@ -347,8 +344,8 @@ def _require_field_set(sset: StructuralSet, f: PolyField) -> None:
 
 def _one_sided(sset: StructuralSet, f: PolyField, left: bool) -> PolyField:
     _require_field_set(sset, f)
-    (flat, scale), (rows, row_scale) = _flat(f), _rows(sset)
-    return _field(f.m, _dirac(_partials(flat, f.m), rows, f.m, left), scale * row_scale)
+    flat, scale = _flat(f)
+    return _field(f.m, _dirac(_partials(flat, f.m), sset._rows, f.m, left), scale * sset._den)
 
 
 def dirac_left(sset: StructuralSet, f: PolyField) -> PolyField:
@@ -375,6 +372,6 @@ def sandwich(phi: StructuralSet, f: PolyField, psi: StructuralSet) -> PolyField:
     _require_field_set(phi, f)
     _require_field_set(psi, f)
     m = f.m
-    (flat, scale), (phi_rows, phi_scale), (psi_rows, psi_scale) = _flat(f), _rows(phi), _rows(psi)
-    left = _dirac(_partials(flat, m), phi_rows, m, True)
-    return _field(m, _dirac(_partials(left, m), psi_rows, m, False), scale * phi_scale * psi_scale)
+    flat, scale = _flat(f)
+    left = _dirac(_partials(flat, m), phi._rows, m, True)
+    return _field(m, _dirac(_partials(left, m), psi._rows, m, False), scale * phi._den * psi._den)

@@ -10,13 +10,16 @@ is the identity), of even or odd size for `plus` and `minus`, and the
 singletons {j}, j in J, for the level-1 subset operator.  Operators act
 on polynomial fields coefficient-wise, as constant-coefficient linear maps.
 
-`apply` runs on integers.  Once per call it reads each pair
-(phi_A, reverse(psi_A)) from the sets' product memo and scales the pairs'
-numerators to one denominator, the lcm of the products phi_A._den *
-psi_A._den.  Each coefficient a is then multiplied out as integer maps,
-phi_A * a and then times reverse(psi_A), summed over the family in one map
-and reduced to lowest terms once; a field's coefficients share the
-prepared pairs.
+`apply` runs on integers.  Once per operator it reads each pair
+(phi_A, psi_A) from the sets' integer product memos, numerators over
+D_phi^|A| and D_psi^|A| (see `StructuralSet`), and brings the pairs to one
+denominator (D_phi D_psi)^top, top the largest |A| of the family.  The
+vectors of a set are orthonormal, so for distinct indices psi_A is a pure
+grade-|A| blade and reverse(psi_A) = (-1)^(k(k-1)/2) psi_A with k = |A|;
+that sign and (D_phi D_psi)^(top-k) are folded into phi_A's numerators.
+Each coefficient a is then multiplied out as integer maps, phi_A * a and
+then times psi_A, summed over the family in one map and reduced to lowest
+terms once; every operand of the operator shares the prepared pairs.
 
 The same-set case (phi == psi) collapses on pure-grade elements to a
 scalar: `scalar_action` computes it by a finite binomial sum and
@@ -28,11 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Iterable, Sequence, Union
 
-from .algebra import DimensionMismatch, Multivector, _lowest, _odd_masks
+from .algebra import DimensionMismatch, Multivector, _lowest, _odd_masks, _reverse_sign
 from .classify import ClassMembership, classify
 from .fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from .linalg import RationalMatrix
@@ -41,7 +45,8 @@ from .structural import StructuralSet, transition
 from .verdict import Verdict, compare, merge
 
 Element = Union[Multivector, PolyField]
-# (phi_A, rev(psi_A)) for each A of a family, as integer (mask, numerator) terms over one scale
+# (phi_A, psi_A) for each A of a family as integer (mask, numerator) terms, phi_A's scaled so that
+# each pair gives phi_A * a * rev(psi_A) over one scale
 PairTerms = list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]
 
 
@@ -60,6 +65,8 @@ class PsiOperator:
     def __post_init__(self):
         if self.phi.m != self.psi.m:
             raise ValueError("structural sets must share a dimension")
+        if any(len(set(A)) != len(A) for A in self.index_sets):
+            raise ValueError("an index set repeats an index")
 
     @classmethod
     def level(cls, phi: StructuralSet, psi: StructuralSet, k: int) -> "PsiOperator":
@@ -88,24 +95,26 @@ class PsiOperator:
         """The image of a multivector, or of a field coefficient by coefficient."""
         if self.phi.m != a.m:
             raise DimensionMismatch(f"dimension mismatch: sets {self.phi.m}/{self.psi.m}, operand {a.m}")
-        terms, scale = self._terms()
+        terms, scale = self._terms
         if isinstance(a, PolyField):
             return a.map_coefficients(lambda v: _image(terms, scale, v))
         return _image(terms, scale, a)
 
+    @cached_property
     def _terms(self) -> tuple[PairTerms, int]:
-        """(phi_A, rev(psi_A)) for each A of the family, as integer terms over one scale.
+        """(phi_A, rev(psi_A)) for each A of the family, as integer terms over one scale, prepared on first use.
 
-        The scale is the lcm over A of phi_A._den * psi_A._den; each pair's
-        factor of it is folded into phi_A's numerators.
+        The scale is (D_phi D_psi)^top; each pair's factor of it, (D_phi D_psi)^(top - k), and the reverse's
+        grade sign are folded into phi_A's numerators.
         """
-        pairs = [(self.phi.product(A), self.psi.reversed_product(A)) for A in self.index_sets]
-        scale = lcm(*(a._den * b._den for a, b in pairs))
+        phi, psi = self.phi, self.psi
+        den = phi._den * psi._den
+        top = max(map(len, self.index_sets), default=0)
         terms = []
-        for a, b in pairs:
-            factor = scale // (a._den * b._den)
-            terms.append(([(mask, c * factor) for mask, c in a._num.items()], list(b._num.items())))
-        return terms, scale
+        for A in self.index_sets:
+            factor = den ** (top - len(A)) * _reverse_sign(len(A))
+            terms.append(([(mask, c * factor) for mask, c in phi._product(A).items()], list(psi._product(A).items())))
+        return terms, den ** top
 
 
 def _image(terms: PairTerms, scale: int, v: Multivector) -> Multivector:
@@ -192,10 +201,11 @@ def _counterexample_check(phi: StructuralSet) -> tuple[PolyField, ClassMembershi
 # -- same-set scalar action -------------------------------------------------
 
 
+@cache
 def scalar_action(m: int, j: int, k: int) -> Fraction:
     """Scalar by which the same-set level-j operator multiplies grade-k elements.
 
-    Finite alternating binomial sum; exact for all 0 <= j, k <= m.
+    Finite alternating binomial sum; exact for all 0 <= j, k <= m; each value is computed once.
     """
     if not (0 <= j <= m and 0 <= k <= m):
         raise ValueError(f"levels ({j},{k}) out of range 0..{m}")
@@ -315,16 +325,9 @@ def check_dirac_psi1_identities(phi: StructuralSet, psi: StructuralSet, f: PolyF
     """
     psi1 = lambda g: apply_psi_k(phi, psi, 1, g)
     if which == "gradient":
-        left = compare(
-            "dirac-psi1-gradient-left",
-            dirac_left(phi, psi1(f)),
-            dirac_right(f, psi) * (-2) - psi1(dirac_left(phi, f)),
-        )
-        right = compare(
-            "dirac-psi1-gradient-right",
-            dirac_right(psi1(f), psi),
-            dirac_left(phi, f) * (-2) - psi1(dirac_right(f, psi)),
-        )
+        image, left_f, right_f = psi1(f), dirac_left(phi, f), dirac_right(f, psi)
+        left = compare("dirac-psi1-gradient-left", dirac_left(phi, image), right_f * (-2) - psi1(left_f))
+        right = compare("dirac-psi1-gradient-right", dirac_right(image, psi), left_f * (-2) - psi1(right_f))
         return merge("dirac-psi1-gradient", [left, right])
     if which == "sandwich":
         two_sided = compare(
@@ -335,8 +338,9 @@ def check_dirac_psi1_identities(phi: StructuralSet, psi: StructuralSet, f: PolyF
         lap = compare("laplacian-psi1-commutation", laplacian(psi1(f)), psi1(laplacian(f)))
         return merge("dirac-psi1-sandwich", [two_sided, lap])
     if which == "composition":
-        lhs = psi1(dirac_left(phi, dirac_left(psi, f)))
-        rhs = sandwich(psi, f, psi) * (-2) - dirac_left(phi, psi1(dirac_left(psi, f)))
+        left_f = dirac_left(psi, f)
+        lhs = psi1(dirac_left(phi, left_f))
+        rhs = sandwich(psi, f, psi) * (-2) - dirac_left(phi, psi1(left_f))
         return compare("dirac-psi1-composition", lhs, rhs)
     raise ValueError(f"unknown identity selector {which!r}")
 

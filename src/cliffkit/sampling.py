@@ -5,6 +5,8 @@ with Givens rotations whose cosine/sine pairs come from the tangent
 half-angle map t -> ((1-t^2)/(1+t^2), 2t/(1+t^2)).  Orthonormality is thus
 exact: the sets are composed on integer rows over one denominator, each
 vector is reduced once, and the set is built through `StructuralSet._of`.
+Random multivectors and fields are built the same way, from their integer
+form (`_as_integers`) through `Multivector._of` and `PolyField._of`.
 All generators take an explicit `random.Random` so that a fixed seed
 reproduces every suite byte for byte.
 """
@@ -14,8 +16,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Multivector, _lowest
-from .fields import PolyField
+from .algebra import Multivector, _as_integers, _lowest
+from .fields import PolyField, _sum_terms
 from .structural import StructuralSet
 
 HALF_ANGLE_POOL = [
@@ -42,7 +44,7 @@ def rand_multivector(rng: random.Random, m: int, max_terms: int = 4, nonzero: bo
         terms = {}
         for _ in range(rng.randint(1, max_terms)):
             terms[rng.randrange(1 << m)] = rand_fraction(rng)
-        mv = Multivector(m, terms)
+        mv = Multivector._of(m, *_as_integers({mask: c for mask, c in terms.items() if c}))
         if mv or not nonzero:
             return mv
 
@@ -56,19 +58,16 @@ def rand_multi_index(rng: random.Random, m: int, max_degree: int) -> tuple[int, 
 
 
 def rand_polyfield(rng: random.Random, m: int, max_degree: int = 3) -> PolyField:
-    f = PolyField.zero(m)
-    for _ in range(rng.randint(1, 4)):
-        alpha = rand_multi_index(rng, m, max_degree)
-        f = f + PolyField.monomial(m, alpha, rand_multivector(rng, m, max_terms=2))
-    return f
+    """The sum of 1 to 4 monomials, each a random multi-index drawn before its random coefficient."""
+    terms = [(rand_multi_index(rng, m, max_degree), rand_multivector(rng, m, max_terms=2))
+             for _ in range(rng.randint(1, 4))]
+    return PolyField._of(m, _sum_terms(terms))
 
 
 def rand_scalar_polyfield(rng: random.Random, m: int) -> PolyField:
-    f = PolyField.zero(m)
-    for _ in range(rng.randint(1, 3)):
-        alpha = rand_multi_index(rng, m, 3)
-        f = f + PolyField.monomial(m, alpha, Multivector.scalar(m, rand_fraction(rng, nonzero=True)))
-    return f
+    terms = [(rand_multi_index(rng, m, 3), Multivector._of(m, *_as_integers({0: rand_fraction(rng, nonzero=True)})))
+             for _ in range(rng.randint(1, 3))]
+    return PolyField._of(m, _sum_terms(terms))
 
 
 def rand_signed_permutation(rng: random.Random, m: int) -> StructuralSet:

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import gcd, lcm, perm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import DimensionMismatch, Multivector, _as_integers, _odd_masks, blade_order, check_dimension
+from .algebra import DimensionMismatch, Multivector, _as_integers, _odd_masks, _reverse_sign, blade_order, check_dimension
 from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
 from .fields import MultiIndex, PolyField
 from .linalg import RationalMatrix, RowEchelon, Vector, _reduced_row
@@ -148,9 +148,12 @@ class FieldOperator:
 
     @classmethod
     def psi(cls, phi: StructuralSet, psi: StructuralSet, index_sets: Sequence[tuple[int, ...]]) -> "FieldOperator":
-        """The Psi operator of the family `index_sets`, of order 0: it acts on each coefficient alone."""
+        """The Psi operator of the family `index_sets`, of order 0: it acts on each coefficient alone.
+
+        Each A has distinct indices, so rev(psi_A) is psi_A times the grade sign (-1)^(k(k-1)/2), k = |A|.
+        """
         return cls("psi", 0, (phi, psi),
-                   lambda axes, one: [((), phi.product(A), psi.reversed_product(A)) for A in index_sets])
+                   lambda axes, one: [((), phi.product(A), psi.product(A) * _reverse_sign(len(A))) for A in index_sets])
 
 
 # S_gamma for each gamma of a symbol: S_gamma[A] lists the nonzero (B, c) with sum a * e_A * b = sum c * e_B.

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import Sequence
 
-from .algebra import Multivector, Scalar, _as_integers, check_dimension
+from .algebra import Multivector, Scalar, _as_integers, _lowest, _odd_masks, check_dimension
 
 # Python's limit on the digits of an integer it prints.  The CLI bounds each number given as text by it: its
 # characters, and the magnitude of its decimal exponent, which `Fraction` would expand into that many digits.
@@ -77,12 +78,13 @@ class StructuralSet:
 
     The builders check their own arguments and build through the trusted
     `_of`, which takes orthonormal grade-1 vectors.  The set is immutable,
-    so each product v_A it is asked for is computed once and kept in
-    `_products`, and each reverse it is asked for in `_reverses`; equality
-    ignores both memos.
+    so it keeps one integer form beside its vectors: `_rows`, each vector
+    as (generator mask, numerator) pairs over `_den`, the lcm of the
+    vectors' denominators, and `_products`, each product v_A it is asked
+    for as numerators over `_den` ** |A|.  Equality ignores that form.
     """
 
-    __slots__ = ("m", "vectors", "_products", "_reverses")
+    __slots__ = ("m", "vectors", "_rows", "_den", "_products")
 
     def __init__(self, vectors: Sequence[Multivector]):
         vectors = tuple(vectors)
@@ -103,20 +105,24 @@ class StructuralSet:
             i, j, dot = violation
             raise StructuralSetError(f"anticommutation relation ({i},{j}) violated: "
                                      f"v{i}*v{j} + v{j}*v{i} = {_number_text(-2 * dot)}", relation=(i, j))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_products", {})
-        object.__setattr__(self, "_reverses", {})
+        self._set(vectors)
 
     @classmethod
     def _of(cls, vectors: Sequence[Multivector]) -> "StructuralSet":
         """Trusted constructor from m orthonormal grade-1 vectors of dimension m."""
         out = object.__new__(cls)
-        object.__setattr__(out, "m", len(vectors))
-        object.__setattr__(out, "vectors", tuple(vectors))
-        object.__setattr__(out, "_products", {})
-        object.__setattr__(out, "_reverses", {})
+        out._set(tuple(vectors))
         return out
+
+    def _set(self, vectors: tuple[Multivector, ...]) -> None:
+        """Set the vectors and the integer form built from them."""
+        den = lcm(*(v._den for v in vectors))
+        object.__setattr__(self, "m", len(vectors))
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "_rows", tuple(tuple((bit, c * (den // v._den)) for bit, c in v._num.items())
+                                                for v in vectors))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_products", {(): {0: 1}})
 
     def __setattr__(self, name, value):
         raise AttributeError("StructuralSet is immutable")
@@ -190,22 +196,35 @@ class StructuralSet:
 
     # -- products over index sets ------------------------------------------
 
+    def _product(self, indices: tuple[int, ...]) -> dict[int, int]:
+        """v_A for A = `indices` as nonzero numerators over _den ** len(A), kept in `_products`; callers must not change it.
+
+        Grown as the product of A's longest proper prefix and the row of A's last index, with no reduction.
+        """
+        num = self._products.get(indices)
+        if num is None:
+            i = indices[-1]
+            if not 1 <= i <= self.m:
+                raise IndexError(f"vector index {i} out of range 1..{self.m}")
+            odd = _odd_masks(self.m)
+            acc: dict[int, int] = {}
+            get = acc.get
+            for mask, c in self._product(indices[:-1]).items():
+                # e_mask * e_bit is negative when e_bit passes an odd number of e_mask's generators or is one of them
+                w = odd[mask]
+                for bit, n in self._rows[i - 1]:
+                    acc[mask ^ bit] = get(mask ^ bit, 0) - c * n if bit & w else get(mask ^ bit, 0) + c * n
+            num = self._products[indices] = {mask: c for mask, c in acc.items() if c}
+        return num
+
     def product(self, indices: Sequence[int]) -> Multivector:
         """v_A = v_{i_1} * ... * v_{i_k} for A = (i_1, ..., i_k), 1-based, in the given order."""
         indices = tuple(indices)
-        prod = self._products.get(indices)
-        if prod is None:
-            prod = self.product(indices[:-1]) * self[indices[-1]] if indices else Multivector.scalar(self.m, 1)
-            self._products[indices] = prod
-        return prod
+        return Multivector._of(self.m, *_lowest(dict(self._product(indices)), self._den ** len(indices)))
 
     def reversed_product(self, indices: Sequence[int]) -> Multivector:
         """reverse(v_A) = v_{i_k} * ... * v_{i_1}."""
-        indices = tuple(indices)
-        rev = self._reverses.get(indices)
-        if rev is None:
-            rev = self._reverses[indices] = self.product(indices).reverse()
-        return rev
+        return self.product(tuple(indices)[::-1])
 
     def __eq__(self, other):
         if isinstance(other, StructuralSet):

@@ -26,7 +26,6 @@ from .psi import (
     PsiOperator,
     _counterexample_check,
     _two_dimensional_aggregates,
-    apply_psi_k,
     apply_psi_minus,
     apply_psi_plus,
     check_dirac_psi1_identities,
@@ -246,13 +245,14 @@ def _check_same_set_scalar_action(cfg, run):
     for m in cfg.m_values:
         sets = [StructuralSet.standard(m), rand_signed_permutation(rng, m), rand_rational_structural_set(rng, m)]
         for s in sets:
+            levels = [PsiOperator.level(s, s, j) for j in range(m + 1)]
             for mask in blade_order(m):
                 blade = Multivector._of(m, {mask: 1})
                 k = mask.bit_count()
-                for j in range(m + 1):
+                for j, op in enumerate(levels):
                     run.equal(
                         f"same-set-scalar-action[m={m},j={j},k={k}]",
-                        apply_psi_k(s, s, j, blade),
+                        op.apply(blade),
                         blade * scalar_action(m, j, k),
                     )
 

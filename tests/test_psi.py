@@ -379,6 +379,60 @@ def test_constructors_reject_bad_families_before_any_apply():
                 PsiOperator.subset_level1(s, s, bad)
     with pytest.raises(ValueError, match="structural sets must share a dimension"):
         PsiOperator.plus(StructuralSet.standard(2), StructuralSet.standard(3))
+    s = StructuralSet.standard(3)
+    with pytest.raises(ValueError, match="an index set repeats an index"):
+        PsiOperator(s, s, ((1, 2), (3, 1, 3)))
+
+
+def _rational_families(rng):
+    """Levels 0..m, plus, minus and one subset on a random rational pair, m = 1..6."""
+    for m in range(1, 7):
+        phi, psi = rand_structural_pair(rng, m)
+        subset = rng.sample(range(1, m + 1), rng.randint(1, m))
+        yield from (PsiOperator.level(phi, psi, k) for k in range(m + 1))
+        yield from (PsiOperator.plus(phi, psi), PsiOperator.minus(phi, psi), PsiOperator.subset_level1(phi, psi, subset))
+
+
+def _brute_family(op, a):
+    """The sum over A of op's family of phi_A * a * psi_{i_k} * ... * psi_{i_1}, by plain products."""
+    total = Multivector.zero(a.m)
+    for A in op.index_sets:
+        left = right = Multivector.scalar(a.m, 1)
+        for j in A:
+            left, right = left * op.phi[j], op.psi[j] * right
+        total = total + left * a * right
+    return total
+
+
+def test_psi_application_and_matrices_take_no_reverse(monkeypatch):
+    # rev(psi_A) is psi_A times its grade sign, so neither path reverses a multivector.
+    def fail(self):
+        raise AssertionError("Multivector.reverse called")
+
+    rng = random.Random(31)
+    ops = list(_rational_families(rng))
+    operands = [(rand_multivector(rng, op.phi.m), rand_polyfield(rng, op.phi.m, max_degree=2)) for op in ops]
+    monkeypatch.setattr(Multivector, "reverse", fail)
+    for op, (a, f) in zip(ops, operands):
+        image = op.apply(a)
+        assert image == _brute_family(op, a), (op.phi.m, op.index_sets)
+        assert op.apply(f) == PolyField(f.m, {alpha: _brute_family(op, mv) for alpha, mv in f.terms()})
+        assert psi_matrix(op).mat_vec(a.coefficients()) == image.coefficients(), (op.phi.m, op.index_sets)
+
+
+def test_a_prepared_operator_gives_a_fresh_operators_images():
+    rng = random.Random(32)
+    for m in range(1, 7):
+        phi, psi = rand_structural_pair(rng, m)
+        twins = StructuralSet.from_matrix(phi.coordinates()), StructuralSet.from_matrix(psi.coordinates())
+        assert twins == (phi, psi) and twins[0] is not phi and twins[1] is not psi
+        for op in (PsiOperator.level(phi, psi, rng.randint(0, m)), PsiOperator.plus(phi, psi), PsiOperator.minus(phi, psi)):
+            twin = PsiOperator(*twins, op.index_sets)
+            for _ in range(50):
+                for x in (rand_multivector(rng, m), rand_polyfield(rng, m, max_degree=2)):
+                    image = op.apply(x)
+                    assert image == PsiOperator(phi, psi, op.index_sets).apply(x), (m, op.index_sets, x)
+                    assert image == twin.apply(x), (m, op.index_sets, x)
 
 
 def test_operand_of_another_dimension_raises():

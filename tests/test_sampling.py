@@ -1,4 +1,4 @@
-"""Seeded random inputs: a fixed seed draws the same structural sets."""
+"""Seeded random inputs: a fixed seed draws the same structural sets, multivectors and fields."""
 
 import hashlib
 import json
@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from cliffkit.sampling import rand_rational_structural_set, rand_structural_pair
+from cliffkit.sampling import (
+    rand_multivector,
+    rand_polyfield,
+    rand_rational_structural_set,
+    rand_scalar_polyfield,
+    rand_structural_pair,
+)
 
 SEEDS = range(5)
 DIMENSIONS = range(1, 7)
@@ -23,15 +29,38 @@ def _draws(draw):
     return out
 
 
-# sha256 of the JSON text of `_draws`; a change means a fixed seed no longer reproduces its suite.
+def _value_draws(draw):
+    """`draw(rng, m)` as canonical text, then the rng's next `random()`, for each seed and m, one rng per seed.
+
+    The trailing `random()` pins the rng state each draw leaves behind, which the suite's next draw starts from.
+    """
+    out = []
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for m in DIMENSIONS:
+            out.append([str(draw(rng, m)), rng.random()])
+    return out
+
+
+# sha256 of the JSON text of `_draws` (sets) or `_value_draws` (values); a change means a fixed seed no longer reproduces its suite.
 DRAW_SHA256 = {
     "rand_rational_structural_set": "5ff17781ddcedb0519928d26c25f4506336c60e4c24b813374ecdc1b2412c44d",
     "rand_structural_pair": "9fc464fdfc1de31b4c52726ff9ca10acbd30b9049db33115c2a151de0673b0a5",
+    "rand_multivector": "5d168c9d436b0923f42f9a38719c71f303abf0e1bee181a158de087982126e09",
+    "rand_polyfield": "3c667cf8664895b013ab2d94626357707957c7a87c276ac867ae344a381c3dd9",
+    "rand_scalar_polyfield": "372d36667459fe889d324c13660c1669ced4e754064909311786f069fa4c7fea",
 }
-DRAWS = {"rand_rational_structural_set": rand_rational_structural_set, "rand_structural_pair": rand_structural_pair}
+DRAWS = {
+    "rand_rational_structural_set": (_draws, rand_rational_structural_set),
+    "rand_structural_pair": (_draws, rand_structural_pair),
+    "rand_multivector": (_value_draws, rand_multivector),
+    "rand_polyfield": (_value_draws, rand_polyfield),
+    "rand_scalar_polyfield": (_value_draws, rand_scalar_polyfield),
+}
 
 
 @pytest.mark.parametrize("name", list(DRAW_SHA256))
 def test_the_draw_is_pinned(name):
-    text = json.dumps(_draws(DRAWS[name]), separators=(",", ":"))
+    draws, draw = DRAWS[name]
+    text = json.dumps(draws(draw), separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == DRAW_SHA256[name]

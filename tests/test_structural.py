@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 import pytest
 
@@ -377,20 +378,50 @@ def test_distinct_sets_keep_their_own_products():
         assert differing
 
 
-def test_a_reverse_is_computed_once_and_only_when_asked(monkeypatch):
-    rng = random.Random(608)
-    s = rand_rational_structural_set(rng, 4)
-    reversed_values = []
-    reverse = Multivector.reverse
-    monkeypatch.setattr(Multivector, "reverse", lambda self: reversed_values.append(self) or reverse(self))
-    index_sets = [A for k in range(5) for A in combinations(range(1, 5), k)]
-    for A in index_sets:
-        s.product(A)
-    assert reversed_values == []
-    for _ in range(2):
-        for A in index_sets:
-            s.reversed_product(A)
-    assert reversed_values == [s.product(A) for A in index_sets]
+def _plain(s, A):
+    """v_A of the set s by plain products, 1 for the empty A."""
+    return plain_product([s[i] for i in A]) if A else Multivector.scalar(s.m, 1)
+
+
+def _index_orders(rng, m):
+    """Every index set of 1..m in increasing order, in decreasing order and in one shuffled order."""
+    for k in range(m + 1):
+        for A in combinations(range(1, m + 1), k):
+            shuffled = list(A)
+            rng.shuffle(shuffled)
+            yield from (A, A[::-1], tuple(shuffled))
+
+
+def test_the_integer_product_memo_holds_plain_products():
+    rng = random.Random(609)
+    for m in range(1, 7):
+        for _ in range(2):
+            s = rand_rational_structural_set(rng, m)
+            orders = list(_index_orders(rng, m)) + ([(2, 1)] if m >= 2 else [])
+            for A in orders:
+                num, den = s._product(A), s._den ** len(A)
+                assert Multivector(m, {mask: Fraction(c, den) for mask, c in num.items()}) == _plain(s, A), (m, A)
+                assert all(num.values()), (m, A)
+            assert s._den == lcm(*(v._den for v in s))
+
+
+def _reverse_sign(k):
+    return -1 if k * (k - 1) // 2 % 2 else 1
+
+
+def test_a_reverse_is_the_product_times_its_grade_sign():
+    rng = random.Random(610)
+    for m in range(1, 7):
+        s = rand_rational_structural_set(rng, m)
+        for A in _index_orders(rng, m):
+            want = _plain(s, A[::-1])
+            assert want == s.product(A) * _reverse_sign(len(A)) == s.reversed_product(A), (m, A)
+            assert s.product(A).grades() == {len(A)}, (m, A)
+    # Negative control: with a repeated index v_A is no blade of grade |A|, and the rule fails.
+    s = rand_rational_structural_set(rng, 3)
+    repeated = _plain(s, (1, 1))
+    assert repeated == Multivector.scalar(3, -1)
+    assert s.reversed_product((1, 1)) == repeated != s.product((1, 1)) * _reverse_sign(2)
 
 
 def test_memo_does_not_affect_equality():
