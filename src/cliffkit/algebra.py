@@ -70,13 +70,17 @@ def blade_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), blade_indices(mask))
 
 
-def blade_order(m: int) -> list[int]:
-    """All 2^m blade masks in canonical order."""
-    check_dimension(m)
-    return sorted(range(1 << m), key=blade_sort_key)
-
-
+_BLADE_ORDER: dict[int, tuple[int, ...]] = {}
 _BLADE_RANK: dict[int, list[int]] = {}
+
+
+def blade_order(m: int) -> tuple[int, ...]:
+    """All 2^m blade masks in canonical order; sorted on first use for each m and shared, so a tuple."""
+    order = _BLADE_ORDER.get(m)
+    if order is None:
+        check_dimension(m)
+        order = _BLADE_ORDER[m] = tuple(sorted(range(1 << m), key=blade_sort_key))
+    return order
 
 
 def _blade_rank(m: int) -> list[int]:
@@ -254,7 +258,7 @@ class Multivector:
     def scalar_part(self) -> Fraction:
         return Fraction(self._num.get(0, 0), self._den)
 
-    def coefficients(self, order: list[int] | None = None) -> list[Fraction]:
+    def coefficients(self, order: Iterable[int] | None = None) -> list[Fraction]:
         masks = blade_order(self.m) if order is None else order
         num, den = self._num, self._den
         return [Fraction(num.get(mask, 0), den) for mask in masks]

@@ -182,11 +182,11 @@ def cmd_solve(args) -> int:
     psi = parse_set_spec(args.psi, m)
     target = None if args.region is None else parse_region_spec(args.region)
     matrices = class_matrices(phi, psi, CoefficientSpace(m, d))
-    dims = class_dimensions(phi, psi, m, d, matrices=matrices)
+    dims = class_dimensions(phi, psi, m, d, matrices=matrices, keep=None if target is None else target.classes)
     witnesses: list[str] = []
     # An empty region is decided by the dimensions, so only a nonempty one is searched.
     if target is not None and not dims.region_is_empty(target):
-        witness = find_region_witness(phi, psi, m, d, target, matrices=matrices)
+        witness = find_region_witness(phi, psi, m, d, target, matrices=matrices, echelons=dims.echelons)
         if witness is not None:
             witnesses.append(format_field(witness))
     payload = {

@@ -24,7 +24,8 @@ larger than the Bareiss minor it divides.
   left of its pivot, so sorted they are an echelon form of the row space
   and their pivot columns are those of the reduced echelon form.  The
   kernel vector of a free column is unique, so back-substitution gives
-  the reduced-echelon basis.
+  the reduced-echelon basis, which depends only on the row space: so it
+  also comes from echelons grown elsewhere (`solver.class_dimensions`).
 
 Both eliminate each connected block (rows linked by shared columns) on
 its own, so a row is reduced against the pivot rows of its own block
@@ -254,17 +255,23 @@ class RationalMatrix:
             rank += len(RowEchelon().grown(rows))
         return rank
 
-    def _kernel(self) -> list[tuple[dict[int, int], int]]:
-        """The basis of `nullspace` as pairs (y, den): the vector y / den, y its nonzero {column: int} entries."""
-        kernel: dict[int, tuple[dict[int, int], int]] = {}
-        touched: set[int] = set()
-        for block in self._blocks():
-            rows = [self._int_rows[i][0] for i in block]
-            echelon = RowEchelon().grown(rows)
-            columns = {j for pairs in rows for j, _ in pairs}
-            touched.update(columns)
+    def _echelons(self) -> list[RowEchelon]:
+        """The `RowEchelon` of the rows of each connected block."""
+        return [RowEchelon().grown(self._int_rows[i][0] for i in block) for block in self._blocks()]
+
+    def _kernel(self, echelons: Iterable[RowEchelon] | None = None) -> list[tuple[dict[int, int], int]]:
+        """The basis of `nullspace` as pairs (y, den): the vector y / den, y its nonzero {column: int} entries.
+
+        Back-substituted on `echelons` (default `_echelons`): any whose rows span the row space, no column in two.
+        """
+        kernel = {f: ({f: 1}, 1) for f in range(self.ncols)}  # free columns no row touches keep their unit vector
+        for echelon in self._echelons() if echelons is None else echelons:
+            if not echelon:
+                continue
             pivot_cols, pivots, tails = zip(*sorted(zip(echelon._cols, echelon._pivots, echelon._tails)))
-            for f in sorted(columns.difference(pivot_cols)):
+            for c in pivot_cols:
+                kernel.pop(c, None)
+            for f in sorted({j for tail in tails for j, _ in tail}.difference(pivot_cols)):
                 y, den = {f: 1}, 1
                 for r in range(bisect(pivot_cols, f) - 1, -1, -1):
                     s = sum(a * y.get(j, 0) for j, a in tails[r])
@@ -280,9 +287,6 @@ class RationalMatrix:
                         den *= q
                     y[pivot_cols[r]] = -s // g
                 kernel[f] = y, den
-        for f in range(self.ncols):
-            if f not in touched:
-                kernel[f] = {f: 1}, 1
         basis = [kernel[f] for f in sorted(kernel)]
         if any(self._products([y for y, _ in basis])):
             raise ArithmeticError("nullspace vector failed verification")
@@ -301,9 +305,9 @@ class RationalMatrix:
 
         Before the basis is handed back, each y is multiplied as a
         soundness guard, in integers, through every row of the matrix that
-        touches its support (`_products` indexes the rows itself and does
-        not rely on the block split); a nonzero product raises
-        `ArithmeticError`.
+        touches its support (`_products` indexes the rows itself, so the
+        guard relies neither on the block split nor on where the echelons
+        came from); a nonzero product raises `ArithmeticError`.
         """
         basis = []
         for y, den in self._kernel():

@@ -12,13 +12,13 @@ fixed blade map.  Kernels come from fraction-free elimination in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, perm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import DimensionMismatch, Multivector, _as_integers, _odd_masks, _reverse_sign, blade_order, check_dimension
+from .algebra import DimensionMismatch, Multivector, _as_integers, _lowest, _odd_masks, _reverse_sign, blade_order, check_dimension
 from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
 from .fields import MultiIndex, PolyField
 from .linalg import RationalMatrix, RowEchelon, Vector, _reduced_row
@@ -80,11 +80,15 @@ class CoefficientSpace:
     def vector_to_field(self, vec: Sequence[Fraction]) -> PolyField:
         if len(vec) != self.size:
             raise ValueError(f"vector length {len(vec)} does not match space size {self.size}")
-        acc: dict[MultiIndex, dict[int, Fraction]] = {}
-        for (alpha, mask), coef in zip(self.basis, vec):
-            if coef:
-                acc.setdefault(alpha, {})[mask] = Fraction(coef)
-        return PolyField._of(self.m, {alpha: Multivector._of(self.m, *_as_integers(masks)) for alpha, masks in acc.items()})
+        return self._field(*_as_integers({j: Fraction(coef) for j, coef in enumerate(vec) if coef}))
+
+    def _field(self, y: dict[int, int], den: int) -> PolyField:
+        """The field of the vector y / den, y its nonzero {coordinate: int} entries."""
+        acc: dict[MultiIndex, dict[int, int]] = {}
+        for j, a in y.items():
+            alpha, mask = self.basis[j]
+            acc.setdefault(alpha, {})[mask] = a
+        return PolyField._of(self.m, {alpha: Multivector._of(self.m, *_lowest(num, den)) for alpha, num in acc.items()})
 
     def __repr__(self):
         return f"CoefficientSpace(m={self.m}, degree={self.degree}, size={self.size})"
@@ -281,6 +285,7 @@ class ClassDimensions:
     harmonic_and_inframonogenic: int
     two_set_and_inframonogenic: int
     triple: int
+    echelons: tuple[RowEchelon, ...] | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -335,7 +340,8 @@ _CHAINS = (
 
 
 def class_dimensions(
-    phi: StructuralSet, psi: StructuralSet, m: int, d: int, *, matrices: dict[str, RationalMatrix] | None = None
+    phi: StructuralSet, psi: StructuralSet, m: int, d: int, *,
+    matrices: dict[str, RationalMatrix] | None = None, keep: frozenset | None = None,
 ) -> ClassDimensions:
     """Kernel dimensions of the three class operators and all intersections
     on the degree-d homogeneous space.
@@ -346,7 +352,8 @@ def class_dimensions(
     blocks once.  In each block every joint kernel of `_CHAINS` is a
     `RowEchelon` grown from the one before its last class, so the rows
     of H are inserted once, of I twice and of Hpp four times, against
-    four times each for seven stacks eliminated from scratch.
+    four times each for seven stacks eliminated from scratch.  Only the
+    echelon of the `keep` classes, if given, outlives its block (`echelons`).
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
@@ -354,16 +361,19 @@ def class_dimensions(
     mats = class_matrices(phi, psi, space) if matrices is None else matrices
     stack = RationalMatrix.stack([mats[name] for name in _CLASS_ORDER], space.size)
     class_of = [name for name in _CLASS_ORDER for _ in range(mats[name].nrows)]
-    ranks = dict.fromkeys(_CHAINS, 0)
+    ranks = dict.fromkeys(map(frozenset, _CHAINS), 0)
+    kept = []
     for block in stack._blocks():
         rows = {name: [] for name in _CLASS_ORDER}
         for i in block:
             rows[class_of[i]].append(stack._int_rows[i][0])
-        echelons = {(): RowEchelon()}
-        for chain in _CHAINS:
-            echelons[chain] = echelons[chain[:-1]].grown(rows[chain[-1]])
-            ranks[chain] += len(echelons[chain])
-    dims = {frozenset(chain): space.size - rank for chain, rank in ranks.items()}
+        echelons = {frozenset(): RowEchelon()}
+        for names, chain in zip(ranks, _CHAINS):
+            echelons[names] = echelons[frozenset(chain[:-1])].grown(rows[chain[-1]])
+            ranks[names] += len(echelons[names])
+        if keep:
+            kept.append(echelons[keep])
+    dims = {names: space.size - rank for names, rank in ranks.items()}
     return ClassDimensions(
         m=m,
         degree=d,
@@ -375,6 +385,7 @@ def class_dimensions(
         harmonic_and_inframonogenic=dims[frozenset({HARMONIC, INFRAMONOGENIC})],
         two_set_and_inframonogenic=dims[frozenset({TWO_SET_HARMONIC, INFRAMONOGENIC})],
         triple=dims[frozenset(_CLASS_ORDER)],
+        echelons=None if keep is None else tuple(kept),
     )
 
 
@@ -393,16 +404,15 @@ _SMALL_RATIONALS = [
 ]
 
 
-# A sparse vector: its nonzero {coordinate: value} entries.
-SparseVector = dict[int, Fraction]
+# Nonzero {coordinate: int} entries; pool vectors and candidates are pairs (y, den), the vector y / den.
+SparseVector = dict[int, int]
 
 
-def _escaping_steps(image_i: list[SparseVector], image_j: list[SparseVector]) -> list[Fraction]:
-    """The t in `_SMALL_RATIONALS`, in order, with a + t*b nonzero for every image pair (a, b).
+def _escaping_steps(image_i: list[SparseVector], den_i: int, image_j: list[SparseVector], den_j: int) -> list[Fraction]:
+    """The t in `_SMALL_RATIONALS`, in order, with a/den_i + t*b/den_j nonzero for every image pair (a, b).
 
-    a + t*b vanishes for every t when a and b do, for no t when only a
-    is nonzero, and otherwise at most for t = -a_r/b_r, r any coordinate
-    with b_r nonzero.
+    That vanishes for every t when a and b do, for no t when only a is nonzero, and otherwise
+    only if a_i b_r = a_r b_i for all i, r with b_r nonzero, and then at t = -(a_r den_j)/(b_r den_i).
     """
     steps = _SMALL_RATIONALS
     for a, b in zip(image_i, image_j):
@@ -411,13 +421,14 @@ def _escaping_steps(image_i: list[SparseVector], image_j: list[SparseVector]) ->
                 return []
             continue
         r = next(iter(b))
-        t = -a.get(r, 0) / b[r]
-        if a.keys() == b.keys() and all(a[i] + t * y == 0 for i, y in b.items()):
+        ar, br = a.get(r, 0), b[r]
+        if a.keys() == b.keys() and all(x * br == ar * b[i] for i, x in a.items()):
+            t = Fraction(-ar * den_j, br * den_i)
             steps = [s for s in steps if s != t]
     return steps
 
 
-def _combination(terms: Iterable[tuple[Fraction, SparseVector]]) -> SparseVector:
+def _combination(terms: Iterable[tuple[int, SparseVector]]) -> SparseVector:
     """sum c * v over the (c, v) of `terms`, zeros left out."""
     out: SparseVector = {}
     for c, v in terms:
@@ -426,12 +437,13 @@ def _combination(terms: Iterable[tuple[Fraction, SparseVector]]) -> SparseVector
     return {j: x for j, x in out.items() if x}
 
 
-def _region_candidates(pool: list[SparseVector], images: list[list[SparseVector]]) -> Iterator[SparseVector]:
+def _region_candidates(pool: list[tuple[SparseVector, int]],
+                       images: list[list[SparseVector]]) -> Iterator[tuple[SparseVector, int]]:
     """Every combination of `pool` the search tries whose image under each excluded matrix is nonzero, in order.
 
-    `pool` is not empty, `images[k]` holds the images of `pool[k]` under
-    the excluded matrices, and each excluded matrix leaves some pool
-    vector nonzero.
+    `pool` is not empty, `images[k]` holds the integer images (`_products`)
+    of `pool[k]` under the excluded matrices, and each excluded matrix
+    leaves some pool vector nonzero.
     Single vectors come first, then pairs v_i + t*v_j with t in
     `_SMALL_RATIONALS`; by linearity the image of a pair is
     image_i + t*image_j, so each pair of images rules out at most one t
@@ -448,32 +460,38 @@ def _region_candidates(pool: list[SparseVector], images: list[list[SparseVector]
     for v, image in zip(pool, images):
         if all(image):
             yield v
-    for (vi, image_i), (vj, image_j) in combinations(zip(pool, images), 2):
-        for t in _escaping_steps(image_i, image_j):
-            yield _combination(((1, vi), (t, vj)))
+    for ((yi, di), image_i), ((yj, dj), image_j) in combinations(zip(pool, images), 2):
+        for t in _escaping_steps(image_i, di, image_j, dj):
+            p, q = t.numerator, t.denominator
+            yield _combination(((q * dj, yi), (p * di, yj))), q * di * dj
     excluded = range(len(images[0]))
     picks = sorted({next(k for k, image in enumerate(images) if image[e]) for e in excluded})
+    den = lcm(*(pool[k][1] for k in picks))
+    top = len(picks) - 1
     for t in _SMALL_RATIONALS if picks else ():
-        powers = [t ** n for n in range(len(picks))]
-        if all(_combination(zip(powers, (images[k][e] for k in picks))) for e in excluded):
-            yield _combination(zip(powers, (pool[k] for k in picks)))
+        p, q = t.numerator, t.denominator
+        coefs = [p ** n * q ** (top - n) * (den // pool[k][1]) for n, k in enumerate(picks)]
+        if all(_combination(zip(coefs, (images[k][e] for k in picks))) for e in excluded):
+            yield _combination(zip(coefs, (pool[k][0] for k in picks))), q ** top * den
 
 
 def find_region_witness(
     phi: StructuralSet, psi: StructuralSet, m: int, d: int, target: RegionLabel,
-    *, matrices: dict[str, RationalMatrix] | None = None,
+    *, matrices: dict[str, RationalMatrix] | None = None, echelons: Sequence[RowEchelon] | None = None,
 ) -> PolyField | None:
     """A homogeneous degree-d field lying in exactly the target region, or None when the region is empty.
 
     Candidates are drawn from a basis of the joint kernel of the
     required classes (or the whole space when none is required), in the
-    order of `_region_candidates`.  Each excluded matrix multiplies the
-    whole pool once, through the supports of its vectors.  A candidate
-    escapes the excluded classes when its image under each excluded
-    matrix is nonzero, and `classify` confirms it.  The region is empty
-    when the pool is, or when an excluded matrix sends every pool vector
-    to zero; otherwise the search is complete, so None means the region
-    is proved empty.  `matrices` is as in `class_dimensions`.
+    order of `_region_candidates`; the basis is back-substituted on the
+    `echelons` of `class_dimensions(..., keep=target.classes)`, if given.
+    Each excluded matrix multiplies the whole pool once, through the
+    supports of its vectors.  A candidate escapes when its integer image
+    under each excluded matrix is nonzero; only then is it made a field,
+    and `classify` confirms it.  The region is empty when the pool is, or
+    when an excluded matrix sends every pool vector to zero; otherwise
+    the search is complete, so None means the region is proved empty.
+    `matrices` is as in `class_dimensions`.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
@@ -481,19 +499,14 @@ def find_region_witness(
     mats = class_matrices(phi, psi, space) if matrices is None else matrices
     wanted = [mats[name] for name in sorted(target.classes)]
     excluded = [mat for name, mat in mats.items() if name not in target.classes]
-    kernel = RationalMatrix.stack(wanted, space.size)._kernel()
+    kernel = RationalMatrix.stack(wanted, space.size)._kernel(echelons)
     # Image rows come times their row scales, which changes no zero test.
     products = [mat._products([y for y, _ in kernel]) for mat in excluded]
     if not kernel or not all(any(column) for column in products):
         return None
-    pool = [{j: Fraction(a, den) for j, a in y.items()} for y, den in kernel]
-    images = [[{i: Fraction(s, den) for i, s in column[k].items()} for column in products]
-              for k, (_, den) in enumerate(kernel)]
-    for candidate in _region_candidates(pool, images):
-        vec = [Fraction(0)] * space.size
-        for j, x in candidate.items():
-            vec[j] = x
-        f = space.vector_to_field(vec)
+    images = [[column[k] for column in products] for k in range(len(kernel))]
+    for y, den in _region_candidates(kernel, images):
+        f = space._field(y, den)
         if classify(phi, psi, f).region == target:
             return f
     return None

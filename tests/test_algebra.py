@@ -207,6 +207,14 @@ def test_blade_order_is_graded():
     assert len(order) == 8
 
 
+def test_blade_order_is_sorted_once_and_shared_read_only():
+    order = blade_order(4)
+    assert blade_order(4) == order == tuple(sorted(range(16), key=blade_sort_key))
+    with pytest.raises(TypeError):
+        order[0] = order[1]  # no caller can change the shared order
+    assert blade_order(4) == tuple(sorted(range(16), key=blade_sort_key))
+
+
 def test_indices_to_mask_validation():
     assert indices_to_mask([1, 3], 3) == 0b101
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import pytest
 import cliffkit
 from cliffkit import cli
 from cliffkit.cli import build_parser, main, parse_region_spec, parse_set_spec
+from cliffkit.linalg import RowEchelon
 from cliffkit.structural import StructuralSet, StructuralSetError, _number_text
 
 
@@ -380,6 +381,27 @@ def test_nonempty_region_is_still_searched(monkeypatch):
     monkeypatch.setattr(cli, "find_region_witness", _no_search)
     with pytest.raises(AssertionError, match="was called"):
         main(["solve", "--m", "3", "--degree", "2", "--phi", "standard", "--psi", "reversed", "--region", "H,I"])
+
+
+def test_solve_region_runs_no_second_elimination(capsys, monkeypatch):
+    # The witness search back-substitutes on the echelons the dimensions grew, so it grows none of its own.
+    calls = []
+    grown = RowEchelon.grown
+
+    def counted(self, rows):
+        calls.append(None)
+        return grown(self, rows)
+
+    monkeypatch.setattr(RowEchelon, "grown", counted)
+    argv = ["solve", "--m", "3", "--degree", "4", "--phi", "standard", "--psi", "reversed"]
+    counts = []
+    for extra in ([], ["--region", "H,Hpp,I"]):
+        calls.clear()
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        counts.append(len(calls))
+    assert out.splitlines()[-1].startswith("witness in region ")
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("expr", ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1"],

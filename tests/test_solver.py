@@ -1,8 +1,9 @@
 """Exact linear algebra: elimination, operator matrices, dimensions, witnesses."""
 
+import hashlib
 import random
 from fractions import Fraction
-from math import comb, gcd, perm, prod
+from math import comb, gcd, lcm, perm, prod
 
 import pytest
 
@@ -14,7 +15,7 @@ from cliffkit.classify import _CLASS_ORDER, HARMONIC, INFRAMONOGENIC, TWO_SET_HA
 from cliffkit.cli import parse_region_spec, parse_set_spec
 from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from cliffkit.linalg import RationalMatrix, RowEchelon
-from cliffkit.parser import parse_field
+from cliffkit.parser import format_field, parse_field
 from cliffkit.psi import PsiOperator
 from cliffkit.sampling import rand_rational_structural_set, rand_structural_pair
 from cliffkit.solver import (
@@ -806,11 +807,18 @@ def _dense_candidate_witness(phi, psi, m, d, target):
     return None
 
 
-def _dense(n, sparse):
+def _dense(n, y, den):
+    """The vector y / den of Q^n, y its {coordinate: int} entries, as a dense `Fraction` list."""
     vec = [Fraction(0)] * n
-    for j, x in sparse.items():
-        vec[j] = x
+    for j, a in y.items():
+        vec[j] = Fraction(a, den)
     return vec
+
+
+def _over_one_den(vectors):
+    """Dense `Fraction` vectors as their nonzero {coordinate: int} entries over the lcm of every denominator."""
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    return [{j: x.numerator * (den // x.denominator) for j, x in enumerate(v) if x} for v in vectors], den
 
 
 def _killed_unit_vectors(rng):
@@ -844,19 +852,20 @@ def test_region_candidates_reach_the_fallback_past_every_pair():
     e1, e2, e3 = ([Fraction(int(i == j)) for j in range(3)] for i in range(3))
     # ker E1 = <e1, e3>, ker E2 = <e1, e2>, ker E3 = <e2, e3>: every single and every pair is caught
     excluded = [RationalMatrix([e2]), RationalMatrix([e3]), RationalMatrix([e1])]
-    pool = [{k: Fraction(1)} for k in range(3)]
+    pool = [({k: 1}, 1) for k in range(3)]
     images = [[mat._products([{k: 1}])[0] for mat in excluded] for k in range(3)]
     first = next(_region_candidates(pool, images))
-    assert first == {0: 1, 1: -3, 2: 9}  # e1 + t e2 + t^2 e3 at the first t of _SMALL_RATIONALS
+    assert _dense(3, *first) == [1, -3, 9]  # e1 + t e2 + t^2 e3 at the first t of _SMALL_RATIONALS
 
     rng = random.Random(14)
+    scales = random.Random(16)  # rescales the pool, so that its vectors have different denominators
     for _ in range(40):
         n, dense_excluded = _killed_unit_vectors(rng)
         mats = [RationalMatrix(rows) for rows in dense_excluded]
-        pool = _dense_kernel([], n)
-        sparse_pool = [{j: x for j, x in enumerate(v) if x} for v in pool]
-        images = [[{i: Fraction(x) for i, x in enumerate(mat.mat_vec(v)) if x} for mat in mats] for v in pool]
-        got = [_dense(n, c) for c in _region_candidates(sparse_pool, images)]
+        pool = [[scales.choice(_SMALL_RATIONALS) * x for x in v] for v in _dense_kernel([], n)]
+        sparse_pool = [(ys[0], den) for ys, den in (_over_one_den([v]) for v in pool)]
+        images = [[mat._products([y])[0] for mat in mats] for y, _ in sparse_pool]
+        got = [_dense(n, *c) for c in _region_candidates(sparse_pool, images)]
         want = list(_dense_candidates(pool, dense_excluded))
         assert got == want and got
         assert sum(1 for x in got[0] if x) >= 3  # no single vector or pair escaped
@@ -882,8 +891,7 @@ def test_escaping_steps_match_every_combination():
             image_j.append(b)
         want = [t for t in _SMALL_RATIONALS
                 if all(any(x + t * y for x, y in zip(a, b)) for a, b in zip(image_i, image_j))]
-        sparse = [[{r: x for r, x in enumerate(v) if x} for v in image] for image in (image_i, image_j)]
-        assert _escaping_steps(*sparse) == want
+        assert _escaping_steps(*_over_one_den(image_i), *_over_one_den(image_j)) == want
         seen_one_step_removed += 0 < len(want) < len(_SMALL_RATIONALS)
         seen_none_left += not want
     assert seen_one_step_removed >= 50 and seen_none_left >= 50
@@ -915,20 +923,49 @@ def _grid_pairs():
         yield m, rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m)
 
 
+# sha256 of one line per case of the grid below, in order: the witness's `format_field` text, or None.
+# It pins the first escaping candidate of every search, not just its region.
+GRID_WITNESS_SHA256 = "6a27f39baa3458d7fcdc5781fbb26e161cdc864d1021138d1828ae818e5a5451"
+
+
+def _as_fractions(kernel):
+    return [{j: Fraction(a, den) for j, a in y.items()} for y, den in kernel]
+
+
 def test_rank_rule_and_witness_search_agree_on_a_seeded_grid():
-    seen = {"empty": 0, "found": 0}
+    seen = {"empty": 0, "found": 0, "wanted classes without rows": 0}
+    lines = []
     for m, phi, psi in _grid_pairs():
         for d in range(4):
-            mats = class_matrices(phi, psi, CoefficientSpace(m, d))
-            dims = class_dimensions(phi, psi, m, d, matrices=mats)
-            for target in RegionLabel.all_regions():
-                witness = find_region_witness(phi, psi, m, d, target, matrices=mats)
+            space = CoefficientSpace(m, d)
+            mats = class_matrices(phi, psi, space)
+            for target in RegionLabel.all_regions():  # the classes of the targets run over every chain of _CHAINS
+                # As `solve --region` runs it: the search back-substitutes on the echelons the dimensions kept.
+                dims = class_dimensions(phi, psi, m, d, matrices=mats, keep=target.classes)
+                wanted = RationalMatrix.stack([mats[name] for name in sorted(target.classes)], space.size)
+                assert _as_fractions(wanted._kernel(dims.echelons)) == _as_fractions(wanted._kernel())
+                seen["wanted classes without rows"] += bool(target.classes) and wanted.nrows == 0
+                witness = find_region_witness(phi, psi, m, d, target, matrices=mats, echelons=dims.echelons)
                 assert (witness is None) == dims.region_is_empty(target), (m, d, phi, psi, target)
                 if witness is not None:
                     assert witness and witness.is_homogeneous(d)
                     assert classify(phi, psi, witness).region == target
                 seen["empty" if witness is None else "found"] += 1
+                lines.append("None" if witness is None else format_field(witness))
     assert min(seen.values()) >= 50, seen
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GRID_WITNESS_SHA256
+
+
+def test_kernel_guard_rejects_the_echelons_of_a_smaller_chain():
+    space = CoefficientSpace(3, 2)
+    mats = class_matrices(PHI, PSI, space)
+    dims = class_dimensions(PHI, PSI, 3, 2, matrices=mats)
+    assert dims.harmonic > dims.harmonic_and_inframonogenic
+    wanted = RationalMatrix.stack([mats[HARMONIC], mats[INFRAMONOGENIC]], space.size)
+    smaller = class_dimensions(PHI, PSI, 3, 2, matrices=mats, keep=frozenset({HARMONIC})).echelons
+    with pytest.raises(ArithmeticError, match="failed verification"):
+        wanted._kernel(smaller)
+    assert dims.echelons is None  # nothing is kept unless asked for
 
 
 def test_rank_rule_reads_the_dimensions():
