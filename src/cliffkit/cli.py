@@ -186,7 +186,7 @@ def cmd_solve(args) -> int:
     witnesses: list[str] = []
     # An empty region is decided by the dimensions, so only a nonempty one is searched.
     if target is not None and not dims.region_is_empty(target):
-        witness = find_region_witness(phi, psi, m, d, target, matrices=matrices, echelons=dims.echelons)
+        witness = find_region_witness(phi, psi, m, d, target, matrices=matrices, dims=dims)
         if witness is not None:
             witnesses.append(format_field(witness))
     payload = {

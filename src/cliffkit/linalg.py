@@ -12,9 +12,10 @@ sparse; a matrix-vector product reads only the columns in the vector's
 support.
 
 One elimination runs on these rows.  A `RowEchelon` takes them one at a
-time, reduces each against the pivot rows in insertion order and keeps
-every row primitive, divided by the gcd of its entries, so no entry is
-larger than the Bareiss minor it divides.
+time, reduces each against the pivot rows in insertion order and only then
+divides it by its content, the gcd of its entries: a row being reduced
+can grow, but every stored row is primitive, so no stored entry outgrows
+the Bareiss minor it divides.
 - Rank is the row count of the echelon.  Growing an echelon leaves it as
   it was, so the joint kernels of several row groups can share a prefix
   (`solver.class_dimensions`).  `rank(reverse_columns=True)` mirrors the
@@ -61,11 +62,10 @@ class RowEchelon:
     """Echelon form of primitive integer rows, built by inserting rows; immutable.
 
     `grown(rows)` reduces each new row against the pivot rows present, in
-    insertion order, and a row left nonzero becomes the next pivot row,
-    its leading column the pivot column.  Every row is kept primitive:
-    divided by its content, the gcd of its entries.  The result shares the
-    rows already present, so one echelon can be grown along several
-    chains.
+    insertion order, and a row left nonzero, divided by its content (the
+    gcd of its entries), becomes the next pivot row, its leading column the
+    pivot column.  The result shares the rows already present, so one
+    echelon can be grown along several chains.
     """
 
     __slots__ = ("_cols", "_tails", "_pivots")
@@ -82,21 +82,18 @@ class RowEchelon:
     def grown(self, rows: Iterable[Iterable[tuple[int, int]]]) -> "RowEchelon":
         """The echelon of the rows present and then `rows`, each its nonzero (column, int) entries.
 
-        A new row is first divided by its content.  A step with pivot p
-        clears entry r of a row in the pivot column as (p/g) row - (r/g)
-        pivot row, g = gcd(p, r) with the sign of p, and divides the result
-        by its content.  After s steps the row is zero in the first s pivot
-        columns and lies in the span of the first s pivot rows and itself,
-        and that span holds one such vector up to scale.  So the row is the
-        Bareiss row (the minors of order s + 1 of the inserted rows) over
-        its content, and no entry is larger than that minor.
+        A step with pivot p clears entry r of a row in the pivot column as
+        (p/g) row - (r/g) pivot row, g = gcd(p, r) with the sign of p, so
+        p/g > 0.  After s steps the row is zero in the first s pivot columns
+        and lies in the span of the first s pivot rows and itself, which
+        holds one such vector up to scale.  So a row left nonzero, divided by
+        its content once after its last step, is the Bareiss row (the minors
+        of order s + 1 of the inserted rows) over its content.  Its entries
+        can be larger before that one gcd; no stored entry outgrows the minor.
         """
         cols, tails, pivots = list(self._cols), list(self._tails), list(self._pivots)
         for pairs in rows:
             row = dict(pairs)
-            g = gcd(*row.values())
-            if g > 1:
-                row = {j: a // g for j, a in row.items()}
             for s, c in enumerate(cols):
                 rc = row.pop(c, 0)
                 if not rc:
@@ -115,10 +112,10 @@ class RowEchelon:
                         row[j] = a
                     else:
                         del row[j]
+            if row:
                 g = gcd(*row.values())
                 if g > 1:
                     row = {j: a // g for j, a in row.items()}
-            if row:
                 c = min(row)
                 pivots.append(row.pop(c))
                 cols.append(c)

@@ -477,14 +477,15 @@ def _region_candidates(pool: list[tuple[SparseVector, int]],
 
 def find_region_witness(
     phi: StructuralSet, psi: StructuralSet, m: int, d: int, target: RegionLabel,
-    *, matrices: dict[str, RationalMatrix] | None = None, echelons: Sequence[RowEchelon] | None = None,
+    *, matrices: dict[str, RationalMatrix] | None = None, dims: ClassDimensions | None = None,
 ) -> PolyField | None:
     """A homogeneous degree-d field lying in exactly the target region, or None when the region is empty.
 
     Candidates are drawn from a basis of the joint kernel of the
     required classes (or the whole space when none is required), in the
     order of `_region_candidates`; the basis is back-substituted on the
-    `echelons` of `class_dimensions(..., keep=target.classes)`, if given.
+    echelons `dims` kept, if given, and raises `ArithmeticError` unless it
+    has `dims.joint(target.classes)` vectors (so `keep=target.classes`).
     Each excluded matrix multiplies the whole pool once, through the
     supports of its vectors.  A candidate escapes when its integer image
     under each excluded matrix is nonzero; only then is it made a field,
@@ -499,7 +500,9 @@ def find_region_witness(
     mats = class_matrices(phi, psi, space) if matrices is None else matrices
     wanted = [mats[name] for name in sorted(target.classes)]
     excluded = [mat for name, mat in mats.items() if name not in target.classes]
-    kernel = RationalMatrix.stack(wanted, space.size)._kernel(echelons)
+    kernel = RationalMatrix.stack(wanted, space.size)._kernel(None if dims is None else dims.echelons)
+    if dims is not None and len(kernel) != dims.joint(target.classes):
+        raise ArithmeticError("the echelons were kept for other classes")
     # Image rows come times their row scales, which changes no zero test.
     products = [mat._products([y for y, _ in kernel]) for mat in excluded]
     if not kernel or not all(any(column) for column in products):

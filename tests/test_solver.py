@@ -654,6 +654,48 @@ def test_class_dimensions_standard_reversed_at_larger_points(m, d, pairs):
             dims.two_set_and_inframonogenic, dims.triple) == pairs
 
 
+def _single_class_dimension(m, d):
+    """2^m (C(d+m-1, m-1) - C(d+m-3, m-1)): the R_{0,m}-valued polynomials of degree d less those of degree d-2."""
+    return 2 ** m * (comb(d + m - 1, m - 1) - (comb(d + m - 3, m - 1) if d >= 2 else 0))
+
+
+def test_single_class_dimensions_have_the_closed_form_on_a_seeded_grid():
+    """dim H = dim Hpp = dim I = `_single_class_dimension(m, d)` for every pair of structural sets.
+
+    Each class operator P is sigma(d/dx) for a symbol sigma(xi), a 2^m x 2^m
+    matrix of quadratic forms in xi acting on the coefficients: |xi|^2 for
+    H, left multiplication by phi(xi)psi(xi) for Hpp and a -> phi(xi) a psi(xi)
+    for I, where phi(xi) = sum xi_j phi_j.  For real xi != 0 the vectors
+    phi(xi) and psi(xi) are nonzero, so they square to -|xi|^2 and are
+    invertible; so sigma(xi) is invertible and det sigma is a nonzero
+    polynomial.  Under the Fischer inner product <p, q> = sum_alpha alpha!
+    <p_alpha, q_alpha> on vector-valued polynomials, d/dx_j is adjoint to
+    multiplication by x_j, so P: degree d -> degree d-2 is adjoint to
+    multiplication by sigma(x)^T: degree d-2 -> degree d.  That map is
+    injective, because sigma(x)^T q = 0 gives det sigma(x) q = adj(sigma(x)^T)
+    sigma(x)^T q = 0 in a polynomial ring.  So P is onto, and its kernel
+    has the dimension of degree d less that of degree d-2.
+    The counts come from eliminating each class matrix alone, a path apart
+    from the chained echelons of `class_dimensions`, which must agree where
+    m + d <= 7 (beyond that the random pairs take seconds).
+    """
+    rng = random.Random(22)
+    for m in range(1, 5):
+        signed = [p * rng.choice((-1, 1)) for p in rng.sample(range(1, m + 1), m)]
+        pairs = [(StructuralSet.standard(m), StructuralSet.reversed_standard(m)),
+                 (StructuralSet.standard(m), StructuralSet.signed_permutation(m, signed)),
+                 rand_structural_pair(rng, m), rand_structural_pair(rng, m)]
+        for phi, psi in pairs:
+            for d in range(6):
+                space = CoefficientSpace(m, d)
+                expected = _single_class_dimension(m, d)
+                mats = class_matrices(phi, psi, space)
+                assert [space.size - mats[name].rank() for name in _CLASS_ORDER] == [expected] * 3, (m, d, phi, psi)
+                if m + d <= 7:
+                    dims = class_dimensions(phi, psi, m, d, matrices=mats)
+                    assert dims.harmonic == dims.two_set_harmonic == dims.inframonogenic == expected
+
+
 def test_triple_stack_rank_is_independent_of_column_order():
     space = CoefficientSpace(4, 5)
     mats = class_matrices(StructuralSet.standard(4), StructuralSet.reversed_standard(4), space)
@@ -945,7 +987,7 @@ def test_rank_rule_and_witness_search_agree_on_a_seeded_grid():
                 wanted = RationalMatrix.stack([mats[name] for name in sorted(target.classes)], space.size)
                 assert _as_fractions(wanted._kernel(dims.echelons)) == _as_fractions(wanted._kernel())
                 seen["wanted classes without rows"] += bool(target.classes) and wanted.nrows == 0
-                witness = find_region_witness(phi, psi, m, d, target, matrices=mats, echelons=dims.echelons)
+                witness = find_region_witness(phi, psi, m, d, target, matrices=mats, dims=dims)
                 assert (witness is None) == dims.region_is_empty(target), (m, d, phi, psi, target)
                 if witness is not None:
                     assert witness and witness.is_homogeneous(d)
@@ -966,6 +1008,21 @@ def test_kernel_guard_rejects_the_echelons_of_a_smaller_chain():
     with pytest.raises(ArithmeticError, match="failed verification"):
         wanted._kernel(smaller)
     assert dims.echelons is None  # nothing is kept unless asked for
+
+
+def test_witness_search_refuses_the_echelons_of_other_classes():
+    # The echelons kept for {H, I} pass the guard for H, since their kernel lies in ker H, but they are too few.
+    space = CoefficientSpace(3, 2)
+    mats = class_matrices(PHI, PSI, space)
+    dims = class_dimensions(PHI, PSI, 3, 2, matrices=mats, keep=frozenset({HARMONIC, INFRAMONOGENIC}))
+    wanted = mats[HARMONIC]
+    assert (len(wanted._kernel(dims.echelons)), len(wanted._kernel()), dims.harmonic) == (34, 40, 40)
+    target = RegionLabel.from_classes((HARMONIC,))
+    with pytest.raises(ArithmeticError, match="kept for other classes"):
+        find_region_witness(PHI, PSI, 3, 2, target, matrices=mats, dims=dims)
+    kept_for_h = class_dimensions(PHI, PSI, 3, 2, matrices=mats, keep=target.classes)
+    assert find_region_witness(PHI, PSI, 3, 2, target, matrices=mats, dims=kept_for_h) == \
+        find_region_witness(PHI, PSI, 3, 2, target)
 
 
 def test_rank_rule_reads_the_dimensions():
