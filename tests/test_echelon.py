@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffkit.classify import _CLASS_ORDER
-from cliffkit.cli import parse_set_spec
 from cliffkit.linalg import RationalMatrix, RowEchelon
 from cliffkit.sampling import rand_structural_pair
 from cliffkit.solver import _CHAINS, CoefficientSpace, class_matrices
+from cliffkit.structural import StructuralSet
 
 
 def _reference_grown(echelon: RowEchelon, rows) -> RowEchelon:
@@ -110,14 +110,13 @@ def _chain_echelons(phi, psi, m, d, grow):
 
 def _benchmark_grid_points():
     """(m, d, phi, psi) at the solve-dims and solve-witness points, a seeded rational pair in place of the drawn one."""
-    std, rev = (lambda m: parse_set_spec("standard", m)), (lambda m: parse_set_spec("reversed", m))
     for m, d in ((3, 4), (3, 5), (4, 2), (4, 3), (5, 2), (3, 3), (3, 2), (2, 5)):
-        yield m, d, std(m), rev(m)
+        yield m, d, StructuralSet.standard(m), StructuralSet.reversed_standard(m)
     for m, d in ((3, 4), (4, 2)):
         yield (m, d, *rand_structural_pair(random.Random(1), m))
-    yield 3, 3, std(3), parse_set_spec("signedperm:2,-3,1", 3)
-    yield 2, 6, std(2), std(2)
-    yield 3, 2, std(3), std(3)
+    yield 3, 3, StructuralSet.standard(3), StructuralSet.signed_permutation(3, [2, -3, 1])
+    yield 2, 6, StructuralSet.standard(2), StructuralSet.standard(2)
+    yield 3, 2, StructuralSet.standard(3), StructuralSet.standard(3)
 
 
 @pytest.mark.parametrize("m, d, phi, psi", list(_benchmark_grid_points()))

@@ -654,13 +654,8 @@ def test_class_dimensions_standard_reversed_at_larger_points(m, d, pairs):
             dims.two_set_and_inframonogenic, dims.triple) == pairs
 
 
-def _single_class_dimension(m, d):
-    """2^m (C(d+m-1, m-1) - C(d+m-3, m-1)): the R_{0,m}-valued polynomials of degree d less those of degree d-2."""
-    return 2 ** m * (comb(d + m - 1, m - 1) - (comb(d + m - 3, m - 1) if d >= 2 else 0))
-
-
 def test_single_class_dimensions_have_the_closed_form_on_a_seeded_grid():
-    """dim H = dim Hpp = dim I = `_single_class_dimension(m, d)` for every pair of structural sets.
+    """dim H = dim Hpp = dim I = 2^m (C(d+m-1, m-1) - C(d+m-3, m-1)) for every pair of structural sets.
 
     Each class operator P is sigma(d/dx) for a symbol sigma(xi), a 2^m x 2^m
     matrix of quadratic forms in xi acting on the coefficients: |xi|^2 for
@@ -688,7 +683,8 @@ def test_single_class_dimensions_have_the_closed_form_on_a_seeded_grid():
         for phi, psi in pairs:
             for d in range(6):
                 space = CoefficientSpace(m, d)
-                expected = _single_class_dimension(m, d)
+                # R_{0,m}-valued polynomials of degree d less those of degree d-2.
+                expected = 2 ** m * (comb(d + m - 1, m - 1) - (comb(d + m - 3, m - 1) if d >= 2 else 0))
                 mats = class_matrices(phi, psi, space)
                 assert [space.size - mats[name].rank() for name in _CLASS_ORDER] == [expected] * 3, (m, d, phi, psi)
                 if m + d <= 7:
