@@ -27,6 +27,9 @@ the Bareiss minor it divides.
   kernel vector of a free column is unique, so back-substitution gives
   the reduced-echelon basis, which depends only on the row space: so it
   also comes from echelons grown elsewhere (`solver.class_dimensions`).
+  Its size is the free column count, known before any back-substitution,
+  so `_pool` computes each vector on first access and guards it before
+  handing it out: the witness search back-substitutes only what it tries.
 
 Both eliminate each connected block (rows linked by shared columns) on
 its own, so a row is reduced against the pivot rows of its own block
@@ -125,10 +128,28 @@ class RowEchelon:
         return out
 
 
+class _Lazy:
+    """The sequence f(0), ..., f(n - 1), each item computed on first access and kept."""
+
+    __slots__ = ("_f", "_items")
+
+    def __init__(self, n: int, f):
+        self._f, self._items = f, [None] * n
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, k: int):
+        item = self._items[k]
+        if item is None:
+            item = self._items[k] = self._f(k)
+        return item
+
+
 class RationalMatrix:
     """Matrix over the rationals kept as sparse integer rows; immutable by convention."""
 
-    __slots__ = ("nrows", "ncols", "_int_rows")
+    __slots__ = ("nrows", "ncols", "_int_rows", "_rows_of")
 
     def __init__(self, rows: Iterable[Iterable[Fraction]], ncols: int | None = None):
         rows = [[Fraction(x) for x in row] for row in rows]
@@ -140,14 +161,14 @@ class RationalMatrix:
             ncols = len(rows[0])
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        self.nrows, self.ncols = len(rows), ncols
+        self.nrows, self.ncols, self._rows_of = len(rows), ncols, None
         self._int_rows = [_integer_row(enumerate(row)) for row in rows]
 
     @classmethod
     def _of(cls, int_rows: list[IntegerRow], ncols: int) -> "RationalMatrix":
         """The matrix with these integer rows, taken as they are."""
         mat = cls.__new__(cls)
-        mat.nrows, mat.ncols, mat._int_rows = len(int_rows), ncols, int_rows
+        mat.nrows, mat.ncols, mat._int_rows, mat._rows_of = len(int_rows), ncols, int_rows, None
         return mat
 
     @classmethod
@@ -178,14 +199,16 @@ class RationalMatrix:
         """The nonzero {row: sum_j a_ij y_j} of each sparse vector y ({column: value}), a_ij the integer row entries.
 
         Entry i is row scale i times (A y)_i.  A column -> rows index, built
-        for this call alone, gives the rows that touch the support of y,
-        which are the only rows that can give a nonzero entry; each product
-        runs through those rows alone.
+        once per matrix, gives the rows that touch the support of y, which
+        are the only rows that can give a nonzero entry; each product runs
+        through those rows alone.
         """
-        rows_of: list[list[int]] = [[] for _ in range(self.ncols)]
-        for i, (pairs, _) in enumerate(self._int_rows):
-            for j, _ in pairs:
-                rows_of[j].append(i)
+        rows_of = self._rows_of
+        if rows_of is None:
+            rows_of = self._rows_of = [[] for _ in range(self.ncols)]
+            for i, (pairs, _) in enumerate(self._int_rows):
+                for j, _ in pairs:
+                    rows_of[j].append(i)
         out = []
         for y in vectors:
             image = {}
@@ -256,38 +279,46 @@ class RationalMatrix:
         """The `RowEchelon` of the rows of each connected block."""
         return [RowEchelon().grown(self._int_rows[i][0] for i in block) for block in self._blocks()]
 
-    def _kernel(self, echelons: Iterable[RowEchelon] | None = None) -> list[tuple[dict[int, int], int]]:
-        """The basis of `nullspace` as pairs (y, den): the vector y / den, y its nonzero {column: int} entries.
+    def _pool(self, echelons: Iterable[RowEchelon] | None = None) -> _Lazy:
+        """The basis of `nullspace` as pairs (y, den), the vector y / den, y its nonzero {column: int} entries.
 
-        Back-substituted on `echelons` (default `_echelons`): any whose rows span the row space, no column in two.
+        Back-substituted on `echelons` (default `_echelons`): any whose rows
+        span the row space, no column in two.  Its length is the free column
+        count; vector k is back-substituted and guarded on first access.
         """
-        kernel = {f: ({f: 1}, 1) for f in range(self.ncols)}  # free columns no row touches keep their unit vector
+        home, pivot_cols = {}, set()  # each tail column: the (pivot columns, pivots, tails) of its echelon, sorted
         for echelon in self._echelons() if echelons is None else echelons:
-            if not echelon:
+            if echelon:
+                cols, pivots, tails = zip(*sorted(zip(echelon._cols, echelon._pivots, echelon._tails)))
+                pivot_cols.update(cols)
+                home.update(dict.fromkeys((j for tail in tails for j, _ in tail), (cols, pivots, tails)))
+        free = [f for f in range(self.ncols) if f not in pivot_cols]
+        return _Lazy(len(free), lambda k: self._kernel_vector(free[k], home.get(free[k], ((), (), ()))))
+
+    def _kernel_vector(self, f: int, sorted_echelon: tuple) -> tuple[dict[int, int], int]:
+        """The (y, den) of free column f back-substituted on the (pivot columns, pivots, tails) of its echelon, guarded."""
+        y, den = {f: 1}, 1
+        pivot_cols, pivots, tails = sorted_echelon
+        for r in range(bisect(pivot_cols, f) - 1, -1, -1):
+            s = sum(a * y.get(j, 0) for j, a in tails[r])
+            if not s:
                 continue
-            pivot_cols, pivots, tails = zip(*sorted(zip(echelon._cols, echelon._pivots, echelon._tails)))
-            for c in pivot_cols:
-                kernel.pop(c, None)
-            for f in sorted({j for tail in tails for j, _ in tail}.difference(pivot_cols)):
-                y, den = {f: 1}, 1
-                for r in range(bisect(pivot_cols, f) - 1, -1, -1):
-                    s = sum(a * y.get(j, 0) for j, a in tails[r])
-                    if not s:
-                        continue
-                    p = pivots[r]
-                    if p < 0:
-                        p, s = -p, -s
-                    g = gcd(p, s)
-                    if g != p:
-                        q = p // g
-                        y = {j: q * a for j, a in y.items()}
-                        den *= q
-                    y[pivot_cols[r]] = -s // g
-                kernel[f] = y, den
-        basis = [kernel[f] for f in sorted(kernel)]
-        if any(self._products([y for y, _ in basis])):
+            p = pivots[r]
+            if p < 0:
+                p, s = -p, -s
+            g = gcd(p, s)
+            if g != p:
+                q = p // g
+                y = {j: q * a for j, a in y.items()}
+                den *= q
+            y[pivot_cols[r]] = -s // g
+        if any(self._products([y])):
             raise ArithmeticError("nullspace vector failed verification")
-        return basis
+        return y, den
+
+    def _kernel(self, echelons: Iterable[RowEchelon] | None = None) -> list[tuple[dict[int, int], int]]:
+        """Every vector of `_pool(echelons)`, each guarded."""
+        return list(self._pool(echelons))
 
     def nullspace(self) -> list[Vector]:
         """Exact kernel basis, one vector per free column in increasing column order, echelon-derived.
@@ -304,7 +335,9 @@ class RationalMatrix:
         soundness guard, in integers, through every row of the matrix that
         touches its support (`_products` indexes the rows itself, so the
         guard relies neither on the block split nor on where the echelons
-        came from); a nonzero product raises `ArithmeticError`.
+        came from); a nonzero product raises `ArithmeticError`.  The witness
+        search draws the same vectors from `_pool`, each guarded when first
+        drawn; this basis computes and guards all of them.
         """
         basis = []
         for y, den in self._kernel():

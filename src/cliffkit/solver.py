@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .algebra import DimensionMismatch, Multivector, _as_integers, _lowest, _odd_masks, _reverse_sign, blade_order, check_dimension
 from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
 from .fields import MultiIndex, PolyField
-from .linalg import RationalMatrix, RowEchelon, Vector, _reduced_row
+from .linalg import RationalMatrix, RowEchelon, Vector, _Lazy, _reduced_row
 from .structural import StructuralSet
 
 
@@ -437,13 +437,16 @@ def _combination(terms: Iterable[tuple[int, SparseVector]]) -> SparseVector:
     return {j: x for j, x in out.items() if x}
 
 
-def _region_candidates(pool: list[tuple[SparseVector, int]],
-                       images: list[list[SparseVector]]) -> Iterator[tuple[SparseVector, int]]:
+def _region_candidates(pool: Sequence[tuple[SparseVector, int]],
+                       images: Sequence[list[SparseVector]]) -> Iterator[tuple[SparseVector, int]]:
     """Every combination of `pool` the search tries whose image under each excluded matrix is nonzero, in order.
 
-    `pool` is not empty, `images[k]` holds the integer images (`_products`)
-    of `pool[k]` under the excluded matrices, and each excluded matrix
-    leaves some pool vector nonzero.
+    `images[k]` holds the integer images (`_products`) of `pool[k]` under
+    the excluded matrices.  Both are read in order and only as far as the
+    search gets, so they may be computed on access (`linalg._Lazy`): the
+    whole of them is read only if no single vector escapes.  If the pool
+    is empty, or an excluded matrix sends every pool vector and so every
+    combination to zero, nothing follows the single vectors.
     Single vectors come first, then pairs v_i + t*v_j with t in
     `_SMALL_RATIONALS`; by linearity the image of a pair is
     image_i + t*image_j, so each pair of images rules out at most one t
@@ -460,11 +463,13 @@ def _region_candidates(pool: list[tuple[SparseVector, int]],
     for v, image in zip(pool, images):
         if all(image):
             yield v
+    excluded = range(len(images[0]) if images else 0)
+    if not images or not all(any(image[e] for image in images) for e in excluded):
+        return
     for ((yi, di), image_i), ((yj, dj), image_j) in combinations(zip(pool, images), 2):
         for t in _escaping_steps(image_i, di, image_j, dj):
             p, q = t.numerator, t.denominator
             yield _combination(((q * dj, yi), (p * di, yj))), q * di * dj
-    excluded = range(len(images[0]))
     picks = sorted({next(k for k, image in enumerate(images) if image[e]) for e in excluded})
     den = lcm(*(pool[k][1] for k in picks))
     top = len(picks) - 1
@@ -483,16 +488,16 @@ def find_region_witness(
 
     Candidates are drawn from a basis of the joint kernel of the
     required classes (or the whole space when none is required), in the
-    order of `_region_candidates`; the basis is back-substituted on the
+    order of `_region_candidates`.  The pool is back-substituted on the
     echelons `dims` kept, if given, and raises `ArithmeticError` unless it
-    has `dims.joint(target.classes)` vectors (so `keep=target.classes`).
-    Each excluded matrix multiplies the whole pool once, through the
-    supports of its vectors.  A candidate escapes when its integer image
-    under each excluded matrix is nonzero; only then is it made a field,
-    and `classify` confirms it.  The region is empty when the pool is, or
-    when an excluded matrix sends every pool vector to zero; otherwise
-    the search is complete, so None means the region is proved empty.
-    `matrices` is as in `class_dimensions`.
+    has `dims.joint(target.classes)` vectors (so `keep=target.classes`),
+    a count the echelons give before any back-substitution.  Pool vector
+    k is back-substituted and guarded when the search first reaches it,
+    and multiplied through each excluded matrix, along the supports of its
+    entries, only then.  A candidate escapes when its integer image under
+    each excluded matrix is nonzero; only then is it made a field, and
+    `classify` confirms it.  The search is complete, so None means the
+    region is proved empty.  `matrices` is as in `class_dimensions`.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
@@ -500,15 +505,12 @@ def find_region_witness(
     mats = class_matrices(phi, psi, space) if matrices is None else matrices
     wanted = [mats[name] for name in sorted(target.classes)]
     excluded = [mat for name, mat in mats.items() if name not in target.classes]
-    kernel = RationalMatrix.stack(wanted, space.size)._kernel(None if dims is None else dims.echelons)
-    if dims is not None and len(kernel) != dims.joint(target.classes):
+    pool = RationalMatrix.stack(wanted, space.size)._pool(None if dims is None else dims.echelons)
+    if dims is not None and len(pool) != dims.joint(target.classes):
         raise ArithmeticError("the echelons were kept for other classes")
     # Image rows come times their row scales, which changes no zero test.
-    products = [mat._products([y for y, _ in kernel]) for mat in excluded]
-    if not kernel or not all(any(column) for column in products):
-        return None
-    images = [[column[k] for column in products] for k in range(len(kernel))]
-    for y, den in _region_candidates(kernel, images):
+    images = _Lazy(len(pool), lambda k: [mat._products([pool[k][0]])[0] for mat in excluded])
+    for y, den in _region_candidates(pool, images):
         f = space._field(y, den)
         if classify(phi, psi, f).region == target:
             return f

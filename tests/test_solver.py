@@ -909,6 +909,12 @@ def test_region_candidates_reach_the_fallback_past_every_pair():
         assert sum(1 for x in got[0] if x) >= 3  # no single vector or pair escaped
 
 
+def test_region_candidates_yield_nothing_when_an_excluded_matrix_kills_the_pool():
+    pool = [({0: 1}, 1), ({1: 1}, 1)]
+    assert list(_region_candidates(pool, [[{}, {0: 1}], [{}, {}]])) == []  # the first excluded matrix kills both
+    assert list(_region_candidates([], [])) == []
+
+
 def test_escaping_steps_match_every_combination():
     rng = random.Random(11)
     seen_one_step_removed = seen_none_left = 0
@@ -1019,6 +1025,63 @@ def test_witness_search_refuses_the_echelons_of_other_classes():
     kept_for_h = class_dimensions(PHI, PSI, 3, 2, matrices=mats, keep=target.classes)
     assert find_region_witness(PHI, PSI, 3, 2, target, matrices=mats, dims=kept_for_h) == \
         find_region_witness(PHI, PSI, 3, 2, target)
+
+
+def test_witness_guard_rejects_a_corrupted_kept_echelon(monkeypatch):
+    phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
+    target = parse_region_spec("H,Hpp,I")
+    mats = class_matrices(phi, psi, CoefficientSpace(3, 3))
+    clean = class_dimensions(phi, psi, 3, 3, matrices=mats, keep=target.classes)
+    original, grown = RowEchelon.grown, []
+    corrupted_cols = []
+
+    def corrupted(self, rows):
+        echelon = original(self, rows)
+        grown.append(echelon)
+        if len(grown) % 7 == 3:  # each block grows the chains of `_CHAINS` in order; the third is the kept H+I+Hpp
+            free = min(j for tail in echelon._tails for j, _ in tail if j not in echelon._cols)
+            # Back-substituting `free` reads it first in the last pivot row left of it that holds it.
+            s = max((s for s, tail in enumerate(echelon._tails) if echelon._cols[s] < free and free in dict(tail)),
+                    key=lambda s: echelon._cols[s])
+            tails = list(echelon._tails)
+            tails[s] = tuple((j, a + 1 if j == free else a) for j, a in tails[s])
+            echelon._tails = tuple(tails)
+            corrupted_cols.append(free)
+        return echelon
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RowEchelon, "grown", corrupted)
+        dims = class_dimensions(phi, psi, 3, 3, matrices=mats, keep=target.classes)
+    assert dims == clean and len(grown) == 7 * len(dims.echelons)  # only the tails of the kept echelons changed
+    first_free = min(set(range(dims.full)).difference(c for echelon in dims.echelons for c in echelon._cols))
+    assert min(corrupted_cols) == first_free  # the first pool vector reads a corrupted entry
+    with pytest.raises(ArithmeticError, match="failed verification"):
+        find_region_witness(phi, psi, 3, 3, target, matrices=mats, dims=dims)
+
+
+@pytest.mark.parametrize("m, d, region, pool_size", [(5, 3, "H,Hpp,I", 734), (3, 2, "none", 48)])
+def test_witness_search_back_substitutes_only_the_vectors_it_tries(monkeypatch, m, d, region, pool_size):
+    original, solved = RationalMatrix._kernel_vector, []
+
+    def counted(self, f, sorted_echelon):
+        solved.append(f)
+        return original(self, f, sorted_echelon)
+
+    monkeypatch.setattr(RationalMatrix, "_kernel_vector", counted)
+    phi, psi = StructuralSet.standard(m), StructuralSet.reversed_standard(m)
+    target = parse_region_spec(region)
+    space = CoefficientSpace(m, d)
+    mats = class_matrices(phi, psi, space)
+    dims = class_dimensions(phi, psi, m, d, matrices=mats, keep=target.classes)
+    assert dims.joint(target.classes) == pool_size
+    witness = find_region_witness(phi, psi, m, d, target, matrices=mats, dims=dims)
+    assert classify(phi, psi, witness).region == target
+    assert len(solved) == 1  # pool vector 0 escapes and is confirmed
+    if not target.classes:
+        assert witness == space.basis_field(0)
+    solved.clear()
+    wanted = RationalMatrix.stack([mats[name] for name in sorted(target.classes)], space.size)
+    assert len(wanted.nullspace()) == len(solved) == pool_size
 
 
 def test_rank_rule_reads_the_dimensions():
