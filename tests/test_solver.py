@@ -1028,10 +1028,9 @@ def test_witness_search_refuses_the_echelons_of_other_classes():
 
 
 def test_witness_guard_rejects_a_corrupted_kept_echelon(monkeypatch):
-    phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
     target = parse_region_spec("H,Hpp,I")
-    mats = class_matrices(phi, psi, CoefficientSpace(3, 3))
-    clean = class_dimensions(phi, psi, 3, 3, matrices=mats, keep=target.classes)
+    mats = class_matrices(PHI, PSI, CoefficientSpace(3, 3))
+    clean = class_dimensions(PHI, PSI, 3, 3, matrices=mats, keep=target.classes)
     original, grown = RowEchelon.grown, []
     corrupted_cols = []
 
@@ -1051,12 +1050,12 @@ def test_witness_guard_rejects_a_corrupted_kept_echelon(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(RowEchelon, "grown", corrupted)
-        dims = class_dimensions(phi, psi, 3, 3, matrices=mats, keep=target.classes)
+        dims = class_dimensions(PHI, PSI, 3, 3, matrices=mats, keep=target.classes)
     assert dims == clean and len(grown) == 7 * len(dims.echelons)  # only the tails of the kept echelons changed
     first_free = min(set(range(dims.full)).difference(c for echelon in dims.echelons for c in echelon._cols))
     assert min(corrupted_cols) == first_free  # the first pool vector reads a corrupted entry
     with pytest.raises(ArithmeticError, match="failed verification"):
-        find_region_witness(phi, psi, 3, 3, target, matrices=mats, dims=dims)
+        find_region_witness(PHI, PSI, 3, 3, target, matrices=mats, dims=dims)
 
 
 @pytest.mark.parametrize("m, d, region, pool_size", [(5, 3, "H,Hpp,I", 734), (3, 2, "none", 48)])
