@@ -56,8 +56,10 @@ def _integer_row(entries: Iterable[tuple[int, Fraction]]) -> IntegerRow:
 
 
 def _reduced_row(entries: list[tuple[int, int]], scale: int) -> IntegerRow:
-    """Nonzero (column, int) entries over `scale` as the `_integer_row` of their values: both divided by their gcd."""
-    g = gcd(scale, *(x for _, x in entries))
+    """Nonzero (column, int) entries over `scale` as the `_integer_row` of their values: both divided by any gcd > 1."""
+    g = 1 if scale == 1 else gcd(scale, *(x for _, x in entries))
+    if g == 1:
+        return tuple(entries), scale
     return tuple((j, x // g) for j, x in entries), scale // g
 
 

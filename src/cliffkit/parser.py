@@ -126,7 +126,7 @@ class _Parser:
     def _integer(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
@@ -211,7 +211,7 @@ class _Parser:
             self._expect(")")
             self.depth -= 1
             return value
-        if ch.isdigit():
+        if ch.isdecimal():
             n = self._integer()
             return ({(self.origin, 0): n} if n else {}), 1
         if ch == "x":

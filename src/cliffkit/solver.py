@@ -6,8 +6,9 @@ decompose degree by degree and each degree gives a finite exact linear
 problem.  Every operator has constant coefficients, so its matrix is
 filled straight from its symbol: a derivative of a monomial is a scaled
 monomial, and the multivector coefficients act on each basis blade by a
-fixed blade map.  Kernels come from fraction-free elimination in
-`linalg`.
+fixed blade map.  Each row is built once, already in column order, from
+the transposed blade maps.  Kernels come from fraction-free elimination
+in `linalg`.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, perm, prod
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import DimensionMismatch, Multivector, _as_integers, _lowest, _odd_masks, _reverse_sign, blade_order, check_dimension
+from .algebra import DimensionMismatch, Multivector, _as_integers, _blade_rank, _lowest, _odd_masks, _reverse_sign
+from .algebra import blade_order, check_dimension
 from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
 from .fields import MultiIndex, PolyField
 from .linalg import RationalMatrix, RowEchelon, Vector, _Lazy, _reduced_row
@@ -160,15 +163,19 @@ class FieldOperator:
                    lambda axes, one: [((), phi.product(A), psi.product(A) * _reverse_sign(len(A))) for A in index_sets])
 
 
-# S_gamma for each gamma of a symbol: S_gamma[A] lists the nonzero (B, c) with sum a * e_A * b = sum c * e_B.
+# The transposed S_gamma for each gamma of a symbol, in lexicographic order of gamma: S_gamma[B] lists
+# the (A, c), A ascending, with c != 0 the coefficient of e_B in sum a * e_A * b.  A and B are blade ranks,
+# the places of the blades in `blade_order`.
 BladeMaps = dict[MultiIndex, list[list[tuple[int, int]]]]
 
 
 def _blade_images(symbol: list[SymbolTerm], m: int) -> tuple[BladeMaps, int]:
-    """The blade maps of the symbol's terms (gamma, a, b) as integers over one scale.
+    """The transposed blade maps of the symbol's terms (gamma, a, b) as integers over one scale.
 
-    Each coefficient c of S_gamma is the returned integer over the scale;
-    the scale is the smallest one that works for every map together.
+    S_gamma[B] is row B of the blade map of gamma, so a matrix row reads
+    its entries from one list.  Each coefficient c is the returned integer
+    over the scale; the scale is the smallest one that works for every map
+    together.
     """
     scale = lcm(*(a._den * b._den for _, a, b in symbol))
     odd = _odd_masks(m)
@@ -185,10 +192,14 @@ def _blade_images(symbol: list[SymbolTerm], m: int) -> tuple[BladeMaps, int]:
                     out = left ^ mb
                     negative = ((mask & odd[ma]) ^ (mb & odd[left])).bit_count() & 1
                     image[out] = image.get(out, 0) + (-c if negative else c)
-    maps = {gamma: [[(out, c) for out, c in image.items() if c] for image in images] for gamma, images in acc.items()}
-    g = gcd(scale, *(c for images in maps.values() for image in images for _, c in image))
-    if g != 1:
-        maps = {gamma: [[(out, c // g) for out, c in image] for image in images] for gamma, images in maps.items()}
+    g = 1 if scale == 1 else gcd(scale, *(c for images in acc.values() for image in images for c in image.values()))
+    order, rank = blade_order(m), _blade_rank(m)
+    maps = {gamma: [[] for _ in order] for gamma in sorted(acc)}
+    for gamma, transposed in maps.items():
+        for A, mask in enumerate(order):  # A ascending, so each transposed row comes out sorted
+            for out, c in acc[gamma][mask].items():
+                if c:
+                    transposed[rank[out]].append((A, c // g))
     return maps, scale // g
 
 
@@ -212,13 +223,15 @@ class OperatorMatrix:
 def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatrix:
     """The matrix of `op` on `space`, filled from the symbol of `op`.
 
-    Since d^gamma x^alpha = alpha!/(alpha-gamma)! * x^(alpha-gamma), column
-    (alpha, e_A) is the sum over gamma <= alpha of alpha!/(alpha-gamma)!
-    times monomial alpha-gamma tensor S_gamma(e_A), with S_gamma the blade
-    map of `_blade_images`.  The lift and alpha - gamma depend on the
-    monomial alone, so they are found once per alpha for all its blades.
-    The blade maps are integers over one scale, so every entry is an
-    integer over that scale until each row is reduced once.
+    Since d^gamma x^(beta+gamma) = (beta+gamma)!/beta! * x^beta, row
+    (beta, e_B) holds, for each gamma, (beta+gamma)!/beta! times S_gamma[B]
+    (`_blade_images`) in the columns of monomial beta+gamma.  The lift and
+    the column offset of beta+gamma depend on the monomial alone, so they
+    are found once per (beta, gamma) for all its blades; the lift runs over
+    the nonzero axes of gamma.  For a fixed beta the lexicographic order of
+    gamma is the column order of beta+gamma, so each row is built once,
+    already sorted.  The blade maps are integers over one scale, so every
+    entry is an integer over that scale until each row is reduced once.
     """
     symbol = op.symbol(space.m)
     target_degree = space.degree - op.order
@@ -226,22 +239,16 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatri
         return OperatorMatrix(RationalMatrix.zero(0, space.size), space, None, True)
     target = CoefficientSpace(space.m, target_degree)
     maps, scale = _blade_images(symbol, space.m)
-    entries: list[list[tuple[int, int]]] = [[] for _ in range(target.size)]
-    masks = blade_order(space.m)
-    col = 0  # `space.basis` is alpha-major: the blades of each alpha, in `masks` order
-    for alpha in monomials_of_degree(space.m, space.degree):
-        lifted = []
-        for gamma, blade_map in maps.items():
-            lift = prod(perm(a, g) for a, g in zip(alpha, gamma))
-            if lift:
-                lifted.append((lift, tuple(a - g for a, g in zip(alpha, gamma)), blade_map))
-        for mask in masks:
-            for lift, beta, blade_map in lifted:
-                for out, c in blade_map[mask]:
-                    entries[target._index[(beta, out)]].append((col, lift * c))
-            col += 1
-    matrix = RationalMatrix._of([_reduced_row(row, scale) for row in entries], space.size)
-    return OperatorMatrix(matrix, space, target, False)
+    width = 1 << space.m  # both bases are monomial-major, 2^m blades per monomial
+    offset = {space.basis[col][0]: col for col in range(0, space.size, width)}
+    terms = [(gamma, [(i, g) for i, g in enumerate(gamma) if g], images) for gamma, images in maps.items()]
+    rows = []
+    for beta, _ in target.basis[::width]:
+        lifted = [(offset[tuple(map(add, beta, gamma))], prod([perm(beta[i] + g, g) for i, g in axes]), images)
+                  for gamma, axes, images in terms]
+        rows += [_reduced_row([(col + A, lift * c) for col, lift, images in lifted for A, c in images[B]], scale)
+                 for B in range(width)]
+    return OperatorMatrix(RationalMatrix._of(rows, space.size), space, target, False)
 
 
 @dataclass(frozen=True)

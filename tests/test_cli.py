@@ -268,6 +268,9 @@ GOLDEN_STDOUT_SHA256 = {
     # a block-split kernel basis feeds the witness pool
     ("solve", "--m", "4", "--degree", "3", "--phi", "standard", "--psi", "reversed", "--region", "H,I"):
         "c471dfa68dbd7ca0840a2fccf9e533f050117618aa871091209d2f6591bc8378",
+    # m = 5: 32 blades per monomial, the widest blade maps
+    ("solve", "--m", "5", "--degree", "2", "--phi", "standard", "--psi", "reversed", "--format", "json"):
+        "43441d4ec7ee07201338ccce6f6d44162e75c056e23c8a24d5c635d2e1e7568b",
 }
 
 
@@ -278,6 +281,24 @@ def test_golden_stdout(capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+# Two orthogonal matrices with rational entries, each two plane rotations and a signed row permutation
+MATRIX_PHI_3 = [["4/5", "-3/13", "-36/65"], ["3/5", "4/13", "48/65"], ["0", "-12/13", "5/13"]]
+MATRIX_PSI_3 = [["60/169", "-5/13", "-144/169"], ["-25/169", "-12/13", "60/169"], ["12/13", "0", "5/13"]]
+
+
+def test_golden_stdout_of_a_rational_matrix_pair(tmp_path, capsys):
+    # The JSON output shows the set entries, not the file paths, so the digest holds for any tmp_path.
+    specs = []
+    for name, rows in (("phi", MATRIX_PHI_3), ("psi", MATRIX_PSI_3)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(rows))
+        specs.append(f"matrix:{path}")
+    code, out, _ = run_cli(capsys, "solve", "--m", "3", "--degree", "4", "--phi", specs[0], "--psi", specs[1],
+                           "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "f633bc037a3c877bc8b9b676bea2fc34eba360958b54903bc0d970b1062b72e8"
 
 
 def _outcome(capsys, argv):

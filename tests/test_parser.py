@@ -118,13 +118,24 @@ def test_syntax_errors_carry_positions():
     ("x1/ x2", 2, "divisor must be a nonzero rational constant", 3),
     ("x1 /(1 - 1)", 2, "divisor must be a nonzero rational constant", 4),
     ("(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1), 2, "expression nests too deeply", MAX_NESTING),
+    # superscript digits are digits to str.isdigit but not to int()
+    ("x\u00b2", 2, "expected an integer", 1),
+    ("3\u00b2", 2, "unexpected '\u00b2'", 1),
+    ("x1^\u00b2", 2, "expected an integer", 3),
+    ("\u00b2", 2, "unexpected '\u00b2'", 0),
 ], ids=["expected-char", "expected-comma", "unexpected-char", "unexpected-close", "end-of-input", "expected-integer",
-        "digit-bound", "unknown-variable", "blade-index", "blade-order", "divisor-variable", "divisor-zero", "nesting"])
+        "digit-bound", "unknown-variable", "blade-index", "blade-order", "divisor-variable", "divisor-zero", "nesting",
+        "superscript-index", "superscript-after-integer", "superscript-exponent", "superscript-alone"])
 def test_each_error_kind_has_one_message_and_offset(text, m, message, position):
     with pytest.raises(ParseError) as exc:
         parse_field(text, m)
     assert str(exc.value) == f"{message} (at position {position})"
     assert exc.value.position == position
+
+
+def test_decimal_digits_of_other_scripts_still_parse():
+    # ARABIC-INDIC DIGIT ONE and TWO are decimal digits, which int() reads
+    assert parse_field("x\u0661^\u0662 + \u0663", 2) == parse_field("x1^2 + 3", 2)
 
 
 def _nesting_error_position(text, frames):

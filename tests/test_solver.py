@@ -9,7 +9,7 @@ import pytest
 
 from itertools import combinations
 
-from cliffkit import linalg
+from cliffkit import linalg, solver
 from cliffkit.algebra import DimensionMismatch, Multivector, blade_product
 from cliffkit.classify import _CLASS_ORDER, HARMONIC, INFRAMONOGENIC, TWO_SET_HARMONIC, RegionLabel, classify
 from cliffkit.cli import parse_region_spec, parse_set_spec
@@ -570,18 +570,47 @@ def _per_column_int_rows(op, space):
     return [linalg._integer_row(row) for row in entries]
 
 
-def test_assembly_matches_the_per_column_loop():
+def _assembly_cases():
+    """(op, space) for every operator kind: the order-1 and order-2 operators at degrees 0..4, and the
+    Psi level, plus, minus and subset families, of order 0, on the degree-0 space."""
     rng = random.Random(9)
     for m in range(1, 6):
         pairs = [(StructuralSet.standard(m), StructuralSet.reversed_standard(m)),
                  (rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m))]
-        for d in range(5):
-            space = CoefficientSpace(m, d)
-            for phi, psi in pairs:
-                for op in (FieldOperator.laplacian(), FieldOperator.left_left(phi, psi),
-                           FieldOperator.sandwich(phi, psi)):
-                    want = _per_column_int_rows(op, space)
-                    assert operator_matrix(op, space).matrix._int_rows == want, (m, d, op.name)
+        for phi, psi in pairs:
+            families = [PsiOperator.level(phi, psi, k) for k in range(m + 1)]
+            families += [PsiOperator.plus(phi, psi), PsiOperator.minus(phi, psi), PsiOperator.subset_level1(phi, psi, {1, m})]
+            for family in families:
+                yield FieldOperator.psi(phi, psi, family.index_sets), CoefficientSpace(m, 0)
+            for d in range(5):
+                space = CoefficientSpace(m, d)
+                for op in (FieldOperator.laplacian(), FieldOperator.left_left(phi, psi), FieldOperator.sandwich(phi, psi),
+                           FieldOperator.dirac_left(psi), FieldOperator.dirac_right(psi)):
+                    yield op, space
+
+
+def test_assembly_matches_the_per_column_loop():
+    for op, space in _assembly_cases():
+        rows = operator_matrix(op, space).matrix._int_rows
+        assert rows == _per_column_int_rows(op, space), (space.m, space.degree, op.name)
+        for pairs, _ in rows:
+            assert all(j < k for (j, _), (k, _) in zip(pairs, pairs[1:])), (space.m, space.degree, op.name)
+
+
+def test_assembly_oracle_sees_one_blade_coefficient_off_by_one(monkeypatch):
+    blade_images = solver._blade_images
+
+    def off_by_one(symbol, m):
+        maps, scale = blade_images(symbol, m)
+        image = next(image for images in maps.values() for image in images if image)
+        image[0] = (image[0][0], image[0][1] + 1)
+        return maps, scale
+
+    monkeypatch.setattr(solver, "_blade_images", off_by_one)
+    phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
+    space = CoefficientSpace(3, 2)
+    for name, make in _OPERATORS.items():
+        assert operator_matrix(make(phi, psi), space).matrix != _field_operator_matrix(name, phi, psi, space), name
 
 
 @pytest.mark.parametrize("name", [name for name in _OPERATORS if name != "laplacian"])
