@@ -209,27 +209,6 @@ class PolyField:
             return self * other
         return NotImplemented
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("field division by zero")
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"field exponent must be a non-negative integer, got {n!r}")
-        # Square and multiply; powers of one field commute, so this is f*f*...*f.
-        out = PolyField.scalar_constant(self.m, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def __eq__(self, other):
         if isinstance(other, PolyField):
             return self.m == other.m and self._terms == other._terms

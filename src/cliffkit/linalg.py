@@ -18,9 +18,7 @@ can grow, but every stored row is primitive, so no stored entry outgrows
 the Bareiss minor it divides.
 - Rank is the row count of the echelon.  Growing an echelon leaves it as
   it was, so the joint kernels of several row groups can share a prefix
-  (`solver.class_dimensions`).  `rank(reverse_columns=True)` mirrors the
-  columns, so each pivot is a row's last column: an independent order
-  for cross-checks.
+  (`solver.class_dimensions`).
 - The kernel sorts the pivot rows by pivot column.  Each has no entry
   left of its pivot, so sorted they are an echelon form of the row space
   and their pivot columns are those of the reduced echelon form.  The
@@ -43,20 +41,15 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .algebra import _as_integers
+
 Vector = list[Fraction]
 # The nonzero (column, integer) entries of a row times its scale, and that scale.
 IntegerRow = tuple[tuple[tuple[int, int], ...], int]
 
 
-def _integer_row(entries: Iterable[tuple[int, Fraction]]) -> IntegerRow:
-    """(column, value) entries as the nonzero (column, int) pairs times the lcm of their denominators."""
-    nonzero = [(j, x) for j, x in entries if x]
-    scale = lcm(*(x.denominator for _, x in nonzero))
-    return tuple((j, x.numerator * (scale // x.denominator)) for j, x in nonzero), scale
-
-
 def _reduced_row(entries: list[tuple[int, int]], scale: int) -> IntegerRow:
-    """Nonzero (column, int) entries over `scale` as the `_integer_row` of their values: both divided by any gcd > 1."""
+    """Nonzero (column, int) entries over `scale` as the integer row of their values: both divided by any gcd > 1."""
     g = 1 if scale == 1 else gcd(scale, *(x for _, x in entries))
     if g == 1:
         return tuple(entries), scale
@@ -164,7 +157,10 @@ class RationalMatrix:
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
         self.nrows, self.ncols, self._rows_of = len(rows), ncols, None
-        self._int_rows = [_integer_row(enumerate(row)) for row in rows]
+        self._int_rows = []
+        for row in rows:
+            num, scale = _as_integers({j: x for j, x in enumerate(row) if x})
+            self._int_rows.append((tuple(num.items()), scale))
 
     @classmethod
     def _of(cls, int_rows: list[IntegerRow], ncols: int) -> "RationalMatrix":
@@ -172,10 +168,6 @@ class RationalMatrix:
         mat = cls.__new__(cls)
         mat.nrows, mat.ncols, mat._int_rows, mat._rows_of = len(int_rows), ncols, int_rows, None
         return mat
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls._of([((), 1)] * nrows, ncols)
 
     @classmethod
     def stack(cls, matrices: Sequence["RationalMatrix"], ncols: int) -> "RationalMatrix":
@@ -262,20 +254,9 @@ class RationalMatrix:
                 blocks.setdefault(find(pairs[0][0]), []).append(i)
         return list(blocks.values())
 
-    def rank(self, reverse_columns: bool = False) -> int:
-        """Exact rank: the rows of each block inserted into a `RowEchelon`, summed over blocks.
-
-        `reverse_columns` mirrors the columns, so each pivot is a row's last
-        column instead of its first: an independent elimination.
-        """
-        last = self.ncols - 1
-        rank = 0
-        for block in self._blocks():
-            rows = (self._int_rows[i][0] for i in block)
-            if reverse_columns:
-                rows = ([(last - j, a) for j, a in pairs] for pairs in rows)
-            rank += len(RowEchelon().grown(rows))
-        return rank
+    def rank(self) -> int:
+        """Exact rank: the rows of each block inserted into a `RowEchelon`, summed over blocks."""
+        return sum(map(len, self._echelons()))
 
     def _echelons(self) -> list[RowEchelon]:
         """The `RowEchelon` of the rows of each connected block."""
@@ -318,10 +299,6 @@ class RationalMatrix:
             raise ArithmeticError("nullspace vector failed verification")
         return y, den
 
-    def _kernel(self, echelons: Iterable[RowEchelon] | None = None) -> list[tuple[dict[int, int], int]]:
-        """Every vector of `_pool(echelons)`, each guarded."""
-        return list(self._pool(echelons))
-
     def nullspace(self) -> list[Vector]:
         """Exact kernel basis, one vector per free column in increasing column order, echelon-derived.
 
@@ -342,7 +319,7 @@ class RationalMatrix:
         drawn; this basis computes and guards all of them.
         """
         basis = []
-        for y, den in self._kernel():
+        for y, den in self._pool():
             x = [Fraction(0)] * self.ncols
             for j, a in y.items():
                 x[j] = Fraction(a, den)

@@ -20,10 +20,10 @@ from math import gcd, lcm, perm, prod
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import DimensionMismatch, Multivector, _as_integers, _blade_rank, _lowest, _odd_masks, _reverse_sign
+from .algebra import DimensionMismatch, Multivector, _as_integers, _blade_rank, _odd_masks, _reverse_sign
 from .algebra import blade_order, check_dimension
 from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
-from .fields import MultiIndex, PolyField
+from .fields import MultiIndex, PolyField, _field
 from .linalg import RationalMatrix, RowEchelon, Vector, _Lazy, _reduced_row
 from .structural import StructuralSet
 
@@ -44,7 +44,7 @@ def monomials_of_degree(m: int, d: int) -> list[MultiIndex]:
 class CoefficientSpace:
     """Basis of the degree-d homogeneous multivector-valued polynomials."""
 
-    __slots__ = ("m", "degree", "basis", "_index")
+    __slots__ = ("m", "degree", "basis")
 
     def __init__(self, m: int, degree: int):
         check_dimension(m)
@@ -56,7 +56,6 @@ class CoefficientSpace:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_index", {pair: i for i, pair in enumerate(basis)})
 
     def __setattr__(self, name, value):
         raise AttributeError("CoefficientSpace is immutable")
@@ -65,21 +64,6 @@ class CoefficientSpace:
     def size(self) -> int:
         return len(self.basis)
 
-    def basis_field(self, i: int) -> PolyField:
-        alpha, mask = self.basis[i]
-        return PolyField._of(self.m, {alpha: Multivector._of(self.m, {mask: 1})})
-
-    def field_to_vector(self, f: PolyField) -> Vector:
-        if f.m != self.m:
-            raise ValueError(f"field dimension {f.m} does not match space dimension {self.m}")
-        if not f.is_homogeneous(self.degree):
-            raise ValueError(f"field is not homogeneous of degree {self.degree}: {f}")
-        vec = [Fraction(0)] * self.size
-        for alpha, mv in f.terms():
-            for mask, coef in mv.terms():
-                vec[self._index[(alpha, mask)]] = coef
-        return vec
-
     def vector_to_field(self, vec: Sequence[Fraction]) -> PolyField:
         if len(vec) != self.size:
             raise ValueError(f"vector length {len(vec)} does not match space size {self.size}")
@@ -87,11 +71,7 @@ class CoefficientSpace:
 
     def _field(self, y: dict[int, int], den: int) -> PolyField:
         """The field of the vector y / den, y its nonzero {coordinate: int} entries."""
-        acc: dict[MultiIndex, dict[int, int]] = {}
-        for j, a in y.items():
-            alpha, mask = self.basis[j]
-            acc.setdefault(alpha, {})[mask] = a
-        return PolyField._of(self.m, {alpha: Multivector._of(self.m, *_lowest(num, den)) for alpha, num in acc.items()})
+        return _field(self.m, {self.basis[j]: a for j, a in y.items()}, den)
 
     def __repr__(self):
         return f"CoefficientSpace(m={self.m}, degree={self.degree}, size={self.size})"
@@ -205,19 +185,15 @@ def _blade_images(symbol: list[SymbolTerm], m: int) -> tuple[BladeMaps, int]:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Exact matrix of an operator from a degree-d space to a lower-degree space.
+    """Exact matrix of an operator on the degree-d space `source`.
 
-    `degenerate` marks the case where the operator order exceeds the
-    degree, so the target space is empty and the map is zero.
+    Row (beta, e_B) gives the coefficient of x^beta e_B in the image, for
+    beta of degree d - order and B in `blade_order`, monomial-major as in
+    `CoefficientSpace`; an operator of order above d gives no rows.
     """
 
     matrix: RationalMatrix
     source: CoefficientSpace
-    target: CoefficientSpace | None
-    degenerate: bool
-
-    def mat_vec(self, v: Sequence[Fraction]) -> Vector:
-        return self.matrix.mat_vec(v)
 
 
 def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatrix:
@@ -233,22 +209,17 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatri
     already sorted.  The blade maps are integers over one scale, so every
     entry is an integer over that scale until each row is reduced once.
     """
-    symbol = op.symbol(space.m)
-    target_degree = space.degree - op.order
-    if target_degree < 0:
-        return OperatorMatrix(RationalMatrix.zero(0, space.size), space, None, True)
-    target = CoefficientSpace(space.m, target_degree)
-    maps, scale = _blade_images(symbol, space.m)
-    width = 1 << space.m  # both bases are monomial-major, 2^m blades per monomial
+    maps, scale = _blade_images(op.symbol(space.m), space.m)
+    width = 1 << space.m  # rows and columns are monomial-major, 2^m blades per monomial
     offset = {space.basis[col][0]: col for col in range(0, space.size, width)}
     terms = [(gamma, [(i, g) for i, g in enumerate(gamma) if g], images) for gamma, images in maps.items()]
     rows = []
-    for beta, _ in target.basis[::width]:
+    for beta in monomials_of_degree(space.m, space.degree - op.order):
         lifted = [(offset[tuple(map(add, beta, gamma))], prod([perm(beta[i] + g, g) for i, g in axes]), images)
                   for gamma, axes, images in terms]
         rows += [_reduced_row([(col + A, lift * c) for col, lift, images in lifted for A, c in images[B]], scale)
                  for B in range(width)]
-    return OperatorMatrix(RationalMatrix._of(rows, space.size), space, target, False)
+    return OperatorMatrix(RationalMatrix._of(rows, space.size), space)
 
 
 @dataclass(frozen=True)

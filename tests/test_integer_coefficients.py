@@ -334,7 +334,7 @@ def test_parsing_makes_no_fraction(fractions_made):
 def test_parsed_fields_keep_the_trusted_constructor_contract(monkeypatch):
     rng = random.Random(18)
     texts = PARSED + [format_field(f) for f in (rand_polyfield(rng, 3, max_degree=3) for _ in range(20))]
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__truediv__", "__pow__"):
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__"):
         monkeypatch.setattr(PolyField, name, _no_field_arithmetic)
     for text in texts:
         f = parse_field(text, 3)

@@ -6,8 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from cliffkit import linalg
-from cliffkit.algebra import Multivector, blade_order
+from cliffkit.algebra import Multivector, _as_integers, blade_order
 from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from cliffkit.parser import parse_field
 from cliffkit.psi import (
@@ -247,7 +246,8 @@ def _blade_image_int_rows(op):
     its coordinates read back as column j, and each row turned into integers over its own lcm."""
     order = blade_order(op.phi.m)
     columns = [op.apply(Multivector._of(op.phi.m, {mask: 1})).coefficients(order) for mask in order]
-    return [linalg._integer_row((j, col[r]) for j, col in enumerate(columns)) for r in range(len(order))]
+    rows = [_as_integers({j: col[r] for j, col in enumerate(columns) if col[r]}) for r in range(len(order))]
+    return [(tuple(num.items()), scale) for num, scale in rows]
 
 
 def _psi_matrix_cases():

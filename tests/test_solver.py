@@ -9,8 +9,8 @@ import pytest
 
 from itertools import combinations
 
-from cliffkit import linalg, solver
-from cliffkit.algebra import DimensionMismatch, Multivector, blade_product
+from cliffkit import solver
+from cliffkit.algebra import DimensionMismatch, Multivector, _as_integers, blade_product
 from cliffkit.classify import _CLASS_ORDER, HARMONIC, INFRAMONOGENIC, TWO_SET_HARMONIC, RegionLabel, classify
 from cliffkit.cli import parse_region_spec, parse_set_spec
 from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
@@ -33,6 +33,7 @@ from cliffkit.solver import (
     operator_matrix,
 )
 from cliffkit.structural import StructuralSet, transition
+from rank_reference import mirrored_rank
 
 PHI = StructuralSet.standard(3)
 PSI = StructuralSet.reversed_standard(3)
@@ -46,7 +47,7 @@ def test_identity_matrix_has_empty_nullspace():
 
 
 def test_zero_matrix_nullspace_is_everything():
-    mat = RationalMatrix.zero(3, 4)
+    mat = RationalMatrix([[Fraction(0)] * 4] * 3)
     basis = mat.nullspace()
     assert len(basis) == 4
     assert basis[0][0] == 1
@@ -60,7 +61,7 @@ def test_rank_and_nullspace_on_random_matrices():
         mat = RationalMatrix(rows)
         basis = mat.nullspace()
         assert mat.rank() + len(basis) == nc
-        assert mat.rank() == mat.rank(reverse_columns=True)
+        assert mat.rank() == mirrored_rank(mat)
         for v in basis:
             assert not any(mat.mat_vec(v))
         # basis vectors are linearly independent: stack them as rows
@@ -139,7 +140,7 @@ def test_sparse_rows_agree_with_dense_reference():
         assert mat.mat_vec(v) == _dense_mat_vec(rows, v)
         kernel = _dense_kernel(rows, nc)
         assert mat.nullspace() == kernel
-        assert mat.rank() == mat.rank(reverse_columns=True) == nc - len(kernel)
+        assert mat.rank() == mirrored_rank(mat) == nc - len(kernel)
         seen["0xn"] += nr == 0
         seen["nx0"] += nc == 0 and nr > 0
         seen["zero row"] += any(not any(row) for row in rows)
@@ -212,7 +213,7 @@ def test_mat_vec_matches_the_dense_product():
                  for _ in range(nc)]
             assert mat.mat_vec(v) == _dense_mat_vec(rows, v)
     with pytest.raises(ValueError, match="does not match"):
-        RationalMatrix.zero(2, 3).mat_vec([Fraction(1)] * 2)
+        RationalMatrix([[Fraction(0)] * 3] * 2).mat_vec([Fraction(1)] * 2)
 
 
 def test_blocks_of_a_hand_made_matrix():
@@ -221,8 +222,8 @@ def test_blocks_of_a_hand_made_matrix():
     rows = [[Fraction(j + 1) if j in cols else Fraction(0) for j in range(7)] for cols in support]
     mat = RationalMatrix(rows)
     assert mat._blocks() == [[0, 3], [2, 4, 5], [6]]
-    assert RationalMatrix.zero(2, 3)._blocks() == []
-    assert mat.rank() == mat.rank(reverse_columns=True) == 5  # row 5 is row 2 plus row 4
+    assert RationalMatrix([[Fraction(0)] * 3] * 2)._blocks() == []
+    assert mat.rank() == mirrored_rank(mat) == 5  # row 5 is row 2 plus row 4
     assert mat.nullspace() == [
         [Fraction(int(j == 2)) for j in range(7)],
         [Fraction(x) for x in (5, 0, 0, Fraction(-5, 4), 1, 0, 0)],
@@ -261,11 +262,8 @@ def test_block_split_elimination_matches_whole_matrix():
         mat = RationalMatrix(rows, ncols=nc)
         kernel = _dense_kernel(rows, nc)
         assert mat.nullspace() == kernel
-        assert mat.rank() == mat.rank(reverse_columns=True) == nc - len(kernel)
-        whole = [pairs for pairs, _ in mat._int_rows]
-        mirrored = [[(nc - 1 - j, a) for j, a in pairs] for pairs in whole]
-        assert len(RowEchelon().grown(mirrored)) == mat.rank()
-        pivot_cols = sorted(RowEchelon().grown(whole)._cols)
+        assert mat.rank() == mirrored_rank(mat) == nc - len(kernel)
+        pivot_cols = sorted(RowEchelon().grown(pairs for pairs, _ in mat._int_rows)._cols)
         # free column f is the last nonzero entry of its reduced-echelon kernel vector
         free = {max(j for j, x in enumerate(v) if x) for v in kernel}
         assert pivot_cols == [c for c in range(nc) if c not in free]
@@ -338,7 +336,7 @@ def test_row_echelon_row_dependent_only_on_two_earlier_groups():
     assert len(e12) == 3  # growing leaves the echelon grown from as it was
     _assert_primitive_rows(e123, g1 + g2 + g3)
     mat = RationalMatrix([[Fraction(x) for x in row] for row in g1 + g2 + g3])
-    assert mat.rank() == mat.rank(reverse_columns=True) == 4
+    assert mat.rank() == mirrored_rank(mat) == 4
 
 
 def test_row_echelon_row_joining_two_earlier_sub_blocks():
@@ -360,12 +358,12 @@ def test_row_echelon_row_joining_two_earlier_sub_blocks():
     _assert_primitive_rows(echelon, rows)
     mat = RationalMatrix([[Fraction(x) for x in row] for row in rows])
     assert mat._blocks() == [[0, 1, 2, 3, 4]]
-    assert mat.rank() == mat.rank(reverse_columns=True) == 5
+    assert mat.rank() == mirrored_rank(mat) == 5
     # without column 4, row 4 less row 0 is (0, 0, 0, 5), in the span of rows 2 and 3: it falls to zero at step 3
     dependent = [row[:4] for row in rows]
     assert len(RowEchelon().grown(_sparse(dependent))) == 4
     mat = RationalMatrix([[Fraction(x) for x in row] for row in dependent])
-    assert mat.rank() == mat.rank(reverse_columns=True) == 4
+    assert mat.rank() == mirrored_rank(mat) == 4
 
 
 def test_row_echelon_matches_dense_rank_on_random_chains():
@@ -378,7 +376,7 @@ def test_row_echelon_matches_dense_rank_on_random_chains():
         echelon = RowEchelon()
         for lo, hi in zip([0, *cut], [*cut, len(pairs)]):
             echelon = echelon.grown(pairs[lo:hi])
-        assert len(echelon) == nc - len(_dense_kernel(rows, nc)) == mat.rank() == mat.rank(reverse_columns=True)
+        assert len(echelon) == nc - len(_dense_kernel(rows, nc)) == mat.rank() == mirrored_rank(mat)
         if rows and nc <= 8:
             _assert_primitive_rows(echelon, [[x * scale for x in row] for row, (_, scale) in zip(rows, mat._int_rows)])
 
@@ -392,15 +390,26 @@ def test_monomial_enumeration():
     assert monomials_of_degree(1, 4) == [(4,)]
 
 
+def _coordinates(space, fields):
+    """The coordinate vectors on `space.basis` of fields homogeneous of degree `space.degree`."""
+    index = {pair: i for i, pair in enumerate(space.basis)}
+    vectors = []
+    for f in fields:
+        vec = [Fraction(0)] * space.size
+        for alpha, mv in f.terms():
+            for mask, coef in mv.terms():
+                vec[index[(alpha, mask)]] = coef
+        vectors.append(vec)
+    return vectors
+
+
 def test_coefficient_space_size_and_round_trip():
     space = CoefficientSpace(3, 2)
     assert space.size == 6 * 8
     rng = random.Random(1)
     vec = [Fraction(rng.randint(-3, 3)) for _ in range(space.size)]
     f = space.vector_to_field(vec)
-    assert space.field_to_vector(f) == vec
-    with pytest.raises(ValueError):
-        space.field_to_vector(PolyField.variable(3, 1))  # degree 1, not 2
+    assert _coordinates(space, [f]) == [vec]
 
 
 # -- operator matrices ---------------------------------------------------------------
@@ -409,7 +418,6 @@ def test_coefficient_space_size_and_round_trip():
 def test_laplacian_matrix_on_degree_one_is_degenerate_zero_map():
     space = CoefficientSpace(3, 1)
     opmat = operator_matrix(FieldOperator.laplacian(), space)
-    assert opmat.degenerate
     assert opmat.matrix.nrows == 0
     assert len(nullspace(opmat).vectors) == space.size
 
@@ -418,14 +426,14 @@ def test_sandwich_matrix_annihilates_reference_member():
     space = CoefficientSpace(3, 2)
     opmat = operator_matrix(FieldOperator.sandwich(PHI, PSI), space)
     member = parse_field("2*x2*x3*e[1] - (x1^2 + x2^2)*e[2]", 3)
-    assert not any(opmat.mat_vec(space.field_to_vector(member)))
+    assert not any(opmat.matrix.mat_vec(_coordinates(space, [member])[0]))
 
 
 def test_dirac_matrix_annihilates_reference_degree_two_part():
     space = CoefficientSpace(3, 2)
     opmat = operator_matrix(FieldOperator.dirac_left(PSI), space)
     f = parse_field("(x2^2 - x1^2)*e[2] - 2*x1*x2*e[3]", 3)
-    assert not any(opmat.mat_vec(space.field_to_vector(f)))
+    assert not any(opmat.matrix.mat_vec(_coordinates(space, [f])[0]))
 
 
 def test_matrix_agrees_with_operator_on_random_vectors():
@@ -433,13 +441,11 @@ def test_matrix_agrees_with_operator_on_random_vectors():
     for name, make in _OPERATORS.items():
         space = CoefficientSpace(3, 2)
         opmat = operator_matrix(make(PHI, PSI), space)
-        apply, _ = _field_function(name, PHI, PSI)
+        apply, order = _field_function(name, PHI, PSI)
+        target = CoefficientSpace(3, 2 - order)
         for _ in range(3):
             vec = [Fraction(rng.randint(-3, 3)) for _ in range(space.size)]
-            f = space.vector_to_field(vec)
-            image = apply(f)
-            assert opmat.target is not None
-            assert opmat.mat_vec(vec) == opmat.target.field_to_vector(image)
+            assert [opmat.matrix.mat_vec(vec)] == _coordinates(target, [apply(space.vector_to_field(vec))])
 
 
 def test_harmonic_dimension_matches_classical_count():
@@ -480,9 +486,9 @@ def test_random_operator_matrices_soundness():
         opmat = operator_matrix(op, CoefficientSpace(3, d))
         basis = nullspace(opmat)
         for v in basis.vectors:
-            assert not any(opmat.mat_vec(v))
+            assert not any(opmat.matrix.mat_vec(v))
         assert opmat.matrix.rank() + basis.dimension == opmat.matrix.ncols
-        assert opmat.matrix.rank(reverse_columns=True) + basis.dimension == opmat.matrix.ncols
+        assert mirrored_rank(opmat.matrix) + basis.dimension == opmat.matrix.ncols
 
 
 _OPERATORS = {
@@ -511,10 +517,10 @@ def _field_operator_matrix(name, phi, psi, space):
     """The matrix of operator `name`, column by column from the field operators on each basis monomial."""
     apply, order = _field_function(name, phi, psi)
     if space.degree < order:
-        return RationalMatrix.zero(0, space.size)
+        return RationalMatrix([], ncols=space.size)
     target = CoefficientSpace(space.m, space.degree - order)
-    columns = [target.field_to_vector(apply(space.basis_field(i))) for i in range(space.size)]
-    return RationalMatrix(zip(*columns), ncols=space.size)
+    images = [apply(PolyField.monomial(space.m, alpha, Multivector._of(space.m, {mask: 1}))) for alpha, mask in space.basis]
+    return RationalMatrix(zip(*_coordinates(target, images)), ncols=space.size)
 
 
 def _symbol_cases():
@@ -557,6 +563,7 @@ def _per_column_int_rows(op, space):
     if space.degree < op.order:
         return []
     target = CoefficientSpace(space.m, space.degree - op.order)
+    index = {pair: i for i, pair in enumerate(target.basis)}
     maps = _transposition_blade_maps(symbol, space.m)
     entries = [[] for _ in range(target.size)]
     for col, (alpha, mask) in enumerate(space.basis):
@@ -566,8 +573,8 @@ def _per_column_int_rows(op, space):
                 continue
             beta = tuple(a - g for a, g in zip(alpha, gamma))
             for out, c in blade_map[mask]:
-                entries[target._index[(beta, out)]].append((col, lift * c))
-    return [linalg._integer_row(row) for row in entries]
+                entries[index[(beta, out)]].append((col, lift * c))
+    return [(tuple(num.items()), scale) for num, scale in (_as_integers(dict(row)) for row in entries)]
 
 
 def _assembly_cases():
@@ -725,7 +732,7 @@ def test_triple_stack_rank_is_independent_of_column_order():
     space = CoefficientSpace(4, 5)
     mats = class_matrices(StructuralSet.standard(4), StructuralSet.reversed_standard(4), space)
     stack = RationalMatrix.stack(list(mats.values()), space.size)
-    assert stack.rank() == stack.rank(reverse_columns=True) == space.size - 318
+    assert stack.rank() == mirrored_rank(stack) == space.size - 318
 
 
 def _joint_dims_by_nullspace(phi, psi, m, d):
@@ -743,7 +750,7 @@ def _joint_dims_by_nullspace(phi, psi, m, d):
     for names in joints:
         stack = RationalMatrix.stack([mats[n] for n in names], space.size)
         dims.append(len(stack.nullspace()))
-        assert dims[-1] == space.size - stack.rank(reverse_columns=True), names
+        assert dims[-1] == space.size - mirrored_rank(stack), names
     return tuple(dims)
 
 
@@ -1016,7 +1023,7 @@ def test_rank_rule_and_witness_search_agree_on_a_seeded_grid():
                 # As `solve --region` runs it: the search back-substitutes on the echelons the dimensions kept.
                 dims = class_dimensions(phi, psi, m, d, matrices=mats, keep=target.classes)
                 wanted = RationalMatrix.stack([mats[name] for name in sorted(target.classes)], space.size)
-                assert _as_fractions(wanted._kernel(dims.echelons)) == _as_fractions(wanted._kernel())
+                assert _as_fractions(wanted._pool(dims.echelons)) == _as_fractions(wanted._pool())
                 seen["wanted classes without rows"] += bool(target.classes) and wanted.nrows == 0
                 witness = find_region_witness(phi, psi, m, d, target, matrices=mats, dims=dims)
                 assert (witness is None) == dims.region_is_empty(target), (m, d, phi, psi, target)
@@ -1037,7 +1044,7 @@ def test_kernel_guard_rejects_the_echelons_of_a_smaller_chain():
     wanted = RationalMatrix.stack([mats[HARMONIC], mats[INFRAMONOGENIC]], space.size)
     smaller = class_dimensions(PHI, PSI, 3, 2, matrices=mats, keep=frozenset({HARMONIC})).echelons
     with pytest.raises(ArithmeticError, match="failed verification"):
-        wanted._kernel(smaller)
+        list(wanted._pool(smaller))
     assert dims.echelons is None  # nothing is kept unless asked for
 
 
@@ -1047,7 +1054,7 @@ def test_witness_search_refuses_the_echelons_of_other_classes():
     mats = class_matrices(PHI, PSI, space)
     dims = class_dimensions(PHI, PSI, 3, 2, matrices=mats, keep=frozenset({HARMONIC, INFRAMONOGENIC}))
     wanted = mats[HARMONIC]
-    assert (len(wanted._kernel(dims.echelons)), len(wanted._kernel()), dims.harmonic) == (34, 40, 40)
+    assert (len(list(wanted._pool(dims.echelons))), len(list(wanted._pool())), dims.harmonic) == (34, 40, 40)
     target = RegionLabel.from_classes((HARMONIC,))
     with pytest.raises(ArithmeticError, match="kept for other classes"):
         find_region_witness(PHI, PSI, 3, 2, target, matrices=mats, dims=dims)
@@ -1106,7 +1113,7 @@ def test_witness_search_back_substitutes_only_the_vectors_it_tries(monkeypatch, 
     assert classify(phi, psi, witness).region == target
     assert len(solved) == 1  # pool vector 0 escapes and is confirmed
     if not target.classes:
-        assert witness == space.basis_field(0)
+        assert witness == space.vector_to_field([Fraction(int(j == 0)) for j in range(space.size)])
     solved.clear()
     wanted = RationalMatrix.stack([mats[name] for name in sorted(target.classes)], space.size)
     assert len(wanted.nullspace()) == len(solved) == pool_size
