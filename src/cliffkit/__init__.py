@@ -25,13 +25,11 @@ from .solver import (
     ClassDimensions,
     CoefficientSpace,
     FieldOperator,
-    NullspaceBasis,
     OperatorMatrix,
     class_dimensions,
     class_nullspace,
     converse_counterexample,
     find_region_witness,
-    nullspace,
     operator_matrix,
 )
 from .structural import StructuralSet, StructuralSetError, TransitionMatrix, transition
@@ -46,7 +44,6 @@ __all__ = [
     "DimensionMismatch",
     "FieldOperator",
     "Multivector",
-    "NullspaceBasis",
     "OperatorMatrix",
     "ParseError",
     "PolyField",
@@ -72,7 +69,6 @@ __all__ = [
     "find_region_witness",
     "format_field",
     "laplacian",
-    "nullspace",
     "operator_matrix",
     "parse_field",
     "parse_multivector",

@@ -91,7 +91,7 @@ def _two_dimensional_items() -> list[DemoItem]:
             )
         # Parity consequence on actual kernel members.
         for names, label in (((HARMONIC,), "harmonic"), ((INFRAMONOGENIC,), "inframonogenic")):
-            member = class_nullspace(phi, psi, 2, names).fields()[0]
+            member = class_nullspace(phi, psi, 2, names)[0]
             part = member.even_part() if parity == "even" else member.odd_part()
             mem = classify(phi, psi, part)
             items.append(

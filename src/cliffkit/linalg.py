@@ -8,8 +8,8 @@ A matrix keeps each row once, sparse and in integers: the nonzero
 entries times the lcm of their denominators, as (column, int) pairs, plus
 that lcm as the row scale.  Scaling a row changes neither rank nor
 kernel, so elimination starts from these integer rows and keeps them
-sparse; a matrix-vector product reads only the columns in the vector's
-support.
+sparse; `mat_vec` multiplies a sparse integer vector through the rows
+that touch its support alone.
 
 One elimination runs on these rows.  A `RowEchelon` takes them one at a
 time, reduces each against the pivot rows in insertion order and only then
@@ -26,8 +26,8 @@ the Bareiss minor it divides.
   the reduced-echelon basis, which depends only on the row space: so it
   also comes from echelons grown elsewhere (`solver.class_dimensions`).
   Its size is the free column count, known before any back-substitution,
-  so `_pool` computes each vector on first access and guards it before
-  handing it out: the witness search back-substitutes only what it tries.
+  so `nullspace` computes each vector on first access and guards it before
+  handing it out: a caller back-substitutes only what it reads.
 
 Both eliminate each connected block (rows linked by shared columns) on
 its own, so a row is reduced against the pivot rows of its own block
@@ -38,12 +38,11 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .algebra import _as_integers
 
-Vector = list[Fraction]
 # The nonzero (column, integer) entries of a row times its scale, and that scale.
 IntegerRow = tuple[tuple[tuple[int, int], ...], int]
 
@@ -124,7 +123,11 @@ class RowEchelon:
 
 
 class _Lazy:
-    """The sequence f(0), ..., f(n - 1), each item computed on first access and kept."""
+    """The sequence f(0), ..., f(n - 1), each item computed on first access and kept.
+
+    Indices are integers, negative ones counted from the end; a slice
+    raises `TypeError`, since the cache holds None for items not yet read.
+    """
 
     __slots__ = ("_f", "_items")
 
@@ -135,9 +138,11 @@ class _Lazy:
         return len(self._items)
 
     def __getitem__(self, k: int):
+        if not isinstance(k, int):
+            raise TypeError(f"lazy sequence indices must be integers, not {type(k).__name__}")
         item = self._items[k]
         if item is None:
-            item = self._items[k] = self._f(k)
+            item = self._items[k] = self._f(k % len(self._items))
         return item
 
 
@@ -179,7 +184,7 @@ class RationalMatrix:
         return cls._of([row for mat in matrices for row in mat._int_rows], ncols)
 
     @property
-    def rows(self) -> list[Vector]:
+    def rows(self) -> list[list[Fraction]]:
         """Dense rows of `Fraction` entries, built on each access."""
         out = []
         for pairs, scale in self._int_rows:
@@ -189,12 +194,12 @@ class RationalMatrix:
             out.append(row)
         return out
 
-    def _products(self, vectors: Sequence[dict[int, int]]) -> list[dict[int, int]]:
-        """The nonzero {row: sum_j a_ij y_j} of each sparse vector y ({column: value}), a_ij the integer row entries.
+    def mat_vec(self, y: dict[int, int]) -> dict[int, int]:
+        """The nonzero {row: sum_j a_ij y_j} of the sparse integer vector y ({column: value}), a_ij the integer row entries.
 
         Entry i is row scale i times (A y)_i.  A column -> rows index, built
         once per matrix, gives the rows that touch the support of y, which
-        are the only rows that can give a nonzero entry; each product runs
+        are the only rows that can give a nonzero entry; the product runs
         through those rows alone.
         """
         rows_of = self._rows_of
@@ -203,25 +208,12 @@ class RationalMatrix:
             for i, (pairs, _) in enumerate(self._int_rows):
                 for j, _ in pairs:
                     rows_of[j].append(i)
-        out = []
-        for y in vectors:
-            image = {}
-            for i in {i for j in y for i in rows_of[j]}:
-                s = sum(a * y.get(j, 0) for j, a in self._int_rows[i][0])
-                if s:
-                    image[i] = s
-            out.append(image)
-        return out
-
-    def mat_vec(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.ncols:
-            raise ValueError(f"vector length {len(v)} does not match {self.ncols} columns")
-        den = lcm(*(x.denominator for x in v))
-        (image,) = self._products([{j: x.numerator * (den // x.denominator) for j, x in enumerate(v) if x}])
-        out = [Fraction(0)] * self.nrows
-        for i, s in image.items():
-            out[i] = Fraction(s, self._int_rows[i][1] * den)
-        return out
+        image = {}
+        for i in {i for j in y for i in rows_of[j]}:
+            s = sum(a * y.get(j, 0) for j, a in self._int_rows[i][0])
+            if s:
+                image[i] = s
+        return image
 
     def __eq__(self, other):
         if isinstance(other, RationalMatrix):
@@ -262,12 +254,20 @@ class RationalMatrix:
         """The `RowEchelon` of the rows of each connected block."""
         return [RowEchelon().grown(self._int_rows[i][0] for i in block) for block in self._blocks()]
 
-    def _pool(self, echelons: Iterable[RowEchelon] | None = None) -> _Lazy:
-        """The basis of `nullspace` as pairs (y, den), the vector y / den, y its nonzero {column: int} entries.
+    def nullspace(self, echelons: Iterable[RowEchelon] | None = None) -> _Lazy:
+        """Exact kernel basis, one vector per free column in increasing column order, each computed on first access.
 
-        Back-substituted on `echelons` (default `_echelons`): any whose rows
-        span the row space, no column in two.  Its length is the free column
-        count; vector k is back-substituted and guarded on first access.
+        Vector k is the pair (y, den), the vector y / den, y its nonzero
+        {column: int} entries, back-substituted on `echelons` (default
+        `_echelons`: any whose rows span the row space, no column in two).
+        It is the reduced-echelon vector of its free column: 1 there, 0 at
+        the other free columns of its block (a unit vector if no row touches
+        it), solved for the pivot columns left of it, from the right, over
+        one positive den that grows only by the factor a pivot row needs, so
+        every division is exact.  Before it is handed out, `mat_vec`
+        multiplies it through every row that touches its support, so the
+        guard relies neither on the block split nor on where the echelons
+        came from; a nonzero product raises `ArithmeticError`.
         """
         home, pivot_cols = {}, set()  # each tail column: the (pivot columns, pivots, tails) of its echelon, sorted
         for echelon in self._echelons() if echelons is None else echelons:
@@ -295,36 +295,9 @@ class RationalMatrix:
                 y = {j: q * a for j, a in y.items()}
                 den *= q
             y[pivot_cols[r]] = -s // g
-        if any(self._products([y])):
+        if self.mat_vec(y):
             raise ArithmeticError("nullspace vector failed verification")
         return y, den
-
-    def nullspace(self) -> list[Vector]:
-        """Exact kernel basis, one vector per free column in increasing column order, echelon-derived.
-
-        A free column's vector lives in its block (a unit vector if no row
-        touches it), and is the reduced-echelon one a whole-matrix sweep
-        gives: 1 at the free column, 0 at the block's other free columns,
-        solved for the pivot columns left of it, from the right.  The
-        vector is kept as integers over one positive den, and a pivot
-        row that does not divide its sum multiplies both by the missing
-        factor, so every division is exact.
-
-        Before the basis is handed back, each y is multiplied as a
-        soundness guard, in integers, through every row of the matrix that
-        touches its support (`_products` indexes the rows itself, so the
-        guard relies neither on the block split nor on where the echelons
-        came from); a nonzero product raises `ArithmeticError`.  The witness
-        search draws the same vectors from `_pool`, each guarded when first
-        drawn; this basis computes and guards all of them.
-        """
-        basis = []
-        for y, den in self._pool():
-            x = [Fraction(0)] * self.ncols
-            for j, a in y.items():
-                x[j] = Fraction(a, den)
-            basis.append(x)
-        return basis
 
     def __repr__(self):
         return f"RationalMatrix({self.nrows}x{self.ncols})"

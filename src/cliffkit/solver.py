@@ -20,11 +20,11 @@ from math import gcd, lcm, perm, prod
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import DimensionMismatch, Multivector, _as_integers, _blade_rank, _odd_masks, _reverse_sign
+from .algebra import DimensionMismatch, Multivector, _blade_rank, _odd_masks, _reverse_sign
 from .algebra import blade_order, check_dimension
 from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
 from .fields import MultiIndex, PolyField, _field
-from .linalg import RationalMatrix, RowEchelon, Vector, _Lazy, _reduced_row
+from .linalg import RationalMatrix, RowEchelon, _Lazy, _reduced_row
 from .structural import StructuralSet
 
 
@@ -63,11 +63,6 @@ class CoefficientSpace:
     @property
     def size(self) -> int:
         return len(self.basis)
-
-    def vector_to_field(self, vec: Sequence[Fraction]) -> PolyField:
-        if len(vec) != self.size:
-            raise ValueError(f"vector length {len(vec)} does not match space size {self.size}")
-        return self._field(*_as_integers({j: Fraction(coef) for j, coef in enumerate(vec) if coef}))
 
     def _field(self, y: dict[int, int], den: int) -> PolyField:
         """The field of the vector y / den, y its nonzero {coordinate: int} entries."""
@@ -222,23 +217,6 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatri
     return OperatorMatrix(RationalMatrix._of(rows, space.size), space)
 
 
-@dataclass(frozen=True)
-class NullspaceBasis:
-    space: CoefficientSpace
-    vectors: list[Vector]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
-
-    def fields(self) -> list[PolyField]:
-        return [self.space.vector_to_field(v) for v in self.vectors]
-
-
-def nullspace(opmat: OperatorMatrix) -> NullspaceBasis:
-    return NullspaceBasis(opmat.source, opmat.matrix.nullspace())
-
-
 def class_matrices(
     phi: StructuralSet, psi: StructuralSet, space: CoefficientSpace, names: Sequence[str] = _CLASS_ORDER
 ) -> dict[str, RationalMatrix]:
@@ -367,11 +345,15 @@ def class_dimensions(
     )
 
 
-def class_nullspace(phi: StructuralSet, psi: StructuralSet, d: int, names: Sequence[str]) -> NullspaceBasis:
-    """Joint kernel basis of the named class operators at homogeneity degree d."""
+def class_nullspace(phi: StructuralSet, psi: StructuralSet, d: int, names: Sequence[str]) -> Sequence[PolyField]:
+    """Joint kernel basis of the named class operators at homogeneity degree d, as fields.
+
+    The fields of `RationalMatrix.nullspace`, in its order; field k is
+    back-substituted and built on first access.
+    """
     space = CoefficientSpace(phi.m, d)
-    mats = class_matrices(phi, psi, space, names)
-    return NullspaceBasis(space, RationalMatrix.stack(list(mats.values()), space.size).nullspace())
+    basis = RationalMatrix.stack(list(class_matrices(phi, psi, space, names).values()), space.size).nullspace()
+    return _Lazy(len(basis), lambda k: space._field(*basis[k]))
 
 
 _SMALL_RATIONALS = [
@@ -419,7 +401,7 @@ def _region_candidates(pool: Sequence[tuple[SparseVector, int]],
                        images: Sequence[list[SparseVector]]) -> Iterator[tuple[SparseVector, int]]:
     """Every combination of `pool` the search tries whose image under each excluded matrix is nonzero, in order.
 
-    `images[k]` holds the integer images (`_products`) of `pool[k]` under
+    `images[k]` holds the integer images (`mat_vec`) of `pool[k]` under
     the excluded matrices.  Both are read in order and only as far as the
     search gets, so they may be computed on access (`linalg._Lazy`): the
     whole of them is read only if no single vector escapes.  If the pool
@@ -466,16 +448,17 @@ def find_region_witness(
 
     Candidates are drawn from a basis of the joint kernel of the
     required classes (or the whole space when none is required), in the
-    order of `_region_candidates`.  The pool is back-substituted on the
-    echelons `dims` kept, if given, and raises `ArithmeticError` unless it
-    has `dims.joint(target.classes)` vectors (so `keep=target.classes`),
-    a count the echelons give before any back-substitution.  Pool vector
-    k is back-substituted and guarded when the search first reaches it,
-    and multiplied through each excluded matrix, along the supports of its
-    entries, only then.  A candidate escapes when its integer image under
-    each excluded matrix is nonzero; only then is it made a field, and
-    `classify` confirms it.  The search is complete, so None means the
-    region is proved empty.  `matrices` is as in `class_dimensions`.
+    order of `_region_candidates`.  The pool, `RationalMatrix.nullspace`,
+    is back-substituted on the echelons `dims` kept, if given, and raises
+    `ArithmeticError` unless it has `dims.joint(target.classes)` vectors
+    (so `keep=target.classes`), a count the echelons give before any
+    back-substitution.  Pool vector k is back-substituted and guarded when
+    the search first reaches it, and multiplied through each excluded
+    matrix (`mat_vec`, along the supports of its entries) only then.  A
+    candidate escapes when its integer image under each excluded matrix is
+    nonzero; only then is it made a field, and `classify` confirms it.
+    The search is complete, so None means the region is proved empty.
+    `matrices` is as in `class_dimensions`.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
@@ -483,11 +466,11 @@ def find_region_witness(
     mats = class_matrices(phi, psi, space) if matrices is None else matrices
     wanted = [mats[name] for name in sorted(target.classes)]
     excluded = [mat for name, mat in mats.items() if name not in target.classes]
-    pool = RationalMatrix.stack(wanted, space.size)._pool(None if dims is None else dims.echelons)
+    pool = RationalMatrix.stack(wanted, space.size).nullspace(None if dims is None else dims.echelons)
     if dims is not None and len(pool) != dims.joint(target.classes):
         raise ArithmeticError("the echelons were kept for other classes")
     # Image rows come times their row scales, which changes no zero test.
-    images = _Lazy(len(pool), lambda k: [mat._products([pool[k][0]])[0] for mat in excluded])
+    images = _Lazy(len(pool), lambda k: [mat.mat_vec(pool[k][0]) for mat in excluded])
     for y, den in _region_candidates(pool, images):
         f = space._field(y, den)
         if classify(phi, psi, f).region == target:

@@ -222,10 +222,6 @@ class StructuralSet:
         indices = tuple(indices)
         return Multivector._of(self.m, *_lowest(dict(self._product(indices)), self._den ** len(indices)))
 
-    def reversed_product(self, indices: Sequence[int]) -> Multivector:
-        """reverse(v_A) = v_{i_k} * ... * v_{i_1}."""
-        return self.product(tuple(indices)[::-1])
-
     def __eq__(self, other):
         if isinstance(other, StructuralSet):
             return self.m == other.m and self.vectors == other.vectors

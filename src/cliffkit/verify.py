@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from .algebra import Multivector, blade_order
 from .classify import (
@@ -48,7 +49,7 @@ from .sampling import (
     rand_signed_permutation,
     rand_structural_pair,
 )
-from .solver import NullspaceBasis, class_nullspace
+from .solver import class_nullspace
 from .structural import StructuralSet
 from .verdict import Verdict, compare
 
@@ -115,7 +116,7 @@ class SuiteReport:
 
 
 class _KernelMemo:
-    """The class kernel bases that `_members_for` draws from, each built once per suite run.
+    """The class kernel bases that `_members_for` draws from, each set up once per suite run.
 
     Keyed by dimension, degree, class names and the coordinates of the sets
     the class operators use; the Laplacian uses none, so every pair shares
@@ -123,16 +124,16 @@ class _KernelMemo:
     """
 
     def __init__(self):
-        self._bases: dict[tuple, NullspaceBasis] = {}
+        self._bases: dict[tuple, Sequence[PolyField]] = {}
 
     def members(self, phi: StructuralSet, psi: StructuralSet, names: tuple[str, ...], d: int, limit: int) -> list[PolyField]:
-        """The fields of the first `limit` basis vectors of the joint kernel of `names` at degree d."""
+        """The first `limit` basis fields of the joint kernel of `names` at degree d; only these are back-substituted."""
         sets = () if names == (HARMONIC,) else (phi, psi)
         key = (phi.m, d, names) + tuple(tuple(map(tuple, s.coordinates())) for s in sets)
         if key not in self._bases:
             self._bases[key] = class_nullspace(phi, psi, d, names)
         basis = self._bases[key]
-        return [basis.space.vector_to_field(v) for v in basis.vectors[:limit]]
+        return [basis[k] for k in range(min(limit, len(basis)))]
 
 
 class _Runner:

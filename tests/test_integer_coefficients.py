@@ -99,7 +99,7 @@ def operands(rng, m):
     out = list(phi.vectors) + list(psi.vectors)
     for k in range(2, m + 1):
         A = tuple(sorted(rng.sample(range(1, m + 1), k)))
-        out += [phi.product(A), psi.reversed_product(A)]
+        out += [phi.product(A), psi.product(A[::-1])]
     out += [rand_multivector(rng, m, max_terms=6) * Fraction(1, 65) for _ in range(3)]
     out += [rand_multivector(rng, m, max_terms=4) for _ in range(3)]
     return phi, psi, out
@@ -270,7 +270,7 @@ def test_products_sums_scaling_and_psi_make_no_fraction(fractions_made):
     rng = random.Random(5)
     phi, psi = rand_rational_structural_set(rng, 4), rand_rational_structural_set(rng, 4)
     a = phi.product((1, 2)) + psi[3] * Fraction(5, 13)
-    b = psi.reversed_product((2, 3, 4)) * Fraction(-7, 25)
+    b = psi.product((4, 3, 2)) * Fraction(-7, 25)
     q = Fraction(13, 65 * 3)
     op = PsiOperator.plus(phi, psi)
     fractions_made[0] = 0

@@ -38,6 +38,7 @@ from cliffkit.sampling import (
     rand_structural_pair,
 )
 from cliffkit.structural import StructuralSet, transition
+from kernel_reference import dense_mat_vec
 
 
 def brute_psi_k(phi, psi, k, a):
@@ -301,14 +302,14 @@ def test_matrix_agrees_with_operator_on_random_values():
             assert image.coefficients() == list(columns[col]), (m, op.index_sets, mask)
         for _ in range(3):
             a = rand_multivector(rng, m)
-            assert op.apply(a).coefficients() == mat.mat_vec(a.coefficients()), (m, op.index_sets)
+            assert op.apply(a).coefficients() == dense_mat_vec(mat, a.coefficients()), (m, op.index_sets)
         # a field whose coefficients have denominators 3, 4, 7 and 12
         f = PolyField(m, {
             (0,) * m: Multivector(m, {0: Fraction(3, 4), (1 << m) - 1: Fraction(-5, 3)}),
             (1,) + (0,) * (m - 1): Multivector(m, {1: Fraction(2, 7)}),
             (0,) * (m - 1) + (2,): Multivector(m, {mask: Fraction(mask + 1, 12) for mask in range(1 << m)}),
         })
-        want = {alpha: Multivector(m, dict(zip(blade_order(m), mat.mat_vec(mv.coefficients())))) for alpha, mv in f.terms()}
+        want = {alpha: Multivector(m, dict(zip(blade_order(m), dense_mat_vec(mat, mv.coefficients())))) for alpha, mv in f.terms()}
         assert op.apply(f) == PolyField(m, want), (m, op.index_sets)
         seen += 1
     assert seen == sum(2 * (m + 4) for m in range(1, 7))
@@ -417,7 +418,7 @@ def test_psi_application_and_matrices_take_no_reverse(monkeypatch):
         image = op.apply(a)
         assert image == _brute_family(op, a), (op.phi.m, op.index_sets)
         assert op.apply(f) == PolyField(f.m, {alpha: _brute_family(op, mv) for alpha, mv in f.terms()})
-        assert psi_matrix(op).mat_vec(a.coefficients()) == image.coefficients(), (op.phi.m, op.index_sets)
+        assert dense_mat_vec(psi_matrix(op), a.coefficients()) == image.coefficients(), (op.phi.m, op.index_sets)
 
 
 def test_a_prepared_operator_gives_a_fresh_operators_images():

@@ -47,5 +47,6 @@ def test_traced_solve_and_verify_count_the_solver_and_linalg_layers():
         tracer.uninstall()
     metrics = tracer.metrics([])
     counts = {name: metrics[name] for name in (
-        "solver.opmat_builds", "solver.witness_searches", "linalg.nullspace_calls", "linalg.rank_calls")}
+        "solver.opmat_builds", "solver.witness_searches", "linalg.nullspace_calls", "linalg.mat_vec_calls",
+        "linalg.rank_calls")}
     assert all(count > 0 for count in counts.values()), counts
