@@ -8,7 +8,8 @@ filled straight from its symbol: a derivative of a monomial is a scaled
 monomial, and the multivector coefficients act on each basis blade by a
 fixed blade map.  Each row is built once, already in column order, from
 the transposed blade maps.  Kernels come from fraction-free elimination
-in `linalg`.
+in `linalg`; at odd m the class dimensions eliminate the even-blade half
+alone, which the central pseudoscalar maps onto the odd half.
 """
 
 from __future__ import annotations
@@ -150,32 +151,39 @@ def _blade_images(symbol: list[SymbolTerm], m: int) -> tuple[BladeMaps, int]:
     S_gamma[B] is row B of the blade map of gamma, so a matrix row reads
     its entries from one list.  Each coefficient c is the returned integer
     over the scale; the scale is the smallest one that works for every map
-    together.
+    together.  The terms of each gamma are first summed as blade pairs,
+    c * e_ma * (.) * e_mb, one coefficient per pair, and each distinct sum
+    is mapped once: gammas with the same pairs (the Laplacian's m
+    identities) share one map.
     """
     scale = lcm(*(a._den * b._den for _, a, b in symbol))
-    odd = _odd_masks(m)
-    acc: dict[MultiIndex, list[dict[int, int]]] = {}
+    odd, order, rank = _odd_masks(m), blade_order(m), _blade_rank(m)
+    pairs: dict[MultiIndex, dict[tuple[int, int], int]] = {gamma: {} for gamma in sorted({t[0] for t in symbol})}
     for gamma, a, b in symbol:
-        images = acc.setdefault(gamma, [{} for _ in range(1 << m)])
         factor = scale // (a._den * b._den)
         for ma, ca in a._num.items():
             for mb, cb in b._num.items():
-                c = ca * cb * factor
-                for mask, image in enumerate(images):
-                    # e_ma * e_mask * e_mb, whose sign has two factors
-                    left = ma ^ mask
-                    out = left ^ mb
-                    negative = ((mask & odd[ma]) ^ (mb & odd[left])).bit_count() & 1
-                    image[out] = image.get(out, 0) + (-c if negative else c)
-    g = 1 if scale == 1 else gcd(scale, *(c for images in acc.values() for image in images for c in image.values()))
-    order, rank = blade_order(m), _blade_rank(m)
-    maps = {gamma: [[] for _ in order] for gamma in sorted(acc)}
-    for gamma, transposed in maps.items():
+                pairs[gamma][ma, mb] = pairs[gamma].get((ma, mb), 0) + ca * cb * factor
+    made: dict[tuple, list[list[tuple[int, int]]]] = {}
+    for gamma, blades in pairs.items():
+        key = tuple(blades.items())
+        if key in made:
+            continue
+        transposed = made[key] = [[] for _ in order]
         for A, mask in enumerate(order):  # A ascending, so each transposed row comes out sorted
-            for out, c in acc[gamma][mask].items():
+            image: dict[int, int] = {}
+            for (ma, mb), c in blades.items():
+                # e_ma * e_mask * e_mb, whose sign has two factors
+                left = ma ^ mask
+                out = left ^ mb
+                image[out] = image.get(out, 0) + (-c if ((mask & odd[ma]) ^ (mb & odd[left])).bit_count() & 1 else c)
+            for out, c in image.items():
                 if c:
-                    transposed[rank[out]].append((A, c // g))
-    return maps, scale // g
+                    transposed[rank[out]].append((A, c))
+    g = 1 if scale == 1 else gcd(scale, *(c for rows in made.values() for row in rows for _, c in row))
+    for rows in made.values() if g > 1 else ():
+        rows[:] = [[(A, c // g) for A, c in row] for row in rows]
+    return {gamma: made[tuple(blades.items())] for gamma, blades in pairs.items()}, scale // g
 
 
 @dataclass(frozen=True)
@@ -231,6 +239,8 @@ def class_matrices(
 
 @dataclass(frozen=True)
 class ClassDimensions:
+    """The seven joint-kernel dimensions at degree d; `echelons` are the `keep` chain's, one per block it grew in."""
+
     m: int
     degree: int
     full: int
@@ -308,8 +318,15 @@ def class_dimensions(
     blocks once.  In each block every joint kernel of `_CHAINS` is a
     `RowEchelon` grown from the one before its last class, so the rows
     of H are inserted once, of I twice and of Hpp four times, against
-    four times each for seven stacks eliminated from scratch.  Only the
-    echelon of the `keep` classes, if given, outlives its block (`echelons`).
+    four times each for seven stacks eliminated from scratch.
+
+    The operators keep blade parity, so each block holds one parity.  At
+    odd m the pseudoscalar e_1...e_m is central and odd: multiplying by it
+    commutes with each operator and maps every joint kernel on the even
+    blades onto the one on the odd blades, so only the even blocks are
+    walked and each rank counts twice.  The echelon of the `keep` classes,
+    if given, outlives its block (`echelons`); an odd block grows that one
+    chain alone, so the witness pool stays in blade coordinates.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
@@ -317,19 +334,27 @@ def class_dimensions(
     mats = class_matrices(phi, psi, space) if matrices is None else matrices
     stack = RationalMatrix.stack([mats[name] for name in _CLASS_ORDER], space.size)
     class_of = [name for name in _CLASS_ORDER for _ in range(mats[name].nrows)]
+    # Row i has output blade i mod 2^m; at odd m, whether its rank is the mirror of an even one.
+    width, mirrored = 1 << m, [m % 2 and mask.bit_count() % 2 for mask in blade_order(m)]
+    target = next((chain for chain in _CHAINS if frozenset(chain) == keep), ())
+    kept_walk = [chain for chain in _CHAINS if chain == target[:len(chain)]]
+    eliminated = [i for i in range(stack.nrows) if not mirrored[i % width] or class_of[i] in target]
     ranks = dict.fromkeys(map(frozenset, _CHAINS), 0)
     kept = []
-    for block in stack._blocks():
+    for block in RationalMatrix._of([stack._int_rows[i] for i in eliminated], space.size)._blocks():
+        block = [eliminated[k] for k in block]
         rows = {name: [] for name in _CLASS_ORDER}
         for i in block:
             rows[class_of[i]].append(stack._int_rows[i][0])
+        mirror = mirrored[block[0] % width]
         echelons = {frozenset(): RowEchelon()}
-        for names, chain in zip(ranks, _CHAINS):
+        for chain in kept_walk if mirror else _CHAINS:
+            names = frozenset(chain)
             echelons[names] = echelons[frozenset(chain[:-1])].grown(rows[chain[-1]])
-            ranks[names] += len(echelons[names])
+            ranks[names] += 0 if mirror else len(echelons[names])
         if keep:
             kept.append(echelons[keep])
-    dims = {names: space.size - rank for names, rank in ranks.items()}
+    dims = {names: space.size - (1 + m % 2) * rank for names, rank in ranks.items()}
     return ClassDimensions(
         m=m,
         degree=d,
@@ -449,7 +474,8 @@ def find_region_witness(
     Candidates are drawn from a basis of the joint kernel of the
     required classes (or the whole space when none is required), in the
     order of `_region_candidates`.  The pool, `RationalMatrix.nullspace`,
-    is back-substituted on the echelons `dims` kept, if given, and raises
+    is back-substituted on the echelons `dims` kept, if given (both blade
+    parities: at odd m the odd blocks grew the kept chain alone), and raises
     `ArithmeticError` unless it has `dims.joint(target.classes)` vectors
     (so `keep=target.classes`), a count the echelons give before any
     back-substitution.  Pool vector k is back-substituted and guarded when

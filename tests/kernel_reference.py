@@ -1,13 +1,18 @@
-"""Dense `Fraction` views of the sparse kernel API, for comparisons with dense references.
+"""Dense `Fraction` views of the sparse kernel API, and the class dimensions without the pseudoscalar split.
 
 `RationalMatrix.nullspace` gives lazy pairs (y, den), the vector y / den
 with y its nonzero {column: int} entries, and `RationalMatrix.mat_vec`
 multiplies one such y; these helpers write both out densely.
+`half_ranks` and `unsplit_dimensions` eliminate every block of the class
+stack, the odd-blade half at odd m included.
 """
 
 from fractions import Fraction
 
-from cliffkit.algebra import _as_integers
+from cliffkit.algebra import _as_integers, blade_order
+from cliffkit.classify import _CLASS_ORDER
+from cliffkit.linalg import RationalMatrix, RowEchelon
+from cliffkit.solver import _CHAINS, CoefficientSpace, class_matrices
 
 
 def densify(n, y, den):
@@ -40,3 +45,35 @@ def field_of(space, vec):
 def kernel_fields(opmat):
     """The fields of every kernel vector of the `OperatorMatrix` opmat, in `nullspace` order."""
     return [opmat.source._field(y, den) for y, den in opmat.matrix.nullspace()]
+
+
+def half_ranks(phi, psi, m, d):
+    """For parity 0 and 1, {frozenset(chain): rank} of each joint kernel of `_CHAINS` on the output blades of that parity.
+
+    Every connected block of the class stack grows every chain of `_CHAINS`
+    from the one before its last class, and adds its ranks to the parity
+    of the output blade of its first row.
+    """
+    space = CoefficientSpace(m, d)
+    mats = class_matrices(phi, psi, space)
+    stack = RationalMatrix.stack([mats[name] for name in _CLASS_ORDER], space.size)
+    class_of = [name for name in _CLASS_ORDER for _ in range(mats[name].nrows)]
+    order = blade_order(m)
+    ranks = [dict.fromkeys(map(frozenset, _CHAINS), 0) for _ in range(2)]
+    for block in stack._blocks():
+        rows = {name: [] for name in _CLASS_ORDER}
+        for i in block:
+            rows[class_of[i]].append(stack._int_rows[i][0])
+        echelons = {(): RowEchelon()}
+        half = ranks[order[block[0] % (1 << m)].bit_count() % 2]
+        for chain in _CHAINS:
+            echelons[chain] = echelons[chain[:-1]].grown(rows[chain[-1]])
+            half[frozenset(chain)] += len(echelons[chain])
+    return ranks
+
+
+def unsplit_dimensions(phi, psi, m, d):
+    """{frozenset(chain): dimension} of each joint kernel of `_CHAINS`, both halves eliminated."""
+    size = CoefficientSpace(m, d).size
+    even, odd = half_ranks(phi, psi, m, d)
+    return {names: size - even[names] - odd[names] for names in even}

@@ -405,24 +405,28 @@ def test_nonempty_region_is_still_searched(monkeypatch):
 
 
 def test_solve_region_runs_no_second_elimination(capsys, monkeypatch):
-    # The witness search back-substitutes on the echelons the dimensions grew, so it grows none of its own.
-    calls = []
-    grown = RowEchelon.grown
+    # The witness search back-substitutes on the echelons the dimensions kept, so it grows none of its own.
+    calls, searching = [], []
+    grown, search = RowEchelon.grown, cli.find_region_witness
 
     def counted(self, rows):
-        calls.append(None)
+        calls.append(bool(searching))
         return grown(self, rows)
 
+    def watched(*args, **kwargs):
+        searching.append(None)
+        try:
+            return search(*args, **kwargs)
+        finally:
+            searching.pop()
+
     monkeypatch.setattr(RowEchelon, "grown", counted)
-    argv = ["solve", "--m", "3", "--degree", "4", "--phi", "standard", "--psi", "reversed"]
-    counts = []
-    for extra in ([], ["--region", "H,Hpp,I"]):
-        calls.clear()
-        code, out, _ = run_cli(capsys, *argv, *extra)
-        assert code == 0
-        counts.append(len(calls))
+    monkeypatch.setattr(cli, "find_region_witness", watched)
+    code, out, _ = run_cli(capsys, "solve", "--m", "3", "--degree", "4", "--phi", "standard", "--psi", "reversed",
+                           "--region", "H,Hpp,I")
+    assert code == 0
     assert out.splitlines()[-1].startswith("witness in region ")
-    assert counts[0] == counts[1] > 0
+    assert calls and not any(calls)
 
 
 @pytest.mark.parametrize("expr", ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1"],

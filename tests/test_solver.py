@@ -1,5 +1,6 @@
 """Exact linear algebra: elimination, operator matrices, dimensions, witnesses."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from cliffkit.parser import format_field, parse_field
 from cliffkit.psi import PsiOperator
 from cliffkit.sampling import rand_rational_structural_set, rand_structural_pair
 from cliffkit.solver import (
+    _CHAINS,
     CoefficientSpace,
     FieldOperator,
     class_dimensions,
@@ -33,7 +35,7 @@ from cliffkit.solver import (
     operator_matrix,
 )
 from cliffkit.structural import StructuralSet, transition
-from kernel_reference import dense_mat_vec, dense_nullspace, densify, field_of
+from kernel_reference import dense_mat_vec, dense_nullspace, densify, field_of, half_ranks, unsplit_dimensions
 from rank_reference import mirrored_rank
 
 PHI = StructuralSet.standard(3)
@@ -804,6 +806,43 @@ def test_class_dimensions_match_the_kernels_of_the_seven_stacks():
         assert tuple(dims.to_json().values()) == _joint_dims_by_nullspace(phi, psi, m, d), (m, d, phi, psi)
 
 
+def _named_and_random_pairs(m):
+    yield "standard/reversed", StructuralSet.standard(m), StructuralSet.reversed_standard(m)
+    yield "standard/standard", StructuralSet.standard(m), StructuralSet.standard(m)
+    yield "seed-7 random", *rand_structural_pair(random.Random(7), m)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_class_dimensions_at_odd_m_match_the_walk_over_both_halves(m):
+    # At odd m `class_dimensions` eliminates the even-blade half only; the reference eliminates both.
+    for name, phi, psi in _named_and_random_pairs(m):
+        for d in range(4 if m == 5 and name == "seed-7 random" else 5):  # random (5,4) alone takes seconds
+            dims = class_dimensions(phi, psi, m, d)
+            assert {names: dims.joint(names) for names in map(frozenset, _CHAINS)} == \
+                unsplit_dimensions(phi, psi, m, d), (name, m, d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_the_pseudoscalar_keeps_each_joint_kernel_at_m3(d):
+    omega = Multivector.blade(3, (1, 2, 3))
+    for name, phi, psi in _named_and_random_pairs(3):
+        for chain in _CHAINS:
+            members = class_nullspace(phi, psi, d, chain)
+            assert len(members) > 0, (name, chain)
+            for f in members:
+                region = classify(phi, psi, f).region
+                assert set(chain) <= region.classes
+                assert classify(phi, psi, omega * f).region == region, (name, chain, format_field(f))
+
+
+@pytest.mark.parametrize("m, d", [(2, 3), (2, 4), (4, 2), (4, 3), (6, 2)])
+def test_the_halves_differ_at_even_m(m, d):
+    # Negative control: at even m the pseudoscalar anticommutes with vectors, and doubling one half is wrong.
+    for psi in (StructuralSet.reversed_standard(m), StructuralSet.standard(m)):
+        even, odd = half_ranks(StructuralSet.standard(m), psi, m, d)
+        assert even != odd, (m, d, psi)
+
+
 def test_class_dimensions_of_a_random_rational_pair_at_m4_d4():
     # Bareiss rows reach 2377-bit entries on this pair; primitive rows stay at 178 bits.
     phi, psi = rand_structural_pair(random.Random(7), 4)
@@ -1095,35 +1134,24 @@ def test_witness_search_refuses_the_echelons_of_other_classes():
         find_region_witness(PHI, PSI, 3, 2, target)
 
 
-def test_witness_guard_rejects_a_corrupted_kept_echelon(monkeypatch):
+def test_witness_guard_rejects_a_corrupted_kept_echelon():
     target = parse_region_spec("H,Hpp,I")
     mats = class_matrices(PHI, PSI, CoefficientSpace(3, 3))
-    clean = class_dimensions(PHI, PSI, 3, 3, matrices=mats, keep=target.classes)
-    original, grown = RowEchelon.grown, []
-    corrupted_cols = []
-
-    def corrupted(self, rows):
-        echelon = original(self, rows)
-        grown.append(echelon)
-        if len(grown) % 7 == 3:  # each block grows the chains of `_CHAINS` in order; the third is the kept H+I+Hpp
-            free = min(j for tail in echelon._tails for j, _ in tail if j not in echelon._cols)
-            # Back-substituting `free` reads it first in the last pivot row left of it that holds it.
-            s = max((s for s, tail in enumerate(echelon._tails) if echelon._cols[s] < free and free in dict(tail)),
-                    key=lambda s: echelon._cols[s])
-            tails = list(echelon._tails)
-            tails[s] = tuple((j, a + 1 if j == free else a) for j, a in tails[s])
-            echelon._tails = tuple(tails)
-            corrupted_cols.append(free)
-        return echelon
-
-    with monkeypatch.context() as patch:
-        patch.setattr(RowEchelon, "grown", corrupted)
-        dims = class_dimensions(PHI, PSI, 3, 3, matrices=mats, keep=target.classes)
-    assert dims == clean and len(grown) == 7 * len(dims.echelons)  # only the tails of the kept echelons changed
+    dims = class_dimensions(PHI, PSI, 3, 3, matrices=mats, keep=target.classes)
     first_free = min(set(range(dims.full)).difference(c for echelon in dims.echelons for c in echelon._cols))
-    assert min(corrupted_cols) == first_free  # the first pool vector reads a corrupted entry
+    k, echelon = next((k, echelon) for k, echelon in enumerate(dims.echelons)
+                      if any(first_free in dict(tail) for tail in echelon._tails))
+    # Back-substituting the first pool vector reads its free column first in the last pivot row left of it that holds it.
+    s = max((s for s, tail in enumerate(echelon._tails) if echelon._cols[s] < first_free and first_free in dict(tail)),
+            key=lambda s: echelon._cols[s])
+    corrupted = RowEchelon.__new__(RowEchelon)
+    corrupted._cols, corrupted._pivots = echelon._cols, echelon._pivots
+    corrupted._tails = tuple(tuple((j, a + 1 if j == first_free else a) for j, a in tail) if r == s else tail
+                             for r, tail in enumerate(echelon._tails))
+    bad = dataclasses.replace(dims, echelons=dims.echelons[:k] + (corrupted,) + dims.echelons[k + 1:])
+    assert bad == dims  # only the tails of one kept echelon changed
     with pytest.raises(ArithmeticError, match="failed verification"):
-        find_region_witness(PHI, PSI, 3, 3, target, matrices=mats, dims=dims)
+        find_region_witness(PHI, PSI, 3, 3, target, matrices=mats, dims=bad)
 
 
 @pytest.mark.parametrize("m, d, region, pool_size", [(5, 3, "H,Hpp,I", 734), (3, 2, "none", 48)])
