@@ -181,8 +181,9 @@ def _blade_images(symbol: list[SymbolTerm], m: int) -> tuple[BladeMaps, int]:
                 if c:
                     transposed[rank[out]].append((A, c))
     g = 1 if scale == 1 else gcd(scale, *(c for rows in made.values() for row in rows for _, c in row))
-    for rows in made.values() if g > 1 else ():
-        rows[:] = [[(A, c // g) for A, c in row] for row in rows]
+    if g > 1:
+        for rows in made.values():
+            rows[:] = [[(A, c // g) for A, c in row] for row in rows]
     return {gamma: made[tuple(blades.items())] for gamma, blades in pairs.items()}, scale // g
 
 
@@ -334,7 +335,7 @@ def class_dimensions(
     mats = class_matrices(phi, psi, space) if matrices is None else matrices
     stack = RationalMatrix.stack([mats[name] for name in _CLASS_ORDER], space.size)
     class_of = [name for name in _CLASS_ORDER for _ in range(mats[name].nrows)]
-    # Row i has output blade i mod 2^m; at odd m, whether its rank is the mirror of an even one.
+    # Row i has output blade B = i mod 2^m; mirrored[B] when m and B are odd, so the row's block mirrors an even one.
     width, mirrored = 1 << m, [m % 2 and mask.bit_count() % 2 for mask in blade_order(m)]
     target = next((chain for chain in _CHAINS if frozenset(chain) == keep), ())
     kept_walk = [chain for chain in _CHAINS if chain == target[:len(chain)]]
