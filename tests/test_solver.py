@@ -835,12 +835,12 @@ def test_the_pseudoscalar_keeps_each_joint_kernel_at_m3(d):
                 assert classify(phi, psi, omega * f).region == region, (name, chain, format_field(f))
 
 
-@pytest.mark.parametrize("m, d", [(2, 3), (2, 4), (4, 2), (4, 3), (6, 2)])
-def test_the_halves_differ_at_even_m(m, d):
-    # Negative control: at even m the pseudoscalar anticommutes with vectors, and doubling one half is wrong.
+@pytest.mark.parametrize("m, d", [(1, 4), (3, 3), (5, 2), (2, 3), (2, 4), (4, 2), (4, 3), (6, 2)])
+def test_the_halves_agree_exactly_at_odd_m(m, d):
+    # At even m the pseudoscalar anticommutes with vectors, and doubling one half would be wrong (negative control).
     for psi in (StructuralSet.reversed_standard(m), StructuralSet.standard(m)):
         even, odd = half_ranks(StructuralSet.standard(m), psi, m, d)
-        assert even != odd, (m, d, psi)
+        assert (even == odd) == (m % 2 == 1), (m, d, psi)
 
 
 def test_class_dimensions_of_a_random_rational_pair_at_m4_d4():
@@ -1149,7 +1149,7 @@ def test_witness_guard_rejects_a_corrupted_kept_echelon():
     corrupted._tails = tuple(tuple((j, a + 1 if j == first_free else a) for j, a in tail) if r == s else tail
                              for r, tail in enumerate(echelon._tails))
     bad = dataclasses.replace(dims, echelons=dims.echelons[:k] + (corrupted,) + dims.echelons[k + 1:])
-    assert bad == dims  # only the tails of one kept echelon changed
+    assert bad == dims  # the dimensions are untouched; only one kept echelon's tails differ
     with pytest.raises(ArithmeticError, match="failed verification"):
         find_region_witness(PHI, PSI, 3, 3, target, matrices=mats, dims=bad)
 
