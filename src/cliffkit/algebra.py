@@ -16,7 +16,9 @@ the trusted `Multivector._of`, which takes numerators and denominator
 already in lowest terms and only puts the blades in canonical order, by a
 per-m blade-rank table; a caller holding Fractions converts them with
 `_as_integers` first.  `PolyField._of` and `StructuralSet._of` are the same
-for fields and structural sets.
+for fields and structural sets.  A field keeps this representation one
+level up, numerators of (monomial, blade) terms over one denominator, and
+reduces with the same `_lowest`.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .fields import PolyField, _dirac, _flat, _laplacian, _partials, dirac_left, sandwich
+from .fields import PolyField, _dirac, _laplacian, _partials, dirac_left, sandwich
 from .structural import StructuralSet
 from .verdict import Verdict
 
@@ -87,17 +87,17 @@ class ClassMembership:
 
 
 def classify(phi: StructuralSet, psi: StructuralSet, f: PolyField) -> ClassMembership:
-    """Membership of f in each class, every one an exact zero test on flat integer terms (see `fields`).
+    """Membership of f in each class, every one an exact zero test on f's integer terms (see `fields`).
 
     The first partials of f are computed once and serve D_psi f, f D_psi, D_phi f and
     the Laplacian; the partials of D_psi f give D_phi D_psi f, and those of D_phi f the
-    sandwich.  The scales are positive and are dropped, and no field is built.
+    sandwich.  The denominators are positive and are dropped, and no field is built.
     """
     if phi.m != f.m or psi.m != f.m:
         raise ValueError(f"dimension mismatch: sets {phi.m}/{psi.m}, field {f.m}")
     m = f.m
     phi_rows, psi_rows = phi._rows, psi._rows
-    partials = _partials(_flat(f)[0], m)
+    partials = _partials(f._num, m)
     left_psi = _dirac(partials, psi_rows, m, True)
     left_phi = _dirac(partials, phi_rows, m, True)
     return ClassMembership(

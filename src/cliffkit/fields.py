@@ -1,40 +1,51 @@
 """Multivector-valued polynomial fields on R^m and their differential operators.
 
-A field is a sparse map from exponent tuples (one exponent per variable)
-to multivector coefficients.  Polynomials are global on R^m: every
-identity checked here is pointwise-algebraic in derivatives, so there is
-no separate domain notion.  Differentiation, the twisted Dirac
-operators, the Laplacian and the two-sided (sandwich) operator all stay
-in exact rational arithmetic.
+A field is a sparse map from terms (alpha, mask), an exponent tuple (one
+exponent per variable) and a blade mask, to rational coefficients, kept
+as integer numerators over one positive denominator in lowest terms: the
+`Multivector` representation one level up.  Polynomials are global on
+R^m: every identity checked here is pointwise-algebraic in derivatives,
+so there is no separate domain notion.  Differentiation, the twisted
+Dirac operators, the Laplacian and the two-sided (sandwich) operator all
+stay in exact rational arithmetic.
 
-The differential operators share one integer kernel: a field is flattened to
-{(alpha, mask): numerator} over the lcm of its coefficients' denominators, a
-structural set gives the integer rows it keeps (`StructuralSet._rows`, over
-the lcm `_den` of its vectors' denominators), and a first partial is
-alpha_j * c at alpha - e_j.  Each operator rebuilds one field at the end,
-reducing each coefficient over the product of the scales.
+Everything runs on the integer terms.  `_merge` and `_times` are the one
+flat sum and product, shared by the field operators and the parser.  A
+first partial is alpha_j * c at alpha - e_j, and a structural set gives
+the integer rows it keeps (`StructuralSet._rows`, over the lcm `_den` of
+its vectors' denominators).  Each operator reduces its result once, over
+the product of the scales; coefficients as `Multivector`s are built only
+when `terms` or `coefficient` asks for them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import lcm
+from math import lcm, prod
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import DimensionMismatch, Multivector, Scalar, _lowest, _odd_masks, check_dimension
+from .algebra import DimensionMismatch, Multivector, Scalar, _as_integers, _lowest, _odd_masks, check_dimension
 from .structural import StructuralSet
 
 MultiIndex = tuple[int, ...]
+# Integer numerators of the terms (alpha, mask); with a denominator, a field.
+Flat = dict[tuple[MultiIndex, int], int]
+# Flat terms over a positive denominator.
+Value = tuple[Flat, int]
 
 
-def _check_term(alpha: MultiIndex, mv: Multivector, m: int) -> tuple[MultiIndex, Multivector]:
+def _check_index(alpha: MultiIndex, m: int) -> MultiIndex:
     alpha = tuple(alpha)
     if len(alpha) != m:
         raise ValueError(f"multi-index {alpha} has length {len(alpha)}, expected {m}")
     if any(not isinstance(e, int) or e < 0 for e in alpha):
         raise ValueError(f"multi-index {alpha} must consist of non-negative integers")
+    return alpha
+
+
+def _check_term(alpha: MultiIndex, mv: Multivector, m: int) -> tuple[MultiIndex, Multivector]:
+    alpha = _check_index(alpha, m)
     if mv.m != m:
         raise DimensionMismatch(f"coefficient dimension {mv.m} does not match field dimension {m}")
     return alpha, mv
@@ -44,41 +55,40 @@ def _index_key(alpha: MultiIndex) -> tuple[int, MultiIndex]:
     return (sum(alpha), alpha)
 
 
-def _sum_terms(pairs: Iterable[tuple[MultiIndex, Multivector]]) -> dict[MultiIndex, Multivector]:
-    """Sum (monomial, multivector) pairs by monomial into one dict, leaving out the sums that vanish."""
-    acc: dict[MultiIndex, Multivector] = {}
-    for alpha, mv in pairs:
-        cur = acc.get(alpha)
-        acc[alpha] = mv if cur is None else cur + mv
-    return {alpha: mv for alpha, mv in acc.items() if mv}
-
-
 class PolyField:
     """Polynomial function R^m -> R_{0,m} with exact coefficients; `PolyField(m, terms)` validates, `_of` trusts."""
 
-    __slots__ = ("m", "_terms")
+    __slots__ = ("m", "_num", "_den")
 
     def __init__(self, m: int, terms: Mapping[MultiIndex, Multivector] | Iterable[tuple[MultiIndex, Multivector]] = ()):
         check_dimension(m)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc = _sum_terms(_check_term(alpha, mv, m) for alpha, mv in items)
+        out = PolyField._sum(m, (_check_term(alpha, mv, m) for alpha, mv in items))
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_terms", {k: acc[k] for k in sorted(acc, key=_index_key)})
+        object.__setattr__(self, "_num", out._num)
+        object.__setattr__(self, "_den", out._den)
 
     @classmethod
-    def _of(cls, m: int, terms: dict[MultiIndex, Multivector]) -> "PolyField":
+    def _of(cls, m: int, num: Flat, den: int = 1) -> "PolyField":
         """Trusted constructor for results of operations on valid fields.
 
-        `terms` must map multi-indices of length m to nonzero multivectors
-        of dimension m; it is only put into canonical order, and the new
-        value takes it over.
+        `num` must map terms (alpha, mask), alpha of length m and mask in
+        range for m, to nonzero integers, in lowest terms over `den` (see
+        `_lowest`); the new value takes it over.
         """
         out = object.__new__(cls)
         object.__setattr__(out, "m", m)
-        if len(terms) > 1:
-            terms = {k: terms[k] for k in sorted(terms, key=_index_key)}
-        object.__setattr__(out, "_terms", terms)
+        object.__setattr__(out, "_num", num)
+        object.__setattr__(out, "_den", den)
         return out
+
+    @classmethod
+    def _sum(cls, m: int, pairs: Iterable[tuple[MultiIndex, Multivector]]) -> "PolyField":
+        """The trusted field sum of valid (monomial, coefficient) pairs."""
+        acc: Value = {}, 1
+        for alpha, mv in pairs:
+            acc = _merge(acc, ({(alpha, mask): c for mask, c in mv._num.items()}, mv._den), 1)
+        return cls._of(m, *_lowest(*acc))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyField is immutable")
@@ -93,20 +103,20 @@ class PolyField:
     @classmethod
     def constant(cls, value: Multivector) -> "PolyField":
         check_dimension(value.m)
-        return cls._of(value.m, {(0,) * value.m: value} if value else {})
+        origin = (0,) * value.m
+        return cls._of(value.m, {(origin, mask): c for mask, c in value._num.items()}, value._den)
 
     @classmethod
     def scalar_constant(cls, m: int, value: Scalar) -> "PolyField":
-        alpha, mv = (0,) * m, Multivector.scalar(m, value)
-        return cls._of(m, {alpha: mv} if mv else {})
+        return cls.constant(Multivector.scalar(m, value))
 
     @classmethod
     def variable(cls, m: int, i: int) -> "PolyField":
         """The coordinate function x_i as a scalar-valued field."""
         if not 1 <= i <= m:
             raise ValueError(f"variable index {i} out of range 1..{m}")
-        alpha = tuple(1 if j == i - 1 else 0 for j in range(m))
-        return cls._of(m, {alpha: Multivector.scalar(m, 1)})
+        check_dimension(m)
+        return cls._of(m, {(tuple(1 if j == i - 1 else 0 for j in range(m)), 0): 1})
 
     @classmethod
     def monomial(cls, m: int, alpha: MultiIndex, coef: Multivector) -> "PolyField":
@@ -114,47 +124,59 @@ class PolyField:
 
     # -- inspection -------------------------------------------------------
 
+    def _by_monomial(self) -> dict[MultiIndex, dict[int, int]]:
+        """Each monomial's coefficient as {mask: numerator} over `_den`."""
+        grouped: dict[MultiIndex, dict[int, int]] = {}
+        for (a, mask), c in self._num.items():
+            grouped.setdefault(a, {})[mask] = c
+        return grouped
+
     def terms(self) -> Iterator[tuple[MultiIndex, Multivector]]:
-        return iter(self._terms.items())
+        """(monomial, coefficient) pairs by degree, then monomial, each coefficient in lowest terms."""
+        grouped = self._by_monomial()
+        m, den = self.m, self._den
+        return ((a, Multivector._of(m, *_lowest(grouped[a], den))) for a in sorted(grouped, key=_index_key))
 
     def coefficient(self, alpha: MultiIndex) -> Multivector:
-        return self._terms.get(tuple(alpha), Multivector.zero(self.m))
+        alpha = _check_index(alpha, self.m)
+        return Multivector._of(self.m, *_lowest(self._by_monomial().get(alpha, {}), self._den))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero field."""
-        return max((sum(a) for a in self._terms), default=-1)
+        return max((sum(a) for a, _ in self._num), default=-1)
+
+    def _select(self, keep) -> "PolyField":
+        """The terms (alpha, mask) that satisfy `keep`, in lowest terms."""
+        return PolyField._of(self.m, *_lowest({key: c for key, c in self._num.items() if keep(*key)}, self._den))
 
     def homogeneous_component(self, d: int) -> "PolyField":
-        return PolyField._of(self.m, {a: mv for a, mv in self._terms.items() if sum(a) == d})
+        return self._select(lambda a, mask: sum(a) == d)
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(sum(a) == d for a in self._terms)
+        return all(sum(a) == d for a, _ in self._num)
 
     # -- pointwise value maps ---------------------------------------------
 
     def map_coefficients(self, fn) -> "PolyField":
         """Apply a linear multivector map R_{0,m} -> R_{0,m} to every coefficient."""
-        out = {}
-        for a, mv in self._terms.items():
-            image = fn(mv)
-            if image:
-                out[a] = image
-        return PolyField._of(self.m, out)
+        return PolyField._sum(self.m, ((a, fn(mv)) for a, mv in self.terms()))
 
     def even_part(self) -> "PolyField":
-        return self.map_coefficients(lambda mv: mv.even_part())
+        return self._select(lambda a, mask: not mask.bit_count() & 1)
 
     def odd_part(self) -> "PolyField":
-        return self.map_coefficients(lambda mv: mv.odd_part())
+        return self._select(lambda a, mask: mask.bit_count() & 1)
 
     def grade_project(self, k: int) -> "PolyField":
-        return self.map_coefficients(lambda mv: mv.grade_project(k))
+        if not 0 <= k <= self.m:
+            raise ValueError(f"grade {k} out of range 0..{self.m}")
+        return self._select(lambda a, mask: mask.bit_count() == k)
 
     # -- ring structure -----------------------------------------------------
 
@@ -165,7 +187,7 @@ class PolyField:
     def __add__(self, other):
         if isinstance(other, PolyField):
             self._require_same_dimension(other)
-            return PolyField._of(self.m, _sum_terms(chain(self._terms.items(), other._terms.items())))
+            return PolyField._of(self.m, *_lowest(*_merge((dict(self._num), self._den), (other._num, other._den), 1)))
         if isinstance(other, Multivector):
             return self + PolyField.constant(other)
         if isinstance(other, (int, Fraction)):
@@ -175,7 +197,7 @@ class PolyField:
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyField._of(self.m, {a: -mv for a, mv in self._terms.items()})
+        return PolyField._of(self.m, {key: -c for key, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (PolyField, Multivector, int, Fraction)):
@@ -191,27 +213,27 @@ class PolyField:
         """Product of fields; multivector factors multiply on the matching side."""
         if isinstance(other, PolyField):
             self._require_same_dimension(other)
-            pairs = ((tuple(map(add, a, b)), mva * mvb) for a, mva in self._terms.items() for b, mvb in other._terms.items())
-            return PolyField._of(self.m, _sum_terms(pairs))
+            product = _times((self._num, self._den), (other._num, other._den), _odd_masks(self.m))
+            return PolyField._of(self.m, *_lowest(*product))
         if isinstance(other, Multivector):
-            return self.map_coefficients(lambda mv: mv * other)
+            return self * PolyField.constant(other)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return PolyField._of(self.m, {})
-            q = Fraction(other)
-            return PolyField._of(self.m, {a: mv * q for a, mv in self._terms.items()})
+            num = {key: c * other.numerator for key, c in self._num.items()}
+            return PolyField._of(self.m, *_lowest(num, self._den * other.denominator))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, Multivector):
-            return self.map_coefficients(lambda mv: other * mv)
+            return PolyField.constant(other) * self
         if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, PolyField):
-            return self.m == other.m and self._terms == other._terms
+            return self.m == other.m and self._den == other._den and self._num == other._num
         if isinstance(other, (Multivector, int, Fraction)):
             other_field = PolyField.constant(other) if isinstance(other, Multivector) else PolyField.scalar_constant(self.m, other)
             return self == other_field
@@ -222,30 +244,20 @@ class PolyField:
     # -- calculus -----------------------------------------------------------
 
     def partial(self, i: int) -> "PolyField":
-        """Partial derivative along x_i (1-based axis), on the coefficients; the tests' reference for the kernel."""
+        """Partial derivative along x_i (1-based axis)."""
         if not 1 <= i <= self.m:
             raise ValueError(f"axis {i} out of range 1..{self.m}")
-        # Distinct monomials have distinct derivatives, so nothing accumulates.
-        k = i - 1
-        out: dict[MultiIndex, Multivector] = {}
-        for a, mv in self._terms.items():
-            e = a[k]
-            if e:
-                out[a[:k] + (e - 1,) + a[k + 1:]] = mv * e
-        return PolyField._of(self.m, out)
+        return PolyField._of(self.m, *_lowest(_partial(self._num, i - 1), self._den))
 
     def evaluate(self, point: Sequence[Scalar]) -> Multivector:
         """Exact evaluation at a rational point."""
         if len(point) != self.m:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.m}")
         coords = [Fraction(x) for x in point]
-        total = Multivector.zero(self.m)
-        for a, mv in self._terms.items():
-            factor = Fraction(1)
-            for x, e in zip(coords, a):
-                factor *= x ** e
-            total = total + mv * factor
-        return total
+        acc: dict[int, Fraction] = {}
+        for (a, mask), c in self._num.items():
+            acc[mask] = acc.get(mask, 0) + Fraction(c, self._den) * prod(x ** e for x, e in zip(coords, a))
+        return Multivector._of(self.m, *_as_integers({mask: q for mask, q in acc.items() if q}))
 
     def __str__(self) -> str:
         from .parser import format_field
@@ -256,17 +268,43 @@ class PolyField:
         return f"PolyField({self.m}, {str(self)!r})"
 
 
-# -- the derivative kernel (see the module docstring) ---------------------------
+# -- the flat sum and product, and the derivative kernel (see the module docstring) ---------
 
-Flat = dict[tuple[MultiIndex, int], int]
 # A structural set's `_rows`: each vector as (generator mask, numerator) pairs over the set's `_den`.
 Rows = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _flat(f: PolyField) -> tuple[Flat, int]:
-    """f's terms as integer numerators over the lcm of its coefficients' denominators."""
-    scale = lcm(*(mv._den for mv in f._terms.values()))
-    return {(a, mask): c * (scale // mv._den) for a, mv in f._terms.items() for mask, c in mv._num.items()}, scale
+def _merge(x: Value, y: Value, sign: int) -> Value:
+    """x + sign * y over the lcm of the denominators, with no zero numerators; x's terms are taken over."""
+    (acc, x_den), (terms, y_den) = x, y
+    den = lcm(x_den, y_den)
+    if den != x_den:
+        factor = den // x_den
+        acc = {key: c * factor for key, c in acc.items()}
+    factor = sign * (den // y_den)
+    for key, c in terms.items():
+        c = acc.get(key, 0) + c * factor
+        if c:
+            acc[key] = c
+        else:
+            del acc[key]
+    return acc, den
+
+
+def _times(x: Value, y: Value, odd: list[int]) -> Value:
+    """x * y term by term, with no zero numerators: exponents add, e_a e_b < 0 when b & odd[a] has odd parity."""
+    acc: Flat = {}
+    get = acc.get
+    right = y[0].items()
+    for (a, ma), ca in x[0].items():
+        w = odd[ma]
+        for (b, mb), cb in right:
+            key = tuple(map(add, a, b)), ma ^ mb
+            if (mb & w).bit_count() & 1:
+                acc[key] = get(key, 0) - ca * cb
+            else:
+                acc[key] = get(key, 0) + ca * cb
+    return {key: c for key, c in acc.items() if c}, x[1] * y[1]
 
 
 def _partial(flat: Flat, k: int) -> Flat:
@@ -308,12 +346,8 @@ def _laplacian(partials: list[Flat]) -> Flat:
 
 
 def _field(m: int, flat: Flat, scale: int) -> PolyField:
-    """The field of flat terms over scale > 0, each coefficient in lowest terms."""
-    grouped: dict[MultiIndex, dict[int, int]] = {}
-    for (a, mask), c in flat.items():
-        if c:
-            grouped.setdefault(a, {})[mask] = c
-    return PolyField._of(m, {a: Multivector._of(m, *_lowest(num, scale)) for a, num in grouped.items()})
+    """The field of flat terms over scale > 0, zero numerators dropped, in lowest terms."""
+    return PolyField._of(m, *_lowest({key: c for key, c in flat.items() if c}, scale))
 
 
 def _require_field_set(sset: StructuralSet, f: PolyField) -> None:
@@ -323,8 +357,7 @@ def _require_field_set(sset: StructuralSet, f: PolyField) -> None:
 
 def _one_sided(sset: StructuralSet, f: PolyField, left: bool) -> PolyField:
     _require_field_set(sset, f)
-    flat, scale = _flat(f)
-    return _field(f.m, _dirac(_partials(flat, f.m), sset._rows, f.m, left), scale * sset._den)
+    return _field(f.m, _dirac(_partials(f._num, f.m), sset._rows, f.m, left), f._den * sset._den)
 
 
 def dirac_left(sset: StructuralSet, f: PolyField) -> PolyField:
@@ -338,8 +371,7 @@ def dirac_right(f: PolyField, sset: StructuralSet) -> PolyField:
 
 
 def laplacian(f: PolyField) -> PolyField:
-    flat, scale = _flat(f)
-    return _field(f.m, _laplacian(_partials(flat, f.m)), scale)
+    return _field(f.m, _laplacian(_partials(f._num, f.m)), f._den)
 
 
 def sandwich(phi: StructuralSet, f: PolyField, psi: StructuralSet) -> PolyField:
@@ -351,6 +383,5 @@ def sandwich(phi: StructuralSet, f: PolyField, psi: StructuralSet) -> PolyField:
     _require_field_set(phi, f)
     _require_field_set(psi, f)
     m = f.m
-    flat, scale = _flat(f)
-    left = _dirac(_partials(flat, m), phi._rows, m, True)
-    return _field(m, _dirac(_partials(left, m), psi._rows, m, False), scale * phi._den * psi._den)
+    left = _dirac(_partials(f._num, m), phi._rows, m, True)
+    return _field(m, _dirac(_partials(left, m), psi._rows, m, False), f._den * phi._den * psi._den)

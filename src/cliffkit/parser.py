@@ -18,30 +18,25 @@ own offset, so the limit does not move with the caller's stack depth.
 `parse(format(f)) == f` holds for every field f.
 
 `parse_field` checks the dimension once, on entry.  While it reads, every
-value is a flat field of integer terms as in `cliffkit.fields`,
-{(alpha, mask): numerator}, over one positive denominator and with no zero
-numerators.  '+' and '-' merge over the lcm of the two denominators, '*'
-and '^' multiply term pairs (exponents add, signs as in `Multivector.__mul__`)
-and '/' scales by the divisor's denominator and numerator.  The field is
-built once, at the end, by `fields._field`, which puts every coefficient
-in lowest terms.
+value is a field's own representation, integer terms {(alpha, mask):
+numerator} over one positive denominator with no zero numerators, reduced
+only where a power takes its base: '+' and '-' are the flat sum
+`fields._merge`, '*' and '^' the flat product `fields._times`, and '/'
+scales by the divisor's denominator and numerator.  The field is reduced
+to lowest terms once, at the end, by `fields._field`; no `PolyField`
+arithmetic runs.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
-from operator import add
-
-from .algebra import Multivector, _odd_masks, blade_indices, check_dimension, format_blade_term, indices_to_mask, join_terms
-from .fields import Flat, PolyField, _field
+from .algebra import Multivector, _lowest, _odd_masks, blade_indices, check_dimension, format_blade_term
+from .algebra import indices_to_mask, join_terms
+from .fields import PolyField, Value, _field, _merge, _times
 from .structural import MAX_NUMBER_TEXT
 
 # Each level costs at most five parser frames, so this stays well below
 # Python's default recursion limit of 1000.
 MAX_NESTING = 100
-
-# Integer terms over a positive denominator, with no zero numerators.
-Value = tuple[Flat, int]
 
 
 class ParseError(ValueError):
@@ -50,39 +45,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-def _merge(x: Value, y: Value, sign: int) -> Value:
-    """x + sign * y over the lcm of the denominators; x's terms are taken over."""
-    (acc, x_den), (terms, y_den) = x, y
-    den = lcm(x_den, y_den)
-    if den != x_den:
-        factor = den // x_den
-        acc = {key: c * factor for key, c in acc.items()}
-    factor = sign * (den // y_den)
-    for key, c in terms.items():
-        c = acc.get(key, 0) + c * factor
-        if c:
-            acc[key] = c
-        else:
-            del acc[key]
-    return acc, den
-
-
-def _times(x: Value, y: Value, odd: list[int]) -> Value:
-    """x * y term by term: exponents add, e_a e_b < 0 when b & odd[a] has odd parity."""
-    acc: Flat = {}
-    get = acc.get
-    right = y[0].items()
-    for (a, ma), ca in x[0].items():
-        w = odd[ma]
-        for (b, mb), cb in right:
-            key = tuple(map(add, a, b)), ma ^ mb
-            if (mb & w).bit_count() & 1:
-                acc[key] = get(key, 0) - ca * cb
-            else:
-                acc[key] = get(key, 0) + ca * cb
-    return {key: c for key, c in acc.items() if c}, x[1] * y[1]
 
 
 class _Parser:
@@ -188,9 +150,7 @@ class _Parser:
             return base
         n = self._integer()
         # Lowest terms first, so a monomial's power stays as cheap as its exponent's bit length.
-        terms, den = base
-        g = gcd(den, *terms.values())
-        base = {key: c // g for key, c in terms.items()}, den // g
+        base = _lowest(*base)
         # Square and multiply; powers of one value commute.
         out: Value = {(self.origin, 0): 1}, 1
         while n:

@@ -17,9 +17,10 @@ denominator (D_phi D_psi)^top, top the largest |A| of the family.  The
 vectors of a set are orthonormal, so for distinct indices psi_A is a pure
 grade-|A| blade and reverse(psi_A) = (-1)^(k(k-1)/2) psi_A with k = |A|;
 that sign and (D_phi D_psi)^(top-k) are folded into phi_A's numerators.
-Each coefficient a is then multiplied out as integer maps, phi_A * a and
-then times psi_A, summed over the family in one map and reduced to lowest
-terms once; every operand of the operator shares the prepared pairs.
+Each multivector a, or each monomial's coefficient of a field, is then
+multiplied out as integer maps, phi_A * a and then times psi_A, summed
+over the family in one map and reduced to lowest terms once (a field's
+terms together); every operand of the operator shares the prepared pairs.
 
 The same-set case (phi == psi) collapses on pure-grade elements to a
 scalar: `scalar_action` computes it by a finite binomial sum and
@@ -97,8 +98,10 @@ class PsiOperator:
             raise DimensionMismatch(f"dimension mismatch: sets {self.phi.m}/{self.psi.m}, operand {a.m}")
         terms, scale = self._terms
         if isinstance(a, PolyField):
-            return a.map_coefficients(lambda v: _image(terms, scale, v))
-        return _image(terms, scale, a)
+            images = ((alpha, _image(terms, num, a.m)) for alpha, num in a._by_monomial().items())
+            flat = {(alpha, mask): c for alpha, image in images for mask, c in image.items()}
+            return PolyField._of(a.m, *_lowest(flat, a._den * scale))
+        return Multivector._of(a.m, *_lowest(_image(terms, a._num, a.m), a._den * scale))
 
     @cached_property
     def _terms(self) -> tuple[PairTerms, int]:
@@ -117,13 +120,13 @@ class PsiOperator:
         return terms, den ** top
 
 
-def _image(terms: PairTerms, scale: int, v: Multivector) -> Multivector:
-    """The sum of a * v * b over the pairs (a, b) of `terms`, integers over `scale`, reduced once.
+def _image(terms: PairTerms, num: dict[int, int], m: int) -> dict[int, int]:
+    """The nonzero numerators of the sum of a * v * b over the pairs (a, b) of `terms`, v the numerators `num`.
 
     Each a * v is formed as an integer map, then times b; signs as in `Multivector.__mul__`.
     """
-    odd = _odd_masks(v.m)
-    right = v._num.items()
+    odd = _odd_masks(m)
+    right = num.items()
     acc: dict[int, int] = {}
     get = acc.get
     for a, b in terms:
@@ -139,7 +142,7 @@ def _image(terms: PairTerms, scale: int, v: Multivector) -> Multivector:
             for mb, cb in b:
                 mask = ml ^ mb
                 acc[mask] = get(mask, 0) - cl * cb if (mb & w).bit_count() & 1 else get(mask, 0) + cl * cb
-    return Multivector._of(v.m, *_lowest({mask: c for mask, c in acc.items() if c}, v._den * scale))
+    return {mask: c for mask, c in acc.items() if c}
 
 
 def apply_psi_k(phi: StructuralSet, psi: StructuralSet, k: int, a: Element) -> Element:

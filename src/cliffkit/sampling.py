@@ -5,8 +5,9 @@ with Givens rotations whose cosine/sine pairs come from the tangent
 half-angle map t -> ((1-t^2)/(1+t^2), 2t/(1+t^2)).  Orthonormality is thus
 exact: the sets are composed on integer rows over one denominator, each
 vector is reduced once, and the set is built through `StructuralSet._of`.
-Random multivectors and fields are built the same way, from their integer
-form (`_as_integers`) through `Multivector._of` and `PolyField._of`.
+Random multivectors are built the same way, from their integer form
+(`_as_integers`) through `Multivector._of`; a random field is the flat
+sum of its monomials, `PolyField._sum`, which builds through `PolyField._of`.
 All generators take an explicit `random.Random` so that a fixed seed
 reproduces every suite byte for byte.
 """
@@ -17,7 +18,7 @@ import random
 from fractions import Fraction
 
 from .algebra import Multivector, _as_integers, _lowest
-from .fields import PolyField, _sum_terms
+from .fields import PolyField
 from .structural import StructuralSet
 
 HALF_ANGLE_POOL = [
@@ -61,13 +62,13 @@ def rand_polyfield(rng: random.Random, m: int, max_degree: int = 3) -> PolyField
     """The sum of 1 to 4 monomials, each a random multi-index drawn before its random coefficient."""
     terms = [(rand_multi_index(rng, m, max_degree), rand_multivector(rng, m, max_terms=2))
              for _ in range(rng.randint(1, 4))]
-    return PolyField._of(m, _sum_terms(terms))
+    return PolyField._sum(m, terms)
 
 
 def rand_scalar_polyfield(rng: random.Random, m: int) -> PolyField:
     terms = [(rand_multi_index(rng, m, 3), Multivector._of(m, *_as_integers({0: rand_fraction(rng, nonzero=True)})))
              for _ in range(rng.randint(1, 3))]
-    return PolyField._of(m, _sum_terms(terms))
+    return PolyField._sum(m, terms)
 
 
 def rand_signed_permutation(rng: random.Random, m: int) -> StructuralSet:

@@ -1,16 +1,21 @@
-"""Dense `Fraction` views of the sparse kernel API, and the class dimensions without the pseudoscalar split.
+"""Dense `Fraction` views of the sparse kernel API, the class dimensions without the pseudoscalar split,
+and a field derivative on `Multivector` coefficients.
 
 `RationalMatrix.nullspace` gives lazy pairs (y, den), the vector y / den
 with y its nonzero {column: int} entries, and `RationalMatrix.mat_vec`
 multiplies one such y; these helpers write both out densely.
 `half_ranks` and `unsplit_dimensions` eliminate every block of the class
 stack, the odd-blade half at odd m included.
+`partial` and `sum_terms` work on (monomial, `Multivector`) pairs, apart
+from the integer terms of `cliffkit.fields`, so a reference built on them
+does not share the field kernel.
 """
 
 from fractions import Fraction
 
 from cliffkit.algebra import _as_integers, blade_order
 from cliffkit.classify import _CLASS_ORDER
+from cliffkit.fields import PolyField
 from cliffkit.linalg import RationalMatrix, RowEchelon
 from cliffkit.solver import _CHAINS, CoefficientSpace, class_matrices
 
@@ -77,3 +82,17 @@ def unsplit_dimensions(phi, psi, m, d):
     size = CoefficientSpace(m, d).size
     even, odd = half_ranks(phi, psi, m, d)
     return {names: size - even[names] - odd[names] for names in even}
+
+
+def sum_terms(m, pairs):
+    """The field of (monomial, `Multivector`) pairs, summed monomial by monomial with `Multivector` sums."""
+    acc = {}
+    for a, mv in pairs:
+        acc[a] = acc[a] + mv if a in acc else mv
+    return PolyField(m, acc)
+
+
+def partial(f, i):
+    """d f / d x_i coefficient by coefficient: each term c x^alpha gives alpha_i * c at alpha - e_i."""
+    k = i - 1
+    return sum_terms(f.m, ((a[:k] + (a[k] - 1,) + a[k + 1:], mv * a[k]) for a, mv in f.terms() if a[k]))

@@ -16,6 +16,7 @@ from cliffkit.algebra import (
     blade_sort_key,
     indices_to_mask,
 )
+from cliffkit.fields import PolyField
 from cliffkit.sampling import rand_multivector
 
 
@@ -111,11 +112,12 @@ def test_grade_projection_is_complete_and_idempotent(data, m):
 
 
 def test_grade_projection_rejects_out_of_range():
-    a = Multivector.scalar(3, 1)
-    with pytest.raises(ValueError):
-        a.grade_project(4)
-    with pytest.raises(ValueError):
-        a.grade_project(-1)
+    # A field's projection checks the grade first, so the zero field, with no coefficient, refuses it too.
+    for a in (Multivector.scalar(3, 1), PolyField.variable(3, 1) * Multivector.basis_vector(3, 2), PolyField.zero(3)):
+        with pytest.raises(ValueError, match="grade 4 out of range 0..3"):
+            a.grade_project(4)
+        with pytest.raises(ValueError, match="grade -1 out of range 0..3"):
+            a.grade_project(-1)
 
 
 def test_grade_projection_examples():

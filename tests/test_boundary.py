@@ -20,6 +20,7 @@ from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian
 from cliffkit.parser import parse_field, parse_multivector
 from cliffkit.sampling import rand_polyfield, rand_rational_structural_set, rand_signed_permutation
 from cliffkit.structural import StructuralSet, StructuralSetError, _gram_violation
+from kernel_reference import partial
 
 
 def _dimension_error(m):
@@ -138,48 +139,49 @@ def test_builders_give_the_expected_vectors():
 
 
 # Test-local copies of the running-sum loops these operators used before the
-# one collector: every step adds the next term to the sum so far.
+# one collector: every step adds the next term to the sum so far, on `Multivector`
+# coefficients and the reference derivative `kernel_reference.partial`.
 
 
 def _running_add(f, g):
-    acc = dict(f._terms)
-    for a, mv in g._terms.items():
+    acc = dict(f.terms())
+    for a, mv in g.terms():
         if a in acc:
             mv = acc[a] + mv
             if not mv:
                 del acc[a]
                 continue
         acc[a] = mv
-    return PolyField._of(f.m, acc)
+    return PolyField(f.m, acc)
 
 
 def _running_sum(m, fields):
-    out = PolyField._of(m, {})
+    out = PolyField.zero(m)
     for g in fields:
         out = _running_add(out, g)
     return out
 
 
 def _running_dirac_left(sset, f):
-    return _running_sum(f.m, (sset[j] * f.partial(j) for j in range(1, f.m + 1)))
+    return _running_sum(f.m, (sset[j] * partial(f, j) for j in range(1, f.m + 1)))
 
 
 def _running_dirac_right(f, sset):
-    return _running_sum(f.m, (f.partial(j) * sset[j] for j in range(1, f.m + 1)))
+    return _running_sum(f.m, (partial(f, j) * sset[j] for j in range(1, f.m + 1)))
 
 
 def _running_laplacian(f):
-    return _running_sum(f.m, (f.partial(i).partial(i) for i in range(1, f.m + 1)))
+    return _running_sum(f.m, (partial(partial(f, i), i) for i in range(1, f.m + 1)))
 
 
 def _running_product(f, g):
     acc = {}
-    for a, mva in f._terms.items():
-        for b, mvb in g._terms.items():
+    for a, mva in f.terms():
+        for b, mvb in g.terms():
             c = tuple(x + y for x, y in zip(a, b))
             prod = mva * mvb
             acc[c] = acc[c] + prod if c in acc else prod
-    return PolyField._of(f.m, {c: mv for c, mv in acc.items() if mv})
+    return PolyField(f.m, {c: mv for c, mv in acc.items() if mv})
 
 
 def _assert_same_field(got, want):

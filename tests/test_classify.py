@@ -16,7 +16,7 @@ from cliffkit.classify import (
     classify,
     region,
 )
-from cliffkit.fields import PolyField, _sum_terms, dirac_left, dirac_right, laplacian, sandwich
+from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from cliffkit.parser import parse_field
 from cliffkit.sampling import (
     HALF_ANGLE_POOL,
@@ -30,7 +30,7 @@ from cliffkit.sampling import (
 )
 from cliffkit.solver import CoefficientSpace, FieldOperator, class_nullspace, operator_matrix
 from cliffkit.structural import StructuralSet
-from kernel_reference import kernel_fields
+from kernel_reference import kernel_fields, partial, sum_terms
 
 PHI = StructuralSet.standard(3)
 PSI = StructuralSet.reversed_standard(3)
@@ -147,19 +147,19 @@ def test_dimension_mismatch():
         classify(PHI, PSI, PolyField.zero(2))
 
 
-# Today's operators, composed from `PolyField.partial` and `Multivector` products,
-# so the reference does not share the flat kernel behind the public operators.
+# The operators composed from the reference derivative and `Multivector` products,
+# so the reference does not share the integer kernel behind the public operators.
 
 def _ref_dirac_left(sset, f):
-    return PolyField._of(f.m, _sum_terms((a, v * mv) for j, v in enumerate(sset.vectors, 1) for a, mv in f.partial(j).terms()))
+    return sum_terms(f.m, ((a, v * mv) for j, v in enumerate(sset.vectors, 1) for a, mv in partial(f, j).terms()))
 
 
 def _ref_dirac_right(f, sset):
-    return PolyField._of(f.m, _sum_terms((a, mv * v) for j, v in enumerate(sset.vectors, 1) for a, mv in f.partial(j).terms()))
+    return sum_terms(f.m, ((a, mv * v) for j, v in enumerate(sset.vectors, 1) for a, mv in partial(f, j).terms()))
 
 
 def _ref_laplacian(f):
-    return PolyField._of(f.m, _sum_terms(pair for i in range(1, f.m + 1) for pair in f.partial(i).partial(i).terms()))
+    return sum_terms(f.m, (pair for i in range(1, f.m + 1) for pair in partial(partial(f, i), i).terms()))
 
 
 def _ref_sandwich(phi, f, psi):

@@ -1,9 +1,10 @@
 """Every module-level import in the package sources is used by its module, and every
 module-level private function or class, and every private method, is read by some
-module of the package."""
+module of the package outside its own definition."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -34,31 +35,32 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(tree) == ["line 1: comb", "line 2: os"]
 
 
+def _reads(node: ast.AST) -> Counter:
+    """How often each name, or attribute, is read in the subtree of `node`."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
 def _dead_helpers(sources: dict[str, str]) -> list[str]:
     """Module-level private functions and classes, and private non-dunder methods of
-    classes, that no module of `sources` reads.
+    classes, that no module of `sources` reads outside their own definition.
 
     A read is a name or an attribute access anywhere in any module; an import
-    alone is not one (an unused import fails the check above instead).
+    alone is not one (an unused import fails the check above instead), and
+    neither is a read inside the helper's own body, such as a recursive call.
     """
     trees = {module: ast.parse(text, module) for module, text in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = sum((_reads(tree) for tree in trees.values()), Counter())
     definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     dead = []
     for module, tree in sorted(trees.items()):
-        found = [(node.lineno, node.name, node.name) for node in tree.body if isinstance(node, definitions)]
+        found = [(node.lineno, node.name, node) for node in tree.body if isinstance(node, definitions)]
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef):
-                found += [(node.lineno, f"{cls.name}.{node.name}", node.name) for node in cls.body
+                found += [(node.lineno, f"{cls.name}.{node.name}", node) for node in cls.body
                           if isinstance(node, definitions) and not (node.name.startswith("__") and node.name.endswith("__"))]
-        dead += [f"{module} line {line}: {label}" for line, label, name in sorted(found)
-                 if name.startswith("_") and name not in read]
+        dead += [f"{module} line {line}: {label}" for line, label, node in sorted(found, key=lambda item: item[:2])
+                 if node.name.startswith("_") and read[node.name] == _reads(node)[node.name]]
     return dead
 
 
@@ -76,8 +78,12 @@ def test_the_check_sees_a_dead_helper():
                 "class Public:\n    def __init__(self):\n        self._called()\n\n"
                 "    def _called(self):\n        return 4\n\n"
                 "    def _dead_method(self):\n        return 5\n\n"
-                "    @classmethod\n    def _dead_builder(cls):\n        return cls()\n",
-        "b.py": "from . import a\nfrom .a import _dead\n\nVALUE = a._used_there()\n",
+                "    @classmethod\n    def _dead_builder(cls):\n        return cls()\n\n"
+                "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n"
+                "def _reached(n):\n    return _reached(n - 1) if n else 0\n\n"
+                "class _Self:\n    def _again(self):\n        return self._again()\n\n"
+                "    @classmethod\n    def _make(cls):\n        return _Self()\n",
+        "b.py": "from . import a\nfrom .a import _dead\n\nVALUE = a._used_there() + a._reached(2)\n",
     }
     assert _dead_helpers(sources) == [
         "a.py line 7: _dead",
@@ -85,4 +91,8 @@ def test_the_check_sees_a_dead_helper():
         "a.py line 11: _Dead._method",
         "a.py line 24: Public._dead_method",
         "a.py line 28: Public._dead_builder",
+        "a.py line 31: _recursive",
+        "a.py line 37: _Self",
+        "a.py line 38: _Self._again",
+        "a.py line 42: _Self._make",
     ]

@@ -3,7 +3,8 @@
 Every operation is compared with a test-local implementation on
 {mask: Fraction} dicts, and every result is checked for the invariant:
 den > 0, gcd(den, *numerators) == 1, no zero numerators, zero has
-den == 1, and the blades in canonical order.  A guard test counts
+den == 1, and the blades in canonical order.  A field keeps the same
+invariant on its terms {(alpha, mask): numerator}.  A guard test counts
 Fraction constructions on the hot paths.
 """
 
@@ -15,7 +16,7 @@ import pytest
 
 from cliffkit.algebra import Multivector, _odd_masks, blade_product, blade_sort_key
 from cliffkit.psi import PsiOperator, psi_matrix
-from cliffkit.fields import PolyField, _index_key
+from cliffkit.fields import PolyField, _index_key, dirac_left, dirac_right, laplacian, sandwich
 from cliffkit.parser import format_field, parse_field
 from cliffkit.sampling import rand_multivector, rand_polyfield, rand_rational_structural_set, rand_structural_pair
 from cliffkit.solver import CoefficientSpace, FieldOperator, operator_matrix
@@ -331,17 +332,50 @@ def test_parsing_makes_no_fraction(fractions_made):
     assert fractions_made[0] == 0
 
 
+def assert_lowest_field(f):
+    """The representation invariant one level up: terms (alpha, mask) with alpha of length m, and
+    `terms()` gives the monomials in canonical order, each coefficient in lowest terms."""
+    num, den = f._num, f._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in num.values())
+    assert gcd(den, *num.values()) == 1
+    if not num:
+        assert den == 1
+    for alpha, mask in num:
+        assert type(alpha) is tuple and len(alpha) == f.m and all(type(e) is int and e >= 0 for e in alpha)
+        assert type(mask) is int and 0 <= mask < 1 << f.m
+    alphas = [alpha for alpha, _ in f.terms()]
+    assert alphas == sorted(alphas, key=_index_key)
+    for _, mv in f.terms():
+        assert mv
+        assert_lowest(mv)
+
+
 def test_parsed_fields_keep_the_trusted_constructor_contract(monkeypatch):
     rng = random.Random(18)
     texts = PARSED + [format_field(f) for f in (rand_polyfield(rng, 3, max_degree=3) for _ in range(20))]
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__"):
-        monkeypatch.setattr(PolyField, name, _no_field_arithmetic)
-    for text in texts:
-        f = parse_field(text, 3)
-        alphas = list(f._terms)
-        assert alphas == sorted(alphas, key=_index_key)
-        for mv in f._terms.values():
-            assert mv
-            assert_lowest(mv)
-    for text in ZERO_TEXTS:
-        assert parse_field(text, 3)._terms == {}
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__"):
+            patch.setattr(PolyField, name, _no_field_arithmetic)
+        fields = [parse_field(text, 3) for text in texts]
+        zeros = [parse_field(text, 3) for text in ZERO_TEXTS]
+    for f in fields:
+        assert_lowest_field(f)
+    for f in zeros:
+        assert f._num == {} and f._den == 1
+    # Every other way a field is built: arithmetic, projections, derivatives, operators and kernel vectors.
+    phi, psi = rand_structural_pair(rng, 3)
+    c = rand_multivector(rng, 3, max_terms=4) * Fraction(1, 65)
+    results = []
+    for f, g in zip(fields, fields[1:] + fields[:1]):
+        results += [f + g, f - g, f * g, -f, f * c, c * f, f + c, c - f, f - 3, Fraction(2, 5) + f]
+        results += [f * Fraction(5, 13), Fraction(-65, 4) * f, f * 6, f * 0]
+        results += [f.grade_project(k) for k in range(4)] + [f.homogeneous_component(d) for d in range(4)]
+        results += [f.even_part(), f.odd_part()] + [f.partial(i) for i in (1, 2, 3)]
+        results += [dirac_left(phi, f), dirac_right(f, psi), laplacian(f), sandwich(phi, f, psi)]
+        results += [PsiOperator.plus(phi, psi).apply(f), PsiOperator.level(phi, psi, 2).apply(f)]
+    space = CoefficientSpace(3, 2)
+    results += [space._field({j: 6 * (j - 7) for j in range(0, space.size, 5)}, 12), space._field({}, 9)]
+    results += [space._field(y, den) for y, den in operator_matrix(FieldOperator.sandwich(phi, psi), space).matrix.nullspace()]
+    for f in results:
+        assert_lowest_field(f)

@@ -35,6 +35,13 @@ def test_two_term_field():
     f = parse_field("x1*x3*e[1] + x2*e[2]", 3)
     assert f.coefficient((1, 0, 1)) == Multivector.basis_vector(3, 1)
     assert f.coefficient((0, 1, 0)) == Multivector.basis_vector(3, 2)
+    assert f.coefficient([0, 0, 0]) == Multivector.zero(3)
+    # A multi-index of the wrong length or with a negative entry is refused, not read as a missing monomial.
+    for alpha in ((1,), (1, 0, 1, 0), (1, 0, -1)):
+        with pytest.raises(ValueError, match="multi-index"):
+            f.coefficient(alpha)
+    with pytest.raises(ValueError, match=r"multi-index \(1,\) has length 1, expected 2"):
+        parse_field("x1*e[1] + 1/2*x2", 2).coefficient((1,))
 
 
 def test_rational_literals_and_signs():
