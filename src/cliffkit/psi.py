@@ -10,17 +10,16 @@ is the identity), of even or odd size for `plus` and `minus`, and the
 singletons {j}, j in J, for the level-1 subset operator.  Operators act
 on polynomial fields coefficient-wise, as constant-coefficient linear maps.
 
-`apply` runs on integers.  Once per operator it reads each pair
-(phi_A, psi_A) from the sets' integer product memos, numerators over
-D_phi^|A| and D_psi^|A| (see `StructuralSet`), and brings the pairs to one
-denominator (D_phi D_psi)^top, top the largest |A| of the family.  The
-vectors of a set are orthonormal, so for distinct indices psi_A is a pure
-grade-|A| blade and reverse(psi_A) = (-1)^(k(k-1)/2) psi_A with k = |A|;
-that sign and (D_phi D_psi)^(top-k) are folded into phi_A's numerators.
-Each multivector a, or each monomial's coefficient of a field, is then
-multiplied out as integer maps, phi_A * a and then times psi_A, summed
-over the family in one map and reduced to lowest terms once (a field's
-terms together); every operand of the operator shares the prepared pairs.
+`apply` runs on one integer table, prepared once per operator: the sum
+over the family of phi_A (x) reverse(psi_A) as blade pairs (ma, mb, c),
+c * e_ma * a * e_mb over one scale (D_phi D_psi)^top, top the largest |A|.
+phi_A and psi_A come from the sets' integer product memos (see
+`StructuralSet`).  A set's vectors are orthonormal, so reverse(psi_A) is
+psi_A times (-1)^(k(k-1)/2), k = |A|; that sign and (D_phi D_psi)^(top-k)
+are folded into the coefficients, and pairs that cancel are dropped.  An
+operand, or each monomial's coefficient of a field, is one loop over the
+pairs and its terms, reduced once.  Callers that apply one family several
+times keep the operator, so its table is built once.
 
 The same-set case (phi == psi) collapses on pure-grade elements to a
 scalar: `scalar_action` computes it by a finite binomial sum and
@@ -46,9 +45,8 @@ from .structural import StructuralSet, transition
 from .verdict import Verdict, compare, merge
 
 Element = Union[Multivector, PolyField]
-# (phi_A, psi_A) for each A of a family as integer (mask, numerator) terms, phi_A's scaled so that
-# each pair gives phi_A * a * rev(psi_A) over one scale
-PairTerms = list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]
+# The summed blade pairs (ma, mb, c) of a family: c * e_ma * a * e_mb, c an integer over one scale
+BladePairs = list[tuple[int, int, int]]
 
 
 def _index_sets(m: int, sizes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -64,10 +62,14 @@ class PsiOperator:
     index_sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.phi.m != self.psi.m:
+        m = self.phi.m
+        if m != self.psi.m:
             raise ValueError("structural sets must share a dimension")
-        if any(len(set(A)) != len(A) for A in self.index_sets):
-            raise ValueError("an index set repeats an index")
+        for A in self.index_sets:
+            if not all(isinstance(i, int) and 1 <= i <= m for i in A):
+                raise ValueError(f"index set {A} is not a set of integers in 1..{m}")
+            if len(set(A)) != len(A):
+                raise ValueError("an index set repeats an index")
 
     @classmethod
     def level(cls, phi: StructuralSet, psi: StructuralSet, k: int) -> "PsiOperator":
@@ -96,52 +98,49 @@ class PsiOperator:
         """The image of a multivector, or of a field coefficient by coefficient."""
         if self.phi.m != a.m:
             raise DimensionMismatch(f"dimension mismatch: sets {self.phi.m}/{self.psi.m}, operand {a.m}")
-        terms, scale = self._terms
+        pairs, scale = self._pairs
         if isinstance(a, PolyField):
-            images = ((alpha, _image(terms, num, a.m)) for alpha, num in a._by_monomial().items())
+            images = ((alpha, _image(pairs, num, a.m)) for alpha, num in a._by_monomial().items())
             flat = {(alpha, mask): c for alpha, image in images for mask, c in image.items()}
             return PolyField._of(a.m, *_lowest(flat, a._den * scale))
-        return Multivector._of(a.m, *_lowest(_image(terms, a._num, a.m), a._den * scale))
+        return Multivector._of(a.m, *_lowest(_image(pairs, a._num, a.m), a._den * scale))
 
     @cached_property
-    def _terms(self) -> tuple[PairTerms, int]:
-        """(phi_A, rev(psi_A)) for each A of the family, as integer terms over one scale, prepared on first use.
+    def _pairs(self) -> tuple[BladePairs, int]:
+        """The sum of phi_A (x) rev(psi_A) over the family as nonzero blade pairs over one scale, prepared on first use.
 
-        The scale is (D_phi D_psi)^top; each pair's factor of it, (D_phi D_psi)^(top - k), and the reverse's
-        grade sign are folded into phi_A's numerators.
+        The scale is (D_phi D_psi)^top; each A's factor of it, (D_phi D_psi)^(top - k), and the reverse's grade
+        sign are folded into its pairs' coefficients.
         """
         phi, psi = self.phi, self.psi
         den = phi._den * psi._den
         top = max(map(len, self.index_sets), default=0)
-        terms = []
+        acc: dict[tuple[int, int], int] = {}
         for A in self.index_sets:
             factor = den ** (top - len(A)) * _reverse_sign(len(A))
-            terms.append(([(mask, c * factor) for mask, c in phi._product(A).items()], list(psi._product(A).items())))
-        return terms, den ** top
+            right = psi._product(A).items()
+            for ma, ca in phi._product(A).items():
+                ca *= factor
+                for mb, cb in right:
+                    acc[ma, mb] = acc.get((ma, mb), 0) + ca * cb
+        return [(ma, mb, c) for (ma, mb), c in acc.items() if c], den ** top
 
 
-def _image(terms: PairTerms, num: dict[int, int], m: int) -> dict[int, int]:
-    """The nonzero numerators of the sum of a * v * b over the pairs (a, b) of `terms`, v the numerators `num`.
+def _image(pairs: BladePairs, num: dict[int, int], m: int) -> dict[int, int]:
+    """The nonzero numerators of the sum of c * e_ma * v * e_mb over the `pairs`, v the numerators `num`.
 
-    Each a * v is formed as an integer map, then times b; signs as in `Multivector.__mul__`.
+    The sign of e_ma * e_mv * e_mb has two factors, as in `solver._blade_images`.
     """
     odd = _odd_masks(m)
     right = num.items()
     acc: dict[int, int] = {}
     get = acc.get
-    for a, b in terms:
-        left: dict[int, int] = {}
-        left_get = left.get
-        for ma, ca in a:
-            w = odd[ma]
-            for mv, cv in right:
-                mask = ma ^ mv
-                left[mask] = left_get(mask, 0) - ca * cv if (mv & w).bit_count() & 1 else left_get(mask, 0) + ca * cv
-        for ml, cl in left.items():
-            w = odd[ml]
-            for mb, cb in b:
-                mask = ml ^ mb
-                acc[mask] = get(mask, 0) - cl * cb if (mb & w).bit_count() & 1 else get(mask, 0) + cl * cb
+    for ma, mb, c in pairs:
+        w = odd[ma]
+        for mv, cv in right:
+            left = ma ^ mv
+            out = left ^ mb
+            acc[out] = get(out, 0) - c * cv if ((mv & w) ^ (mb & odd[left])).bit_count() & 1 else get(out, 0) + c * cv
     return {mask: c for mask, c in acc.items() if c}
 
 
@@ -267,28 +266,29 @@ def check_recursion(phi: StructuralSet, psi: StructuralSet, k: int, a: Element) 
     m = phi.m
     if not 1 <= k <= m - 1:
         raise ValueError(f"recursion level {k} out of range 1..{m - 1}")
-    lhs = apply_psi_k(phi, psi, k - 1, a) * (m - k + 1) + apply_psi_k(phi, psi, k + 1, a) * (k + 1)
-    rhs = apply_psi_k(phi, psi, 1, apply_psi_k(phi, psi, k, a))
+    level = {j: PsiOperator.level(phi, psi, j) for j in {1, k - 1, k, k + 1}}
+    lhs = level[k - 1].apply(a) * (m - k + 1) + level[k + 1].apply(a) * (k + 1)
+    rhs = level[1].apply(level[k].apply(a))
     return compare(f"psi-recursion[k={k}]", lhs, rhs)
 
 
-def check_index_reflection(phi: StructuralSet, a: Multivector, j: int, k: int | None = None) -> Verdict:
-    """Same-set symmetry between levels j and m-j.
+def check_index_reflection(levels: Sequence[PsiOperator], a: Multivector, j: int, k: int | None = None) -> Verdict:
+    """Same-set symmetry between levels j and m-j; `levels` holds `PsiOperator.level(phi, phi, i)` at place i = 0..m.
 
     Odd m: level_j(a) = -level_{m-j}(a) for every a.
     Even m: on grade-k parts, level_j = level_{m-j} for even k and
     level_j = -level_{m-j} for odd k (k required in that case).
     """
-    m = phi.m
+    m = len(levels) - 1
     if m & 1:
-        lhs = apply_psi_k(phi, phi, j, a)
-        rhs = -apply_psi_k(phi, phi, m - j, a)
+        lhs = levels[j].apply(a)
+        rhs = -levels[m - j].apply(a)
         return compare(f"psi-index-reflection[m odd,j={j}]", lhs, rhs)
     if k is None:
         raise ValueError("even dimension needs a grade k")
     part = a.grade_project(k)
-    lhs = apply_psi_k(phi, phi, j, part)
-    rhs = apply_psi_k(phi, phi, m - j, part)
+    lhs = levels[j].apply(part)
+    rhs = levels[m - j].apply(part)
     if k & 1:
         rhs = -rhs
     return compare(f"psi-index-reflection[m even,j={j},k={k}]", lhs, rhs)
@@ -326,7 +326,7 @@ def check_dirac_psi1_identities(phi: StructuralSet, psi: StructuralSet, f: PolyF
     which = "sandwich":    two-sided and Laplacian commutation;
     which = "composition": level 1 of the left-left composition.
     """
-    psi1 = lambda g: apply_psi_k(phi, psi, 1, g)
+    psi1 = PsiOperator.level(phi, psi, 1).apply
     if which == "gradient":
         image, left_f, right_f = psi1(f), dirac_left(phi, f), dirac_right(f, psi)
         left = compare("dirac-psi1-gradient-left", dirac_left(phi, image), right_f * (-2) - psi1(left_f))
@@ -353,25 +353,19 @@ def check_parts_sandwich(phi: StructuralSet, psi: StructuralSet, f: PolyField) -
     sandwich(plus(f)) = minus(laplacian f) and sandwich(minus(f)) = plus(laplacian f).
     """
     lap = laplacian(f)
-    first = compare(
-        "parts-sandwich-even",
-        sandwich(phi, apply_psi_plus(phi, psi, f), psi),
-        apply_psi_minus(phi, psi, lap),
-    )
-    second = compare(
-        "parts-sandwich-odd",
-        sandwich(phi, apply_psi_minus(phi, psi, f), psi),
-        apply_psi_plus(phi, psi, lap),
-    )
+    plus, minus = PsiOperator.plus(phi, psi).apply, PsiOperator.minus(phi, psi).apply
+    first = compare("parts-sandwich-even", sandwich(phi, plus(f), psi), minus(lap))
+    second = compare("parts-sandwich-odd", sandwich(phi, minus(f), psi), plus(lap))
     return merge("parts-sandwich", [first, second])
 
 
-def check_inframonogenic_psi1_equivalence(phi: StructuralSet, psi: StructuralSet, f: PolyField) -> Verdict:
-    """Odd m only: the two-sided kernel is stable under level 1, in both directions."""
+def check_inframonogenic_psi1_equivalence(psi1: PsiOperator, f: PolyField) -> Verdict:
+    """Odd m only: the two-sided kernel of (phi, psi) is stable under their level-1 operator `psi1`, both ways."""
+    phi, psi = psi1.phi, psi1.psi
     if not phi.m & 1:
         raise ValueError("the equivalence is asserted for odd dimension only")
     f_in = sandwich(phi, f, psi).is_zero()
-    psi1_in = sandwich(phi, apply_psi_k(phi, psi, 1, f), psi).is_zero()
+    psi1_in = sandwich(phi, psi1.apply(f), psi).is_zero()
     if f_in == psi1_in:
         return Verdict("inframonogenic-psi1-equivalence", True)
     return Verdict(
@@ -382,19 +376,20 @@ def check_inframonogenic_psi1_equivalence(phi: StructuralSet, psi: StructuralSet
     )
 
 
-def check_second_order_criterion(phi: StructuralSet, psi: StructuralSet, f: PolyField) -> Verdict:
-    """Odd m only: left-left kernel membership is equivalent to
+def check_second_order_criterion(psi1: PsiOperator, f: PolyField) -> Verdict:
+    """Odd m only: for `psi1` = `PsiOperator.level(phi, psi, 1)`, left-left kernel membership is equivalent to
 
         psi-sandwich(f) = -(1/2) dirac_left(phi, level_1(dirac_left(psi, f))).
 
     The sign follows from the composition identity; with it the claim is
     an exact consequence of level-1 bijectivity in odd dimension.
     """
+    phi, psi = psi1.phi, psi1.psi
     if not phi.m & 1:
         raise ValueError("the criterion is asserted for odd dimension only")
     member = dirac_left(phi, dirac_left(psi, f)).is_zero()
     lhs = sandwich(psi, f, psi)
-    rhs = dirac_left(phi, apply_psi_k(phi, psi, 1, dirac_left(psi, f))) * Fraction(-1, 2)
+    rhs = dirac_left(phi, psi1.apply(dirac_left(psi, f))) * Fraction(-1, 2)
     criterion = lhs == rhs
     if member == criterion:
         return Verdict("second-order-criterion", True)

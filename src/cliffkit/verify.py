@@ -27,8 +27,6 @@ from .psi import (
     PsiOperator,
     _counterexample_check,
     _two_dimensional_aggregates,
-    apply_psi_minus,
-    apply_psi_plus,
     check_dirac_psi1_identities,
     check_index_reflection,
     check_inframonogenic_psi1_equivalence,
@@ -275,13 +273,14 @@ def _check_index_reflection(cfg, run):
         for _ in range(cfg.trials):
             phi = rand_rational_structural_set(rng, m)
             a = rand_multivector(rng, m)
+            levels = [PsiOperator.level(phi, phi, j) for j in range(m + 1)]
             if m & 1:
                 for j in range(m + 1):
-                    run.add(check_index_reflection(phi, a, j))
+                    run.add(check_index_reflection(levels, a, j))
             else:
                 for j in range(m + 1):
                     for k in range(m + 1):
-                        run.add(check_index_reflection(phi, a, j, k))
+                        run.add(check_index_reflection(levels, a, j, k))
 
 
 def _check_plus_minus_closed_form(cfg, run):
@@ -328,20 +327,22 @@ def _members_for(run: _Runner, phi: StructuralSet, psi: StructuralSet, names, li
 
 def _check_inframonogenic_equivalence(cfg, run):
     for phi, psi, f in _pair_fields(cfg, _rng_for(cfg, run.name), odd_only=True):
-        run.add(check_inframonogenic_psi1_equivalence(phi, psi, f))
+        run.add(check_inframonogenic_psi1_equivalence(PsiOperator.level(phi, psi, 1), f))
     if 3 in cfg.m_values:
         phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
+        psi1 = PsiOperator.level(phi, psi, 1)
         for f in _members_for(run, phi, psi, (INFRAMONOGENIC,)):
-            run.add(check_inframonogenic_psi1_equivalence(phi, psi, f))
+            run.add(check_inframonogenic_psi1_equivalence(psi1, f))
 
 
 def _check_second_order_criterion(cfg, run):
     for phi, psi, f in _pair_fields(cfg, _rng_for(cfg, run.name), odd_only=True):
-        run.add(check_second_order_criterion(phi, psi, f))
+        run.add(check_second_order_criterion(PsiOperator.level(phi, psi, 1), f))
     if 3 in cfg.m_values:
         phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
+        psi1 = PsiOperator.level(phi, psi, 1)
         for f in _members_for(run, phi, psi, (TWO_SET_HARMONIC,)):
-            run.add(check_second_order_criterion(phi, psi, f))
+            run.add(check_second_order_criterion(psi1, f))
 
 
 def _check_parts_sandwich(cfg, run):
@@ -366,9 +367,10 @@ def _check_aggregates_map_into_intersection(cfg, run, source: str):
         run.truth("skipped", True)
         return
     phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
+    aggregates = (PsiOperator.plus(phi, psi), PsiOperator.minus(phi, psi))
     for f in _members_for(run, phi, psi, (source,), limit=6):
-        for op in (apply_psi_plus, apply_psi_minus):
-            image = op(phi, psi, f)
+        for op in aggregates:
+            image = op.apply(f)
             mem = classify(phi, psi, image)
             run.truth(
                 f"aggregate-into-intersection[src={source}]",

@@ -145,13 +145,14 @@ def test_criterion_05_parity_and_aggregate_closed_forms():
                 use_rational = trial % 10 == 0 and m <= 4
                 phi = rand_rational_structural_set(rng, m) if use_rational else rand_signed_permutation(rng, m)
                 a = rand_multivector(rng, m)
+                levels = [PsiOperator.level(phi, phi, j) for j in range(m + 1)]
                 if m & 1:
                     for j in range(m + 1):
-                        assert check_index_reflection(phi, a, j).holds
+                        assert check_index_reflection(levels, a, j).holds
                 else:
                     j = rng.randint(0, m)
                     k = rng.randint(0, m)
-                    assert check_index_reflection(phi, a, j, k).holds
+                    assert check_index_reflection(levels, a, j, k).holds
                 assert check_plus_minus_closed_form(phi, a).holds
                 assert check_plus_minus_conjugation(phi, a).holds
 
@@ -170,8 +171,9 @@ def test_criterion_06_field_identities():
             for k in range(1, m):
                 assert check_recursion(phi, psi, k, f).holds
             if m & 1:
-                assert check_inframonogenic_psi1_equivalence(phi, psi, f).holds
-                assert check_second_order_criterion(phi, psi, f).holds
+                psi1 = PsiOperator.level(phi, psi, 1)
+                assert check_inframonogenic_psi1_equivalence(psi1, f).holds
+                assert check_second_order_criterion(psi1, f).holds
 
         for m in (2, 3, 5):
             for trial in range(50):

@@ -1,6 +1,7 @@
 """Psi operator family: defining sums, closed forms, matrices, identity checks."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -200,20 +201,22 @@ def test_index_reflection_cases():
     rng = random.Random(6)
     phi3 = rand_rational_structural_set(rng, 3)
     a = rand_multivector(rng, 3)
-    assert check_index_reflection(phi3, a, 1).holds
+    levels3 = [PsiOperator.level(phi3, phi3, j) for j in range(4)]
+    assert check_index_reflection(levels3, a, 1).holds
     assert apply_psi_k(phi3, phi3, 1, a) == -apply_psi_k(phi3, phi3, 2, a)
 
     phi4 = rand_rational_structural_set(rng, 4)
     b = rand_multivector(rng, 4)
-    assert check_index_reflection(phi4, b, 1, 2).holds
+    levels4 = [PsiOperator.level(phi4, phi4, j) for j in range(5)]
+    assert check_index_reflection(levels4, b, 1, 2).holds
     part = b.grade_project(2)
     assert apply_psi_k(phi4, phi4, 1, part) == apply_psi_k(phi4, phi4, 3, part)
-    assert check_index_reflection(phi4, b, 1, 3).holds
+    assert check_index_reflection(levels4, b, 1, 3).holds
     with pytest.raises(ValueError):
-        check_index_reflection(phi4, b, 1)  # even m needs a grade
+        check_index_reflection(levels4, b, 1)  # even m needs a grade
 
     zero = Multivector.zero(3)
-    assert check_index_reflection(phi3, zero, 0).holds
+    assert check_index_reflection(levels3, zero, 0).holds
 
 
 # -- matrices --------------------------------------------------------------------
@@ -287,6 +290,35 @@ def _apply_matrix_cases():
             yield PsiOperator.plus(phi, psi)
             yield PsiOperator.minus(phi, psi)
             yield PsiOperator.subset_level1(phi, psi, subset)
+
+
+def test_prepared_pairs_are_the_family_sum_of_blade_pairs():
+    # Brute reference: coefficient(phi_A, ma) * coefficient(rev psi_A, mb), summed over the family in Fractions.
+    seen = 0
+    for op in _psi_matrix_cases():
+        brute = {}
+        for A in op.index_sets:
+            right = list(op.psi.product(A).reverse().terms())
+            for ma, ca in op.phi.product(A).terms():
+                for mb, cb in right:
+                    brute[ma, mb] = brute.get((ma, mb), 0) + ca * cb
+        pairs, scale = op._pairs
+        table = {(ma, mb): Fraction(c, scale) for ma, mb, c in pairs}
+        assert len(table) == len(pairs) and all(c for _, _, c in pairs), (op.phi.m, op.index_sets)
+        assert table == {key: c for key, c in brute.items() if c}, (op.phi.m, op.index_sets)
+        seen += 1
+    assert seen == sum(4 * (m + 4) for m in range(1, 7))
+
+
+def test_a_flipped_pair_makes_apply_disagree_with_the_brute_sum():
+    # Negative control for the table test: e_ma (.) e_mb is invertible, so flipping one pair's sign moves every image.
+    rng = random.Random(34)
+    for op in _rational_families(rng):
+        a = rand_multivector(rng, op.phi.m, nonzero=True)
+        assert op.apply(a) == _brute_family(op, a)
+        (ma, mb, c), *rest = op._pairs[0]
+        vars(op)["_pairs"] = ([(ma, mb, -c), *rest], op._pairs[1])
+        assert op.apply(a) != _brute_family(op, a), (op.phi.m, op.index_sets)
 
 
 def test_matrix_agrees_with_operator_on_random_values():
@@ -383,6 +415,9 @@ def test_constructors_reject_bad_families_before_any_apply():
     s = StructuralSet.standard(3)
     with pytest.raises(ValueError, match="an index set repeats an index"):
         PsiOperator(s, s, ((1, 2), (3, 1, 3)))
+    for bad in ((1, 5), (0,), (-1,), (2, 1.0), ("1",)):
+        with pytest.raises(ValueError, match=re.escape(f"index set {bad} is not a set of integers in 1..3")):
+            PsiOperator(s, s, ((1,), bad))
 
 
 def _rational_families(rng):
@@ -538,21 +573,23 @@ def test_psi_acts_pointwise_on_fields():
 
 def test_equivalences_odd_dimension():
     rng = random.Random(13)
-    phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
+    psi1 = PsiOperator.level(StructuralSet.standard(3), StructuralSet.reversed_standard(3), 1)
     members = [
         parse_field("x1*x3*e[1] + x2*e[2]", 3),
         parse_field("2*x1*x3*e[1] - x2*e[2] - (x1^2 - x3^2)*e[3]", 3),
         parse_field("2*x2*x3*e[1] - (x1^2 + x2^2)*e[2]", 3),
     ]
     for f in members:
-        assert check_inframonogenic_psi1_equivalence(phi, psi, f).holds
-        assert check_second_order_criterion(phi, psi, f).holds
+        assert check_inframonogenic_psi1_equivalence(psi1, f).holds
+        assert check_second_order_criterion(psi1, f).holds
     for _ in range(10):
         g = rand_polyfield(rng, 3, max_degree=3)
-        assert check_inframonogenic_psi1_equivalence(phi, psi, g).holds
-        assert check_second_order_criterion(phi, psi, g).holds
-    with pytest.raises(ValueError):
-        check_second_order_criterion(StructuralSet.standard(2), StructuralSet.standard(2), PolyField.zero(2))
+        assert check_inframonogenic_psi1_equivalence(psi1, g).holds
+        assert check_second_order_criterion(psi1, g).holds
+    s2 = StructuralSet.standard(2)
+    for check in (check_inframonogenic_psi1_equivalence, check_second_order_criterion):
+        with pytest.raises(ValueError, match="odd dimension only"):
+            check(PsiOperator.level(s2, s2, 1), PolyField.zero(2))
 
 
 def test_two_dimensional_aggregate_closed_forms_for_random_pairs():

@@ -1,6 +1,10 @@
 """The seeded identity suite and its negative control."""
 
+from collections import Counter
+from functools import cached_property
+
 from cliffkit import solver
+from cliffkit.psi import PsiOperator
 from cliffkit.verify import VerifyConfig, check_names, run_suite
 
 QUICK = VerifyConfig(m_values=(2, 3), trials=4, seed=42)
@@ -57,3 +61,21 @@ def test_each_class_matrix_is_built_once_per_run(monkeypatch):
     assert report.all_passed
     assert built and len(built) == len(set(built))
     assert {(name, m) for name, m, _, _ in built} >= {("laplacian", 2), ("laplacian", 3), ("sandwich", 3), ("left-left", 3)}
+
+
+def test_no_psi_operator_is_prepared_twice_for_the_same_sets(monkeypatch):
+    # Each check keeps the operator it applies several times, so each (phi, psi, family) table is built once.
+    prepared, alive = Counter(), []
+    original = PsiOperator.__dict__["_pairs"].func
+
+    def recording(op):
+        alive.append(op)  # keeps the sets alive, so their ids are not reused
+        prepared[id(op.phi), id(op.psi), op.index_sets] += 1
+        return original(op)
+
+    table = cached_property(recording)
+    table.__set_name__(PsiOperator, "_pairs")
+    monkeypatch.setattr(PsiOperator, "_pairs", table)
+    assert run_suite(VerifyConfig(m_values=(2, 3, 4, 5), trials=1, degree=3)).all_passed
+    assert prepared
+    assert {key: n for key, n in prepared.items() if n > 1} == {}
