@@ -10,16 +10,13 @@ is the identity), of even or odd size for `plus` and `minus`, and the
 singletons {j}, j in J, for the level-1 subset operator.  Operators act
 on polynomial fields coefficient-wise, as constant-coefficient linear maps.
 
-`apply` runs on one integer table, prepared once per operator: the sum
-over the family of phi_A (x) reverse(psi_A) as blade pairs (ma, mb, c),
-c * e_ma * a * e_mb over one scale (D_phi D_psi)^top, top the largest |A|.
-phi_A and psi_A come from the sets' integer product memos (see
-`StructuralSet`).  A set's vectors are orthonormal, so reverse(psi_A) is
-psi_A times (-1)^(k(k-1)/2), k = |A|; that sign and (D_phi D_psi)^(top-k)
-are folded into the coefficients, and pairs that cancel are dropped.  An
-operand, or each monomial's coefficient of a field, is one loop over the
-pairs and its terms, reduced once.  Callers that apply one family several
-times keep the operator, so its table is built once.
+An operator is its order-0 symbol: one integer table (`_pairs`), built
+once by `solver._blade_pairs`, of phi_A (x) reverse(psi_A) summed over the
+family as blade pairs c * e_ma * a * e_mb over one scale.  `apply` loops
+over the pairs and an operand's terms (or each coefficient of a field),
+reduced once; `psi_matrix` hands the operator to `solver.operator_matrix`,
+which maps the same table.  Callers that apply one family several times
+keep the operator, so its table is built once.
 
 The same-set case (phi == psi) collapses on pure-grade elements to a
 scalar: `scalar_action` computes it by a finite binomial sum and
@@ -40,13 +37,11 @@ from .algebra import DimensionMismatch, Multivector, _lowest, _odd_masks, _rever
 from .classify import ClassMembership, classify
 from .fields import PolyField, dirac_left, dirac_right, laplacian, sandwich
 from .linalg import RationalMatrix
-from .solver import CoefficientSpace, FieldOperator, _classified_counterexample, operator_matrix
+from .solver import BladePairs, CoefficientSpace, Symbol, _blade_pairs, _classified_counterexample, operator_matrix
 from .structural import StructuralSet, transition
 from .verdict import Verdict, compare, merge
 
 Element = Union[Multivector, PolyField]
-# The summed blade pairs (ma, mb, c) of a family: c * e_ma * a * e_mb, c an integer over one scale
-BladePairs = list[tuple[int, int, int]]
 
 
 def _index_sets(m: int, sizes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -60,6 +55,8 @@ class PsiOperator:
     phi: StructuralSet
     psi: StructuralSet
     index_sets: tuple[tuple[int, ...], ...]
+    name = "psi"
+    order = 0
 
     def __post_init__(self):
         m = self.phi.m
@@ -105,31 +102,37 @@ class PsiOperator:
             return PolyField._of(a.m, *_lowest(flat, a._den * scale))
         return Multivector._of(a.m, *_lowest(_image(pairs, a._num, a.m), a._den * scale))
 
+    def symbol(self, m: int) -> Symbol:
+        """The prepared table at gamma = 0, over its scale; another dimension raises `DimensionMismatch`."""
+        if m != self.phi.m:
+            raise DimensionMismatch(f"structural set dimension {self.phi.m} does not match field dimension {m}")
+        pairs, scale = self._pairs
+        return {(0,) * m: pairs}, scale
+
     @cached_property
     def _pairs(self) -> tuple[BladePairs, int]:
         """The sum of phi_A (x) rev(psi_A) over the family as nonzero blade pairs over one scale, prepared on first use.
 
-        The scale is (D_phi D_psi)^top; each A's factor of it, (D_phi D_psi)^(top - k), and the reverse's grade
-        sign are folded into its pairs' coefficients.
+        phi_A and psi_A come from the sets' integer product memos, over (D_phi D_psi)^|A|, so the scale is
+        (D_phi D_psi)^top, top the largest |A|.  The vectors are orthonormal, so rev(psi_A) is psi_A times the grade
+        sign (-1)^(k(k-1)/2), k = |A|, which goes into psi_A's numerators.
         """
         phi, psi = self.phi, self.psi
-        den = phi._den * psi._den
-        top = max(map(len, self.index_sets), default=0)
-        acc: dict[tuple[int, int], int] = {}
+        den, zero = phi._den * psi._den, (0,) * phi.m
+        terms = []
         for A in self.index_sets:
-            factor = den ** (top - len(A)) * _reverse_sign(len(A))
-            right = psi._product(A).items()
-            for ma, ca in phi._product(A).items():
-                ca *= factor
-                for mb, cb in right:
-                    acc[ma, mb] = acc.get((ma, mb), 0) + ca * cb
-        return [(ma, mb, c) for (ma, mb), c in acc.items() if c], den ** top
+            right = psi._product(A)
+            if _reverse_sign(len(A)) < 0:
+                right = {mb: -cb for mb, cb in right.items()}
+            terms.append((zero, phi._product(A), right, den ** len(A)))
+        pairs, scale = _blade_pairs(terms)
+        return pairs.get(zero, []), scale
 
 
 def _image(pairs: BladePairs, num: dict[int, int], m: int) -> dict[int, int]:
     """The nonzero numerators of the sum of c * e_ma * v * e_mb over the `pairs`, v the numerators `num`.
 
-    The sign of e_ma * e_mv * e_mb has two factors, as in `solver._blade_images`.
+    The sign of e_ma * e_mv * e_mb has two factors, as in `solver._blade_images`, which maps blades for `psi_matrix`.
     """
     odd = _odd_masks(m)
     right = num.items()
@@ -253,7 +256,7 @@ def scalar_action_hypergeometric(m: int, j: int, k: int) -> Fraction:
 
 def psi_matrix(op: PsiOperator) -> RationalMatrix:
     """Matrix of the operator on the 2^m blade basis (canonical blade order), filled from its order-0 symbol."""
-    return operator_matrix(FieldOperator.psi(op.phi, op.psi, op.index_sets), CoefficientSpace(op.phi.m, 0)).matrix
+    return operator_matrix(op, CoefficientSpace(op.phi.m, 0)).matrix
 
 
 # -- identity checks -----------------------------------------------------------
@@ -272,26 +275,24 @@ def check_recursion(phi: StructuralSet, psi: StructuralSet, k: int, a: Element) 
     return compare(f"psi-recursion[k={k}]", lhs, rhs)
 
 
-def check_index_reflection(levels: Sequence[PsiOperator], a: Multivector, j: int, k: int | None = None) -> Verdict:
-    """Same-set symmetry between levels j and m-j; `levels` holds `PsiOperator.level(phi, phi, i)` at place i = 0..m.
+def check_index_reflection(images: Sequence[Multivector], j: int, k: int | None = None) -> Verdict:
+    """Same-set symmetry between levels j and m-j, read from the images of one operand under levels 0..m.
 
-    Odd m: level_j(a) = -level_{m-j}(a) for every a.
-    Even m: on grade-k parts, level_j = level_{m-j} for even k and
-    level_j = -level_{m-j} for odd k (k required in that case).
+    `images[i]` is the image under `PsiOperator.level(phi, phi, i)`.
+
+    Odd m: images of a, and level_j(a) = -level_{m-j}(a) for every a.
+    Even m: images of a's grade-k part (k required), and there
+    level_j = level_{m-j} for even k and level_j = -level_{m-j} for odd k.
     """
-    m = len(levels) - 1
+    m = len(images) - 1
+    if not 0 <= j <= m:
+        raise ValueError(f"reflection index {j} out of range 0..{m}")
     if m & 1:
-        lhs = levels[j].apply(a)
-        rhs = -levels[m - j].apply(a)
-        return compare(f"psi-index-reflection[m odd,j={j}]", lhs, rhs)
+        return compare(f"psi-index-reflection[m odd,j={j}]", images[j], -images[m - j])
     if k is None:
         raise ValueError("even dimension needs a grade k")
-    part = a.grade_project(k)
-    lhs = levels[j].apply(part)
-    rhs = levels[m - j].apply(part)
-    if k & 1:
-        rhs = -rhs
-    return compare(f"psi-index-reflection[m even,j={j},k={k}]", lhs, rhs)
+    rhs = -images[m - j] if k & 1 else images[m - j]
+    return compare(f"psi-index-reflection[m even,j={j},k={k}]", images[j], rhs)
 
 
 def check_plus_minus_closed_form(phi: StructuralSet, a: Multivector) -> Verdict:

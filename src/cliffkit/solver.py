@@ -6,7 +6,8 @@ decompose degree by degree and each degree gives a finite exact linear
 problem.  Every operator has constant coefficients, so its matrix is
 filled straight from its symbol: a derivative of a monomial is a scaled
 monomial, and the multivector coefficients act on each basis blade by a
-fixed blade map.  Each row is built once, already in column order, from
+fixed blade map.  Every symbol, the Psi operators' too, is one table
+from `_blade_pairs`.  Each row is built once, already in column order, from
 the transposed blade maps.  Kernels come from fraction-free elimination
 in `linalg`; at odd m the class dimensions eliminate the even-blade half
 alone, which the central pseudoscalar maps onto the odd half.
@@ -21,7 +22,7 @@ from math import gcd, lcm, perm, prod
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import DimensionMismatch, Multivector, _blade_rank, _odd_masks, _reverse_sign
+from .algebra import DimensionMismatch, Multivector, _blade_rank, _odd_masks
 from .algebra import blade_order, check_dimension
 from .classify import _CLASS_ORDER, INFRAMONOGENIC, TWO_SET_HARMONIC, HARMONIC, ClassMembership, RegionLabel, classify
 from .fields import MultiIndex, PolyField, _field
@@ -73,8 +74,27 @@ class CoefficientSpace:
         return f"CoefficientSpace(m={self.m}, degree={self.degree}, size={self.size})"
 
 
-# One term (gamma, a, b) of a symbol: the operator a * d^gamma(f) * b.
-SymbolTerm = tuple[MultiIndex, Multivector, Multivector]
+# The summed blade pairs (ma, mb, c) of one gamma of a symbol: c * e_ma * (.) * e_mb, c an integer over one scale.
+BladePairs = list[tuple[int, int, int]]
+# A symbol: the blade pairs of each gamma, gamma ascending, and their one scale.
+Symbol = tuple[dict[MultiIndex, BladePairs], int]
+
+
+def _blade_pairs(terms: list[tuple[MultiIndex, dict[int, int], dict[int, int], int]]) -> Symbol:
+    """The symbol of the terms (gamma, a, b, den), each a * d^gamma(f) * b / den, a and b numerators {mask: int}.
+
+    The scale is the lcm of the dens; each gamma's pairs sum its terms' products of coefficients, in term order,
+    and pairs that cancel are dropped.
+    """
+    scale = lcm(*(den for *_, den in terms))
+    acc: dict[MultiIndex, dict[tuple[int, int], int]] = {gamma: {} for gamma in sorted({t[0] for t in terms})}
+    for gamma, a, b, den in terms:
+        blades, factor, right = acc[gamma], scale // den, b.items()
+        for ma, ca in a.items():
+            ca *= factor
+            for mb, cb in right:
+                blades[ma, mb] = blades.get((ma, mb), 0) + ca * cb
+    return {gamma: [(ma, mb, c) for (ma, mb), c in blades.items() if c] for gamma, blades in acc.items()}, scale
 
 
 @dataclass(frozen=True)
@@ -82,7 +102,7 @@ class FieldOperator:
     """A constant-coefficient homogeneous operator P f = sum_gamma a_gamma * d^gamma(f) * b_gamma.
 
     Every |gamma| equals `order`, and a_gamma, b_gamma are multivectors
-    built from `sets`.  `terms(axes, one)` lists the symbol in dimension
+    built from `sets`.  `terms(axes, one)` lists the operator in dimension
     m = len(axes) as (axes of gamma, a, b) triples, with `one` the unit
     multivector:
 
@@ -90,8 +110,7 @@ class FieldOperator:
     - left-left: ((i, j), phi_i psi_j, 1);
     - sandwich: ((i, j), phi_i, psi_j);
     - dirac-left: ((j,), psi_j, 1);
-    - dirac-right: ((j,), 1, psi_j);
-    - psi: ((), phi_A, rev(psi_A)) for each index set A of the family.
+    - dirac-right: ((j,), 1, psi_j).
     """
 
     name: str
@@ -99,14 +118,14 @@ class FieldOperator:
     sets: tuple[StructuralSet, ...]
     terms: Callable[[range, Multivector], list[tuple[tuple[int, ...], Multivector, Multivector]]]
 
-    def symbol(self, m: int) -> list[SymbolTerm]:
-        """The (gamma, a, b) terms in dimension m; sets of another dimension raise `DimensionMismatch`."""
+    def symbol(self, m: int) -> Symbol:
+        """The symbol in dimension m (`_blade_pairs`); sets of another dimension raise `DimensionMismatch`."""
         for sset in self.sets:
             if sset.m != m:
                 raise DimensionMismatch(f"structural set dimension {sset.m} does not match field dimension {m}")
         axes = range(1, m + 1)
-        terms = self.terms(axes, Multivector.scalar(m, 1))
-        return [(tuple(map(term_axes.count, axes)), a, b) for term_axes, a, b in terms]
+        return _blade_pairs([(tuple(map(term_axes.count, axes)), a._num, b._num, a._den * b._den)
+                             for term_axes, a, b in self.terms(axes, Multivector.scalar(m, 1))])
 
     @classmethod
     def laplacian(cls) -> "FieldOperator":
@@ -129,50 +148,31 @@ class FieldOperator:
     def dirac_right(cls, psi: StructuralSet) -> "FieldOperator":
         return cls("dirac-right", 1, (psi,), lambda axes, one: [((j,), one, psi[j]) for j in axes])
 
-    @classmethod
-    def psi(cls, phi: StructuralSet, psi: StructuralSet, index_sets: Sequence[tuple[int, ...]]) -> "FieldOperator":
-        """The Psi operator of the family `index_sets`, of order 0: it acts on each coefficient alone.
-
-        Each A has distinct indices, so rev(psi_A) is psi_A times the grade sign (-1)^(k(k-1)/2), k = |A|.
-        """
-        return cls("psi", 0, (phi, psi),
-                   lambda axes, one: [((), phi.product(A), psi.product(A) * _reverse_sign(len(A))) for A in index_sets])
-
 
 # The transposed S_gamma for each gamma of a symbol, in lexicographic order of gamma: S_gamma[B] lists
-# the (A, c), A ascending, with c != 0 the coefficient of e_B in sum a * e_A * b.  A and B are blade ranks,
-# the places of the blades in `blade_order`.
+# the (A, c), A ascending, with c != 0 the coefficient of e_B in sum c' * e_ma * e_A * e_mb over gamma's
+# pairs.  A and B are blade ranks, the places of the blades in `blade_order`.
 BladeMaps = dict[MultiIndex, list[list[tuple[int, int]]]]
 
 
-def _blade_images(symbol: list[SymbolTerm], m: int) -> tuple[BladeMaps, int]:
-    """The transposed blade maps of the symbol's terms (gamma, a, b) as integers over one scale.
+def _blade_images(pairs: dict[MultiIndex, BladePairs], m: int) -> BladeMaps:
+    """The transposed blade maps of a symbol's blade pairs, over the symbol's scale.
 
     S_gamma[B] is row B of the blade map of gamma, so a matrix row reads
-    its entries from one list.  Each coefficient c is the returned integer
-    over the scale; the scale is the smallest one that works for every map
-    together.  The terms of each gamma are first summed as blade pairs,
-    c * e_ma * (.) * e_mb, one coefficient per pair, and each distinct sum
-    is mapped once: gammas with the same pairs (the Laplacian's m
-    identities) share one map.
+    its entries from one list.  Each distinct table of pairs is mapped
+    once: gammas with the same pairs (the Laplacian's m identities) share
+    one map.
     """
-    scale = lcm(*(a._den * b._den for _, a, b in symbol))
     odd, order, rank = _odd_masks(m), blade_order(m), _blade_rank(m)
-    pairs: dict[MultiIndex, dict[tuple[int, int], int]] = {gamma: {} for gamma in sorted({t[0] for t in symbol})}
-    for gamma, a, b in symbol:
-        factor = scale // (a._den * b._den)
-        for ma, ca in a._num.items():
-            for mb, cb in b._num.items():
-                pairs[gamma][ma, mb] = pairs[gamma].get((ma, mb), 0) + ca * cb * factor
     made: dict[tuple, list[list[tuple[int, int]]]] = {}
-    for gamma, blades in pairs.items():
-        key = tuple(blades.items())
+    for blades in pairs.values():
+        key = tuple(blades)
         if key in made:
             continue
         transposed = made[key] = [[] for _ in order]
         for A, mask in enumerate(order):  # A ascending, so each transposed row comes out sorted
             image: dict[int, int] = {}
-            for (ma, mb), c in blades.items():
+            for ma, mb, c in blades:
                 # e_ma * e_mask * e_mb, whose sign has two factors
                 left = ma ^ mask
                 out = left ^ mb
@@ -180,11 +180,7 @@ def _blade_images(symbol: list[SymbolTerm], m: int) -> tuple[BladeMaps, int]:
             for out, c in image.items():
                 if c:
                     transposed[rank[out]].append((A, c))
-    g = 1 if scale == 1 else gcd(scale, *(c for rows in made.values() for row in rows for _, c in row))
-    if g > 1:
-        for rows in made.values():
-            rows[:] = [[(A, c // g) for A, c in row] for row in rows]
-    return {gamma: made[tuple(blades.items())] for gamma, blades in pairs.items()}, scale // g
+    return {gamma: made[tuple(blades)] for gamma, blades in pairs.items()}
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,7 @@ class OperatorMatrix:
 
 
 def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatrix:
-    """The matrix of `op` on `space`, filled from the symbol of `op`.
+    """The matrix of `op` (a `FieldOperator`, or a `psi.PsiOperator` of order 0) on `space`, filled from its symbol.
 
     Since d^gamma x^(beta+gamma) = (beta+gamma)!/beta! * x^beta, row
     (beta, e_B) holds, for each gamma, (beta+gamma)!/beta! times S_gamma[B]
@@ -213,7 +209,8 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatri
     already sorted.  The blade maps are integers over one scale, so every
     entry is an integer over that scale until each row is reduced once.
     """
-    maps, scale = _blade_images(op.symbol(space.m), space.m)
+    pairs, scale = op.symbol(space.m)
+    maps = _blade_images(pairs, space.m)
     width = 1 << space.m  # rows and columns are monomial-major, 2^m blades per monomial
     offset = {space.basis[col][0]: col for col in range(0, space.size, width)}
     terms = [(gamma, [(i, g) for i, g in enumerate(gamma) if g], images) for gamma, images in maps.items()]

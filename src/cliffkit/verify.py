@@ -275,12 +275,14 @@ def _check_index_reflection(cfg, run):
             a = rand_multivector(rng, m)
             levels = [PsiOperator.level(phi, phi, j) for j in range(m + 1)]
             if m & 1:
+                images = [level.apply(a) for level in levels]
                 for j in range(m + 1):
-                    run.add(check_index_reflection(levels, a, j))
+                    run.add(check_index_reflection(images, j))
             else:
+                images = [[level.apply(part) for level in levels] for part in map(a.grade_project, range(m + 1))]
                 for j in range(m + 1):
                     for k in range(m + 1):
-                        run.add(check_index_reflection(levels, a, j, k))
+                        run.add(check_index_reflection(images[k], j, k))
 
 
 def _check_plus_minus_closed_form(cfg, run):

@@ -202,21 +202,26 @@ def test_index_reflection_cases():
     phi3 = rand_rational_structural_set(rng, 3)
     a = rand_multivector(rng, 3)
     levels3 = [PsiOperator.level(phi3, phi3, j) for j in range(4)]
-    assert check_index_reflection(levels3, a, 1).holds
+    images3 = [level.apply(a) for level in levels3]
+    assert check_index_reflection(images3, 1).holds
     assert apply_psi_k(phi3, phi3, 1, a) == -apply_psi_k(phi3, phi3, 2, a)
+    for j in (-1, 4, -4):
+        with pytest.raises(ValueError, match=re.escape("out of range 0..3")):
+            check_index_reflection(images3, j)
 
     phi4 = rand_rational_structural_set(rng, 4)
     b = rand_multivector(rng, 4)
     levels4 = [PsiOperator.level(phi4, phi4, j) for j in range(5)]
-    assert check_index_reflection(levels4, b, 1, 2).holds
     part = b.grade_project(2)
+    assert check_index_reflection([level.apply(part) for level in levels4], 1, 2).holds
     assert apply_psi_k(phi4, phi4, 1, part) == apply_psi_k(phi4, phi4, 3, part)
-    assert check_index_reflection(levels4, b, 1, 3).holds
+    images4 = [level.apply(b.grade_project(3)) for level in levels4]
+    assert check_index_reflection(images4, 1, 3).holds
     with pytest.raises(ValueError):
-        check_index_reflection(levels4, b, 1)  # even m needs a grade
+        check_index_reflection(images4, 1)  # even m needs a grade
 
     zero = Multivector.zero(3)
-    assert check_index_reflection(levels3, zero, 0).holds
+    assert check_index_reflection([level.apply(zero) for level in levels3], 0).holds
 
 
 # -- matrices --------------------------------------------------------------------

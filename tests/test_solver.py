@@ -539,7 +539,7 @@ _OPERATORS = {
     "sandwich": FieldOperator.sandwich,
     "dirac-left": lambda phi, psi: FieldOperator.dirac_left(psi),
     "dirac-right": lambda phi, psi: FieldOperator.dirac_right(psi),
-    "psi": lambda phi, psi: FieldOperator.psi(phi, psi, PsiOperator.plus(phi, psi).index_sets),
+    "psi": PsiOperator.plus,
 }
 
 
@@ -581,6 +581,22 @@ def test_symbol_matrix_equals_field_operator_matrix(name):
         assert opmat.matrix == _field_operator_matrix(name, phi, psi, space), (m, d)
 
 
+def _reference_terms(op, m):
+    """The (gamma, a, b) `Multivector` terms of `op` in dimension m, written out here, not read from `op`'s symbol."""
+    axes, one = range(1, m + 1), Multivector.scalar(m, 1)
+    if op.name == "psi":
+        return [((0,) * m, op.phi.product(A), op.psi.product(A).reverse()) for A in op.index_sets]
+    phi, psi = op.sets[0] if op.sets else None, op.sets[-1] if op.sets else None
+    terms = {
+        "laplacian": lambda: [((i, i), one, one) for i in axes],
+        "left-left": lambda: [((i, j), phi[i] * psi[j], one) for i in axes for j in axes],
+        "sandwich": lambda: [((i, j), phi[i], psi[j]) for i in axes for j in axes],
+        "dirac-left": lambda: [((j,), psi[j], one) for j in axes],
+        "dirac-right": lambda: [((j,), one, psi[j]) for j in axes],
+    }[op.name]()
+    return [(tuple(map(term_axes.count, axes)), a, b) for term_axes, a, b in terms]
+
+
 def _transposition_blade_maps(symbol, m):
     """S_gamma[A] as the nonzero (B, c) with sum a * e_A * b = sum c * e_B over the terms (gamma, a, b).
 
@@ -601,7 +617,7 @@ def _transposition_blade_maps(symbol, m):
 
 def _per_column_int_rows(op, space):
     """The integer rows of `op` on `space`, each (monomial, blade) column finding its own derivative factors."""
-    symbol = op.symbol(space.m)
+    symbol = _reference_terms(op, space.m)
     if space.degree < op.order:
         return []
     target = CoefficientSpace(space.m, space.degree - op.order)
@@ -630,7 +646,7 @@ def _assembly_cases():
             families = [PsiOperator.level(phi, psi, k) for k in range(m + 1)]
             families += [PsiOperator.plus(phi, psi), PsiOperator.minus(phi, psi), PsiOperator.subset_level1(phi, psi, {1, m})]
             for family in families:
-                yield FieldOperator.psi(phi, psi, family.index_sets), CoefficientSpace(m, 0)
+                yield family, CoefficientSpace(m, 0)
             for d in range(5):
                 space = CoefficientSpace(m, d)
                 for op in (FieldOperator.laplacian(), FieldOperator.left_left(phi, psi), FieldOperator.sandwich(phi, psi),
@@ -646,14 +662,49 @@ def test_assembly_matches_the_per_column_loop():
             assert all(j < k for (j, _), (k, _) in zip(pairs, pairs[1:])), (space.m, space.degree, op.name)
 
 
+def test_blade_pairs_sum_terms_over_the_lcm_of_their_denominators():
+    # (1, 0) cancels: 2 * 1 * (6/2) - 1 * 3 * (6/3) = 0.  Gammas come out ascending.
+    terms = [((1,), {0: 1, 1: 2}, {0: 1}, 2), ((1,), {1: -1}, {0: 3}, 3), ((0,), {2: 1}, {2: 1}, 1)]
+    assert solver._blade_pairs(terms) == ({(0,): [(2, 2, 6)], (1,): [(0, 0, 3)]}, 6)
+    assert list(solver._blade_pairs(terms)[0]) == [(0,), (1,)]
+    assert solver._blade_pairs([]) == ({}, 1)
+
+
+def test_field_operator_symbols_are_the_sums_of_their_terms_blade_pairs():
+    # Brute reference: coefficient(a, ma) * coefficient(b, mb) over the test's own terms, summed in Fractions.
+    rng = random.Random(35)
+    seen = set()
+    for m in range(1, 6):
+        phi, psi = rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m)
+        for op in (FieldOperator.laplacian(), FieldOperator.left_left(phi, psi), FieldOperator.sandwich(phi, psi),
+                   FieldOperator.dirac_left(psi), FieldOperator.dirac_right(psi)):
+            terms = _reference_terms(op, m)
+            brute, dens = {}, []
+            for gamma, a, b in terms:
+                table = brute.setdefault(gamma, {})
+                for ma, ca in a.terms():
+                    for mb, cb in b.terms():
+                        table[ma, mb] = table.get((ma, mb), 0) + ca * cb
+                dens.append(lcm(*(c.denominator for _, c in a.terms())) * lcm(*(c.denominator for _, c in b.terms())))
+            pairs, scale = op.symbol(m)
+            assert scale == lcm(*dens), (m, op.name)
+            assert list(pairs) == sorted(brute), (m, op.name)
+            for gamma, blades in pairs.items():
+                table = {(ma, mb): Fraction(c, scale) for ma, mb, c in blades}
+                assert len(table) == len(blades) and all(c for _, _, c in blades), (m, op.name, gamma)
+                assert table == {key: c for key, c in brute[gamma].items() if c}, (m, op.name, gamma)
+            seen.add(op.name)
+    assert seen == {"laplacian", "left-left", "sandwich", "dirac-left", "dirac-right"}
+
+
 def test_assembly_oracle_sees_one_blade_coefficient_off_by_one(monkeypatch):
     blade_images = solver._blade_images
 
-    def off_by_one(symbol, m):
-        maps, scale = blade_images(symbol, m)
+    def off_by_one(pairs, m):
+        maps = blade_images(pairs, m)
         image = next(image for images in maps.values() for image in images if image)
         image[0] = (image[0][0], image[0][1] + 1)
-        return maps, scale
+        return maps
 
     monkeypatch.setattr(solver, "_blade_images", off_by_one)
     phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)

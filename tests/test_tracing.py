@@ -50,3 +50,4 @@ def test_traced_solve_and_verify_count_the_solver_and_linalg_layers():
         "solver.opmat_builds", "solver.witness_searches", "linalg.nullspace_calls", "linalg.mat_vec_calls",
         "linalg.rank_calls")}
     assert all(count > 0 for count in counts.values()), counts
+    assert metrics["psi.matrix_builds"] > 0, metrics["psi.matrix_builds"]
