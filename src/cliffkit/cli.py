@@ -27,9 +27,8 @@ from fractions import Fraction
 from .classify import RegionLabel, classify
 from .demo import run_demo
 from .parser import ParseError, format_field, parse_field
-from .sampling import rotation_pair
 from .solver import CoefficientSpace, class_dimensions, class_matrices, find_region_witness
-from .structural import MAX_NUMBER_TEXT, StructuralSet, StructuralSetError, _printable
+from .structural import _NUMBER_BOUND, MAX_NUMBER_TEXT, StructuralSet, StructuralSetError, _printable
 from .verify import VerifyConfig, check_names, run_suite
 
 
@@ -71,11 +70,12 @@ def parse_set_spec(spec: str, m: int) -> StructuralSet:
             t = Fraction(body)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad rational parameter {body!r}")
-        c, s = rotation_pair(t)
-        # The set's entries are printed in full, so their digits share the text bound.
-        if not (_printable(c) and _printable(s)):
+        out = StructuralSet._half_angle(t.numerator, t.denominator, reflection=kind == "refl2")
+        # The set's entries are printed in full, so their digits share the text bound.  No entry exceeds 1 in size,
+        # so none of them can pass it while the common denominator stays below it.
+        if out._den >= _NUMBER_BOUND and not all(_printable(x) for row in out.coordinates() for x in row):
             raise UsageError(f"{kind} parameter {body!r} gives a cosine or sine with more than {MAX_NUMBER_TEXT} digits")
-        return StructuralSet.rotation_2d(c, s) if kind == "rot2" else StructuralSet.reflection_2d(c, s)
+        return out
     if spec.startswith("matrix:"):
         path = spec.split(":", 1)[1]
         try:
@@ -139,6 +139,12 @@ def _emit(payload, fmt: str, text_renderer) -> None:
         print(text_renderer())
 
 
+def _set_pair(args) -> tuple[StructuralSet, StructuralSet]:
+    """phi and psi from their specs; sets are immutable values, so one spec given twice is parsed once."""
+    phi = parse_set_spec(args.phi, args.m)
+    return phi, phi if args.psi == args.phi else parse_set_spec(args.psi, args.m)
+
+
 def cmd_verify(args) -> int:
     cfg = VerifyConfig(
         m_values=_parse_m_list(args.m),
@@ -160,8 +166,7 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     m = args.m
-    phi = parse_set_spec(args.phi, m)
-    psi = parse_set_spec(args.psi, m)
+    phi, psi = _set_pair(args)
     f = parse_field(args.expr, m)
     membership = classify(phi, psi, f)
 
@@ -178,8 +183,7 @@ def cmd_classify(args) -> int:
 def cmd_solve(args) -> int:
     m = args.m
     d = args.degree
-    phi = parse_set_spec(args.phi, m)
-    psi = parse_set_spec(args.psi, m)
+    phi, psi = _set_pair(args)
     target = None if args.region is None else parse_region_spec(args.region)
     matrices = class_matrices(phi, psi, CoefficientSpace(m, d))
     dims = class_dimensions(phi, psi, m, d, matrices=matrices, keep=None if target is None else target.classes)
@@ -237,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cliffkit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its subparser, which `main` parses with directly
 
     def add_common(p):
         p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
@@ -281,8 +286,22 @@ def main(argv: list[str] | None = None) -> int:
     The parser is built once per process, by the first call, and reused:
     argparse keeps no state of a parse in the parser, so each call sees
     the same parser a fresh `build_parser.__wrapped__()` would give.
+
+    One parse per call: when the first string names a command, that
+    command's subparser parses the rest and the top-level parser refuses
+    any leftover strings, in argparse's own words.  The top-level parser
+    parses every other argv (empty, help, unknown command, `--`) itself.
     """
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         return args.fn(args)
     except (UsageError, ParseError, StructuralSetError, ValueError) as exc:

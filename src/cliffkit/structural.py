@@ -116,11 +116,12 @@ class StructuralSet:
 
     def _set(self, vectors: tuple[Multivector, ...]) -> None:
         """Set the vectors and the integer form built from them."""
-        den = lcm(*(v._den for v in vectors))
+        den = lcm(*[v._den for v in vectors])
         object.__setattr__(self, "m", len(vectors))
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_rows", tuple(tuple((bit, c * (den // v._den)) for bit, c in v._num.items())
-                                                for v in vectors))
+        object.__setattr__(self, "_rows", tuple([tuple(v._num.items()) if v._den == den else
+                                                 tuple([(bit, c * (den // v._den)) for bit, c in v._num.items()])
+                                                 for v in vectors]))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_products", {(): {0: 1}})
 
@@ -144,7 +145,7 @@ class StructuralSet:
         """Vectors +-e_{|p_k|}; `signed_indices` must be a signed permutation of 1..m."""
         check_dimension(m)
         signed = list(signed_indices)
-        if sorted(abs(p) for p in signed) != list(range(1, m + 1)):
+        if sorted(map(abs, signed)) != list(range(1, m + 1)):
             raise StructuralSetError(f"{signed_indices!r} is not a signed permutation of 1..{m}")
         return cls._of([Multivector._of(m, {1 << (abs(p) - 1): -1 if p < 0 else 1}) for p in signed])
 
@@ -159,6 +160,14 @@ class StructuralSet:
         """Plane reflection family: rows (c1, c2) and (c2, -c1), c1^2 + c2^2 = 1."""
         c1, c2 = Fraction(c1), Fraction(c2)
         return cls.from_matrix([[c1, c2], [c2, -c1]])
+
+    @classmethod
+    def _half_angle(cls, p: int, q: int, reflection: bool = False) -> "StructuralSet":
+        """Trusted plane set from the tangent half-angle p/q, q != 0: the rotation rows (c, -s) and (s, c), or the
+        reflection rows (c, s) and (s, -c), over n, with (c, s, n) = (q^2 - p^2, 2pq, q^2 + p^2) and c^2 + s^2 = n^2."""
+        c, s, n = q * q - p * p, 2 * p * q, q * q + p * p
+        rows = ((c, s), (s, -c)) if reflection else ((c, -s), (s, c))
+        return cls._of([Multivector._of(2, *_lowest({k: x for k, x in zip((1, 2), row) if x}, n)) for row in rows])
 
     @classmethod
     def from_matrix(cls, rows: Sequence[Sequence[Scalar]]) -> "StructuralSet":

@@ -327,6 +327,65 @@ def test_kept_parser_answers_like_a_fresh_one(capsys, monkeypatch):
     assert kept[2][1].startswith("usage: cliffkit solve")
 
 
+ARGV_CORPUS = [
+    ("verify", "--m", "2", "--trials", "2", "--degree", "2"),
+    ("classify", "--m", "2", "--phi", "rot2:1/2", "--psi", "rot2:1/2", "--expr", "x1*x2*e[1]"),
+    ("solve", "--m", "2", "--degree", "2", "--region", "H,I", "--format", "json"),
+    ("demo",),
+    ("-h",), ("verify", "-h"), ("classify", "-h"), ("solve", "-h"), ("demo", "-h"),
+    (),
+    ("frobnicate", "--m", "2"),
+    ("classify", "--m", "2"),
+    ("classify", "--m", "2", "--expr", "x1", "extra"),
+    ("classify", "--m", "2", "--expr", "x1", "--bogus", "1"),
+    ("solve", "--m", "2", "--deg", "1"),
+    ("classify", "--m", "2", "--ex", "x1", "--fo", "json"),
+    ("classify", "--m", "2", "--expr=-x1"),
+    ("--", "classify", "--m", "2", "--expr", "x1"),
+    ("classify", "--m", "2", "--expr", "x1", "-h"),
+]
+
+
+def _dispatch(args) -> int:
+    try:
+        return args.fn(args)
+    except (cli.UsageError, cli.ParseError, StructuralSetError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _top_level_main(argv) -> int:
+    """The reference: every argv parsed by a fresh top-level parser, which hands the rest to the subparser."""
+    return _dispatch(build_parser.__wrapped__().parse_args(argv))
+
+
+def _subparser_reports_extras(argv) -> int:
+    """A wrong one-pass parse: the command's subparser refuses leftover strings in its own name."""
+    parser = build_parser.__wrapped__()
+    command = parser.commands.get(argv[0]) if argv else None
+    return _dispatch(command.parse_args(argv[1:]) if command else parser.parse_args(argv))
+
+
+def _outcomes(capsys, run):
+    out = []
+    for argv in ARGV_CORPUS:
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out.append((argv, code, captured.out, captured.err))
+    return out
+
+
+def test_one_pass_parse_answers_like_the_top_level_parser(capsys):
+    expected = _outcomes(capsys, _top_level_main)
+    assert _outcomes(capsys, main) == expected
+    assert {code for _, code, _, _ in expected} == {0, 2}
+    # Negative control: leftover strings reported by the subparser give a different stderr.
+    assert _outcomes(capsys, _subparser_reports_extras) != expected
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "--m", "0", "--expr", "x1"),
     ("classify", "--m", "0", "--phi", "signedperm:1", "--expr", "x1"),

@@ -327,7 +327,9 @@ def test_a_flipped_pair_makes_apply_disagree_with_the_brute_sum():
 
 
 def test_matrix_agrees_with_operator_on_random_values():
-    # `psi_matrix` fills the matrix from the operator's symbol, independently of `apply`.
+    # `psi_matrix` and `apply` both read the operator's one `_pairs` table; only their sign loops differ
+    # (`_blade_images` per basis blade, `_image` per operand).  The table itself is guarded against the
+    # brute Fraction sum by `test_prepared_pairs_are_the_family_sum_of_blade_pairs`.
     rng = random.Random(9)
     seen = 0
     for op in _apply_matrix_cases():

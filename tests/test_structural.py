@@ -69,6 +69,40 @@ def test_rational_rotation_families():
         StructuralSet.rotation_2d(Fraction(1, 2), Fraction(1, 2))
 
 
+def _same_set(built: StructuralSet, validated: StructuralSet) -> None:
+    assert built.vectors == validated.vectors
+    assert built._rows == validated._rows
+    assert built._den == validated._den
+
+
+def test_half_angle_builder_equals_validating_construction():
+    rng = random.Random(31)
+    params = [(t.numerator, t.denominator) for t in HALF_ANGLE_POOL] + [(0, 1), (1, 1), (-1, 1)]
+    params += [(rng.randint(-10 ** 6, 10 ** 6), rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)) for _ in range(200)]
+    params += [(rng.randint(-9, 9), rng.choice((-1, 1)) * rng.randint(1, 9)) for _ in range(200)]
+    for p, q in params:
+        c, s = rotation_pair(Fraction(p, q))
+        _same_set(StructuralSet._half_angle(p, q), StructuralSet.rotation_2d(c, s))
+        _same_set(StructuralSet._half_angle(p, q, reflection=True), StructuralSet.reflection_2d(c, s))
+
+
+def _validated_signed_permutation(m, signed):
+    return StructuralSet([Multivector.basis_vector(m, p) if p > 0 else -Multivector.basis_vector(m, -p) for p in signed])
+
+
+def test_signed_permutation_builder_equals_validating_construction():
+    for m in range(1, 4):
+        for perm in permutations(range(1, m + 1)):
+            for signs in product((1, -1), repeat=m):
+                signed = [s * p for s, p in zip(signs, perm)]
+                _same_set(StructuralSet.signed_permutation(m, signed), _validated_signed_permutation(m, signed))
+    rng = random.Random(12)
+    for m in range(4, 13):
+        for _ in range(20):
+            signed = [p * rng.choice((1, -1)) for p in rng.sample(range(1, m + 1), m)]
+            _same_set(StructuralSet.signed_permutation(m, signed), _validated_signed_permutation(m, signed))
+
+
 def test_from_matrix_identity_gives_standard():
     assert StructuralSet.from_matrix([[1, 0], [0, 1]]) == StructuralSet.standard(2)
 
