@@ -301,10 +301,10 @@ def test_golden_stdout_of_a_rational_matrix_pair(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "f633bc037a3c877bc8b9b676bea2fc34eba360958b54903bc0d970b1062b72e8"
 
 
-def _outcome(capsys, argv):
-    """(exit code, stdout, stderr) of one `main` call, argparse exits included."""
+def _outcome(capsys, argv, run=main):
+    """(exit code, stdout, stderr) of one `main` call, or one `run` call, argparse exits included."""
     try:
-        code = main(list(argv))
+        code = run(list(argv))
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
@@ -367,15 +367,7 @@ def _subparser_reports_extras(argv) -> int:
 
 
 def _outcomes(capsys, run):
-    out = []
-    for argv in ARGV_CORPUS:
-        try:
-            code = run(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        out.append((argv, code, captured.out, captured.err))
-    return out
+    return [(argv, *_outcome(capsys, argv, run)) for argv in ARGV_CORPUS]
 
 
 def test_one_pass_parse_answers_like_the_top_level_parser(capsys):
