@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .fields import PolyField, _dirac, _laplacian, _partials, dirac_left, sandwich
+from .fields import PolyField, _derivatives, _dirac, _laplacian, dirac_left, sandwich
 from .structural import StructuralSet
 from .verdict import Verdict
 
@@ -89,23 +89,24 @@ class ClassMembership:
 def classify(phi: StructuralSet, psi: StructuralSet, f: PolyField) -> ClassMembership:
     """Membership of f in each class, every one an exact zero test on f's integer terms (see `fields`).
 
-    The first partials of f are computed once and serve D_psi f, f D_psi, D_phi f and
-    the Laplacian; the partials of D_psi f give D_phi D_psi f, and those of D_phi f the
-    sandwich.  The denominators are positive and are dropped, and no field is built.
+    One derivative list of f serves D_psi f, f D_psi and the Laplacian.  The list of
+    D_psi f gives D_phi D_psi f, and the list of f D_psi the sandwich D_phi (f D_psi),
+    which equals (D_phi f) D_psi.  The denominators are positive and are dropped, and
+    no field is built.
     """
     if phi.m != f.m or psi.m != f.m:
         raise ValueError(f"dimension mismatch: sets {phi.m}/{psi.m}, field {f.m}")
     m = f.m
     phi_rows, psi_rows = phi._rows, psi._rows
-    partials = _partials(f._num, m)
-    left_psi = _dirac(partials, psi_rows, m, True)
-    left_phi = _dirac(partials, phi_rows, m, True)
+    derivatives = _derivatives(f._num, m)
+    left_psi = _dirac(derivatives, psi_rows, m, True)
+    right_psi = _dirac(derivatives, psi_rows, m, False)
     return ClassMembership(
-        harmonic=not any(_laplacian(partials).values()),
-        two_set_harmonic=not any(_dirac(_partials(left_psi, m), phi_rows, m, True).values()),
-        inframonogenic=not any(_dirac(_partials(left_phi, m), psi_rows, m, False).values()),
+        harmonic=not any(_laplacian(derivatives).values()),
+        two_set_harmonic=not any(_dirac(_derivatives(left_psi, m), phi_rows, m, True).values()),
+        inframonogenic=not any(_dirac(_derivatives(right_psi, m), phi_rows, m, True).values()),
         hyperholomorphic_left=not any(left_psi.values()),
-        hyperholomorphic_right=not any(_dirac(partials, psi_rows, m, False).values()),
+        hyperholomorphic_right=not any(right_psi.values()),
     )
 
 

@@ -11,11 +11,12 @@ stay in exact rational arithmetic.
 
 Everything runs on the integer terms.  `_merge` and `_times` are the one
 flat sum and product, shared by the field operators and the parser.  A
-first partial is alpha_j * c at alpha - e_j, and a structural set gives
-the integer rows it keeps (`StructuralSet._rows`, over the lcm `_den` of
-its vectors' denominators).  Each operator reduces its result once, over
-the product of the scales; coefficients as `Multivector`s are built only
-when `terms` or `coefficient` asks for them.
+field's first partials are one list, `_derivatives`, of (k, alpha - e_k,
+mask, alpha_k * c) axis by axis, read by the Dirac operators, the Laplacian
+and `partial`.  A structural set gives the integer rows it keeps
+(`StructuralSet._rows`, over the lcm `_den` of its vectors' denominators).
+Each operator reduces its result once, over the product of the scales;
+`Multivector` coefficients are built only when `terms` or `coefficient` asks.
 """
 
 from __future__ import annotations
@@ -244,10 +245,11 @@ class PolyField:
     # -- calculus -----------------------------------------------------------
 
     def partial(self, i: int) -> "PolyField":
-        """Partial derivative along x_i (1-based axis)."""
+        """Partial derivative along x_i (1-based axis); distinct terms have distinct derivatives, so nothing accumulates."""
         if not 1 <= i <= self.m:
             raise ValueError(f"axis {i} out of range 1..{self.m}")
-        return PolyField._of(self.m, *_lowest(_partial(self._num, i - 1), self._den))
+        num = {(a, mask): c for k, a, mask, c in _derivatives(self._num, self.m) if k == i - 1}
+        return PolyField._of(self.m, *_lowest(num, self._den))
 
     def evaluate(self, point: Sequence[Scalar]) -> Multivector:
         """Exact evaluation at a rational point."""
@@ -268,10 +270,12 @@ class PolyField:
         return f"PolyField({self.m}, {str(self)!r})"
 
 
-# -- the flat sum and product, and the derivative kernel (see the module docstring) ---------
+# -- the flat sum and product, and the derivative list (see the module docstring) ---------
 
 # A structural set's `_rows`: each vector as (generator mask, numerator) pairs over the set's `_den`.
 Rows = tuple[tuple[tuple[int, int], ...], ...]
+# A field's first partials as one list of (axis k, alpha - e_k, mask, alpha_k * numerator), over the field's denominator.
+Derivatives = list[tuple[int, MultiIndex, int, int]]
 
 
 def _merge(x: Value, y: Value, sign: int) -> Value:
@@ -293,6 +297,9 @@ def _merge(x: Value, y: Value, sign: int) -> Value:
 
 def _times(x: Value, y: Value, odd: list[int]) -> Value:
     """x * y term by term, with no zero numerators: exponents add, e_a e_b < 0 when b & odd[a] has odd parity."""
+    if len(x[0]) == 1 == len(y[0]):
+        (((a, ma), ca),), (((b, mb), cb),) = x[0].items(), y[0].items()
+        return {(tuple(map(add, a, b)), ma ^ mb): -ca * cb if (mb & odd[ma]).bit_count() & 1 else ca * cb}, x[1] * y[1]
     acc: Flat = {}
     get = acc.get
     right = y[0].items()
@@ -307,41 +314,40 @@ def _times(x: Value, y: Value, odd: list[int]) -> Value:
     return {key: c for key, c in acc.items() if c}, x[1] * y[1]
 
 
-def _partial(flat: Flat, k: int) -> Flat:
-    """d flat / d x_{k+1}; distinct terms have distinct derivatives, so nothing accumulates."""
-    return {(a[:k] + (a[k] - 1,) + a[k + 1:], mask): a[k] * c for (a, mask), c in flat.items() if a[k]}
+def _derivatives(flat: Flat, m: int) -> Derivatives:
+    """Every first partial of the terms, axis by axis: (k, alpha - e_k, mask, alpha_k * c) where alpha_k > 0."""
+    items = flat.items()
+    return [(k, a[:k] + (a[k] - 1,) + a[k + 1:], mask, a[k] * c) for k in range(m) for (a, mask), c in items if a[k]]
 
 
-def _partials(flat: Flat, m: int) -> list[Flat]:
-    return [_partial(flat, k) for k in range(m)]
-
-
-def _dirac(partials: list[Flat], rows: Rows, m: int, left: bool) -> Flat:
-    """sum_j v_j * partials[j] (left) or sum_j partials[j] * v_j, with row j as v_j; sums that cancel stay as 0.
+def _dirac(derivatives: Derivatives, rows: Rows, m: int, left: bool) -> Flat:
+    """sum_k v_k * (d flat / d x_{k+1}) (left) or the same with v_k on the right, row k as v_k; sums that cancel stay as 0.
 
     Signs as in `Multivector.__mul__`: e_i e_B < 0 when B & odd[e_i] has odd parity, e_B e_i < 0 when e_i & odd[B] != 0.
     """
     odd = _odd_masks(m)
     acc: Flat = {}
     get = acc.get
-    for part, row in zip(partials, rows):
-        for (a, mask), c in part.items():
-            w = odd[mask]
-            for bit, n in row:
-                key = a, mask ^ bit
-                if (mask & odd[bit]).bit_count() & 1 if left else bit & w:
-                    acc[key] = get(key, 0) - n * c
-                else:
-                    acc[key] = get(key, 0) + n * c
+    for k, a, mask, c in derivatives:
+        w = odd[mask]
+        for bit, n in rows[k]:
+            key = a, mask ^ bit
+            if (mask & odd[bit]).bit_count() & 1 if left else bit & w:
+                acc[key] = get(key, 0) - n * c
+            else:
+                acc[key] = get(key, 0) + n * c
     return acc
 
 
-def _laplacian(partials: list[Flat]) -> Flat:
-    """sum_k d partials[k] / d x_{k+1}; sums that cancel stay as 0."""
+def _laplacian(derivatives: Derivatives) -> Flat:
+    """sum_k d^2 flat / d x_{k+1}^2; sums that cancel stay as 0."""
     acc: Flat = {}
-    for k, part in enumerate(partials):
-        for key, c in _partial(part, k).items():
-            acc[key] = acc.get(key, 0) + c
+    get = acc.get
+    for k, a, mask, c in derivatives:
+        e = a[k]
+        if e:
+            key = a[:k] + (e - 1,) + a[k + 1:], mask
+            acc[key] = get(key, 0) + e * c
     return acc
 
 
@@ -357,7 +363,7 @@ def _require_field_set(sset: StructuralSet, f: PolyField) -> None:
 
 def _one_sided(sset: StructuralSet, f: PolyField, left: bool) -> PolyField:
     _require_field_set(sset, f)
-    return _field(f.m, _dirac(_partials(f._num, f.m), sset._rows, f.m, left), f._den * sset._den)
+    return _field(f.m, _dirac(_derivatives(f._num, f.m), sset._rows, f.m, left), f._den * sset._den)
 
 
 def dirac_left(sset: StructuralSet, f: PolyField) -> PolyField:
@@ -371,7 +377,7 @@ def dirac_right(f: PolyField, sset: StructuralSet) -> PolyField:
 
 
 def laplacian(f: PolyField) -> PolyField:
-    return _field(f.m, _laplacian(_partials(f._num, f.m)), f._den)
+    return _field(f.m, _laplacian(_derivatives(f._num, f.m)), f._den)
 
 
 def sandwich(phi: StructuralSet, f: PolyField, psi: StructuralSet) -> PolyField:
@@ -383,5 +389,5 @@ def sandwich(phi: StructuralSet, f: PolyField, psi: StructuralSet) -> PolyField:
     _require_field_set(phi, f)
     _require_field_set(psi, f)
     m = f.m
-    left = _dirac(_partials(f._num, m), phi._rows, m, True)
-    return _field(m, _dirac(_partials(left, m), psi._rows, m, False), f._den * phi._den * psi._den)
+    left = _dirac(_derivatives(f._num, m), phi._rows, m, True)
+    return _field(m, _dirac(_derivatives(left, m), psi._rows, m, False), f._den * phi._den * psi._den)

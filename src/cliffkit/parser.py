@@ -2,8 +2,7 @@
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := ('+' | '-') factor | power
-    power  := atom ('^' INT)?
+    factor := ('+' | '-')* atom ('^' INT)?
     atom   := INT | VAR | BLADE | '(' expr ')'
 
     INT    := digits                (at most MAX_NUMBER_TEXT of them)
@@ -34,8 +33,8 @@ from .algebra import indices_to_mask, join_terms
 from .fields import PolyField, Value, _field, _merge, _times
 from .structural import MAX_NUMBER_TEXT
 
-# Each level costs at most five parser frames, so this stays well below
-# Python's default recursion limit of 1000.
+# A parenthesis level costs three parser frames (expr, term, factor) and a
+# unary sign none, so this stays well below Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
 
@@ -135,52 +134,30 @@ class _Parser:
                 return value
 
     def factor(self) -> Value:
-        sign = self._peek()
-        if sign not in ("-", "+"):
-            return self.power()
-        self._enter()
-        self.pos += 1
-        terms, den = self.factor()
-        self.depth -= 1
-        return ({key: -c for key, c in terms.items()} if sign == "-" else terms), den
-
-    def power(self) -> Value:
-        base = self.atom()
-        if not self._take("^"):
-            return base
-        n = self._integer()
-        # Lowest terms first, so a monomial's power stays as cheap as its exponent's bit length.
-        base = _lowest(*base)
-        # Square and multiply; powers of one value commute.
-        out: Value = {(self.origin, 0): 1}, 1
-        while n:
-            if n & 1:
-                out = _times(out, base, self.odd)
-            n >>= 1
-            if n:
-                base = _times(base, base, self.odd)
-        return out
-
-    def atom(self) -> Value:
+        """Unary signs, one nesting level each at its own offset, then an atom and its optional power."""
+        depth, negate = self.depth, False
         ch = self._peek()
+        while ch in ("-", "+"):
+            self._enter()
+            self.pos += 1
+            negate ^= ch == "-"
+            ch = self._peek()
         at = self.pos
         if ch == "(":
             self._enter()
             self.pos += 1
             value = self.expr()
             self._expect(")")
-            self.depth -= 1
-            return value
-        if ch.isdecimal():
+        elif ch.isdecimal():
             n = self._integer()
-            return ({(self.origin, 0): n} if n else {}), 1
-        if ch == "x":
+            value = ({(self.origin, 0): n} if n else {}), 1
+        elif ch == "x":
             self.pos += 1
             idx = self._integer()
             if not 1 <= idx <= self.m:
                 raise ParseError(f"unknown variable x{idx}, dimension is {self.m}", at)
-            return {(self.origin[:idx - 1] + (1,) + self.origin[idx:], 0): 1}, 1
-        if ch == "e":
+            value = {(self.origin[:idx - 1] + (1,) + self.origin[idx:], 0): 1}, 1
+        elif ch == "e":
             self.pos += 1
             self._expect("[")
             indices: list[int] = []
@@ -194,10 +171,27 @@ class _Parser:
                 mask = indices_to_mask(indices, self.m)
             except ValueError as exc:
                 raise ParseError(str(exc), at) from None
-            return {(self.origin, mask): 1}, 1
-        if ch == "":
+            value = {(self.origin, mask): 1}, 1
+        elif ch == "":
             raise ParseError("unexpected end of input", at)
-        raise ParseError(f"unexpected {ch!r}", at)
+        else:
+            raise ParseError(f"unexpected {ch!r}", at)
+        self.depth = depth
+        if self._take("^"):
+            n = self._integer()
+            # Lowest terms first, so a monomial's power stays as cheap as its exponent's bit length.
+            base = _lowest(*value)
+            # Square and multiply; powers of one value commute.
+            value = {(self.origin, 0): 1}, 1
+            while n:
+                if n & 1:
+                    value = _times(value, base, self.odd)
+                n >>= 1
+                if n:
+                    base = _times(base, base, self.odd)
+        if negate:
+            return {key: -c for key, c in value[0].items()}, value[1]
+        return value
 
 
 def parse_field(text: str, m: int) -> PolyField:

@@ -334,12 +334,9 @@ def check_dirac_psi1_identities(phi: StructuralSet, psi: StructuralSet, f: PolyF
         right = compare("dirac-psi1-gradient-right", dirac_right(image, psi), left_f * (-2) - psi1(right_f))
         return merge("dirac-psi1-gradient", [left, right])
     if which == "sandwich":
-        two_sided = compare(
-            "dirac-psi1-sandwich",
-            sandwich(phi, psi1(f), psi),
-            psi1(sandwich(phi, f, psi)),
-        )
-        lap = compare("laplacian-psi1-commutation", laplacian(psi1(f)), psi1(laplacian(f)))
+        image = psi1(f)
+        two_sided = compare("dirac-psi1-sandwich", sandwich(phi, image, psi), psi1(sandwich(phi, f, psi)))
+        lap = compare("laplacian-psi1-commutation", laplacian(image), psi1(laplacian(f)))
         return merge("dirac-psi1-sandwich", [two_sided, lap])
     if which == "composition":
         left_f = dirac_left(psi, f)
@@ -388,9 +385,10 @@ def check_second_order_criterion(psi1: PsiOperator, f: PolyField) -> Verdict:
     phi, psi = psi1.phi, psi1.psi
     if not phi.m & 1:
         raise ValueError("the criterion is asserted for odd dimension only")
-    member = dirac_left(phi, dirac_left(psi, f)).is_zero()
+    left_f = dirac_left(psi, f)
+    member = dirac_left(phi, left_f).is_zero()
     lhs = sandwich(psi, f, psi)
-    rhs = dirac_left(phi, psi1.apply(dirac_left(psi, f))) * Fraction(-1, 2)
+    rhs = dirac_left(phi, psi1.apply(left_f)) * Fraction(-1, 2)
     criterion = lhs == rhs
     if member == criterion:
         return Verdict("second-order-criterion", True)

@@ -27,12 +27,6 @@ HALF_ANGLE_POOL = [
 ]
 
 
-def rotation_pair(t: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact (cos, sin) with cos^2 + sin^2 = 1 from one rational parameter."""
-    denom = 1 + t * t
-    return (1 - t * t) / denom, 2 * t / denom
-
-
 def rand_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
     while True:
         q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))

@@ -26,11 +26,11 @@ from cliffkit.sampling import (
     rand_rational_structural_set,
     rand_signed_permutation,
     rand_structural_pair,
-    rotation_pair,
 )
 from cliffkit.solver import CoefficientSpace, FieldOperator, class_nullspace, operator_matrix
 from cliffkit.structural import StructuralSet
 from kernel_reference import kernel_fields, partial, sum_terms
+from plane_reference import rotation_pair
 
 PHI = StructuralSet.standard(3)
 PSI = StructuralSet.reversed_standard(3)

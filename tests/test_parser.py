@@ -165,6 +165,41 @@ def test_nesting_limit_is_a_fixed_position(opening):
     assert _nesting_error_position(text, 0) == _nesting_error_position(text, 300) == MAX_NESTING
 
 
+_HALF = MAX_NESTING // 2
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("x 1", "x1"),
+    ("x\t1", "x1"),
+    ("e [ 1 , 2 ]", "e[1,2]"),
+    ("x1 ^ 2", "x1^2"),
+    ("- -x1", "x1"),
+    ("-( -x1)", "x1"),
+    ("- ( x1 ) ^ 2", "-x1^2"),
+    ("x 3", "unknown variable x3, dimension is 2 (at position 0)"),
+    ("e [ 1 , 1 ]", "blade indices must be strictly increasing, got index 1 after 1 (at position 0)"),
+    ("x1 ^ -2", "expected an integer (at position 5)"),
+    # Each sign and each parenthesis opens one level; level MAX_NESTING + 1 fails where it opens.
+    ("-(" * _HALF + "x1" + ")" * _HALF, "x1"),
+    ("-(" * _HALF + "-x1" + ")" * _HALF, f"expression nests too deeply (at position {MAX_NESTING})"),
+    ("(-" * _HALF + "x1" + ")" * _HALF, "x1"),
+    ("(-" * _HALF + "(x1)" + ")" * _HALF, f"expression nests too deeply (at position {MAX_NESTING})"),
+    ("-" * (MAX_NESTING - 1) + "(x1)", "-x1"),
+    ("-" * MAX_NESTING + "(x1)", f"expression nests too deeply (at position {MAX_NESTING})"),
+    ("- " * MAX_NESTING + "x1", "x1"),
+    ("- " * (MAX_NESTING + 1) + "x1", f"expression nests too deeply (at position {2 * MAX_NESTING})"),
+], ids=["var-space", "var-tab", "blade-spaces", "power-spaces", "double-minus", "minus-paren-minus", "minus-power",
+        "var-space-range", "blade-spaces-order", "power-sign", "mixed-limit", "mixed-over", "paren-sign-limit",
+        "paren-sign-over", "signs-paren-limit", "signs-paren-over", "spaced-signs-limit", "spaced-signs-over"])
+def test_token_boundaries_have_explicit_outcomes(text, outcome):
+    """Whitespace between a token's parts, and unary signs mixed with parentheses at the nesting limit."""
+    try:
+        got = format_field(parse_field(text, 2))
+    except ParseError as exc:
+        got = str(exc)
+    assert got == outcome
+
+
 def test_format_round_trips_random_fields():
     rng = random.Random(9)
     for m in (1, 2, 3, 4):

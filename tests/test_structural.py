@@ -8,8 +8,9 @@ from math import lcm
 import pytest
 
 from cliffkit.algebra import Multivector
-from cliffkit.sampling import HALF_ANGLE_POOL, rand_rational_structural_set, rotation_pair
+from cliffkit.sampling import HALF_ANGLE_POOL, rand_rational_structural_set
 from cliffkit.structural import StructuralSet, StructuralSetError, TransitionMatrix, _gram_violation, transition
+from plane_reference import rotation_pair
 
 
 def test_standard_basis_is_valid():
