@@ -185,12 +185,15 @@ def cmd_solve(args) -> int:
     d = args.degree
     phi, psi = _set_pair(args)
     target = None if args.region is None else parse_region_spec(args.region)
-    matrices = class_matrices(phi, psi, CoefficientSpace(m, d))
-    dims = class_dimensions(phi, psi, m, d, matrices=matrices, keep=None if target is None else target.classes)
+    space = CoefficientSpace(m, d)
+    # Only the witness search reads whole class matrices; the dimensions alone assemble what they eliminate.
+    matrices = None if target is None else class_matrices(phi, psi, space)
+    dims = class_dimensions(phi, psi, m, d, space=space, matrices=matrices,
+                            keep=None if target is None else target.classes)
     witnesses: list[str] = []
     # An empty region is decided by the dimensions, so only a nonempty one is searched.
     if target is not None and not dims.region_is_empty(target):
-        witness = find_region_witness(phi, psi, m, d, target, matrices=matrices, dims=dims)
+        witness = find_region_witness(phi, psi, m, d, target, space=space, matrices=matrices, dims=dims)
         if witness is not None:
             witnesses.append(format_field(witness))
     payload = {

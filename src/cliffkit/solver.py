@@ -9,8 +9,9 @@ monomial, and the multivector coefficients act on each basis blade by a
 fixed blade map.  Every symbol, the Psi operators' too, is one table
 from `_blade_pairs`.  Each row is built once, already in column order, from
 the transposed blade maps.  Kernels come from fraction-free elimination
-in `linalg`; at odd m the class dimensions eliminate the even-blade half
-alone, which the central pseudoscalar maps onto the odd half.
+in `linalg`; at odd m the class dimensions assemble and eliminate the
+even-blade half alone, which the central pseudoscalar maps onto the odd
+half, and every class matrix has full row rank.
 """
 
 from __future__ import annotations
@@ -155,22 +156,25 @@ class FieldOperator:
 BladeMaps = dict[MultiIndex, list[list[tuple[int, int]]]]
 
 
-def _blade_images(pairs: dict[MultiIndex, BladePairs], m: int) -> BladeMaps:
+def _blade_images(pairs: dict[MultiIndex, BladePairs], m: int, *, even_only: bool = False) -> BladeMaps:
     """The transposed blade maps of a symbol's blade pairs, over the symbol's scale.
 
     S_gamma[B] is row B of the blade map of gamma, so a matrix row reads
     its entries from one list.  Each distinct table of pairs is mapped
     once: gammas with the same pairs (the Laplacian's m identities) share
-    one map.
+    one map.  With `even_only` only the even source blades are mapped, so
+    for an operator that keeps blade parity the rows of the even B are
+    whole and those of the odd B empty.
     """
     odd, order, rank = _odd_masks(m), blade_order(m), _blade_rank(m)
+    sources = [(A, mask) for A, mask in enumerate(order) if not (even_only and mask.bit_count() & 1)]
     made: dict[tuple, list[list[tuple[int, int]]]] = {}
     for blades in pairs.values():
         key = tuple(blades)
         if key in made:
             continue
         transposed = made[key] = [[] for _ in order]
-        for A, mask in enumerate(order):  # A ascending, so each transposed row comes out sorted
+        for A, mask in sources:  # A ascending, so each transposed row comes out sorted
             image: dict[int, int] = {}
             for ma, mb, c in blades:
                 # e_ma * e_mask * e_mb, whose sign has two factors
@@ -196,7 +200,7 @@ class OperatorMatrix:
     source: CoefficientSpace
 
 
-def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatrix:
+def operator_matrix(op: FieldOperator, space: CoefficientSpace, *, even_only: bool = False) -> OperatorMatrix:
     """The matrix of `op` (a `FieldOperator`, or a `psi.PsiOperator` of order 0) on `space`, filled from its symbol.
 
     Since d^gamma x^(beta+gamma) = (beta+gamma)!/beta! * x^beta, row
@@ -208,9 +212,13 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatri
     gamma is the column order of beta+gamma, so each row is built once,
     already sorted.  The blade maps are integers over one scale, so every
     entry is an integer over that scale until each row is reduced once.
+
+    With `even_only` only the even source blades are mapped; for an
+    operator that keeps blade parity (every class operator does), the rows
+    of even output blades are then whole and those of odd B zero.
     """
     pairs, scale = op.symbol(space.m)
-    maps = _blade_images(pairs, space.m)
+    maps = _blade_images(pairs, space.m, even_only=True) if even_only else _blade_images(pairs, space.m)
     width = 1 << space.m  # rows and columns are monomial-major, 2^m blades per monomial
     offset = {space.basis[col][0]: col for col in range(0, space.size, width)}
     terms = [(gamma, [(i, g) for i, g in enumerate(gamma) if g], images) for gamma, images in maps.items()]
@@ -224,14 +232,20 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace) -> OperatorMatri
 
 
 def class_matrices(
-    phi: StructuralSet, psi: StructuralSet, space: CoefficientSpace, names: Sequence[str] = _CLASS_ORDER
+    phi: StructuralSet, psi: StructuralSet, space: CoefficientSpace, names: Sequence[str] = _CLASS_ORDER,
+    *, even_only: bool = False,
 ) -> dict[str, RationalMatrix]:
-    """Matrices of the named class operators on `space`, keyed by class name in `names` order."""
+    """Matrices of the named class operators on `space`, keyed by class name in `names` order.
+
+    `even_only` fills the rows of even output blades alone (`operator_matrix`).
+    """
     ops = {
         HARMONIC: FieldOperator.laplacian(),
         TWO_SET_HARMONIC: FieldOperator.left_left(phi, psi),
         INFRAMONOGENIC: FieldOperator.sandwich(phi, psi),
     }
+    if even_only:
+        return {name: operator_matrix(ops[name], space, even_only=True).matrix for name in names}
     return {name: operator_matrix(ops[name], space).matrix for name in names}
 
 
@@ -290,8 +304,8 @@ class ClassDimensions:
 
 
 # The joint kernels `class_dimensions` reads, each grown from the one before its
-# last class by that class's rows: chains H, H+I, H+I+Hpp; H+Hpp; I, I+Hpp; Hpp.
-# Laplacian rows keep the pivots small, so H goes first.
+# last class by that class's rows: chains H, H+I, H+I+Hpp; H+Hpp; I, I+Hpp; Hpp,
+# the last only when kept.  Laplacian rows keep the pivots small, so H goes first.
 _CHAINS = (
     (HARMONIC,),
     (HARMONIC, INFRAMONOGENIC),
@@ -304,40 +318,52 @@ _CHAINS = (
 
 
 def class_dimensions(
-    phi: StructuralSet, psi: StructuralSet, m: int, d: int, *,
+    phi: StructuralSet, psi: StructuralSet, m: int, d: int, *, space: CoefficientSpace | None = None,
     matrices: dict[str, RationalMatrix] | None = None, keep: frozenset | None = None,
 ) -> ClassDimensions:
     """Kernel dimensions of the three class operators and all intersections
     on the degree-d homogeneous space.
 
-    `matrices`, when given, are the three `class_matrices` of (phi, psi)
-    on that space, so a caller that also searches for witnesses builds
-    them once.  The stack of the three matrices is split into connected
-    blocks once.  In each block every joint kernel of `_CHAINS` is a
-    `RowEchelon` grown from the one before its last class, so the rows
-    of H are inserted once, of I twice and of Hpp four times, against
-    four times each for seven stacks eliminated from scratch.
+    `space`, when given, is `CoefficientSpace(m, d)`, and `matrices` the
+    three `class_matrices` of (phi, psi) on it, so a caller that also
+    searches for witnesses builds them once.
+
+    Every class matrix has full row rank: with S the sandwich, the
+    compositions Delta Delta, (D_phi D_psi)(D_psi D_phi) and S S all equal
+    Delta^2 (a structural set's Dirac operator squares to -Delta), and
+    Delta maps degree d onto degree d - 2 (Fischer duality).  So each
+    single-class dimension is the column count less the row count, and
+    only the intersections need elimination.  The stack of the three
+    matrices is split into connected blocks once.  In each block every
+    joint kernel of `_CHAINS` is a `RowEchelon` grown from the one before
+    its last class, so the rows of H are inserted once, of I twice and of
+    Hpp three times; the chain of Hpp alone is a prefix of no other, so it
+    is grown only when kept.
 
     The operators keep blade parity, so each block holds one parity.  At
     odd m the pseudoscalar e_1...e_m is central and odd: multiplying by it
     commutes with each operator and maps every joint kernel on the even
     blades onto the one on the odd blades, so only the even blocks are
-    walked and each rank counts twice.  The echelon of the `keep` classes,
-    if given, outlives its block (`echelons`); an odd block grows that one
-    chain alone, so the witness pool stays in blade coordinates.
+    walked and each rank counts twice; when neither `matrices` nor `keep`
+    is given, only the rows of even output blades are assembled.  The
+    echelon of the `keep` classes, if given, outlives its block
+    (`echelons`); an odd block grows that one chain alone, so the witness
+    pool stays in blade coordinates.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
-    space = CoefficientSpace(m, d)
-    mats = class_matrices(phi, psi, space) if matrices is None else matrices
-    stack = RationalMatrix.stack([mats[name] for name in _CLASS_ORDER], space.size)
-    class_of = [name for name in _CLASS_ORDER for _ in range(mats[name].nrows)]
+    space = CoefficientSpace(m, d) if space is None else space
+    if matrices is None:
+        matrices = class_matrices(phi, psi, space, even_only=m % 2 == 1 and keep is None)
+    stack = RationalMatrix.stack([matrices[name] for name in _CLASS_ORDER], space.size)
+    class_of = [name for name in _CLASS_ORDER for _ in range(matrices[name].nrows)]
     # Row i has output blade B = i mod 2^m; mirrored[B] when m and B are odd, so the row's block mirrors an even one.
     width, mirrored = 1 << m, [m % 2 and mask.bit_count() % 2 for mask in blade_order(m)]
     target = next((chain for chain in _CHAINS if frozenset(chain) == keep), ())
+    walk = [chain for chain in _CHAINS if chain != (TWO_SET_HARMONIC,) or chain == target]
     kept_walk = [chain for chain in _CHAINS if chain == target[:len(chain)]]
     eliminated = [i for i in range(stack.nrows) if not mirrored[i % width] or class_of[i] in target]
-    ranks = dict.fromkeys(map(frozenset, _CHAINS), 0)
+    ranks = dict.fromkeys(map(frozenset, walk), 0)
     kept = []
     for block in RationalMatrix._of([stack._int_rows[i] for i in eliminated], space.size)._blocks():
         block = [eliminated[k] for k in block]
@@ -346,13 +372,14 @@ def class_dimensions(
             rows[class_of[i]].append(stack._int_rows[i][0])
         mirror = mirrored[block[0] % width]
         echelons = {frozenset(): RowEchelon()}
-        for chain in kept_walk if mirror else _CHAINS:
+        for chain in kept_walk if mirror else walk:
             names = frozenset(chain)
             echelons[names] = echelons[frozenset(chain[:-1])].grown(rows[chain[-1]])
             ranks[names] += 0 if mirror else len(echelons[names])
         if keep:
             kept.append(echelons[keep])
     dims = {names: space.size - (1 + m % 2) * rank for names, rank in ranks.items()}
+    dims.update({frozenset({name}): space.size - matrices[name].nrows for name in _CLASS_ORDER})
     return ClassDimensions(
         m=m,
         degree=d,
@@ -465,7 +492,8 @@ def _region_candidates(pool: Sequence[tuple[SparseVector, int]],
 
 def find_region_witness(
     phi: StructuralSet, psi: StructuralSet, m: int, d: int, target: RegionLabel,
-    *, matrices: dict[str, RationalMatrix] | None = None, dims: ClassDimensions | None = None,
+    *, space: CoefficientSpace | None = None, matrices: dict[str, RationalMatrix] | None = None,
+    dims: ClassDimensions | None = None,
 ) -> PolyField | None:
     """A homogeneous degree-d field lying in exactly the target region, or None when the region is empty.
 
@@ -482,11 +510,11 @@ def find_region_witness(
     candidate escapes when its integer image under each excluded matrix is
     nonzero; only then is it made a field, and `classify` confirms it.
     The search is complete, so None means the region is proved empty.
-    `matrices` is as in `class_dimensions`.
+    `space` and `matrices` are as in `class_dimensions`.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
-    space = CoefficientSpace(m, d)
+    space = CoefficientSpace(m, d) if space is None else space
     mats = class_matrices(phi, psi, space) if matrices is None else matrices
     wanted = [mats[name] for name in sorted(target.classes)]
     excluded = [mat for name, mat in mats.items() if name not in target.classes]

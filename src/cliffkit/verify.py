@@ -305,12 +305,13 @@ def _check_plus_conjugation(cfg, run):
 
 def _check_parity_split_commutation(cfg, run):
     for phi, psi, f in _pair_fields(cfg, _rng_for(cfg, run.name)):
+        even, odd = f.even_part(), f.odd_part()
         sw = sandwich(phi, f, psi)
-        run.equal("sandwich-even-part", sw.even_part(), sandwich(phi, f.even_part(), psi))
-        run.equal("sandwich-odd-part", sw.odd_part(), sandwich(phi, f.odd_part(), psi))
+        run.equal("sandwich-even-part", sw.even_part(), sandwich(phi, even, psi))
+        run.equal("sandwich-odd-part", sw.odd_part(), sandwich(phi, odd, psi))
         ll = dirac_left(phi, dirac_left(psi, f))
-        run.equal("left-left-even-part", ll.even_part(), dirac_left(phi, dirac_left(psi, f.even_part())))
-        run.equal("left-left-odd-part", ll.odd_part(), dirac_left(phi, dirac_left(psi, f.odd_part())))
+        run.equal("left-left-even-part", ll.even_part(), dirac_left(phi, dirac_left(psi, even)))
+        run.equal("left-left-odd-part", ll.odd_part(), dirac_left(phi, dirac_left(psi, odd)))
 
 
 def _check_even_odd_split_membership(cfg, run):

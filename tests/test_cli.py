@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 import cliffkit
-from cliffkit import cli
+from cliffkit import cli, solver
+from cliffkit.algebra import blade_order
+from cliffkit.classify import HARMONIC, INFRAMONOGENIC, TWO_SET_HARMONIC
 from cliffkit.cli import build_parser, main, parse_region_spec, parse_set_spec
 from cliffkit.linalg import RowEchelon
 from cliffkit.structural import StructuralSet, StructuralSetError, _number_text
@@ -478,6 +480,58 @@ def test_solve_region_runs_no_second_elimination(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines()[-1].startswith("witness in region ")
     assert calls and not any(calls)
+
+
+def test_solve_without_region_assembles_and_eliminates_only_what_the_dimensions_read(capsys, monkeypatch):
+    # At odd m the rows of odd output blades are left zero, and Hpp's rows grow no echelon from an empty one;
+    # --region Hpp keeps that chain, so there they do.
+    phi, psi = StructuralSet.standard(3), StructuralSet.reversed_standard(3)
+    full = solver.class_matrices(phi, psi, solver.CoefficientSpace(3, 4))
+    rows_of = {name: {row for row, _ in mat._int_rows} for name, mat in full.items()}
+    hpp_only = rows_of[TWO_SET_HARMONIC] - rows_of[HARMONIC] - rows_of[INFRAMONOGENIC]
+    assert len(hpp_only) == full[TWO_SET_HARMONIC].nrows
+    odd = [mask.bit_count() % 2 for mask in blade_order(3)]
+    built, starts = [], []
+    operator_matrix, grown = solver.operator_matrix, RowEchelon.grown
+
+    def recording(op, space, **kwargs):
+        result = operator_matrix(op, space, **kwargs)
+        built.append((op.name, result.matrix._int_rows))
+        return result
+
+    def watched(self, rows):
+        rows = list(rows)
+        if not self and rows and set(rows) <= hpp_only:
+            starts.append(len(rows))
+        return grown(self, rows)
+
+    monkeypatch.setattr(solver, "operator_matrix", recording)
+    monkeypatch.setattr(RowEchelon, "grown", watched)
+    argv = ["solve", "--m", "3", "--degree", "4", "--phi", "standard", "--psi", "reversed"]
+    assert run_cli(capsys, *argv)[0] == 0
+    names = {"laplacian": HARMONIC, "left-left": TWO_SET_HARMONIC, "sandwich": INFRAMONOGENIC}
+    assert sorted(name for name, _ in built) == sorted(names) and not starts
+    for name, rows in built:
+        whole = full[names[name]]._int_rows
+        assert rows == [((), 1) if odd[i % 8] else row for i, row in enumerate(whole)], name
+    built.clear()
+    assert run_cli(capsys, *argv, "--region", "Hpp")[0] == 0
+    assert [rows for _, rows in built] == [mat._int_rows for mat in full.values()] and starts
+
+
+def test_solve_builds_one_coefficient_space(capsys, monkeypatch):
+    built, init = [], solver.CoefficientSpace.__init__
+
+    def counted(self, m, degree):
+        built.append((m, degree))
+        init(self, m, degree)
+
+    monkeypatch.setattr(solver.CoefficientSpace, "__init__", counted)
+    for region in ([], ["--region", "H,Hpp,I"]):
+        built.clear()
+        code, out, _ = run_cli(capsys, "solve", "--m", "3", "--degree", "3", *region)
+        assert code == 0 and built == [(3, 3)], region
+    assert out.splitlines()[-1].startswith("witness in region ")
 
 
 @pytest.mark.parametrize("expr", ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1"],

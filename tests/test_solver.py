@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import random
 from fractions import Fraction
 from math import comb, gcd, lcm, perm, prod
@@ -819,6 +820,56 @@ def test_single_class_dimensions_have_the_closed_form_on_a_seeded_grid():
                 if m + d <= 7:
                     dims = class_dimensions(phi, psi, m, d, matrices=mats)
                     assert dims.harmonic == dims.two_set_harmonic == dims.inframonogenic == expected
+
+
+def _named_signed_and_random_pairs(rng, m):
+    signed = [p * rng.choice((-1, 1)) for p in rng.sample(range(1, m + 1), m)]
+    yield "standard/reversed", StructuralSet.standard(m), StructuralSet.reversed_standard(m)
+    yield "standard/standard", StructuralSet.standard(m), StructuralSet.standard(m)
+    yield "signedperm", StructuralSet.standard(m), parse_set_spec("signedperm:" + ",".join(map(str, signed)), m)
+    yield "random", *rand_structural_pair(rng, m)
+
+
+def test_every_class_matrix_has_full_row_rank():
+    """rank == nrows for H, Hpp and I, the fact `class_dimensions` counts single-class kernels by.
+
+    With S the sandwich, Delta Delta, (D_phi D_psi)(D_psi D_phi) and S S all
+    equal Delta^2, and Delta maps degree d onto degree d - 2, so each class
+    operator is onto.  Each matrix is eliminated alone here.
+    """
+    rng = random.Random(33)
+    for m in range(1, 6):
+        for name, phi, psi in _named_signed_and_random_pairs(rng, m):
+            for d in range(5 if m < 4 else 3):
+                mats = class_matrices(phi, psi, CoefficientSpace(m, d))
+                assert [mat.rank() - mat.nrows for mat in mats.values()] == [0, 0, 0], (name, m, d)
+
+
+def test_a_zero_divisor_coefficient_loses_row_rank():
+    # Negative control: 1 + e_1e_2e_3 is a zero divisor at m = 3, (1 + w)(1 - w) = 1 - w^2 = 0, so (1 + w) Delta is not onto.
+    w = Multivector.blade(3, (1, 2, 3))
+    op = FieldOperator("zero-divisor-laplacian", 2, (), lambda axes, one: [((i, i), one + w, one) for i in axes])
+    mat = operator_matrix(op, CoefficientSpace(3, 2)).matrix
+    assert (mat.nrows, mat.rank()) == (8, 4)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_half_assembly_gives_the_dimensions_of_the_full_matrices(m, tmp_path):
+    # Without matrices, odd m assembles the even output blades alone and grows no chain of Hpp alone.
+    rng = random.Random(330 + m)
+    pairs = list(_named_signed_and_random_pairs(rng, m))
+    specs = []
+    for label, sset in zip(("phi", "psi"), rand_structural_pair(rng, m)):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps([[str(x) for x in row] for row in sset.coordinates()]))
+        specs.append(parse_set_spec(f"matrix:{path}", m))
+    pairs.append(("matrix files", *specs))
+    for name, phi, psi in pairs:
+        for d in range({1: 7, 2: 6, 3: 5, 4: 4, 5: 3}[m]):
+            half = class_dimensions(phi, psi, m, d)
+            assert half == class_dimensions(phi, psi, m, d, matrices=class_matrices(phi, psi, CoefficientSpace(m, d)))
+            assert {names: half.joint(names) for names in map(frozenset, _CHAINS)} == \
+                unsplit_dimensions(phi, psi, m, d), (name, m, d)
 
 
 def test_triple_stack_rank_is_independent_of_column_order():
