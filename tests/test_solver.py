@@ -801,8 +801,8 @@ def test_single_class_dimensions_have_the_closed_form_on_a_seeded_grid():
     sigma(x)^T q = 0 in a polynomial ring.  So P is onto, and its kernel
     has the dimension of degree d less that of degree d-2.
     The counts come from eliminating each class matrix alone, a path apart
-    from the chained echelons of `class_dimensions`, which must agree where
-    m + d <= 7 (beyond that the random pairs take seconds).
+    from `class_dimensions`, which takes them as columns less rows and must
+    agree where m + d <= 7 (beyond that the random pairs take seconds).
     """
     rng = random.Random(22)
     for m in range(1, 5):
