@@ -37,7 +37,8 @@ class RegionLabel:
 
     @classmethod
     def from_classes(cls, classes) -> "RegionLabel":
-        classes = set(classes)
+        """The region of exactly the named classes; a lone string is one class name."""
+        classes = {classes} if isinstance(classes, str) else set(classes)
         unknown = classes - set(_CLASS_ORDER)
         if unknown:
             raise ValueError(f"unknown class names {sorted(unknown)}; expected subset of {_CLASS_ORDER}")

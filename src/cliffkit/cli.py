@@ -191,8 +191,7 @@ def cmd_solve(args) -> int:
     dims = class_dimensions(phi, psi, m, d, space=space, matrices=matrices,
                             keep=None if target is None else target.classes)
     witnesses: list[str] = []
-    # An empty region is decided by the dimensions, so only a nonempty one is searched.
-    if target is not None and not dims.region_is_empty(target):
+    if target is not None:
         witness = find_region_witness(phi, psi, m, d, target, space=space, matrices=matrices, dims=dims)
         if witness is not None:
             witnesses.append(format_field(witness))

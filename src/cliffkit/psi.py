@@ -281,7 +281,7 @@ def check_index_reflection(images: Sequence[Multivector], j: int, k: int | None 
     `images[i]` is the image under `PsiOperator.level(phi, phi, i)`.
 
     Odd m: images of a, and level_j(a) = -level_{m-j}(a) for every a.
-    Even m: images of a's grade-k part (k required), and there
+    Even m: images of a's grade-k part (k in 0..m required), and there
     level_j = level_{m-j} for even k and level_j = -level_{m-j} for odd k.
     """
     m = len(images) - 1
@@ -291,6 +291,8 @@ def check_index_reflection(images: Sequence[Multivector], j: int, k: int | None 
         return compare(f"psi-index-reflection[m odd,j={j}]", images[j], -images[m - j])
     if k is None:
         raise ValueError("even dimension needs a grade k")
+    if not 0 <= k <= m:
+        raise ValueError(f"grade {k} out of range 0..{m}")
     rhs = -images[m - j] if k & 1 else images[m - j]
     return compare(f"psi-index-reflection[m even,j={j},k={k}]", images[j], rhs)
 

@@ -11,14 +11,17 @@ from `_blade_pairs`.  Each row is built once, already in column order, from
 the transposed blade maps.  Kernels come from fraction-free elimination
 in `linalg`; at odd m the class dimensions assemble and eliminate the
 even-blade half alone, which the central pseudoscalar maps onto the odd
-half, and every class matrix has full row rank.
+half, and every class matrix has full row rank.  `find_region_witness`
+answers one membership region: the rank rule on the class dimensions
+proves it empty, or a complete search over one candidate formula, sums
+of joint-kernel vectors, finds a field in it that `classify` confirms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm, perm, prod
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
@@ -218,7 +221,7 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace, *, even_only: bo
     of even output blades are then whole and those of odd B zero.
     """
     pairs, scale = op.symbol(space.m)
-    maps = _blade_images(pairs, space.m, even_only=True) if even_only else _blade_images(pairs, space.m)
+    maps = _blade_images(pairs, space.m, even_only=even_only)
     width = 1 << space.m  # rows and columns are monomial-major, 2^m blades per monomial
     offset = {space.basis[col][0]: col for col in range(0, space.size, width)}
     terms = [(gamma, [(i, g) for i, g in enumerate(gamma) if g], images) for gamma, images in maps.items()]
@@ -244,14 +247,24 @@ def class_matrices(
         TWO_SET_HARMONIC: FieldOperator.left_left(phi, psi),
         INFRAMONOGENIC: FieldOperator.sandwich(phi, psi),
     }
-    if even_only:
-        return {name: operator_matrix(ops[name], space, even_only=True).matrix for name in names}
-    return {name: operator_matrix(ops[name], space).matrix for name in names}
+    return {name: operator_matrix(ops[name], space, even_only=even_only).matrix for name in names}
+
+
+# The joint kernels `ClassDimensions` reports: their classes, JSON labels and fields, in report order.
+_JOINTS = {
+    frozenset({HARMONIC}): ("H", "harmonic"),
+    frozenset({TWO_SET_HARMONIC}): ("Hpp", "two_set_harmonic"),
+    frozenset({INFRAMONOGENIC}): ("I", "inframonogenic"),
+    frozenset({HARMONIC, TWO_SET_HARMONIC}): ("H∩Hpp", "harmonic_and_two_set"),
+    frozenset({HARMONIC, INFRAMONOGENIC}): ("H∩I", "harmonic_and_inframonogenic"),
+    frozenset({TWO_SET_HARMONIC, INFRAMONOGENIC}): ("Hpp∩I", "two_set_and_inframonogenic"),
+    frozenset(_CLASS_ORDER): ("triple", "triple"),
+}
 
 
 @dataclass(frozen=True)
 class ClassDimensions:
-    """The seven joint-kernel dimensions at degree d; `echelons` are the `keep` chain's, one per block it grew in."""
+    """The seven joint-kernel dimensions at degree d (`_JOINTS`); `echelons` are the `keep` chain's, one per block."""
 
     m: int
     degree: int
@@ -266,28 +279,12 @@ class ClassDimensions:
     echelons: tuple[RowEchelon, ...] | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
-        return {
-            "H": self.harmonic,
-            "Hpp": self.two_set_harmonic,
-            "I": self.inframonogenic,
-            "H∩Hpp": self.harmonic_and_two_set,
-            "H∩I": self.harmonic_and_inframonogenic,
-            "Hpp∩I": self.two_set_and_inframonogenic,
-            "triple": self.triple,
-        }
+        return {label: getattr(self, name) for label, name in _JOINTS.values()}
 
     def joint(self, names: frozenset) -> int:
         """Dimension of the joint kernel of the named classes; no names give the full space."""
-        return {
-            frozenset(): self.full,
-            frozenset({HARMONIC}): self.harmonic,
-            frozenset({TWO_SET_HARMONIC}): self.two_set_harmonic,
-            frozenset({INFRAMONOGENIC}): self.inframonogenic,
-            frozenset({HARMONIC, TWO_SET_HARMONIC}): self.harmonic_and_two_set,
-            frozenset({HARMONIC, INFRAMONOGENIC}): self.harmonic_and_inframonogenic,
-            frozenset({TWO_SET_HARMONIC, INFRAMONOGENIC}): self.two_set_and_inframonogenic,
-            frozenset(_CLASS_ORDER): self.triple,
-        }[frozenset(names)]
+        names = frozenset(names)
+        return getattr(self, _JOINTS[names][1]) if names else self.full
 
     def region_is_empty(self, target: RegionLabel) -> bool:
         """Whether no field of this degree lies in exactly `target`, decided by the dimensions alone.
@@ -380,19 +377,8 @@ def class_dimensions(
             kept.append(echelons[keep])
     dims = {names: space.size - (1 + m % 2) * rank for names, rank in ranks.items()}
     dims.update({frozenset({name}): space.size - matrices[name].nrows for name in _CLASS_ORDER})
-    return ClassDimensions(
-        m=m,
-        degree=d,
-        full=space.size,
-        harmonic=dims[frozenset({HARMONIC})],
-        two_set_harmonic=dims[frozenset({TWO_SET_HARMONIC})],
-        inframonogenic=dims[frozenset({INFRAMONOGENIC})],
-        harmonic_and_two_set=dims[frozenset({HARMONIC, TWO_SET_HARMONIC})],
-        harmonic_and_inframonogenic=dims[frozenset({HARMONIC, INFRAMONOGENIC})],
-        two_set_and_inframonogenic=dims[frozenset({TWO_SET_HARMONIC, INFRAMONOGENIC})],
-        triple=dims[frozenset(_CLASS_ORDER)],
-        echelons=None if keep is None else tuple(kept),
-    )
+    return ClassDimensions(m, d, space.size, **{name: dims[names] for names, (_, name) in _JOINTS.items()},
+                           echelons=None if keep is None else tuple(kept))
 
 
 def class_nullspace(phi: StructuralSet, psi: StructuralSet, d: int, names: Sequence[str]) -> Sequence[PolyField]:
@@ -418,26 +404,6 @@ _SMALL_RATIONALS = [
 SparseVector = dict[int, int]
 
 
-def _escaping_steps(image_i: list[SparseVector], den_i: int, image_j: list[SparseVector], den_j: int) -> list[Fraction]:
-    """The t in `_SMALL_RATIONALS`, in order, with a/den_i + t*b/den_j nonzero for every image pair (a, b).
-
-    That vanishes for every t when a and b do, for no t when only a is nonzero, and otherwise
-    only if a_i b_r = a_r b_i for all i, r with b_r nonzero, and then at t = -(a_r den_j)/(b_r den_i).
-    """
-    steps = _SMALL_RATIONALS
-    for a, b in zip(image_i, image_j):
-        if not b:
-            if not a:
-                return []
-            continue
-        r = next(iter(b))
-        ar, br = a.get(r, 0), b[r]
-        if a.keys() == b.keys() and all(x * br == ar * b[i] for i, x in a.items()):
-            t = Fraction(-ar * den_j, br * den_i)
-            steps = [s for s in steps if s != t]
-    return steps
-
-
 def _combination(terms: Iterable[tuple[int, SparseVector]]) -> SparseVector:
     """sum c * v over the (c, v) of `terms`, zeros left out."""
     out: SparseVector = {}
@@ -453,41 +419,33 @@ def _region_candidates(pool: Sequence[tuple[SparseVector, int]],
 
     `images[k]` holds the integer images (`mat_vec`) of `pool[k]` under
     the excluded matrices.  Both are read in order and only as far as the
-    search gets, so they may be computed on access (`linalg._Lazy`): the
-    whole of them is read only if no single vector escapes.  If the pool
-    is empty, or an excluded matrix sends every pool vector and so every
-    combination to zero, nothing follows the single vectors.
-    Single vectors come first, then pairs v_i + t*v_j with t in
-    `_SMALL_RATIONALS`; by linearity the image of a pair is
-    image_i + t*image_j, so each pair of images rules out at most one t
-    per matrix.  With at most two excluded matrices a pair always
-    escapes: if no single vector escapes E1 and E2, some v_i is in
-    ker E2 but not ker E1, some v_j the other way round, and
-    v_i + t*v_j escapes both for every t != 0.  A third matrix can leave
-    every pair short, so the pairs are followed by sum_n t^n * u_n, with
-    u_0, u_1, ... in pool order the first pool vectors that escape each
-    excluded matrix.  Its image under each matrix is a nonzero
-    polynomial in t of degree at most 2, so three matrices rule out at
-    most 6 of the 14 values of t, and the search is complete.
+    search gets, so they may be computed on access (`linalg._Lazy`).
+    Single vectors come first.  Each later candidate is
+    sum_n t^n * v_(k_n) over an index tuple k, for each t of
+    `_SMALL_RATIONALS`: the pairs k = (i, j), i < j, then the picks, in
+    pool order the first vectors that escape each excluded matrix.  Its
+    image is the same sum of the pool images.  With at most two excluded
+    matrices a pair escapes: some v_i is in ker E2 but not ker E1 and
+    some v_j the other way round.  Under each of three matrices the
+    picks' sum is a nonzero polynomial in t of degree at most 2, which
+    rules out at most 6 of the 14 values of t, so the search is complete.
+    If an excluded matrix sends every pool vector to zero, nothing
+    follows the single vectors.
     """
     for v, image in zip(pool, images):
         if all(image):
             yield v
     excluded = range(len(images[0]) if images else 0)
-    if not images or not all(any(image[e] for image in images) for e in excluded):
+    if not all(any(image[e] for image in images) for e in excluded):
         return
-    for ((yi, di), image_i), ((yj, dj), image_j) in combinations(zip(pool, images), 2):
-        for t in _escaping_steps(image_i, di, image_j, dj):
-            p, q = t.numerator, t.denominator
-            yield _combination(((q * dj, yi), (p * di, yj))), q * di * dj
     picks = sorted({next(k for k, image in enumerate(images) if image[e]) for e in excluded})
-    den = lcm(*(pool[k][1] for k in picks))
-    top = len(picks) - 1
-    for t in _SMALL_RATIONALS if picks else ():
-        p, q = t.numerator, t.denominator
-        coefs = [p ** n * q ** (top - n) * (den // pool[k][1]) for n, k in enumerate(picks)]
-        if all(_combination(zip(coefs, (images[k][e] for k in picks))) for e in excluded):
-            yield _combination(zip(coefs, (pool[k][0] for k in picks))), q ** top * den
+    for ks in chain(combinations(range(len(pool)), 2), [picks] if picks else []):
+        den, top = lcm(*(pool[k][1] for k in ks)), len(ks) - 1
+        for t in _SMALL_RATIONALS:
+            p, q = t.numerator, t.denominator
+            coefs = [p ** n * q ** (top - n) * (den // pool[k][1]) for n, k in enumerate(ks)]
+            if all(_combination(zip(coefs, (images[k][e] for k in ks))) for e in excluded):
+                yield _combination(zip(coefs, (pool[k][0] for k in ks))), q ** top * den
 
 
 def find_region_witness(
@@ -497,29 +455,31 @@ def find_region_witness(
 ) -> PolyField | None:
     """A homogeneous degree-d field lying in exactly the target region, or None when the region is empty.
 
-    Candidates are drawn from a basis of the joint kernel of the
-    required classes (or the whole space when none is required), in the
-    order of `_region_candidates`.  The pool, `RationalMatrix.nullspace`,
-    is back-substituted on the echelons `dims` kept, if given (both blade
-    parities: at odd m the odd blocks grew the kept chain alone), and raises
-    `ArithmeticError` unless it has `dims.joint(target.classes)` vectors
-    (so `keep=target.classes`), a count the echelons give before any
-    back-substitution.  Pool vector k is back-substituted and guarded when
-    the search first reaches it, and multiplied through each excluded
-    matrix (`mat_vec`, along the supports of its entries) only then.  A
-    candidate escapes when its integer image under each excluded matrix is
-    nonzero; only then is it made a field, and `classify` confirms it.
-    The search is complete, so None means the region is proved empty.
-    `space` and `matrices` are as in `class_dimensions`.
+    `dims` default to `class_dimensions` with `keep=target.classes`; the
+    rank rule (`ClassDimensions.region_is_empty`) decides emptiness before
+    any pool is built.  The pool is `RationalMatrix.nullspace` of the
+    required classes (the whole space when none is required) on the
+    echelons `dims` kept, both blade parities, and `ArithmeticError` is
+    raised unless it has `dims.joint(target.classes)` vectors.  Pool
+    vector k is back-substituted, guarded and multiplied through each
+    excluded matrix (`mat_vec`) when `_region_candidates` first reaches
+    it; a candidate that escapes is made a field, and `classify` confirms
+    it.  The search is complete, so running out of candidates in a
+    nonempty region raises `ArithmeticError`.  `space` and `matrices` are
+    as in `class_dimensions`.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
     space = CoefficientSpace(m, d) if space is None else space
     mats = class_matrices(phi, psi, space) if matrices is None else matrices
+    if dims is None:
+        dims = class_dimensions(phi, psi, m, d, space=space, matrices=mats, keep=target.classes)
+    if dims.region_is_empty(target):
+        return None
     wanted = [mats[name] for name in sorted(target.classes)]
     excluded = [mat for name, mat in mats.items() if name not in target.classes]
-    pool = RationalMatrix.stack(wanted, space.size).nullspace(None if dims is None else dims.echelons)
-    if dims is not None and len(pool) != dims.joint(target.classes):
+    pool = RationalMatrix.stack(wanted, space.size).nullspace(dims.echelons)
+    if len(pool) != dims.joint(target.classes):
         raise ArithmeticError("the echelons were kept for other classes")
     # Image rows come times their row scales, which changes no zero test.
     images = _Lazy(len(pool), lambda k: [mat.mat_vec(pool[k][0]) for mat in excluded])
@@ -527,7 +487,7 @@ def find_region_witness(
         f = space._field(y, den)
         if classify(phi, psi, f).region == target:
             return f
-    return None
+    raise ArithmeticError(f"the search found no field in the nonempty region {target}")
 
 
 def converse_counterexample(phi: StructuralSet) -> PolyField:

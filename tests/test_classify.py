@@ -1,6 +1,7 @@
 """Membership classification and region labels."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -74,6 +75,10 @@ def test_region_labels():
     assert RegionLabel.from_classes(["H", "I"]).classes == frozenset({"H", "I"})
     with pytest.raises(ValueError):
         RegionLabel.from_classes(["X"])
+    # A lone string is one class name, not a sequence of letters.
+    assert RegionLabel.from_classes("Hpp") == RegionLabel(False, True, False)
+    with pytest.raises(ValueError, match=re.escape("unknown class names ['HI']")):
+        RegionLabel.from_classes("HI")
 
 
 def test_left_hyperholomorphic_implies_harmonic_and_left_left_kernel():

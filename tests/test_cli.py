@@ -16,7 +16,7 @@ from cliffkit import cli, solver
 from cliffkit.algebra import blade_order
 from cliffkit.classify import HARMONIC, INFRAMONOGENIC, TWO_SET_HARMONIC
 from cliffkit.cli import build_parser, main, parse_region_spec, parse_set_spec
-from cliffkit.linalg import RowEchelon
+from cliffkit.linalg import RationalMatrix, RowEchelon
 from cliffkit.structural import StructuralSet, StructuralSetError, _number_text
 
 
@@ -438,10 +438,14 @@ def _no_search(*args, **kwargs):
     raise AssertionError("find_region_witness was called")
 
 
+def _no_back_substitution(*args, **kwargs):
+    raise AssertionError("a pool vector was back-substituted")
+
+
 @pytest.mark.parametrize("m, d", [(5, 3), (2, 6), (3, 2)])
 def test_empty_region_is_answered_without_a_search(capsys, monkeypatch, m, d):
     # With phi = psi, left-left is minus the Laplacian, so H and I without Hpp is empty.
-    monkeypatch.setattr(cli, "find_region_witness", _no_search)
+    monkeypatch.setattr(RationalMatrix, "_kernel_vector", _no_back_substitution)
     argv = ["solve", "--m", str(m), "--degree", str(d), "--phi", "standard", "--psi", "standard", "--region", "H,I"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

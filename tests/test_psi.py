@@ -219,6 +219,9 @@ def test_index_reflection_cases():
     assert check_index_reflection(images4, 1, 3).holds
     with pytest.raises(ValueError):
         check_index_reflection(images4, 1)  # even m needs a grade
+    for k in (-1, 5):
+        with pytest.raises(ValueError, match=re.escape("out of range 0..4")):
+            check_index_reflection(images4, 1, k)
 
     zero = Multivector.zero(3)
     assert check_index_reflection([level.apply(zero) for level in levels3], 0).holds

@@ -51,8 +51,8 @@ def test_each_class_matrix_is_built_once_per_run(monkeypatch):
     built = []
     original = solver.operator_matrix
 
-    def recording(op, space):
-        result = original(op, space)
+    def recording(op, space, **kwargs):
+        result = original(op, space, **kwargs)
         built.append((op.name, space.m, space.degree, tuple(result.matrix._int_rows)))
         return result
 
