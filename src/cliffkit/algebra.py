@@ -43,6 +43,8 @@ def check_dimension(m: int) -> None:
 
 def blade_indices(mask: int) -> tuple[int, ...]:
     """1-based generator indices of a blade mask, in increasing order."""
+    if mask < 0:
+        raise ValueError(f"blade mask {mask} is negative")
     out = []
     i = 1
     while mask:
@@ -103,6 +105,8 @@ def blade_product(a: int, b: int) -> tuple[int, int]:
     increasing index sequences, with an extra -1 for every shared
     generator since e_i * e_i = -1.
     """
+    if a < 0 or b < 0:
+        raise ValueError(f"blade mask {min(a, b)} is negative")
     swaps = 0
     bb = b
     while bb:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .classify import RegionLabel, classify
 from .demo import run_demo
 from .parser import ParseError, format_field, parse_field
-from .solver import CoefficientSpace, class_dimensions, class_matrices, find_region_witness
+from .solver import class_dimensions, find_region_witness
 from .structural import _NUMBER_BOUND, MAX_NUMBER_TEXT, StructuralSet, StructuralSetError, _printable
 from .verify import VerifyConfig, check_names, run_suite
 
@@ -185,14 +185,10 @@ def cmd_solve(args) -> int:
     d = args.degree
     phi, psi = _set_pair(args)
     target = None if args.region is None else parse_region_spec(args.region)
-    space = CoefficientSpace(m, d)
-    # Only the witness search reads whole class matrices; the dimensions alone assemble what they eliminate.
-    matrices = None if target is None else class_matrices(phi, psi, space)
-    dims = class_dimensions(phi, psi, m, d, space=space, matrices=matrices,
-                            keep=None if target is None else target.classes)
+    dims = class_dimensions(phi, psi, m, d, keep=None if target is None else target.classes)
     witnesses: list[str] = []
     if target is not None:
-        witness = find_region_witness(phi, psi, m, d, target, space=space, matrices=matrices, dims=dims)
+        witness = find_region_witness(phi, psi, m, d, target, dims=dims)
         if witness is not None:
             witnesses.append(format_field(witness))
     payload = {

@@ -200,8 +200,10 @@ class RationalMatrix:
         Entry i is row scale i times (A y)_i.  A column -> rows index, built
         once per matrix, gives the rows that touch the support of y, which
         are the only rows that can give a nonzero entry; the product runs
-        through those rows alone.
+        through those rows alone.  A column outside 0..ncols-1 raises `IndexError`.
         """
+        if min(y, default=0) < 0:
+            raise IndexError(f"column {min(y)} out of range 0..{self.ncols - 1}")
         rows_of = self._rows_of
         if rows_of is None:
             rows_of = self._rows_of = [[] for _ in range(self.ncols)]

@@ -287,12 +287,12 @@ def check_index_reflection(images: Sequence[Multivector], j: int, k: int | None 
     m = len(images) - 1
     if not 0 <= j <= m:
         raise ValueError(f"reflection index {j} out of range 0..{m}")
+    if k is not None and not 0 <= k <= m:
+        raise ValueError(f"grade {k} out of range 0..{m}")
     if m & 1:
         return compare(f"psi-index-reflection[m odd,j={j}]", images[j], -images[m - j])
     if k is None:
         raise ValueError("even dimension needs a grade k")
-    if not 0 <= k <= m:
-        raise ValueError(f"grade {k} out of range 0..{m}")
     rhs = -images[m - j] if k & 1 else images[m - j]
     return compare(f"psi-index-reflection[m even,j={j},k={k}]", images[j], rhs)
 

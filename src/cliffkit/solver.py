@@ -264,7 +264,9 @@ _JOINTS = {
 
 @dataclass(frozen=True)
 class ClassDimensions:
-    """The seven joint-kernel dimensions at degree d (`_JOINTS`); `echelons` are the `keep` chain's, one per block."""
+    """The seven joint-kernel dimensions at degree d (`_JOINTS`), and with `keep` (else None) the point's
+    `space`, its three whole class `matrices` and the `keep` chain's `echelons`, one per block.
+    """
 
     m: int
     degree: int
@@ -276,6 +278,8 @@ class ClassDimensions:
     harmonic_and_inframonogenic: int
     two_set_and_inframonogenic: int
     triple: int
+    space: CoefficientSpace | None = field(default=None, compare=False, repr=False)
+    matrices: dict[str, RationalMatrix] | None = field(default=None, compare=False, repr=False)
     echelons: tuple[RowEchelon, ...] | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
@@ -314,16 +318,14 @@ _CHAINS = (
 )
 
 
-def class_dimensions(
-    phi: StructuralSet, psi: StructuralSet, m: int, d: int, *, space: CoefficientSpace | None = None,
-    matrices: dict[str, RationalMatrix] | None = None, keep: frozenset | None = None,
-) -> ClassDimensions:
+def class_dimensions(phi: StructuralSet, psi: StructuralSet, m: int, d: int,
+                     *, keep: frozenset | None = None) -> ClassDimensions:
     """Kernel dimensions of the three class operators and all intersections
     on the degree-d homogeneous space.
 
-    `space`, when given, is `CoefficientSpace(m, d)`, and `matrices` the
-    three `class_matrices` of (phi, psi) on it, so a caller that also
-    searches for witnesses builds them once.
+    The point's one `CoefficientSpace` is built here.  With `keep`, the
+    three whole `class_matrices` are assembled and returned with the space
+    and the `keep` echelons, for the witness search to read.
 
     Every class matrix has full row rank: with S the sandwich, the
     compositions Delta Delta, (D_phi D_psi)(D_psi D_phi) and S S all equal
@@ -341,17 +343,15 @@ def class_dimensions(
     odd m the pseudoscalar e_1...e_m is central and odd: multiplying by it
     commutes with each operator and maps every joint kernel on the even
     blades onto the one on the odd blades, so only the even blocks are
-    walked and each rank counts twice; when neither `matrices` nor `keep`
-    is given, only the rows of even output blades are assembled.  The
-    echelon of the `keep` classes, if given, outlives its block
-    (`echelons`); an odd block grows that one chain alone, so the witness
-    pool stays in blade coordinates.
+    walked and each rank counts twice; without `keep`, only the rows of
+    even output blades are assembled.  The echelon of the `keep` classes
+    outlives its block; an odd block grows that one chain alone, so the
+    witness pool stays in blade coordinates.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
-    space = CoefficientSpace(m, d) if space is None else space
-    if matrices is None:
-        matrices = class_matrices(phi, psi, space, even_only=m % 2 == 1 and keep is None)
+    space = CoefficientSpace(m, d)
+    matrices = class_matrices(phi, psi, space, even_only=m % 2 == 1 and keep is None)
     stack = RationalMatrix.stack([matrices[name] for name in _CLASS_ORDER], space.size)
     class_of = [name for name in _CLASS_ORDER for _ in range(matrices[name].nrows)]
     # Row i has output blade B = i mod 2^m; mirrored[B] when m and B are odd, so the row's block mirrors an even one.
@@ -377,8 +377,8 @@ def class_dimensions(
             kept.append(echelons[keep])
     dims = {names: space.size - (1 + m % 2) * rank for names, rank in ranks.items()}
     dims.update({frozenset({name}): space.size - matrices[name].nrows for name in _CLASS_ORDER})
-    return ClassDimensions(m, d, space.size, **{name: dims[names] for names, (_, name) in _JOINTS.items()},
-                           echelons=None if keep is None else tuple(kept))
+    point = {} if keep is None else {"space": space, "matrices": matrices, "echelons": tuple(kept)}
+    return ClassDimensions(m, d, space.size, **{name: dims[names] for names, (_, name) in _JOINTS.items()}, **point)
 
 
 def class_nullspace(phi: StructuralSet, psi: StructuralSet, d: int, names: Sequence[str]) -> Sequence[PolyField]:
@@ -422,15 +422,15 @@ def _region_candidates(pool: Sequence[tuple[SparseVector, int]],
     search gets, so they may be computed on access (`linalg._Lazy`).
     Single vectors come first.  Each later candidate is
     sum_n t^n * v_(k_n) over an index tuple k, for each t of
-    `_SMALL_RATIONALS`: the pairs k = (i, j), i < j, then the picks, in
-    pool order the first vectors that escape each excluded matrix.  Its
-    image is the same sum of the pool images.  With at most two excluded
-    matrices a pair escapes: some v_i is in ker E2 but not ker E1 and
-    some v_j the other way round.  Under each of three matrices the
-    picks' sum is a nonzero polynomial in t of degree at most 2, which
-    rules out at most 6 of the 14 values of t, so the search is complete.
-    If an excluded matrix sends every pool vector to zero, nothing
-    follows the single vectors.
+    `_SMALL_RATIONALS`: the pairs k = (i, j), i < j, then, if three, the
+    picks, in pool order the first vectors that escape each excluded
+    matrix.  Its image is the same sum of the pool images.  The search is
+    complete: one pick is a single candidate, and under each excluded
+    matrix two picks i < j give v_i + t * v_j a nonzero image of degree
+    at most 1 in t, so the pair (i, j) escapes.  With three, the picks'
+    sum has a nonzero image of degree at most 2, which rules out at most
+    6 of the 14 values of t.  If an excluded matrix sends every pool
+    vector to zero, nothing follows the single vectors.
     """
     for v, image in zip(pool, images):
         if all(image):
@@ -439,7 +439,7 @@ def _region_candidates(pool: Sequence[tuple[SparseVector, int]],
     if not all(any(image[e] for image in images) for e in excluded):
         return
     picks = sorted({next(k for k, image in enumerate(images) if image[e]) for e in excluded})
-    for ks in chain(combinations(range(len(pool)), 2), [picks] if picks else []):
+    for ks in chain(combinations(range(len(pool)), 2), [picks] if len(picks) == 3 else []):
         den, top = lcm(*(pool[k][1] for k in ks)), len(ks) - 1
         for t in _SMALL_RATIONALS:
             p, q = t.numerator, t.denominator
@@ -449,42 +449,38 @@ def _region_candidates(pool: Sequence[tuple[SparseVector, int]],
 
 
 def find_region_witness(
-    phi: StructuralSet, psi: StructuralSet, m: int, d: int, target: RegionLabel,
-    *, space: CoefficientSpace | None = None, matrices: dict[str, RationalMatrix] | None = None,
-    dims: ClassDimensions | None = None,
+    phi: StructuralSet, psi: StructuralSet, m: int, d: int, target: RegionLabel, *, dims: ClassDimensions | None = None,
 ) -> PolyField | None:
     """A homogeneous degree-d field lying in exactly the target region, or None when the region is empty.
 
-    `dims` default to `class_dimensions` with `keep=target.classes`; the
-    rank rule (`ClassDimensions.region_is_empty`) decides emptiness before
-    any pool is built.  The pool is `RationalMatrix.nullspace` of the
-    required classes (the whole space when none is required) on the
-    echelons `dims` kept, both blade parities, and `ArithmeticError` is
-    raised unless it has `dims.joint(target.classes)` vectors.  Pool
-    vector k is back-substituted, guarded and multiplied through each
-    excluded matrix (`mat_vec`) when `_region_candidates` first reaches
-    it; a candidate that escapes is made a field, and `classify` confirms
-    it.  The search is complete, so running out of candidates in a
-    nonempty region raises `ArithmeticError`.  `space` and `matrices` are
-    as in `class_dimensions`.
+    The rank rule (`ClassDimensions.region_is_empty`) on `dims` decides
+    emptiness first.  The search reads the space, matrices and echelons of
+    `dims`, made by `class_dimensions` with `keep=target.classes` when no
+    `dims` are given or they kept nothing.  The pool is
+    `RationalMatrix.nullspace` of the required classes (the whole space
+    when none is required) on the kept echelons, both blade parities, and
+    `ArithmeticError` is raised unless it has `dims.joint(target.classes)`
+    vectors.  Pool vector k is back-substituted, guarded and multiplied
+    through each excluded matrix (`mat_vec`) when `_region_candidates`
+    first reaches it; a candidate that escapes is made a field, and
+    `classify` confirms it.  The search is complete, so running out of
+    candidates in a nonempty region raises `ArithmeticError`.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
-    space = CoefficientSpace(m, d) if space is None else space
-    mats = class_matrices(phi, psi, space) if matrices is None else matrices
-    if dims is None:
-        dims = class_dimensions(phi, psi, m, d, space=space, matrices=mats, keep=target.classes)
+    if dims is None or (dims.echelons is None and not dims.region_is_empty(target)):
+        dims = class_dimensions(phi, psi, m, d, keep=target.classes)
     if dims.region_is_empty(target):
         return None
-    wanted = [mats[name] for name in sorted(target.classes)]
-    excluded = [mat for name, mat in mats.items() if name not in target.classes]
-    pool = RationalMatrix.stack(wanted, space.size).nullspace(dims.echelons)
+    wanted = [dims.matrices[name] for name in sorted(target.classes)]
+    excluded = [mat for name, mat in dims.matrices.items() if name not in target.classes]
+    pool = RationalMatrix.stack(wanted, dims.full).nullspace(dims.echelons)
     if len(pool) != dims.joint(target.classes):
         raise ArithmeticError("the echelons were kept for other classes")
     # Image rows come times their row scales, which changes no zero test.
     images = _Lazy(len(pool), lambda k: [mat.mat_vec(pool[k][0]) for mat in excluded])
     for y, den in _region_candidates(pool, images):
-        f = space._field(y, den)
+        f = dims.space._field(y, den)
         if classify(phi, psi, f).region == target:
             return f
     raise ArithmeticError(f"the search found no field in the nonempty region {target}")

@@ -49,6 +49,18 @@ def test_blade_product_matches_brute_force_exhaustively():
                 assert (sign, blade_indices(mask)) == (slow_sign, slow_indices), (m, a, b)
 
 
+@pytest.mark.parametrize("masks", [(1, -1), (-1, 1), (-3, -2)])
+def test_blade_product_refuses_a_negative_mask(masks):
+    # A negative int never runs out of bits, so the sign loop would not end.
+    with pytest.raises(ValueError, match=f"blade mask {min(masks)} is negative"):
+        blade_product(*masks)
+
+
+def test_blade_indices_refuses_a_negative_mask():
+    with pytest.raises(ValueError, match="blade mask -1 is negative"):
+        blade_indices(-1)
+
+
 def test_generator_squares_to_minus_one():
     e1 = Multivector.basis_vector(3, 1)
     assert e1 * e1 == Multivector.scalar(3, -1)

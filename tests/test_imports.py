@@ -96,3 +96,48 @@ def test_the_check_sees_a_dead_helper():
         "a.py line 38: _Self._again",
         "a.py line 42: _Self._make",
     ]
+
+
+def _unset_knobs(sources: dict[str, str]) -> list[str]:
+    """Keyword-only parameters of functions and methods that no call in `sources` passes by name.
+
+    A call passes parameter p of function f when it names f (as `f(...)` or
+    `x.f(...)`) and has the keyword `p=`.  A call inside f's own body does
+    not count, so a knob that only f passes on to itself is still unset.
+    """
+    trees = {module: ast.parse(text, module) for module, text in sources.items()}
+
+    def passed(node: ast.AST) -> Counter:
+        return Counter((getattr(call.func, "id", None) or getattr(call.func, "attr", None), keyword.arg)
+                       for call in ast.walk(node) if isinstance(call, ast.Call) for keyword in call.keywords)
+
+    calls = sum((passed(tree) for tree in trees.values()), Counter())
+    unset = []
+    for module, tree in sorted(trees.items()):
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = passed(fn)
+                unset += [f"{module} line {fn.lineno}: {fn.name}({arg.arg}=)" for arg in fn.args.kwonlyargs
+                          if calls[fn.name, arg.arg] == own[fn.name, arg.arg]]
+    return unset
+
+
+def test_every_keyword_only_parameter_is_passed_by_the_package():
+    assert _unset_knobs({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_the_check_sees_a_knob_only_tests_set():
+    sources = {
+        "a.py": "def build(x, *, fast=False, dense=False, depth=0):\n"
+                "    return build(x, depth=depth - 1) if depth else x\n\n"
+                "class Box:\n    def fill(self, *, full=False, empty=False):\n        return full\n\n"
+                "def use():\n    return build(1, dense=True)\n",
+        "b.py": "from .a import Box, build\n\n"
+                "def other(fast):\n    return fast\n\n"
+                "VALUE = Box().fill(full=True) + other(fast=True)\n",
+    }
+    assert _unset_knobs(sources) == [
+        "a.py line 1: build(fast=)",
+        "a.py line 1: build(depth=)",
+        "a.py line 5: fill(empty=)",
+    ]

@@ -208,6 +208,9 @@ def test_index_reflection_cases():
     for j in (-1, 4, -4):
         with pytest.raises(ValueError, match=re.escape("out of range 0..3")):
             check_index_reflection(images3, j)
+    for k in (-1, 4):  # odd m reads no grade, but refuses one out of range
+        with pytest.raises(ValueError, match=re.escape(f"grade {k} out of range 0..3")):
+            check_index_reflection(images3, 1, k)
 
     phi4 = rand_rational_structural_set(rng, 4)
     b = rand_multivector(rng, 4)

@@ -257,8 +257,9 @@ def test_mat_vec_matches_the_dense_product():
             v = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < density else Fraction(0)
                  for _ in range(nc)]
             assert _sparse_product(mat, v) == _dense_mat_vec(rows, v)
-    with pytest.raises(IndexError):
-        RationalMatrix([[Fraction(0)] * 3] * 2).mat_vec({3: 1})
+    for column in (3, -1):  # a negative column would read the column table from its end
+        with pytest.raises(IndexError):
+            RationalMatrix([[Fraction(0)] * 3] * 2).mat_vec({column: 1})
 
 
 def test_blocks_of_a_hand_made_matrix():
@@ -813,14 +814,16 @@ def test_single_class_dimensions_have_the_closed_form_on_a_seeded_grid():
                  rand_structural_pair(rng, m), rand_structural_pair(rng, m)]
         for phi, psi in pairs:
             for d in range(6):
-                space = CoefficientSpace(m, d)
                 # R_{0,m}-valued polynomials of degree d less those of degree d-2.
                 expected = 2 ** m * (comb(d + m - 1, m - 1) - (comb(d + m - 3, m - 1) if d >= 2 else 0))
-                mats = class_matrices(phi, psi, space)
-                assert [space.size - mats[name].rank() for name in _CLASS_ORDER] == [expected] * 3, (m, d, phi, psi)
                 if m + d <= 7:
-                    dims = class_dimensions(phi, psi, m, d, matrices=mats)
+                    dims = class_dimensions(phi, psi, m, d, keep=frozenset())  # whole matrices, kept
                     assert dims.harmonic == dims.two_set_harmonic == dims.inframonogenic == expected
+                    space, mats = dims.space, dims.matrices
+                else:
+                    space = CoefficientSpace(m, d)
+                    mats = class_matrices(phi, psi, space)
+                assert [space.size - mats[name].rank() for name in _CLASS_ORDER] == [expected] * 3, (m, d, phi, psi)
 
 
 def _named_signed_and_random_pairs(rng, m):
@@ -856,7 +859,7 @@ def test_a_zero_divisor_coefficient_loses_row_rank():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_half_assembly_gives_the_dimensions_of_the_full_matrices(m, tmp_path):
-    # Without matrices, odd m assembles the even output blades alone and grows no chain of Hpp alone.
+    # Without keep, odd m assembles the even output blades alone and grows no chain of Hpp alone.
     rng = random.Random(330 + m)
     pairs = list(_named_signed_and_random_pairs(rng, m))
     specs = []
@@ -868,7 +871,7 @@ def test_half_assembly_gives_the_dimensions_of_the_full_matrices(m, tmp_path):
     for name, phi, psi in pairs:
         for d in range({1: 7, 2: 6, 3: 5, 4: 4, 5: 3}[m]):
             half = class_dimensions(phi, psi, m, d)
-            assert half == class_dimensions(phi, psi, m, d, matrices=class_matrices(phi, psi, CoefficientSpace(m, d)))
+            assert half == class_dimensions(phi, psi, m, d, keep=frozenset())  # keep assembles whole matrices
             assert {names: half.joint(names) for names in map(frozenset, _CHAINS)} == \
                 unsplit_dimensions(phi, psi, m, d), (name, m, d)
 
@@ -1056,7 +1059,7 @@ def _dense_candidates(pool, excluded):
 
     Each candidate is built and multiplied through the dense rows: single
     pool vectors, pairs v_i + t*v_j, then sum_n t^n * u_n over the first
-    pool vectors that escape each excluded matrix.
+    pool vectors that escape each excluded matrix, when those are three.
     """
     def candidates():
         yield from pool
@@ -1064,7 +1067,7 @@ def _dense_candidates(pool, excluded):
             for t in _SMALL_RATIONALS:
                 yield [a + t * b for a, b in zip(vi, vj)]
         picks = [next((k for k, v in enumerate(pool) if any(_dense_mat_vec(rows, v))), None) for rows in excluded]
-        if picks and None not in picks:
+        if None not in picks and len(set(picks)) == 3:
             picks = sorted(set(picks))
             for t in _SMALL_RATIONALS:
                 yield [sum(t ** n * pool[k][j] for n, k in enumerate(picks)) for j in range(len(pool[0]))]
@@ -1137,7 +1140,7 @@ def test_region_candidates_reach_the_fallback_past_every_pair():
     images = [[mat.mat_vec(y) for mat in mats] for y, _ in sparse_pool]
     got = [densify(2, *c) for c in _region_candidates(sparse_pool, images)]
     assert got == list(_dense_candidates(pool, dense_excluded))
-    assert got[:len(_SMALL_RATIONALS)] == [[t * Fraction(2, 3), Fraction(1, 2)] for t in _SMALL_RATIONALS]
+    assert got == [[t * Fraction(2, 3), Fraction(1, 2)] for t in _SMALL_RATIONALS]  # once: two picks are the pair
 
     rng = random.Random(14)
     scales = random.Random(16)  # rescales the pool, so that its vectors have different denominators
@@ -1199,15 +1202,13 @@ def test_rank_rule_and_witness_search_agree_on_a_seeded_grid():
     lines = []
     for m, phi, psi in _grid_pairs():
         for d in range(4):
-            space = CoefficientSpace(m, d)
-            mats = class_matrices(phi, psi, space)
             for target in RegionLabel.all_regions():  # the classes of the targets run over every chain of _CHAINS
                 # As `solve --region` runs it: the search back-substitutes on the echelons the dimensions kept.
-                dims = class_dimensions(phi, psi, m, d, matrices=mats, keep=target.classes)
-                wanted = RationalMatrix.stack([mats[name] for name in sorted(target.classes)], space.size)
+                dims = class_dimensions(phi, psi, m, d, keep=target.classes)
+                wanted = RationalMatrix.stack([dims.matrices[name] for name in sorted(target.classes)], dims.full)
                 assert _as_fractions(wanted.nullspace(dims.echelons)) == _as_fractions(wanted.nullspace())
                 seen["wanted classes without rows"] += bool(target.classes) and wanted.nrows == 0
-                witness = find_region_witness(phi, psi, m, d, target, matrices=mats, dims=dims)
+                witness = find_region_witness(phi, psi, m, d, target, dims=dims)
                 assert (witness is None) == dims.region_is_empty(target), (m, d, phi, psi, target)
                 if witness is not None:
                     assert witness and witness.is_homogeneous(d)
@@ -1219,36 +1220,30 @@ def test_rank_rule_and_witness_search_agree_on_a_seeded_grid():
 
 
 def test_kernel_guard_rejects_the_echelons_of_a_smaller_chain():
-    space = CoefficientSpace(3, 2)
-    mats = class_matrices(PHI, PSI, space)
-    dims = class_dimensions(PHI, PSI, 3, 2, matrices=mats)
+    dims = class_dimensions(PHI, PSI, 3, 2)
     assert dims.harmonic > dims.harmonic_and_inframonogenic
-    wanted = RationalMatrix.stack([mats[HARMONIC], mats[INFRAMONOGENIC]], space.size)
-    smaller = class_dimensions(PHI, PSI, 3, 2, matrices=mats, keep=frozenset({HARMONIC})).echelons
+    smaller = class_dimensions(PHI, PSI, 3, 2, keep=frozenset({HARMONIC}))
+    wanted = RationalMatrix.stack([smaller.matrices[HARMONIC], smaller.matrices[INFRAMONOGENIC]], smaller.space.size)
     with pytest.raises(ArithmeticError, match="failed verification"):
-        list(wanted.nullspace(smaller))
+        list(wanted.nullspace(smaller.echelons))
     assert dims.echelons is None  # nothing is kept unless asked for
 
 
 def test_witness_search_refuses_the_echelons_of_other_classes():
     # The echelons kept for {H, I} pass the guard for H, since their kernel lies in ker H, but they are too few.
-    space = CoefficientSpace(3, 2)
-    mats = class_matrices(PHI, PSI, space)
-    dims = class_dimensions(PHI, PSI, 3, 2, matrices=mats, keep=frozenset({HARMONIC, INFRAMONOGENIC}))
-    wanted = mats[HARMONIC]
+    dims = class_dimensions(PHI, PSI, 3, 2, keep=frozenset({HARMONIC, INFRAMONOGENIC}))
+    wanted = dims.matrices[HARMONIC]
     assert (len(list(wanted.nullspace(dims.echelons))), len(list(wanted.nullspace())), dims.harmonic) == (34, 40, 40)
     target = RegionLabel.from_classes((HARMONIC,))
     with pytest.raises(ArithmeticError, match="kept for other classes"):
-        find_region_witness(PHI, PSI, 3, 2, target, matrices=mats, dims=dims)
-    kept_for_h = class_dimensions(PHI, PSI, 3, 2, matrices=mats, keep=target.classes)
-    assert find_region_witness(PHI, PSI, 3, 2, target, matrices=mats, dims=kept_for_h) == \
-        find_region_witness(PHI, PSI, 3, 2, target)
+        find_region_witness(PHI, PSI, 3, 2, target, dims=dims)
+    kept_for_h = class_dimensions(PHI, PSI, 3, 2, keep=target.classes)
+    assert find_region_witness(PHI, PSI, 3, 2, target, dims=kept_for_h) == find_region_witness(PHI, PSI, 3, 2, target)
 
 
 def test_witness_guard_rejects_a_corrupted_kept_echelon():
     target = parse_region_spec("H,Hpp,I")
-    mats = class_matrices(PHI, PSI, CoefficientSpace(3, 3))
-    dims = class_dimensions(PHI, PSI, 3, 3, matrices=mats, keep=target.classes)
+    dims = class_dimensions(PHI, PSI, 3, 3, keep=target.classes)
     first_free = min(set(range(dims.full)).difference(c for echelon in dims.echelons for c in echelon._cols))
     k, echelon = next((k, echelon) for k, echelon in enumerate(dims.echelons)
                       if any(first_free in dict(tail) for tail in echelon._tails))
@@ -1262,7 +1257,7 @@ def test_witness_guard_rejects_a_corrupted_kept_echelon():
     bad = dataclasses.replace(dims, echelons=dims.echelons[:k] + (corrupted,) + dims.echelons[k + 1:])
     assert bad == dims  # the dimensions are untouched; only one kept echelon's tails differ
     with pytest.raises(ArithmeticError, match="failed verification"):
-        find_region_witness(PHI, PSI, 3, 3, target, matrices=mats, dims=bad)
+        find_region_witness(PHI, PSI, 3, 3, target, dims=bad)
 
 
 @pytest.mark.parametrize("m, d, region, pool_size", [(5, 3, "H,Hpp,I", 734), (3, 2, "none", 48)])
@@ -1276,11 +1271,10 @@ def test_witness_search_back_substitutes_only_the_vectors_it_tries(monkeypatch, 
     monkeypatch.setattr(RationalMatrix, "_kernel_vector", counted)
     phi, psi = StructuralSet.standard(m), StructuralSet.reversed_standard(m)
     target = parse_region_spec(region)
-    space = CoefficientSpace(m, d)
-    mats = class_matrices(phi, psi, space)
-    dims = class_dimensions(phi, psi, m, d, matrices=mats, keep=target.classes)
+    dims = class_dimensions(phi, psi, m, d, keep=target.classes)
+    space, mats = dims.space, dims.matrices
     assert dims.joint(target.classes) == pool_size
-    witness = find_region_witness(phi, psi, m, d, target, matrices=mats, dims=dims)
+    witness = find_region_witness(phi, psi, m, d, target, dims=dims)
     assert classify(phi, psi, witness).region == target
     assert len(solved) == 1  # pool vector 0 escapes and is confirmed
     if not target.classes:
@@ -1305,13 +1299,52 @@ def test_rank_rule_reads_the_dimensions():
         RegionLabel.from_classes(_CLASS_ORDER)]
 
 
-def test_shared_class_matrices_give_the_same_answers():
-    space = CoefficientSpace(3, 2)
-    mats = class_matrices(PHI, PSI, space)
-    assert list(mats) == list(_CLASS_ORDER)
-    assert class_dimensions(PHI, PSI, 3, 2, matrices=mats) == class_dimensions(PHI, PSI, 3, 2)
-    target = RegionLabel.from_classes(("H", "I"))
-    assert find_region_witness(PHI, PSI, 3, 2, target, matrices=mats) == find_region_witness(PHI, PSI, 3, 2, target)
+@pytest.mark.parametrize("m, d", [(2, 3), (3, 2)], ids=["even m", "odd m"])
+def test_kept_dimensions_carry_the_whole_class_matrices(m, d):
+    phi, psi = StructuralSet.standard(m), StructuralSet.reversed_standard(m)
+    whole = class_matrices(phi, psi, CoefficientSpace(m, d))
+    for keep in (frozenset(), frozenset({HARMONIC, INFRAMONOGENIC})):
+        dims = class_dimensions(phi, psi, m, d, keep=keep)
+        assert (dims.space.m, dims.space.degree, dims.space.size) == (m, d, dims.full)
+        assert list(dims.matrices) == list(_CLASS_ORDER)
+        assert {name: mat._int_rows for name, mat in dims.matrices.items()} == \
+            {name: mat._int_rows for name, mat in whole.items()}, keep
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_unkept_dimensions_carry_no_space_matrices_or_echelons(m):
+    dims = class_dimensions(StructuralSet.standard(m), StructuralSet.reversed_standard(m), m, 2)
+    assert (dims.space, dims.matrices, dims.echelons) == (None, None, None)
+
+
+def test_find_region_witness_reads_unkept_dimensions(monkeypatch):
+    # The rank rule answers an empty region from unkept dimensions alone; a nonempty one is searched as with kept ones.
+    original_vector, original_matrix, solved, built = RationalMatrix._kernel_vector, solver.operator_matrix, [], []
+
+    def counted_vector(self, f, sorted_echelon):
+        solved.append(f)
+        return original_vector(self, f, sorted_echelon)
+
+    def counted_matrix(op, space, **kwargs):
+        built.append(op.name)
+        return original_matrix(op, space, **kwargs)
+
+    monkeypatch.setattr(RationalMatrix, "_kernel_vector", counted_vector)
+    monkeypatch.setattr(solver, "operator_matrix", counted_matrix)
+    unkept = class_dimensions(PHI, PHI, 3, 2)
+    seen = {"empty": 0, "nonempty": 0}
+    for target in RegionLabel.all_regions():
+        solved.clear()
+        built.clear()
+        witness = find_region_witness(PHI, PHI, 3, 2, target, dims=unkept)
+        if unkept.region_is_empty(target):
+            assert (witness, solved, built) == (None, [], []), target
+        else:
+            assert solved and len(built) == 3
+            assert witness == find_region_witness(PHI, PHI, 3, 2, target,
+                                                  dims=class_dimensions(PHI, PHI, 3, 2, keep=target.classes))
+        seen["empty" if witness is None else "nonempty"] += 1
+    assert seen == {"empty": 4, "nonempty": 4}
 
 
 def test_converse_counterexample():
