@@ -11,7 +11,8 @@ from `_blade_pairs`.  Each row is built once, already in column order, from
 the transposed blade maps.  Kernels come from fraction-free elimination
 in `linalg`; at odd m the class dimensions assemble and eliminate the
 even-blade half alone, which the central pseudoscalar maps onto the odd
-half, and every class matrix has full row rank.  `find_region_witness`
+half, at m = 0 mod 4 they assemble in the pseudoscalar's eigenbasis, and
+every class matrix has full row rank.  `find_region_witness`
 answers one membership region: the rank rule on the class dimensions
 proves it empty, or a complete search over one candidate formula, sums
 of joint-kernel vectors, finds a field in it that `classify` confirms.
@@ -159,18 +160,22 @@ class FieldOperator:
 BladeMaps = dict[MultiIndex, list[list[tuple[int, int]]]]
 
 
-def _blade_images(pairs: dict[MultiIndex, BladePairs], m: int, *, even_only: bool = False) -> BladeMaps:
+def _blade_images(pairs: dict[MultiIndex, BladePairs], m: int, *, walk: bool = False) -> BladeMaps:
     """The transposed blade maps of a symbol's blade pairs, over the symbol's scale.
 
     S_gamma[B] is row B of the blade map of gamma, so a matrix row reads
     its entries from one list.  Each distinct table of pairs is mapped
     once: gammas with the same pairs (the Laplacian's m identities) share
-    one map.  With `even_only` only the even source blades are mapped, so
-    for an operator that keeps blade parity the rows of the even B are
-    whole and those of the odd B empty.
+    one map.  `walk` gives the rows the dimension walk reads, for an
+    operator that keeps blade parity and whose left blades share a parity
+    (every class operator): at odd m the even source blades alone are
+    mapped, so the rows of the odd B are empty; at m = 0 mod 4 the maps of
+    `_folded_images`.
     """
+    if walk and m % 4 == 0:
+        return _folded_images(pairs, m)
     odd, order, rank = _odd_masks(m), blade_order(m), _blade_rank(m)
-    sources = [(A, mask) for A, mask in enumerate(order) if not (even_only and mask.bit_count() & 1)]
+    sources = [(A, mask) for A, mask in enumerate(order) if not (walk and m & 1 and mask.bit_count() & 1)]
     made: dict[tuple, list[list[tuple[int, int]]]] = {}
     for blades in pairs.values():
         key = tuple(blades)
@@ -190,6 +195,40 @@ def _blade_images(pairs: dict[MultiIndex, BladePairs], m: int, *, even_only: boo
     return {gamma: made[tuple(blades)] for gamma, blades in pairs.items()}
 
 
+def _folded_images(pairs: dict[MultiIndex, BladePairs], m: int) -> BladeMaps:
+    """The maps of `_blade_images` in the eigenbasis of left multiplication by omega = e_1...e_m, at m = 0 mod 4.
+
+    There omega^2 = +1 and omega e_A = sigma_A e_A', A' the complement of
+    A, so for each low blade A (without the top bit e_m) u_A = e_A +-
+    sigma_A e_A' has eigenvalue +-1.  A map S with left blades of parity s
+    (-1 if odd) gives S(u_A) = (1 +- s omega) S(e_A), so only the low A are
+    mapped.  Row and column u_A of eigenvalue +1 take the place of A in
+    `blade_order`, of -1 that of A + e_m, so each row comes out sorted.
+    """
+    odd, order, rank, top, full = _odd_masks(m), blade_order(m), _blade_rank(m), 1 << (m - 1), (1 << m) - 1
+    # Blade B as (its low blade L, the coefficient of e_L in (1 + omega) e_B, that in (1 - omega) e_B).
+    halves = [(B ^ full, s, -s) if B & top else (B, 1, 1)
+              for B in range(1 << m) for s in [(-1) ** (B & odd[full]).bit_count()]]
+    lows = [(A, mask, rank[mask | top]) for A, mask in enumerate(order) if not mask & top]  # u_A's two places
+    made: dict[tuple, list[list[tuple[int, int]]]] = {}
+    for blades in dict.fromkeys(map(tuple, pairs.values())):
+        transposed = made[blades] = [[] for _ in order]
+        flip = bool(blades) and blades[0][0].bit_count() & 1  # s = -1
+        for A, mask, partner in lows:
+            plus, minus = {}, {}  # the low coordinates of (1 + omega) S(e_A) and (1 - omega) S(e_A)
+            for ma, mb, c in blades:
+                left = ma ^ mask
+                low, p, q = halves[left ^ mb]
+                c = -c if ((mask & odd[ma]) ^ (mb & odd[left])).bit_count() & 1 else c
+                plus[low] = plus.get(low, 0) + p * c
+                minus[low] = minus.get(low, 0) + q * c
+            for image, col, bit in ((plus, partner if flip else A, 0), (minus, A if flip else partner, top)):
+                for low, c in image.items():
+                    if c:
+                        transposed[rank[low | bit]].append((col, c))
+    return {gamma: made[tuple(blades)] for gamma, blades in pairs.items()}
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Exact matrix of an operator on the degree-d space `source`.
@@ -203,7 +242,7 @@ class OperatorMatrix:
     source: CoefficientSpace
 
 
-def operator_matrix(op: FieldOperator, space: CoefficientSpace, *, even_only: bool = False) -> OperatorMatrix:
+def operator_matrix(op: FieldOperator, space: CoefficientSpace, *, walk: bool = False) -> OperatorMatrix:
     """The matrix of `op` (a `FieldOperator`, or a `psi.PsiOperator` of order 0) on `space`, filled from its symbol.
 
     Since d^gamma x^(beta+gamma) = (beta+gamma)!/beta! * x^beta, row
@@ -216,12 +255,12 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace, *, even_only: bo
     already sorted.  The blade maps are integers over one scale, so every
     entry is an integer over that scale until each row is reduced once.
 
-    With `even_only` only the even source blades are mapped; for an
-    operator that keeps blade parity (every class operator does), the rows
-    of even output blades are then whole and those of odd B zero.
+    With `walk`, the rows the dimension walk reads (`_blade_images`): at
+    odd m those of odd output blades are zero, and at m = 0 mod 4 rows and
+    columns are in the omega basis of `_folded_images`.
     """
     pairs, scale = op.symbol(space.m)
-    maps = _blade_images(pairs, space.m, even_only=even_only)
+    maps = _blade_images(pairs, space.m, walk=walk) if space.degree >= op.order else {}
     width = 1 << space.m  # rows and columns are monomial-major, 2^m blades per monomial
     offset = {space.basis[col][0]: col for col in range(0, space.size, width)}
     terms = [(gamma, [(i, g) for i, g in enumerate(gamma) if g], images) for gamma, images in maps.items()]
@@ -236,18 +275,18 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace, *, even_only: bo
 
 def class_matrices(
     phi: StructuralSet, psi: StructuralSet, space: CoefficientSpace, names: Sequence[str] = _CLASS_ORDER,
-    *, even_only: bool = False,
+    *, walk: bool = False,
 ) -> dict[str, RationalMatrix]:
     """Matrices of the named class operators on `space`, keyed by class name in `names` order.
 
-    `even_only` fills the rows of even output blades alone (`operator_matrix`).
+    `walk` fills the rows the dimension walk reads (`operator_matrix`).
     """
     ops = {
         HARMONIC: FieldOperator.laplacian(),
         TWO_SET_HARMONIC: FieldOperator.left_left(phi, psi),
         INFRAMONOGENIC: FieldOperator.sandwich(phi, psi),
     }
-    return {name: operator_matrix(ops[name], space, even_only=even_only).matrix for name in names}
+    return {name: operator_matrix(ops[name], space, walk=walk).matrix for name in names}
 
 
 # The joint kernels `ClassDimensions` reports: their classes, JSON labels and fields, in report order.
@@ -339,19 +378,21 @@ def class_dimensions(phi: StructuralSet, psi: StructuralSet, m: int, d: int,
     Hpp three times; the chain of Hpp alone is a prefix of no other, so it
     is grown only when kept.
 
-    The operators keep blade parity, so each block holds one parity.  At
-    odd m the pseudoscalar e_1...e_m is central and odd: multiplying by it
-    commutes with each operator and maps every joint kernel on the even
-    blades onto the one on the odd blades, so only the even blocks are
-    walked and each rank counts twice; without `keep`, only the rows of
-    even output blades are assembled.  The echelon of the `keep` classes
-    outlives its block; an odd block grows that one chain alone, so the
-    witness pool stays in blade coordinates.
+    The operators keep blade parity, so each block holds one parity, and
+    without `keep` the pseudoscalar omega = e_1...e_m splits them further
+    (`class_matrices(..., walk=True)`).  At odd m omega is central and odd:
+    multiplying by it maps every joint kernel on the even blades onto the
+    one on the odd blades, so only the even rows are assembled and walked
+    and each rank counts twice.  At m = 0 mod 4, omega^2 = +1 and f -> omega f
+    commutes with Delta and D_phi D_psi and anticommutes with the sandwich,
+    so in its eigenbasis each parity block splits in two.  The echelon of
+    the `keep` classes outlives its block; at odd m an odd block grows that
+    one chain alone, so the witness pool stays in blade coordinates.
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
     space = CoefficientSpace(m, d)
-    matrices = class_matrices(phi, psi, space, even_only=m % 2 == 1 and keep is None)
+    matrices = class_matrices(phi, psi, space, walk=keep is None)
     stack = RationalMatrix.stack([matrices[name] for name in _CLASS_ORDER], space.size)
     class_of = [name for name in _CLASS_ORDER for _ in range(matrices[name].nrows)]
     # Row i has output blade B = i mod 2^m; mirrored[B] when m and B are odd, so the row's block mirrors an even one.
@@ -468,6 +509,8 @@ def find_region_witness(
     """
     if phi.m != m or psi.m != m:
         raise ValueError("structural sets do not match the requested dimension")
+    if dims is not None and (dims.m, dims.degree) != (m, d):
+        raise ValueError(f"dimensions of (m, d) = ({dims.m}, {dims.degree}) given for ({m}, {d})")
     if dims is None or (dims.echelons is None and not dims.region_is_empty(target)):
         dims = class_dimensions(phi, psi, m, d, keep=target.classes)
     if dims.region_is_empty(target):

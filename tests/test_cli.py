@@ -231,6 +231,13 @@ GOLDEN_STDOUT_SHA256 = {
     ("solve", "--m", "3", "--degree", "2", "--phi", "standard", "--psi", "reversed",
      "--region", "H,Hpp,I", "--format", "json"):
         "94039cd3cb306376d230da4a0cd8c164c7aabc9aae6cd53566e07a496f71113e",
+    # m = 4, where the dimensions are walked in the eigenbasis of left multiplication by the pseudoscalar
+    ("solve", "--m", "4", "--degree", "3", "--phi", "standard", "--psi", "reversed"):
+        "1eed77cd9f844b1ccf3902a5af066716ac3e343b943371ce4acfcc511dd9ef25",
+    ("solve", "--m", "4", "--degree", "3", "--phi", "standard", "--psi", "reversed", "--format", "json"):
+        "da75253e5193238e6efd4fa53b2727befface7256d1688c72e7494ac46a7b750",
+    ("solve", "--m", "4", "--degree", "3", "--phi", "standard", "--psi", "signedperm:2,-1,4,-3", "--format", "json"):
+        "597922cd44195314efc2285b7ba5d9358830cc18a121a5c7c92afc795bbd6e8f",
     ("demo",):
         "e93b8075d2a00c53220a6e17b5b8294cc3a86c54270cacdc4ee64d49b44a5103",
     ("demo", "--format", "json"):

@@ -21,7 +21,7 @@ from cliffkit.fields import PolyField, dirac_left, dirac_right, laplacian, sandw
 from cliffkit.linalg import RationalMatrix, RowEchelon, _Lazy
 from cliffkit.parser import format_field, parse_field
 from cliffkit.psi import PsiOperator
-from cliffkit.sampling import rand_rational_structural_set, rand_structural_pair
+from cliffkit.sampling import rand_polyfield, rand_rational_structural_set, rand_structural_pair
 from cliffkit.solver import (
     _CHAINS,
     CoefficientSpace,
@@ -956,6 +956,79 @@ def test_class_dimensions_of_a_random_rational_pair_at_m4_d4():
     assert tuple(dims.to_json().values()) == (400, 400, 400, 304, 338, 270, 242)
 
 
+@pytest.mark.parametrize("m, square", [(2, -1), (4, 1), (6, -1), (8, 1)])
+def test_the_pseudoscalar_squares_to_plus_one_at_m_divisible_by_four(m, square):
+    omega = Multivector.blade(m, range(1, m + 1))
+    assert omega * omega == Multivector.scalar(m, square)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_left_pseudoscalar_commutes_with_delta_and_left_left_and_anticommutes_with_the_sandwich(m):
+    # omega anticommutes with vectors at even m, so it passes phi_i psi_j unchanged and phi_i with a sign.
+    rng = random.Random(360 + m)
+    omega = Multivector.blade(m, range(1, m + 1))
+    moved = 0
+    for phi, psi in [(StructuralSet.standard(m), StructuralSet.reversed_standard(m)), rand_structural_pair(rng, m)]:
+        for _ in range(4):
+            f = rand_polyfield(rng, m, max_degree=4)
+            assert laplacian(omega * f) == omega * laplacian(f)
+            assert dirac_left(phi, dirac_left(psi, omega * f)) == omega * dirac_left(phi, dirac_left(psi, f))
+            assert sandwich(phi, omega * f, psi) == -(omega * sandwich(phi, f, psi))
+            moved += bool(sandwich(phi, f, psi))
+    assert moved > 0
+
+
+@pytest.mark.parametrize("m, degrees", [(4, range(5)), (8, range(3))])
+def test_omega_split_dimensions_equal_the_unsplit_walk(m, degrees):
+    # At m = 0 mod 4 `class_dimensions` walks the matrices in the eigenbasis of left multiplication by omega.
+    signed = ",".join(f"{2 * k},{1 - 2 * k}" for k in range(1, m // 2 + 1))  # signedperm:2,-1,4,-3,...
+    for name, psi in (("reversed", StructuralSet.reversed_standard(m)),
+                      ("signedperm", parse_set_spec(f"signedperm:{signed}", m))):
+        phi = StructuralSet.standard(m)
+        for d in degrees:
+            dims = class_dimensions(phi, psi, m, d)
+            assert {names: dims.joint(names) for names in map(frozenset, _CHAINS)} == \
+                unsplit_dimensions(phi, psi, m, d), (name, m, d)
+
+
+def test_the_omega_split_gives_the_random_m4_walk_four_blocks(monkeypatch):
+    # Blade parity alone splits the seed-7 random stack in two; the kept (blade-coordinate) walk still sees two.
+    blocks, original = [], RationalMatrix._blocks
+    monkeypatch.setattr(RationalMatrix, "_blocks", lambda self: blocks.append(original(self)) or blocks[-1])
+    phi, psi = rand_structural_pair(random.Random(7), 4)
+    split = class_dimensions(phi, psi, 4, 3)
+    assert split == class_dimensions(phi, psi, 4, 3, keep=frozenset())
+    assert [len(found) for found in blocks] == [4, 2]
+
+
+@pytest.mark.parametrize("m, d", [(2, 3), (6, 2)])
+def test_the_omega_fold_at_m_2_mod_4_gives_a_wrong_dimension(monkeypatch, m, d):
+    # Negative control: omega^2 = -1 there, so e_A +- sigma_A e_A' are no eigenvectors and the fold drops entries.
+    blade_images = solver._blade_images
+    monkeypatch.setattr(solver, "_blade_images", lambda pairs, m, *, walk=False:
+                        solver._folded_images(pairs, m) if walk else blade_images(pairs, m))
+    phi, psi = StructuralSet.standard(m), StructuralSet.reversed_standard(m)
+    dims = class_dimensions(phi, psi, m, d)
+    assert {names: dims.joint(names) for names in map(frozenset, _CHAINS)} != unsplit_dimensions(phi, psi, m, d)
+
+
+def test_operator_matrix_maps_no_blades_below_its_order(monkeypatch):
+    mapped, blade_images = [], solver._blade_images
+    monkeypatch.setattr(solver, "_blade_images", lambda pairs, m, **kwargs: mapped.append(m) or
+                        blade_images(pairs, m, **kwargs))
+    for m in (3, 4, 8):
+        phi, psi = rand_structural_pair(random.Random(7), m)
+        for d in (0, 1):
+            dims = class_dimensions(phi, psi, m, d)
+            assert set(dims.to_json().values()) == {dims.full} == {CoefficientSpace(m, d).size}, (m, d)
+    assert mapped == []
+    class_dimensions(StructuralSet.standard(3), StructuralSet.reversed_standard(3), 3, 2)
+    assert mapped == [3, 3, 3]
+    with pytest.raises(DimensionMismatch):
+        operator_matrix(FieldOperator.sandwich(StructuralSet.standard(2), StructuralSet.standard(2)),
+                        CoefficientSpace(3, 1))
+
+
 @pytest.mark.parametrize("m, d", [(2, 3), (3, 2), (3, 3)])
 def test_class_dimensions_depend_only_on_the_transition_orbit(m, d):
     rng = random.Random(m * 10 + d)
@@ -1315,6 +1388,17 @@ def test_kept_dimensions_carry_the_whole_class_matrices(m, d):
 def test_unkept_dimensions_carry_no_space_matrices_or_echelons(m):
     dims = class_dimensions(StructuralSet.standard(m), StructuralSet.reversed_standard(m), m, 2)
     assert (dims.space, dims.matrices, dims.echelons) == (None, None, None)
+
+
+@pytest.mark.parametrize("m, d", [(3, 3), (2, 2)])
+def test_find_region_witness_refuses_dimensions_of_another_point(m, d):
+    # Dimensions at (3, 2) would give a degree-2 field for degree 3, or an m = 3 field for m = 2.
+    target = parse_region_spec("H,Hpp,I")
+    dims = class_dimensions(PHI, PSI, 3, 2, keep=target.classes)
+    phi, psi = StructuralSet.standard(m), StructuralSet.reversed_standard(m)
+    with pytest.raises(ValueError, match=r"\(m, d\) = \(3, 2\) given for"):
+        find_region_witness(phi, psi, m, d, target, dims=dims)
+    assert find_region_witness(phi, psi, m, d, target).degree() == d
 
 
 def test_find_region_witness_reads_unkept_dimensions(monkeypatch):
