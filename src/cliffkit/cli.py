@@ -185,10 +185,10 @@ def cmd_solve(args) -> int:
     d = args.degree
     phi, psi = _set_pair(args)
     target = None if args.region is None else parse_region_spec(args.region)
-    dims = class_dimensions(phi, psi, m, d, keep=None if target is None else target.classes)
+    dims = class_dimensions(phi, psi, d, target)
     witnesses: list[str] = []
     if target is not None:
-        witness = find_region_witness(phi, psi, m, d, target, dims=dims)
+        witness = find_region_witness(dims)
         if witness is not None:
             witnesses.append(format_field(witness))
     payload = {

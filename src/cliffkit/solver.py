@@ -12,8 +12,8 @@ the transposed blade maps.  Kernels come from fraction-free elimination
 in `linalg`; at odd m the class dimensions assemble and eliminate the
 even-blade half alone, which the central pseudoscalar maps onto the odd
 half, at m = 0 mod 4 they assemble in the pseudoscalar's eigenbasis, and
-every class matrix has full row rank.  `find_region_witness`
-answers one membership region: the rank rule on the class dimensions
+every class matrix has full row rank.  `find_region_witness` answers the
+region of one `class_dimensions` point: the rank rule on its dimensions
 proves it empty, or a complete search over one candidate formula, sums
 of joint-kernel vectors, finds a field in it that `classify` confirms.
 """
@@ -303,8 +303,8 @@ _JOINTS = {
 
 @dataclass(frozen=True)
 class ClassDimensions:
-    """The seven joint-kernel dimensions at degree d (`_JOINTS`), and with `keep` (else None) the point's
-    `space`, its three whole class `matrices` and the `keep` chain's `echelons`, one per block.
+    """The seven joint-kernel dimensions of (`phi`, `psi`) at degree d (`_JOINTS`), and with a `region` (else None)
+    the point's `space`, its three whole class `matrices` and the region's chain `echelons`, one per block.
     """
 
     m: int
@@ -317,6 +317,9 @@ class ClassDimensions:
     harmonic_and_inframonogenic: int
     two_set_and_inframonogenic: int
     triple: int
+    phi: StructuralSet = field(compare=False, repr=False)
+    psi: StructuralSet = field(compare=False, repr=False)
+    region: RegionLabel | None = field(default=None, compare=False, repr=False)
     space: CoefficientSpace | None = field(default=None, compare=False, repr=False)
     matrices: dict[str, RationalMatrix] | None = field(default=None, compare=False, repr=False)
     echelons: tuple[RowEchelon, ...] | None = field(default=None, compare=False, repr=False)
@@ -345,7 +348,7 @@ class ClassDimensions:
 
 # The joint kernels `class_dimensions` reads, each grown from the one before its
 # last class by that class's rows: chains H, H+I, H+I+Hpp; H+Hpp; I, I+Hpp; Hpp,
-# the last only when kept.  Laplacian rows keep the pivots small, so H goes first.
+# the last only for its region.  Laplacian rows keep the pivots small, so H goes first.
 _CHAINS = (
     (HARMONIC,),
     (HARMONIC, INFRAMONOGENIC),
@@ -357,14 +360,15 @@ _CHAINS = (
 )
 
 
-def class_dimensions(phi: StructuralSet, psi: StructuralSet, m: int, d: int,
-                     *, keep: frozenset | None = None) -> ClassDimensions:
+def class_dimensions(phi: StructuralSet, psi: StructuralSet, d: int,
+                     region: RegionLabel | None = None) -> ClassDimensions:
     """Kernel dimensions of the three class operators and all intersections
-    on the degree-d homogeneous space.
+    on the degree-d homogeneous space of dimension m = phi.m.
 
-    The point's one `CoefficientSpace` is built here.  With `keep`, the
-    three whole `class_matrices` are assembled and returned with the space
-    and the `keep` echelons, for the witness search to read.
+    Sets of two dimensions raise `ValueError`.  The point's one
+    `CoefficientSpace` is built here.  With a `region`, the three whole
+    `class_matrices` are assembled and returned with the space and the
+    echelons of the region's classes, for `find_region_witness` to read.
 
     Every class matrix has full row rank: with S the sandwich, the
     compositions Delta Delta, (D_phi D_psi)(D_psi D_phi) and S S all equal
@@ -376,28 +380,29 @@ def class_dimensions(phi: StructuralSet, psi: StructuralSet, m: int, d: int,
     joint kernel of `_CHAINS` is a `RowEchelon` grown from the one before
     its last class, so the rows of H are inserted once, of I twice and of
     Hpp three times; the chain of Hpp alone is a prefix of no other, so it
-    is grown only when kept.
+    is grown only for the region of Hpp alone.
 
     The operators keep blade parity, so each block holds one parity, and
-    without `keep` the pseudoscalar omega = e_1...e_m splits them further
+    without a region the pseudoscalar omega = e_1...e_m splits them further
     (`class_matrices(..., walk=True)`).  At odd m omega is central and odd:
     multiplying by it maps every joint kernel on the even blades onto the
     one on the odd blades, so only the even rows are assembled and walked
     and each rank counts twice.  At m = 0 mod 4, omega^2 = +1 and f -> omega f
     commutes with Delta and D_phi D_psi and anticommutes with the sandwich,
     so in its eigenbasis each parity block splits in two.  The echelon of
-    the `keep` classes outlives its block; at odd m an odd block grows that
-    one chain alone, so the witness pool stays in blade coordinates.
+    the region's classes outlives its block; at odd m an odd block grows
+    that one chain alone, so the witness pool stays in blade coordinates.
     """
-    if phi.m != m or psi.m != m:
-        raise ValueError("structural sets do not match the requested dimension")
+    m = phi.m
+    if psi.m != m:
+        raise ValueError(f"structural sets of two dimensions, {m} and {psi.m}")
     space = CoefficientSpace(m, d)
-    matrices = class_matrices(phi, psi, space, walk=keep is None)
+    matrices = class_matrices(phi, psi, space, walk=region is None)
     stack = RationalMatrix.stack([matrices[name] for name in _CLASS_ORDER], space.size)
     class_of = [name for name in _CLASS_ORDER for _ in range(matrices[name].nrows)]
     # Row i has output blade B = i mod 2^m; mirrored[B] when m and B are odd, so the row's block mirrors an even one.
     width, mirrored = 1 << m, [m % 2 and mask.bit_count() % 2 for mask in blade_order(m)]
-    target = next((chain for chain in _CHAINS if frozenset(chain) == keep), ())
+    target = () if region is None else next((chain for chain in _CHAINS if frozenset(chain) == region.classes), ())
     walk = [chain for chain in _CHAINS if chain != (TWO_SET_HARMONIC,) or chain == target]
     kept_walk = [chain for chain in _CHAINS if chain == target[:len(chain)]]
     eliminated = [i for i in range(stack.nrows) if not mirrored[i % width] or class_of[i] in target]
@@ -414,12 +419,12 @@ def class_dimensions(phi: StructuralSet, psi: StructuralSet, m: int, d: int,
             names = frozenset(chain)
             echelons[names] = echelons[frozenset(chain[:-1])].grown(rows[chain[-1]])
             ranks[names] += 0 if mirror else len(echelons[names])
-        if keep:
-            kept.append(echelons[keep])
+        if target:
+            kept.append(echelons[frozenset(target)])
     dims = {names: space.size - (1 + m % 2) * rank for names, rank in ranks.items()}
     dims.update({frozenset({name}): space.size - matrices[name].nrows for name in _CLASS_ORDER})
-    point = {} if keep is None else {"space": space, "matrices": matrices, "echelons": tuple(kept)}
-    return ClassDimensions(m, d, space.size, **{name: dims[names] for names, (_, name) in _JOINTS.items()}, **point)
+    point = {} if region is None else {"space": space, "matrices": matrices, "echelons": tuple(kept)}
+    return ClassDimensions(m, d, space.size, *map(dims.get, _JOINTS), phi, psi, region, **point)
 
 
 def class_nullspace(phi: StructuralSet, psi: StructuralSet, d: int, names: Sequence[str]) -> Sequence[PolyField]:
@@ -489,42 +494,36 @@ def _region_candidates(pool: Sequence[tuple[SparseVector, int]],
                 yield _combination(zip(coefs, (pool[k][0] for k in ks))), q ** top * den
 
 
-def find_region_witness(
-    phi: StructuralSet, psi: StructuralSet, m: int, d: int, target: RegionLabel, *, dims: ClassDimensions | None = None,
-) -> PolyField | None:
-    """A homogeneous degree-d field lying in exactly the target region, or None when the region is empty.
+def find_region_witness(dims: ClassDimensions) -> PolyField | None:
+    """A field of the point `dims` lying in exactly its region, or None when the region is empty.
 
-    The rank rule (`ClassDimensions.region_is_empty`) on `dims` decides
-    emptiness first.  The search reads the space, matrices and echelons of
-    `dims`, made by `class_dimensions` with `keep=target.classes` when no
-    `dims` are given or they kept nothing.  The pool is
-    `RationalMatrix.nullspace` of the required classes (the whole space
-    when none is required) on the kept echelons, both blade parities, and
-    `ArithmeticError` is raised unless it has `dims.joint(target.classes)`
-    vectors.  Pool vector k is back-substituted, guarded and multiplied
-    through each excluded matrix (`mat_vec`) when `_region_candidates`
-    first reaches it; a candidate that escapes is made a field, and
-    `classify` confirms it.  The search is complete, so running out of
-    candidates in a nonempty region raises `ArithmeticError`.
+    The rank rule (`ClassDimensions.region_is_empty`) decides emptiness
+    first; a nonempty region of a point built with no region raises
+    `ValueError`.  The pool is `RationalMatrix.nullspace` of the region's
+    classes (the whole space when it has none) on the point's echelons,
+    and `ArithmeticError` is raised unless it has
+    `dims.joint(region.classes)` vectors.  Pool vector k is
+    back-substituted, guarded and multiplied through each excluded matrix
+    (`mat_vec`) when `_region_candidates` first reaches it; a candidate
+    that escapes is made a field, and `classify` confirms it.  The search
+    is complete, so running out of candidates in a nonempty region raises
+    `ArithmeticError`.
     """
-    if phi.m != m or psi.m != m:
-        raise ValueError("structural sets do not match the requested dimension")
-    if dims is not None and (dims.m, dims.degree) != (m, d):
-        raise ValueError(f"dimensions of (m, d) = ({dims.m}, {dims.degree}) given for ({m}, {d})")
-    if dims is None or (dims.echelons is None and not dims.region_is_empty(target)):
-        dims = class_dimensions(phi, psi, m, d, keep=target.classes)
-    if dims.region_is_empty(target):
+    target = dims.region
+    if target is not None and dims.region_is_empty(target):
         return None
+    if target is None or dims.echelons is None:
+        raise ValueError("the point was built with no region to search; pass one to class_dimensions")
     wanted = [dims.matrices[name] for name in sorted(target.classes)]
     excluded = [mat for name, mat in dims.matrices.items() if name not in target.classes]
     pool = RationalMatrix.stack(wanted, dims.full).nullspace(dims.echelons)
-    if len(pool) != dims.joint(target.classes):
-        raise ArithmeticError("the echelons were kept for other classes")
+    if len(pool) != (size := dims.joint(target.classes)):
+        raise ArithmeticError(f"the echelons give {len(pool)} kernel vectors for {target}, the dimensions {size}")
     # Image rows come times their row scales, which changes no zero test.
     images = _Lazy(len(pool), lambda k: [mat.mat_vec(pool[k][0]) for mat in excluded])
     for y, den in _region_candidates(pool, images):
         f = dims.space._field(y, den)
-        if classify(phi, psi, f).region == target:
+        if classify(dims.phi, dims.psi, f).region == target:
             return f
     raise ArithmeticError(f"the search found no field in the nonempty region {target}")
 

@@ -94,7 +94,7 @@ def test_grown_stores_the_echelons_of_per_step_primitive_rows():
 def _chain_echelons(phi, psi, m, d, grow):
     """The stored rows of every chain of `_CHAINS` in every block of the whole class stack.
 
-    `class_dimensions` walks the same chains in the same order (the chain of Hpp alone only when kept), over
+    `class_dimensions` walks the same chains in the same order (the chain of Hpp alone only for its region), over
     every block at even m and over the even-blade blocks at odd m.
     """
     space = CoefficientSpace(m, d)

@@ -106,7 +106,7 @@ def test_nullspace_back_substitutes_only_the_vectors_read(monkeypatch):
 
     monkeypatch.setattr(RationalMatrix, "_kernel_vector", counted)
     basis = class_nullspace(PHI, PSI, 3, (HARMONIC, INFRAMONOGENIC))
-    assert solved == [] and len(basis) == class_dimensions(PHI, PSI, 3, 3).harmonic_and_inframonogenic > 1
+    assert solved == [] and len(basis) == class_dimensions(PHI, PSI, 3).harmonic_and_inframonogenic > 1
     first = basis[0]
     assert len(solved) == 1 and basis[0] is first  # one vector back-substituted, its field kept
     assert laplacian(first).is_zero() and sandwich(PHI, first, PSI).is_zero()
@@ -752,14 +752,14 @@ def test_same_set_left_left_is_negated_laplacian():
 
 
 def test_class_dimensions_low_degree_is_trivially_full():
-    dims = class_dimensions(PHI, PSI, 3, 1)
+    dims = class_dimensions(PHI, PSI, 1)
     assert dims.full == 3 * 8
     assert dims.harmonic == dims.two_set_harmonic == dims.inframonogenic == dims.full
     assert dims.triple == dims.full
 
 
 def test_class_dimensions_reference_configuration():
-    dims = class_dimensions(PHI, PSI, 3, 2)
+    dims = class_dimensions(PHI, PSI, 2)
     assert dims.full == 48
     assert dims.harmonic == 40
     assert dims.triple >= 1
@@ -779,7 +779,7 @@ def test_class_dimensions_reference_configuration():
     (4, 5, (416, 478, 354, 318)),
 ])
 def test_class_dimensions_standard_reversed_at_larger_points(m, d, pairs):
-    dims = class_dimensions(StructuralSet.standard(m), StructuralSet.reversed_standard(m), m, d)
+    dims = class_dimensions(StructuralSet.standard(m), StructuralSet.reversed_standard(m), d)
     closed_form = 2 ** m * (comb(d + m - 1, m - 1) - comb(d + m - 3, m - 1))
     assert dims.harmonic == dims.two_set_harmonic == dims.inframonogenic == closed_form
     assert (dims.harmonic_and_two_set, dims.harmonic_and_inframonogenic,
@@ -817,7 +817,7 @@ def test_single_class_dimensions_have_the_closed_form_on_a_seeded_grid():
                 # R_{0,m}-valued polynomials of degree d less those of degree d-2.
                 expected = 2 ** m * (comb(d + m - 1, m - 1) - (comb(d + m - 3, m - 1) if d >= 2 else 0))
                 if m + d <= 7:
-                    dims = class_dimensions(phi, psi, m, d, keep=frozenset())  # whole matrices, kept
+                    dims = class_dimensions(phi, psi, d, parse_region_spec("none"))  # whole matrices
                     assert dims.harmonic == dims.two_set_harmonic == dims.inframonogenic == expected
                     space, mats = dims.space, dims.matrices
                 else:
@@ -859,7 +859,7 @@ def test_a_zero_divisor_coefficient_loses_row_rank():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_half_assembly_gives_the_dimensions_of_the_full_matrices(m, tmp_path):
-    # Without keep, odd m assembles the even output blades alone and grows no chain of Hpp alone.
+    # Without a region, odd m assembles the even output blades alone and grows no chain of Hpp alone.
     rng = random.Random(330 + m)
     pairs = list(_named_signed_and_random_pairs(rng, m))
     specs = []
@@ -870,8 +870,8 @@ def test_half_assembly_gives_the_dimensions_of_the_full_matrices(m, tmp_path):
     pairs.append(("matrix files", *specs))
     for name, phi, psi in pairs:
         for d in range({1: 7, 2: 6, 3: 5, 4: 4, 5: 3}[m]):
-            half = class_dimensions(phi, psi, m, d)
-            assert half == class_dimensions(phi, psi, m, d, keep=frozenset())  # keep assembles whole matrices
+            half = class_dimensions(phi, psi, d)
+            assert half == class_dimensions(phi, psi, d, parse_region_spec("none"))  # a region assembles whole matrices
             assert {names: half.joint(names) for names in map(frozenset, _CHAINS)} == \
                 unsplit_dimensions(phi, psi, m, d), (name, m, d)
 
@@ -908,7 +908,7 @@ def test_class_dimensions_match_the_kernels_of_the_seven_stacks():
     cases.append((3, 4, rand_rational_structural_set(rng, 3), rand_rational_structural_set(rng, 3)))
     cases.append((3, 4, StructuralSet.standard(3), StructuralSet.reversed_standard(3)))
     for m, d, phi, psi in cases:
-        dims = class_dimensions(phi, psi, m, d)
+        dims = class_dimensions(phi, psi, d)
         assert tuple(dims.to_json().values()) == _joint_dims_by_nullspace(phi, psi, m, d), (m, d, phi, psi)
 
 
@@ -923,7 +923,7 @@ def test_class_dimensions_at_odd_m_match_the_walk_over_both_halves(m):
     # At odd m `class_dimensions` eliminates the even-blade half only; the reference eliminates both.
     for name, phi, psi in _named_and_random_pairs(m):
         for d in range(4 if m == 5 and name == "seed-7 random" else 5):  # random (5,4) alone takes seconds
-            dims = class_dimensions(phi, psi, m, d)
+            dims = class_dimensions(phi, psi, d)
             assert {names: dims.joint(names) for names in map(frozenset, _CHAINS)} == \
                 unsplit_dimensions(phi, psi, m, d), (name, m, d)
 
@@ -952,7 +952,7 @@ def test_the_halves_agree_exactly_at_odd_m(m, d):
 def test_class_dimensions_of_a_random_rational_pair_at_m4_d4():
     # Bareiss rows reach 2377-bit entries on this pair; primitive rows stay at 178 bits.
     phi, psi = rand_structural_pair(random.Random(7), 4)
-    dims = class_dimensions(phi, psi, 4, 4)
+    dims = class_dimensions(phi, psi, 4)
     assert tuple(dims.to_json().values()) == (400, 400, 400, 304, 338, 270, 242)
 
 
@@ -986,18 +986,18 @@ def test_omega_split_dimensions_equal_the_unsplit_walk(m, degrees):
                       ("signedperm", parse_set_spec(f"signedperm:{signed}", m))):
         phi = StructuralSet.standard(m)
         for d in degrees:
-            dims = class_dimensions(phi, psi, m, d)
+            dims = class_dimensions(phi, psi, d)
             assert {names: dims.joint(names) for names in map(frozenset, _CHAINS)} == \
                 unsplit_dimensions(phi, psi, m, d), (name, m, d)
 
 
 def test_the_omega_split_gives_the_random_m4_walk_four_blocks(monkeypatch):
-    # Blade parity alone splits the seed-7 random stack in two; the kept (blade-coordinate) walk still sees two.
+    # Blade parity alone splits the seed-7 random stack in two; a region's (blade-coordinate) walk still sees two.
     blocks, original = [], RationalMatrix._blocks
     monkeypatch.setattr(RationalMatrix, "_blocks", lambda self: blocks.append(original(self)) or blocks[-1])
     phi, psi = rand_structural_pair(random.Random(7), 4)
-    split = class_dimensions(phi, psi, 4, 3)
-    assert split == class_dimensions(phi, psi, 4, 3, keep=frozenset())
+    split = class_dimensions(phi, psi, 3)
+    assert split == class_dimensions(phi, psi, 3, parse_region_spec("none"))
     assert [len(found) for found in blocks] == [4, 2]
 
 
@@ -1008,7 +1008,7 @@ def test_the_omega_fold_at_m_2_mod_4_gives_a_wrong_dimension(monkeypatch, m, d):
     monkeypatch.setattr(solver, "_blade_images", lambda pairs, m, *, walk=False:
                         solver._folded_images(pairs, m) if walk else blade_images(pairs, m))
     phi, psi = StructuralSet.standard(m), StructuralSet.reversed_standard(m)
-    dims = class_dimensions(phi, psi, m, d)
+    dims = class_dimensions(phi, psi, d)
     assert {names: dims.joint(names) for names in map(frozenset, _CHAINS)} != unsplit_dimensions(phi, psi, m, d)
 
 
@@ -1019,10 +1019,10 @@ def test_operator_matrix_maps_no_blades_below_its_order(monkeypatch):
     for m in (3, 4, 8):
         phi, psi = rand_structural_pair(random.Random(7), m)
         for d in (0, 1):
-            dims = class_dimensions(phi, psi, m, d)
+            dims = class_dimensions(phi, psi, d)
             assert set(dims.to_json().values()) == {dims.full} == {CoefficientSpace(m, d).size}, (m, d)
     assert mapped == []
-    class_dimensions(StructuralSet.standard(3), StructuralSet.reversed_standard(3), 3, 2)
+    class_dimensions(StructuralSet.standard(3), StructuralSet.reversed_standard(3), 2)
     assert mapped == [3, 3, 3]
     with pytest.raises(DimensionMismatch):
         operator_matrix(FieldOperator.sandwich(StructuralSet.standard(2), StructuralSet.standard(2)),
@@ -1035,10 +1035,10 @@ def test_class_dimensions_depend_only_on_the_transition_orbit(m, d):
     standard = StructuralSet.standard(m)
     for _ in range(6):
         phi, psi = rand_rational_structural_set(rng, m), rand_rational_structural_set(rng, m)
-        dims = class_dimensions(phi, psi, m, d).to_json()
+        dims = class_dimensions(phi, psi, d).to_json()
         canonical = StructuralSet.from_matrix(transition(phi, psi).entries)
-        assert class_dimensions(standard, canonical, m, d).to_json() == dims
-        assert class_dimensions(psi, phi, m, d).to_json() == dims
+        assert class_dimensions(standard, canonical, d).to_json() == dims
+        assert class_dimensions(psi, phi, d).to_json() == dims
 
 
 @pytest.mark.parametrize("psi, want", [
@@ -1048,19 +1048,19 @@ def test_class_dimensions_depend_only_on_the_transition_orbit(m, d):
     ("signedperm:2,-1,4,-3", (256, 256, 256, 232, 222, 222, 205)),
 ])
 def test_class_dimensions_strata_at_m4_d3(psi, want):
-    dims = class_dimensions(StructuralSet.standard(4), parse_set_spec(psi, 4), 4, 3)
+    dims = class_dimensions(StructuralSet.standard(4), parse_set_spec(psi, 4), 3)
     assert tuple(dims.to_json().values()) == want
 
 
 def test_class_dimensions_2d_standard():
     s = StructuralSet.standard(2)
-    dims = class_dimensions(s, s, 2, 2)
+    dims = class_dimensions(s, s, 2)
     # 2D harmonic polynomials of degree 2: two per blade component
     assert dims.harmonic == 2 * 4
 
 
 def test_json_report_keys():
-    dims = class_dimensions(PHI, PSI, 3, 2)
+    dims = class_dimensions(PHI, PSI, 2)
     payload = dims.to_json()
     assert set(payload) == {"H", "Hpp", "I", "H∩Hpp", "H∩I", "Hpp∩I", "triple"}
 
@@ -1075,14 +1075,14 @@ def test_find_region_witness_in_every_named_region():
     ]
     for classes in targets:
         target = RegionLabel.from_classes(classes)
-        witness = find_region_witness(PHI, PSI, 3, 2, target)
+        witness = find_region_witness(class_dimensions(PHI, PSI, 2, target))
         assert witness is not None, classes
         assert classify(PHI, PSI, witness).region == target
 
 
 def test_find_region_witness_degree_one_everything_in_triple():
     target = RegionLabel.from_classes(("H", "Hpp", "I"))
-    witness = find_region_witness(PHI, PSI, 3, 1, target)
+    witness = find_region_witness(class_dimensions(PHI, PSI, 1, target))
     assert witness is not None
     assert witness.degree() == 1
 
@@ -1091,14 +1091,14 @@ def test_find_region_witness_not_found_when_region_empty():
     # at degree 1 the second-order operators annihilate everything, so
     # a field outside all three classes cannot exist there
     target = RegionLabel.from_classes(())
-    assert find_region_witness(PHI, PSI, 3, 1, target) is None
+    assert find_region_witness(class_dimensions(PHI, PSI, 1, target)) is None
 
 
 def test_witness_search_that_runs_out_in_a_nonempty_region_raises(monkeypatch):
     # The search is complete, so a nonempty region whose every candidate is turned down is an error, not "empty".
     # With phi = psi, left-left is minus the Laplacian, so four of the regions are empty and four are not.
     phi = psi = StructuralSet.standard(2)
-    dims = class_dimensions(phi, psi, 2, 2)
+    dims = class_dimensions(phi, psi, 2)
     assert sum(map(dims.region_is_empty, RegionLabel.all_regions())) == 4
     tried = []
 
@@ -1111,10 +1111,10 @@ def test_witness_search_that_runs_out_in_a_nonempty_region_raises(monkeypatch):
     for target in RegionLabel.all_regions():
         tried.clear()
         if dims.region_is_empty(target):
-            assert find_region_witness(phi, psi, 2, 2, target) is None and not tried, target
+            assert find_region_witness(class_dimensions(phi, psi, 2, target)) is None and not tried, target
         else:
             with pytest.raises(ArithmeticError, match=f"no field in the nonempty region {target}$"):
-                find_region_witness(phi, psi, 2, 2, target)
+                find_region_witness(class_dimensions(phi, psi, 2, target))
             assert tried, target
 
 
@@ -1122,7 +1122,7 @@ def test_witness_single_class_regions():
     # single-membership regions exist at degree 2 for the reference sets
     for classes in (("H",), ("Hpp",), ("I",)):
         target = RegionLabel.from_classes(classes)
-        witness = find_region_witness(PHI, PSI, 3, 2, target)
+        witness = find_region_witness(class_dimensions(PHI, PSI, 2, target))
         if witness is not None:
             assert classify(PHI, PSI, witness).region == target
 
@@ -1248,7 +1248,8 @@ def test_region_candidates_yield_nothing_when_an_excluded_matrix_kills_the_pool(
 def test_find_region_witness_matches_dense_candidate_loop(m, d, phi, psi, region):
     phi, psi = parse_set_spec(phi, m), parse_set_spec(psi, m)
     target = parse_region_spec(region)
-    assert find_region_witness(phi, psi, m, d, target) == _dense_candidate_witness(phi, psi, m, d, target)
+    witness = find_region_witness(class_dimensions(phi, psi, d, target))
+    assert witness == _dense_candidate_witness(phi, psi, m, d, target)
 
 
 def _grid_pairs():
@@ -1277,11 +1278,11 @@ def test_rank_rule_and_witness_search_agree_on_a_seeded_grid():
         for d in range(4):
             for target in RegionLabel.all_regions():  # the classes of the targets run over every chain of _CHAINS
                 # As `solve --region` runs it: the search back-substitutes on the echelons the dimensions kept.
-                dims = class_dimensions(phi, psi, m, d, keep=target.classes)
+                dims = class_dimensions(phi, psi, d, target)
                 wanted = RationalMatrix.stack([dims.matrices[name] for name in sorted(target.classes)], dims.full)
                 assert _as_fractions(wanted.nullspace(dims.echelons)) == _as_fractions(wanted.nullspace())
                 seen["wanted classes without rows"] += bool(target.classes) and wanted.nrows == 0
-                witness = find_region_witness(phi, psi, m, d, target, dims=dims)
+                witness = find_region_witness(dims)
                 assert (witness is None) == dims.region_is_empty(target), (m, d, phi, psi, target)
                 if witness is not None:
                     assert witness and witness.is_homogeneous(d)
@@ -1293,30 +1294,18 @@ def test_rank_rule_and_witness_search_agree_on_a_seeded_grid():
 
 
 def test_kernel_guard_rejects_the_echelons_of_a_smaller_chain():
-    dims = class_dimensions(PHI, PSI, 3, 2)
+    dims = class_dimensions(PHI, PSI, 2)
     assert dims.harmonic > dims.harmonic_and_inframonogenic
-    smaller = class_dimensions(PHI, PSI, 3, 2, keep=frozenset({HARMONIC}))
+    smaller = class_dimensions(PHI, PSI, 2, parse_region_spec("H"))
     wanted = RationalMatrix.stack([smaller.matrices[HARMONIC], smaller.matrices[INFRAMONOGENIC]], smaller.space.size)
     with pytest.raises(ArithmeticError, match="failed verification"):
         list(wanted.nullspace(smaller.echelons))
-    assert dims.echelons is None  # nothing is kept unless asked for
-
-
-def test_witness_search_refuses_the_echelons_of_other_classes():
-    # The echelons kept for {H, I} pass the guard for H, since their kernel lies in ker H, but they are too few.
-    dims = class_dimensions(PHI, PSI, 3, 2, keep=frozenset({HARMONIC, INFRAMONOGENIC}))
-    wanted = dims.matrices[HARMONIC]
-    assert (len(list(wanted.nullspace(dims.echelons))), len(list(wanted.nullspace())), dims.harmonic) == (34, 40, 40)
-    target = RegionLabel.from_classes((HARMONIC,))
-    with pytest.raises(ArithmeticError, match="kept for other classes"):
-        find_region_witness(PHI, PSI, 3, 2, target, dims=dims)
-    kept_for_h = class_dimensions(PHI, PSI, 3, 2, keep=target.classes)
-    assert find_region_witness(PHI, PSI, 3, 2, target, dims=kept_for_h) == find_region_witness(PHI, PSI, 3, 2, target)
+    assert dims.echelons is None  # a point built with no region keeps none
 
 
 def test_witness_guard_rejects_a_corrupted_kept_echelon():
     target = parse_region_spec("H,Hpp,I")
-    dims = class_dimensions(PHI, PSI, 3, 3, keep=target.classes)
+    dims = class_dimensions(PHI, PSI, 3, target)
     first_free = min(set(range(dims.full)).difference(c for echelon in dims.echelons for c in echelon._cols))
     k, echelon = next((k, echelon) for k, echelon in enumerate(dims.echelons)
                       if any(first_free in dict(tail) for tail in echelon._tails))
@@ -1330,7 +1319,7 @@ def test_witness_guard_rejects_a_corrupted_kept_echelon():
     bad = dataclasses.replace(dims, echelons=dims.echelons[:k] + (corrupted,) + dims.echelons[k + 1:])
     assert bad == dims  # the dimensions are untouched; only one kept echelon's tails differ
     with pytest.raises(ArithmeticError, match="failed verification"):
-        find_region_witness(PHI, PSI, 3, 3, target, dims=bad)
+        find_region_witness(bad)
 
 
 @pytest.mark.parametrize("m, d, region, pool_size", [(5, 3, "H,Hpp,I", 734), (3, 2, "none", 48)])
@@ -1344,10 +1333,10 @@ def test_witness_search_back_substitutes_only_the_vectors_it_tries(monkeypatch, 
     monkeypatch.setattr(RationalMatrix, "_kernel_vector", counted)
     phi, psi = StructuralSet.standard(m), StructuralSet.reversed_standard(m)
     target = parse_region_spec(region)
-    dims = class_dimensions(phi, psi, m, d, keep=target.classes)
+    dims = class_dimensions(phi, psi, d, target)
     space, mats = dims.space, dims.matrices
     assert dims.joint(target.classes) == pool_size
-    witness = find_region_witness(phi, psi, m, d, target, dims=dims)
+    witness = find_region_witness(dims)
     assert classify(phi, psi, witness).region == target
     assert len(solved) == 1  # pool vector 0 escapes and is confirmed
     if not target.classes:
@@ -1358,7 +1347,7 @@ def test_witness_search_back_substitutes_only_the_vectors_it_tries(monkeypatch, 
 
 
 def test_rank_rule_reads_the_dimensions():
-    dims = class_dimensions(StructuralSet.standard(5), StructuralSet.standard(5), 5, 3)
+    dims = class_dimensions(StructuralSet.standard(5), StructuralSet.standard(5), 3)
     names = {HARMONIC: dims.harmonic, TWO_SET_HARMONIC: dims.two_set_harmonic, INFRAMONOGENIC: dims.inframonogenic}
     assert dims.joint(frozenset()) == dims.full
     for name, value in names.items():
@@ -1367,7 +1356,7 @@ def test_rank_rule_reads_the_dimensions():
     assert dims.harmonic_and_inframonogenic == dims.triple  # so H and I without Hpp is empty
     assert dims.region_is_empty(RegionLabel.from_classes((HARMONIC, INFRAMONOGENIC)))
     assert not dims.region_is_empty(RegionLabel.from_classes(_CLASS_ORDER))
-    degree_one = class_dimensions(PHI, PSI, 3, 1)
+    degree_one = class_dimensions(PHI, PSI, 1)
     assert [r for r in RegionLabel.all_regions() if not degree_one.region_is_empty(r)] == [
         RegionLabel.from_classes(_CLASS_ORDER)]
 
@@ -1376,59 +1365,63 @@ def test_rank_rule_reads_the_dimensions():
 def test_kept_dimensions_carry_the_whole_class_matrices(m, d):
     phi, psi = StructuralSet.standard(m), StructuralSet.reversed_standard(m)
     whole = class_matrices(phi, psi, CoefficientSpace(m, d))
-    for keep in (frozenset(), frozenset({HARMONIC, INFRAMONOGENIC})):
-        dims = class_dimensions(phi, psi, m, d, keep=keep)
+    for region in (parse_region_spec("none"), parse_region_spec("H,I")):
+        dims = class_dimensions(phi, psi, d, region)
         assert (dims.space.m, dims.space.degree, dims.space.size) == (m, d, dims.full)
         assert list(dims.matrices) == list(_CLASS_ORDER)
         assert {name: mat._int_rows for name, mat in dims.matrices.items()} == \
-            {name: mat._int_rows for name, mat in whole.items()}, keep
+            {name: mat._int_rows for name, mat in whole.items()}, region
+        assert (dims.phi, dims.psi, dims.region) == (phi, psi, region)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_unkept_dimensions_carry_no_space_matrices_or_echelons(m):
-    dims = class_dimensions(StructuralSet.standard(m), StructuralSet.reversed_standard(m), m, 2)
-    assert (dims.space, dims.matrices, dims.echelons) == (None, None, None)
+    dims = class_dimensions(StructuralSet.standard(m), StructuralSet.reversed_standard(m), 2)
+    assert (dims.region, dims.space, dims.matrices, dims.echelons) == (None, None, None, None)
 
 
-@pytest.mark.parametrize("m, d", [(3, 3), (2, 2)])
-def test_find_region_witness_refuses_dimensions_of_another_point(m, d):
-    # Dimensions at (3, 2) would give a degree-2 field for degree 3, or an m = 3 field for m = 2.
-    target = parse_region_spec("H,Hpp,I")
-    dims = class_dimensions(PHI, PSI, 3, 2, keep=target.classes)
-    phi, psi = StructuralSet.standard(m), StructuralSet.reversed_standard(m)
-    with pytest.raises(ValueError, match=r"\(m, d\) = \(3, 2\) given for"):
-        find_region_witness(phi, psi, m, d, target, dims=dims)
-    assert find_region_witness(phi, psi, m, d, target).degree() == d
+def test_class_dimensions_refuses_sets_of_two_dimensions():
+    two, three = StructuralSet.standard(2), StructuralSet.reversed_standard(3)
+    for phi, psi in ((two, three), (three, two)):
+        with pytest.raises(ValueError, match="structural sets of two dimensions"):
+            class_dimensions(phi, psi, 2)
 
 
-def test_find_region_witness_reads_unkept_dimensions(monkeypatch):
-    # The rank rule answers an empty region from unkept dimensions alone; a nonempty one is searched as with kept ones.
-    original_vector, original_matrix, solved, built = RationalMatrix._kernel_vector, solver.operator_matrix, [], []
+def test_witness_pool_guard_rejects_the_echelons_of_a_smaller_chain():
+    # The echelons of {H, I} pass the kernel guard for H, since their kernel lies in ker H, but they are too few.
+    target = parse_region_spec("H")
+    dims = class_dimensions(PHI, PSI, 2, target)
+    smaller = class_dimensions(PHI, PSI, 2, parse_region_spec("H,I"))
+    wanted = dims.matrices[HARMONIC]
+    assert len(wanted.nullspace(smaller.echelons)) == 34
+    assert len(wanted.nullspace(dims.echelons)) == dims.harmonic == 40
+    with pytest.raises(ArithmeticError, match="the echelons give 34 kernel vectors for H, the dimensions 40$"):
+        find_region_witness(dataclasses.replace(dims, echelons=smaller.echelons))
+    assert classify(PHI, PSI, find_region_witness(dims)).region == target
 
-    def counted_vector(self, f, sorted_echelon):
-        solved.append(f)
-        return original_vector(self, f, sorted_echelon)
 
-    def counted_matrix(op, space, **kwargs):
-        built.append(op.name)
-        return original_matrix(op, space, **kwargs)
-
-    monkeypatch.setattr(RationalMatrix, "_kernel_vector", counted_vector)
-    monkeypatch.setattr(solver, "operator_matrix", counted_matrix)
-    unkept = class_dimensions(PHI, PHI, 3, 2)
-    seen = {"empty": 0, "nonempty": 0}
+def test_find_region_witness_on_a_point_built_with_no_region(monkeypatch):
+    # The rank rule answers an empty region from the dimensions alone; a nonempty one needs a point built for it.
+    solved, built = [], []
+    original_vector, original_matrix = RationalMatrix._kernel_vector, solver.operator_matrix
+    monkeypatch.setattr(RationalMatrix, "_kernel_vector",
+                        lambda self, *args: solved.append(args) or original_vector(self, *args))
+    monkeypatch.setattr(solver, "operator_matrix", lambda *args, **kwargs: built.append(args) or
+                        original_matrix(*args, **kwargs))
+    phi = StructuralSet.standard(3)
+    unbuilt = class_dimensions(phi, phi, 2)
+    built.clear()
+    empty = []
     for target in RegionLabel.all_regions():
-        solved.clear()
-        built.clear()
-        witness = find_region_witness(PHI, PHI, 3, 2, target, dims=unkept)
-        if unkept.region_is_empty(target):
-            assert (witness, solved, built) == (None, [], []), target
+        point = dataclasses.replace(unbuilt, region=target)
+        if unbuilt.region_is_empty(target):
+            empty.append(find_region_witness(point))
         else:
-            assert solved and len(built) == 3
-            assert witness == find_region_witness(PHI, PHI, 3, 2, target,
-                                                  dims=class_dimensions(PHI, PHI, 3, 2, keep=target.classes))
-        seen["empty" if witness is None else "nonempty"] += 1
-    assert seen == {"empty": 4, "nonempty": 4}
+            with pytest.raises(ValueError, match="built with no region"):
+                find_region_witness(point)
+    with pytest.raises(ValueError, match="built with no region"):
+        find_region_witness(unbuilt)
+    assert (empty, solved, built) == ([None] * 4, [], [])
 
 
 def test_converse_counterexample():
