@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations
 from math import gcd, lcm, perm, prod
 from operator import add
@@ -160,72 +161,66 @@ class FieldOperator:
 BladeMaps = dict[MultiIndex, list[list[tuple[int, int]]]]
 
 
+@cache
+def _basis(m: int, even: bool, omega: bool) -> tuple[tuple[tuple[int, int, int], ...], tuple | None]:
+    """The sources (A, mask, partner) `_blade_images` maps, and with `omega` the halves (L, p, q) that place the images.
+
+    Without `omega` the sources are the blades, the even ones alone with
+    `even`, at their ranks A.  With it they are the blades A without the
+    top bit e_m, in the eigenbasis of left multiplication by omega =
+    e_1...e_m at m = 0 mod 4: omega e_A = sigma_A e_A' (A' the complement)
+    and u_A^+- = e_A +- sigma_A e_A' sit at A's rank and at the partner's,
+    the rank of A + e_m.  halves[B] = (L, p, q), L the low one of B and B',
+    gives (1 + omega) e_B = p u_L^+ and (1 - omega) e_B = q u_L^-.
+    """
+    odd, order, rank, top, full = _odd_masks(m), blade_order(m), _blade_rank(m), 1 << (m - 1), (1 << m) - 1
+    if not omega:
+        return tuple((A, mask, A) for A, mask in enumerate(order) if not (even and mask.bit_count() & 1)), None
+    halves = tuple((B ^ full, s, -s) if B & top else (B, 1, 1)
+                   for B in range(1 << m) for s in [(-1) ** (B & odd[full]).bit_count()])
+    return tuple((A, mask, rank[mask | top]) for A, mask in enumerate(order) if not mask & top), halves
+
+
 def _blade_images(pairs: dict[MultiIndex, BladePairs], m: int, *, walk: bool = False) -> BladeMaps:
-    """The transposed blade maps of a symbol's blade pairs, over the symbol's scale.
+    """The transposed blade maps of a symbol's blade pairs, over the symbol's scale, in the basis of `_basis`.
 
     S_gamma[B] is row B of the blade map of gamma, so a matrix row reads
     its entries from one list.  Each distinct table of pairs is mapped
     once: gammas with the same pairs (the Laplacian's m identities) share
     one map.  `walk` gives the rows the dimension walk reads, for an
     operator that keeps blade parity and whose left blades share a parity
-    (every class operator): at odd m the even source blades alone are
-    mapped, so the rows of the odd B are empty; at m = 0 mod 4 the maps of
-    `_folded_images`.
+    s (every class operator): the even sources alone at odd m, so the rows
+    of odd B are empty, and the omega eigenbasis at m = 0 mod 4.  There
+    S(u_A^+-) = (1 +- s omega) S(e_A), so (1 + omega) S(e_A) fills the rows
+    of u^+ and (1 - omega) S(e_A) those of u^-, in the columns of u_A^+ and
+    u_A^- (swapped when s = -1).
     """
-    if walk and m % 4 == 0:
-        return _folded_images(pairs, m)
-    odd, order, rank = _odd_masks(m), blade_order(m), _blade_rank(m)
-    sources = [(A, mask) for A, mask in enumerate(order) if not (walk and m & 1 and mask.bit_count() & 1)]
+    odd, rank, top = _odd_masks(m), _blade_rank(m), 1 << (m - 1)
+    sources, halves = _basis(m, walk and m % 2 == 1, walk and m % 4 == 0)
     made: dict[tuple, list[list[tuple[int, int]]]] = {}
-    for blades in pairs.values():
-        key = tuple(blades)
-        if key in made:
-            continue
-        transposed = made[key] = [[] for _ in order]
-        for A, mask in sources:  # A ascending, so each transposed row comes out sorted
+    for blades in dict.fromkeys(map(tuple, pairs.values())):
+        transposed = made[blades] = [[] for _ in rank]
+        flip = bool(blades) and blades[0][0].bit_count() & 1  # s = -1
+        for A, mask, partner in sources:  # A ascending, so each transposed row comes out sorted
             image: dict[int, int] = {}
             for ma, mb, c in blades:
                 # e_ma * e_mask * e_mb, whose sign has two factors
                 left = ma ^ mask
                 out = left ^ mb
                 image[out] = image.get(out, 0) + (-c if ((mask & odd[ma]) ^ (mb & odd[left])).bit_count() & 1 else c)
-            for out, c in image.items():
-                if c:
-                    transposed[rank[out]].append((A, c))
-    return {gamma: made[tuple(blades)] for gamma, blades in pairs.items()}
-
-
-def _folded_images(pairs: dict[MultiIndex, BladePairs], m: int) -> BladeMaps:
-    """The maps of `_blade_images` in the eigenbasis of left multiplication by omega = e_1...e_m, at m = 0 mod 4.
-
-    There omega^2 = +1 and omega e_A = sigma_A e_A', A' the complement of
-    A, so for each low blade A (without the top bit e_m) u_A = e_A +-
-    sigma_A e_A' has eigenvalue +-1.  A map S with left blades of parity s
-    (-1 if odd) gives S(u_A) = (1 +- s omega) S(e_A), so only the low A are
-    mapped.  Row and column u_A of eigenvalue +1 take the place of A in
-    `blade_order`, of -1 that of A + e_m, so each row comes out sorted.
-    """
-    odd, order, rank, top, full = _odd_masks(m), blade_order(m), _blade_rank(m), 1 << (m - 1), (1 << m) - 1
-    # Blade B as (its low blade L, the coefficient of e_L in (1 + omega) e_B, that in (1 - omega) e_B).
-    halves = [(B ^ full, s, -s) if B & top else (B, 1, 1)
-              for B in range(1 << m) for s in [(-1) ** (B & odd[full]).bit_count()]]
-    lows = [(A, mask, rank[mask | top]) for A, mask in enumerate(order) if not mask & top]  # u_A's two places
-    made: dict[tuple, list[list[tuple[int, int]]]] = {}
-    for blades in dict.fromkeys(map(tuple, pairs.values())):
-        transposed = made[blades] = [[] for _ in order]
-        flip = bool(blades) and blades[0][0].bit_count() & 1  # s = -1
-        for A, mask, partner in lows:
-            plus, minus = {}, {}  # the low coordinates of (1 + omega) S(e_A) and (1 - omega) S(e_A)
-            for ma, mb, c in blades:
-                left = ma ^ mask
-                low, p, q = halves[left ^ mb]
-                c = -c if ((mask & odd[ma]) ^ (mb & odd[left])).bit_count() & 1 else c
-                plus[low] = plus.get(low, 0) + p * c
-                minus[low] = minus.get(low, 0) + q * c
-            for image, col, bit in ((plus, partner if flip else A, 0), (minus, A if flip else partner, top)):
-                for low, c in image.items():
+            if halves is None:
+                for out, c in image.items():
                     if c:
-                        transposed[rank[low | bit]].append((col, c))
+                        transposed[rank[out]].append((A, c))
+                continue
+            folded: dict[int, int] = {}  # (1 + omega) S(e_A) in the rows of u^+, (1 - omega) S(e_A) in those of u^-
+            for out, c in image.items():
+                low, p, q = halves[out]
+                folded[low] = folded.get(low, 0) + p * c
+                folded[low | top] = folded.get(low | top, 0) + q * c
+            for out, c in folded.items():
+                if c:  # a row of u^+ (low) holds S(u_A^+), column A, when s = +1; at s = -1 the columns swap
+                    transposed[rank[out]].append(((A, partner)[(out >= top) ^ flip], c))
     return {gamma: made[tuple(blades)] for gamma, blades in pairs.items()}
 
 
@@ -257,7 +252,7 @@ def operator_matrix(op: FieldOperator, space: CoefficientSpace, *, walk: bool = 
 
     With `walk`, the rows the dimension walk reads (`_blade_images`): at
     odd m those of odd output blades are zero, and at m = 0 mod 4 rows and
-    columns are in the omega basis of `_folded_images`.
+    columns are in the omega eigenbasis of `_basis`.
     """
     pairs, scale = op.symbol(space.m)
     maps = _blade_images(pairs, space.m, walk=walk) if space.degree >= op.order else {}
@@ -280,7 +275,11 @@ def class_matrices(
     """Matrices of the named class operators on `space`, keyed by class name in `names` order.
 
     `walk` fills the rows the dimension walk reads (`operator_matrix`).
+    Sets of two dimensions and unknown class names raise `ValueError`.
     """
+    if psi.m != phi.m:
+        raise ValueError(f"structural sets of two dimensions, {phi.m} and {psi.m}")
+    RegionLabel.from_classes(names)
     ops = {
         HARMONIC: FieldOperator.laplacian(),
         TWO_SET_HARMONIC: FieldOperator.left_left(phi, psi),
@@ -394,8 +393,6 @@ def class_dimensions(phi: StructuralSet, psi: StructuralSet, d: int,
     that one chain alone, so the witness pool stays in blade coordinates.
     """
     m = phi.m
-    if psi.m != m:
-        raise ValueError(f"structural sets of two dimensions, {m} and {psi.m}")
     space = CoefficientSpace(m, d)
     matrices = class_matrices(phi, psi, space, walk=region is None)
     stack = RationalMatrix.stack([matrices[name] for name in _CLASS_ORDER], space.size)
@@ -431,7 +428,8 @@ def class_nullspace(phi: StructuralSet, psi: StructuralSet, d: int, names: Seque
     """Joint kernel basis of the named class operators at homogeneity degree d, as fields.
 
     The fields of `RationalMatrix.nullspace`, in its order; field k is
-    back-substituted and built on first access.
+    back-substituted and built on first access.  Sets of two dimensions and
+    unknown class names raise `ValueError` (`class_matrices`).
     """
     space = CoefficientSpace(phi.m, d)
     basis = RationalMatrix.stack(list(class_matrices(phi, psi, space, names).values()), space.size).nullspace()

@@ -1,14 +1,19 @@
 """Every module-level import in the package sources is used by its module, and every
 module-level private function or class, and every private method, is read by some
-module of the package outside its own definition."""
+module of the package outside its own definition.  Every private name the README or
+the package's docstrings and comments name in backticks exists in the package."""
 
 import ast
+import io
 import pathlib
+import re
+import tokenize
 from collections import Counter
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cliffkit"
+README = SRC.parents[1] / "README.md"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -140,4 +145,64 @@ def test_the_check_sees_a_knob_only_tests_set():
         "a.py line 1: build(fast=)",
         "a.py line 1: build(depth=)",
         "a.py line 5: fill(empty=)",
+    ]
+
+
+def _defined_names(sources: dict[str, str]) -> set[str]:
+    """Every name `sources` defines, assigns, reads as an attribute or lists in `__slots__`."""
+    names = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in node.targets):
+                names.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return names
+
+
+def _prose(text: str) -> str:
+    """The docstrings and comments of one module."""
+    docs = [ast.get_docstring(node, clean=False) for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    comments = [tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline) if tok.type == tokenize.COMMENT]
+    return "\n".join(filter(None, docs + comments))
+
+
+def _stale_private_names(sources: dict[str, str], readme: str) -> list[str]:
+    """The backticked private names (`_x`, or `X._x` and the like) of the README and of the docstrings and
+    comments of `sources` that `sources` does not define; the README's "Removed public names" section is exempt.
+    """
+    readme = re.sub(r"^## Removed public names\n.*?(?=^## |\Z)", "", readme, flags=re.M | re.S)
+    defined = _defined_names(sources)
+    stale = []
+    for where, text in [("README.md", readme)] + [(module, _prose(text)) for module, text in sorted(sources.items())]:
+        for span in re.findall(r"`([^`\n]+)`", text):
+            stale += [f"{where}: {name} in `{span}`" for name in re.findall(r"(?:^|(?<=\.))(_[^\W_]\w*)", span)
+                      if name not in defined]
+    return stale
+
+
+def test_every_backticked_private_name_exists():
+    assert _stale_private_names({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}, README.read_text()) == []
+
+
+def test_the_check_sees_a_stale_private_name():
+    sources = {
+        "a.py": '"""Built by `_build`, from `Box._slot`, `Box._set`, `Box._read` and `_TABLE`; not `_gone` (sic)."""\n\n'
+                "_TABLE = {}\n\n"
+                "def _build(box):\n    # reads `box._read` and `_stale_comment`\n    return box._read\n\n"
+                'class Box:\n    __slots__ = ("_slot",)\n\n    def __init__(self):\n        self._set = 1\n',
+    }
+    readme = ("# a\n\n## Inside\n\n`_build` and `_folded_images(pairs, m)` and `mod._Box`, not `__slots__` or `x_y`.\n\n"
+              "## Removed public names\n\n- `_removed`: gone.\n\n## Later\n\n`Box._also_gone`\n")
+    assert _stale_private_names(sources, readme) == [
+        "README.md: _folded_images in `_folded_images(pairs, m)`",
+        "README.md: _Box in `mod._Box`",
+        "README.md: _also_gone in `Box._also_gone`",
+        "a.py: _gone in `_gone`",
+        "a.py: _stale_comment in `_stale_comment`",
     ]

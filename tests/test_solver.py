@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm, perm, prod
 
@@ -12,7 +13,7 @@ import pytest
 from itertools import combinations
 
 from cliffkit import solver
-from cliffkit.algebra import DimensionMismatch, Multivector, _as_integers, blade_product
+from cliffkit.algebra import DimensionMismatch, Multivector, _as_integers, blade_order, blade_product
 from cliffkit.classify import (
     _CLASS_ORDER, HARMONIC, INFRAMONOGENIC, TWO_SET_HARMONIC, ClassMembership, RegionLabel, classify,
 )
@@ -1004,12 +1005,80 @@ def test_the_omega_split_gives_the_random_m4_walk_four_blocks(monkeypatch):
 @pytest.mark.parametrize("m, d", [(2, 3), (6, 2)])
 def test_the_omega_fold_at_m_2_mod_4_gives_a_wrong_dimension(monkeypatch, m, d):
     # Negative control: omega^2 = -1 there, so e_A +- sigma_A e_A' are no eigenvectors and the fold drops entries.
-    blade_images = solver._blade_images
-    monkeypatch.setattr(solver, "_blade_images", lambda pairs, m, *, walk=False:
-                        solver._folded_images(pairs, m) if walk else blade_images(pairs, m))
+    # The reference is built first; then every basis is the omega one, and without a region every map is a walk map.
     phi, psi = StructuralSet.standard(m), StructuralSet.reversed_standard(m)
+    unsplit, basis = unsplit_dimensions(phi, psi, m, d), solver._basis
+    monkeypatch.setattr(solver, "_basis", lambda m, even, omega: basis(m, even, True))
     dims = class_dimensions(phi, psi, d)
-    assert {names: dims.joint(names) for names in map(frozenset, _CHAINS)} != unsplit_dimensions(phi, psi, m, d)
+    assert {names: dims.joint(names) for names in map(frozenset, _CHAINS)} != unsplit
+
+
+def _omega_eigenvectors(m, swap=False):
+    """{place: u} for the omega eigenbasis at m = 0 mod 4, u as {blade rank: +-1}, sigma_A read off `blade_product`.
+
+    For each blade A without e_m, u_A^+ = e_A + sigma_A e_A' sits at A's
+    rank and u_A^- = e_A - sigma_A e_A' at the rank of A + e_m; `swap`
+    exchanges the two places.
+    """
+    order, top, full = blade_order(m), 1 << (m - 1), (1 << m) - 1
+    rank = {mask: r for r, mask in enumerate(order)}
+    vectors = {}
+    for mask in order:
+        if not mask & top:
+            sigma, complement = blade_product(full, mask)
+            for sign, place in ((1, mask), (-1, mask | top)):
+                vectors[rank[place ^ top if swap else place]] = {rank[mask]: 1, rank[complement]: sign * sigma}
+    return vectors
+
+
+def _omega_map_mismatches(m, pairs, swap=False):
+    """The (gamma, column c) whose walk-map column is not S(u_c) in the basis of `_omega_eigenvectors`.
+
+    S(u_c) is read off the unsplit blade maps, and the walk maps must give
+    it as sum_r entry(r, c) * u_r.
+    """
+    unsplit, walk = solver._blade_images(pairs, m), solver._blade_images(pairs, m, walk=True)
+    basis = _omega_eigenvectors(m, swap)
+    mismatches = []
+    for gamma in pairs:
+        images, walked = {}, {}  # column -> {row: entry} of the unsplit and of the walk map
+        for maps, columns in ((unsplit, images), (walk, walked)):
+            for row, entries in enumerate(maps[gamma]):
+                for col, c in entries:
+                    columns.setdefault(col, {})[row] = c
+        for col, u in basis.items():
+            want, got = Counter(), Counter()
+            for A, a in u.items():
+                for B, c in images.get(A, {}).items():
+                    want[B] += a * c
+            for row, c in walked.get(col, {}).items():
+                for B, b in basis[row].items():
+                    got[B] += c * b
+            if want != got:  # missing entries count as zero
+                mismatches.append((gamma, col))
+    return mismatches
+
+
+_CLASS_OPERATORS = (lambda phi, psi: FieldOperator.laplacian(), FieldOperator.left_left, FieldOperator.sandwich)
+
+
+@pytest.mark.parametrize("m, name", [(4, "standard/reversed"), (4, "seed-7 random"), (8, "standard/reversed")])
+def test_the_omega_walk_maps_are_the_class_operators_in_the_eigenbasis(m, name):
+    phi, psi = next((phi, psi) for label, phi, psi in _named_and_random_pairs(m) if label == name)
+    for make in _CLASS_OPERATORS:
+        op = make(phi, psi)
+        pairs = op.symbol(m)[0]
+        assert any(entries for maps in solver._blade_images(pairs, m, walk=True).values() for entries in maps)
+        assert _omega_map_mismatches(m, pairs) == [], op.name
+
+
+def test_the_omega_map_oracle_sees_the_two_places_swapped():
+    # A swap of u^+ and u^- in rows and columns alike changes no rank, so the dimension tests cannot see it.
+    # The Laplacian's identity map is the same on both eigenspaces, so it cannot see it either.
+    phi, psi = rand_structural_pair(random.Random(7), 4)
+    seen = {make(phi, psi).name: bool(_omega_map_mismatches(4, make(phi, psi).symbol(4)[0], swap=True))
+            for make in _CLASS_OPERATORS}
+    assert seen == {"laplacian": False, "left-left": True, "sandwich": True}
 
 
 def test_operator_matrix_maps_no_blades_below_its_order(monkeypatch):
@@ -1385,6 +1454,21 @@ def test_class_dimensions_refuses_sets_of_two_dimensions():
     for phi, psi in ((two, three), (three, two)):
         with pytest.raises(ValueError, match="structural sets of two dimensions"):
             class_dimensions(phi, psi, 2)
+
+
+def test_class_nullspace_refuses_sets_of_two_dimensions_even_for_the_laplacian_alone():
+    two, three = StructuralSet.standard(2), StructuralSet.standard(3)
+    for phi, psi in ((three, two), (two, three)):
+        for names in ((HARMONIC,), _CLASS_ORDER):
+            with pytest.raises(ValueError, match="structural sets of two dimensions"):
+                class_nullspace(phi, psi, 2, names)
+    assert len(class_nullspace(three, three, 2, (HARMONIC,))) == 40
+
+
+def test_class_nullspace_names_an_unknown_class():
+    for names in (("X",), (HARMONIC, "X")):
+        with pytest.raises(ValueError, match=r"unknown class names \['X'\]"):
+            class_nullspace(PHI, PSI, 2, names)
 
 
 def test_witness_pool_guard_rejects_the_echelons_of_a_smaller_chain():
